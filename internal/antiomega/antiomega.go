@@ -124,17 +124,30 @@ func (st *state) cntRow(ai int) []int {
 // newState builds the initial local state for one process (Figure 2's
 // initializer). cfg must have been validated.
 func newState(cfg Config, self procset.ID) state {
-	subsets := procset.KSubsets(cfg.N, cfg.K)
+	return newStateOver(cfg, self, procset.KSubsets(cfg.N, cfg.K))
+}
+
+// newStateOver is newState over a prebuilt Πkn enumeration, which the state
+// shares read-only (the machine form takes it from the runner's layout
+// cache). The mutable arrays are carved from one allocation.
+func newStateOver(cfg Config, self procset.ID, subsets []procset.Set) state {
+	n, ns := cfg.N, len(subsets)
+	slab := make([]int, (n+1)+3*ns+ns*(n+1)+n)
+	carve := func(size int) []int {
+		s := slab[:size:size]
+		slab = slab[size:]
+		return s
+	}
 	st := state{
 		cfg:           cfg,
 		self:          self,
 		subsets:       subsets,
-		prevHeartbeat: make([]int, cfg.N+1),
-		timeout:       make([]int, len(subsets)),
-		timer:         make([]int, len(subsets)),
-		accusation:    make([]int, len(subsets)),
-		cnt:           make([]int, len(subsets)*(cfg.N+1)),
-		scratch:       make([]int, cfg.N),
+		prevHeartbeat: carve(n + 1),
+		timeout:       carve(ns),
+		timer:         carve(ns),
+		accusation:    carve(ns),
+		cnt:           carve(ns * (n + 1)),
+		scratch:       carve(n),
 	}
 	for ai := range subsets {
 		st.timeout[ai] = 1

@@ -36,17 +36,9 @@ const (
 // by the schedule ceasing to contain the process.
 type MachineInstance struct {
 	state
-
-	hbRefs      []sim.Ref
-	counterRefs [][]sim.Ref
-
-	// Precomputed operation tables: the counter-collect phase is ~n·|Πkn| of
-	// every iteration's steps, so its read requests are materialized once at
-	// construction and replayed by a single cursor, with cntIdx mapping the
-	// cursor straight to the flat cnt slot the result lands in.
-	counterOps []sim.Op
-	cntIdx     []int
-	hbReadOps  []sim.Op // ReadOp per heartbeat, indexed q-1
+	// machineLayout is a copy of the runner's shared layout (slice headers
+	// only), so the hot path indexes the tables without a pointer chase.
+	machineLayout
 
 	primed bool // whether the first operation has been issued
 	phase  mPhase
@@ -63,8 +55,52 @@ type MachineInstance struct {
 	opBuf sim.Op
 }
 
-// NewMachineInstance builds the machine for one process and interns its
-// register handles. It performs no steps.
+// machineLayout is the detector's immutable machine layout for one (n, k):
+// the Πkn enumeration, the interned registers, and the prebuilt operation
+// tables, shared read-only by every process's MachineInstance and kept in
+// the runner's layout cache across Reset. It holds |Πkn|·n register names,
+// and the Theorem 24 agreement rebuilds one detector per process on every
+// pooled Reset.
+type machineLayout struct {
+	sets        []procset.Set // Πkn in canonical order
+	hbRefs      []sim.Ref
+	counterRefs [][]sim.Ref
+
+	// Precomputed operation tables: the counter-collect phase is ~n·|Πkn| of
+	// every iteration's steps, so its read requests are materialized once
+	// and replayed by a single cursor, with cntIdx mapping the cursor
+	// straight to the flat cnt slot the result lands in.
+	counterOps []sim.Op
+	cntIdx     []int
+	hbReadOps  []sim.Op // ReadOp per heartbeat, indexed q-1
+}
+
+// layoutKey keys a machineLayout in the runner's cache. The registers and
+// tables depend on n and k only.
+type layoutKey struct{ n, k int }
+
+func newMachineLayout(cfg Config, regs sim.Registry) *machineLayout {
+	l := &machineLayout{sets: procset.KSubsets(cfg.N, cfg.K)}
+	l.hbRefs, l.counterRefs = makeRefs(cfg, l.sets, regs.Reg)
+	n, stride := cfg.N, cfg.N+1
+	l.counterOps = make([]sim.Op, 0, len(l.sets)*n)
+	l.cntIdx = make([]int, 0, len(l.sets)*n)
+	for ai := range l.sets {
+		for q := 1; q <= n; q++ {
+			l.counterOps = append(l.counterOps, sim.ReadOp(l.counterRefs[ai][q]))
+			l.cntIdx = append(l.cntIdx, ai*stride+q)
+		}
+	}
+	l.hbReadOps = make([]sim.Op, n)
+	for q := 1; q <= n; q++ {
+		l.hbReadOps[q-1] = sim.ReadOp(l.hbRefs[q])
+	}
+	return l
+}
+
+// NewMachineInstance builds the machine for one process. Its registers and
+// op tables come from the runner's layout cache, interned on first use. It
+// performs no steps.
 func NewMachineInstance(cfg Config, self procset.ID, regs sim.Registry) (*MachineInstance, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -72,22 +108,10 @@ func NewMachineInstance(cfg Config, self procset.ID, regs sim.Registry) (*Machin
 	if self < 1 || int(self) > cfg.N {
 		return nil, fmt.Errorf("antiomega: self = %v outside Π%d", self, cfg.N)
 	}
-	m := &MachineInstance{state: newState(cfg, self)}
-	m.hbRefs, m.counterRefs = makeRefs(cfg, m.subsets, regs.Reg)
-	n, stride := cfg.N, cfg.N+1
-	m.counterOps = make([]sim.Op, 0, len(m.subsets)*n)
-	m.cntIdx = make([]int, 0, len(m.subsets)*n)
-	for ai := range m.subsets {
-		for q := 1; q <= n; q++ {
-			m.counterOps = append(m.counterOps, sim.ReadOp(m.counterRefs[ai][q]))
-			m.cntIdx = append(m.cntIdx, ai*stride+q)
-		}
-	}
-	m.hbReadOps = make([]sim.Op, n)
-	for q := 1; q <= n; q++ {
-		m.hbReadOps[q-1] = sim.ReadOp(m.hbRefs[q])
-	}
-	return m, nil
+	l := sim.Layout(regs, layoutKey{cfg.N, cfg.K}, func() *machineLayout {
+		return newMachineLayout(cfg, regs)
+	})
+	return &MachineInstance{state: newStateOver(cfg, self, l.sets), machineLayout: *l}, nil
 }
 
 // Next implements sim.Machine; the runner prefers the pointer form below.

@@ -84,14 +84,24 @@ type fusedSim struct {
 // references.
 func (s *Simulation) Machine(p procset.ID, regs sim.Registry) sim.Machine {
 	n := s.proto.Threads()
+	sh := bgSharedFor(regs, n, s.m)
+	var mem *snapshot.MachineObject
+	var sas []fusedSA
+	if sh != nil {
+		h := sh.handlesFor(p)
+		mem, sas = &h.mem, h.sas
+	} else {
+		mem, sas = new(snapshot.MachineObject), make([]fusedSA, n+1)
+	}
+	bindMem(mem, regs, p, s.m)
 	m := &fusedSim{
 		s:       s,
 		self:    p,
 		regs:    regs,
 		n:       n,
-		mem:     snapshot.NewMachineObject(regs, "bg.mem", p, s.m),
-		shared:  bgSharedFor(regs, n, s.m),
-		sas:     make([]fusedSA, n+1),
+		mem:     mem,
+		shared:  sh,
+		sas:     sas,
 		saRound: make([]int, n+1),
 		know:    make(View, n+1),
 		states:  make([]any, n+1),

@@ -290,7 +290,7 @@ func (s *Simulation) ChainedMachine(p procset.ID, regs sim.Registry) sim.Machine
 		self:    p,
 		regs:    regs,
 		n:       n,
-		mem:     snapshot.NewMachineObject(regs, "bg.mem", p, s.m),
+		mem:     bindMem(new(snapshot.MachineObject), regs, p, s.m),
 		shared:  bgSharedFor(regs, n, s.m),
 		sas:     make([]*SafeAgreementMachine, n+1),
 		saRound: make([]int, n+1),
@@ -306,6 +306,15 @@ func (s *Simulation) ChainedMachine(p procset.ID, regs sim.Registry) sim.Machine
 		m.round[i] = 1
 	}
 	return m
+}
+
+// bindMem binds o as simulator p's handle on the bg.mem snapshot object
+// through the runner's layout cache: the object's registers are interned
+// once per runner, not on every Reset.
+func bindMem(o *snapshot.MachineObject, regs sim.Registry, p procset.ID, m int) *snapshot.MachineObject {
+	segs, readOps := snapshot.LayoutRefs(regs, "bg.mem", m)
+	o.InitShared(snapshot.ArenaFor(regs), p, m, segs, readOps)
+	return o
 }
 
 func (m *simMachine) saFor(i, r int) *SafeAgreementMachine {

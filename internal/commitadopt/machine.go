@@ -21,6 +21,76 @@ func regNameB(object string, q int) string    { return fmt.Sprintf("ca[%s].B[%d]
 func regNameDec(instance string) string       { return fmt.Sprintf("cacons[%s].D", instance) }
 func roundName(instance string, r int) string { return fmt.Sprintf("%s.r%d", instance, r) }
 
+// proposeLayout is one commit-adopt object's immutable machine layout: its
+// interned registers and prebuilt read ops, shared read-only by every
+// process's ProposeMachine on the object and kept in the runner's layout
+// cache across Reset. Slices are 1-based on the process index.
+type proposeLayout struct {
+	n            int
+	a, b         []sim.Ref
+	readA, readB []sim.Op
+}
+
+// proposeKey keys a standalone object's layout in the runner's cache.
+type proposeKey struct {
+	object string
+	n      int
+}
+
+// newProposeLayout interns the named object's registers, in the same order
+// as the coroutine form.
+func newProposeLayout(regs sim.Registry, object string, n int) *proposeLayout {
+	l := &proposeLayout{
+		n:     n,
+		a:     make([]sim.Ref, n+1),
+		b:     make([]sim.Ref, n+1),
+		readA: make([]sim.Op, n+1),
+		readB: make([]sim.Op, n+1),
+	}
+	for q := 1; q <= n; q++ {
+		l.a[q] = regs.Reg(regNameA(object, q))
+		l.b[q] = regs.Reg(regNameB(object, q))
+		l.readA[q] = sim.ReadOp(l.a[q])
+		l.readB[q] = sim.ReadOp(l.b[q])
+	}
+	return l
+}
+
+// chainLayout is one consensus chain instance's immutable machine layout:
+// the decision register and the per-round object layouts. Rounds are keyed
+// by number, not by a formatted name, and memoised as they are first
+// reached — rounds are entered in order, so the memo grows by appending,
+// and an entry never changes once built.
+type chainLayout struct {
+	instance string
+	n        int
+	dec      sim.Ref
+	readDec  sim.Op
+	rounds   []*proposeLayout // rounds[r-1] is round r's object
+}
+
+// chainKey keys a chain instance's layout in the runner's cache.
+type chainKey struct {
+	instance string
+	n        int
+}
+
+func chainLayoutFor(regs sim.Registry, instance string, n int) *chainLayout {
+	return sim.Layout(regs, chainKey{instance, n}, func() *chainLayout {
+		dec := regs.Reg(regNameDec(instance))
+		return &chainLayout{instance: instance, n: n, dec: dec, readDec: sim.ReadOp(dec)}
+	})
+}
+
+// round returns round r's object layout, interning its registers the first
+// time any process of the runner reaches the round.
+func (l *chainLayout) round(regs sim.Registry, r int) *proposeLayout {
+	for len(l.rounds) < r {
+		l.rounds = append(l.rounds, newProposeLayout(regs, roundName(l.instance, len(l.rounds)+1), l.n))
+	}
+	return l.rounds[r-1]
+}
+
 // proposePhase locates a ProposeMachine inside the two collect phases.
 type proposePhase int
 
@@ -30,15 +100,15 @@ const (
 	ppReadingA                     // reading a[q]
 	ppWroteB                       // the phase-2 publish is in flight
 	ppReadingB                     // reading b[q]
+	ppDone                         // halted; commit and val hold the outcome
 )
 
 // ProposeMachine is the direct-dispatch form of Object.Propose: a one-shot
 // automaton that proposes v and halts after delivering (commit, value) to
 // the done callback. Like Propose, it costs 2 writes + 2·n reads.
 type ProposeMachine struct {
-	n    int
+	l    *proposeLayout
 	self procset.ID
-	a, b []sim.Ref
 	v    any
 
 	unanimous bool
@@ -48,7 +118,13 @@ type ProposeMachine struct {
 	phase proposePhase
 	q     int
 
-	done func(commit bool, val any)
+	// commit and val are the outcome once the machine halts; the chain
+	// machines read them instead of passing a done callback.
+	commit bool
+	val    any
+
+	done  func(commit bool, val any)
+	opBuf sim.Op // stable storage behind NextOp's write ops
 }
 
 // NewProposeMachine builds the machine for one process's proposal to the
@@ -59,47 +135,58 @@ func NewProposeMachine(regs sim.Registry, object string, self procset.ID, n int,
 	if v == nil {
 		panic("commitadopt: nil proposals are not supported")
 	}
-	m := &ProposeMachine{
-		n:         n,
-		self:      self,
-		a:         make([]sim.Ref, n+1),
-		b:         make([]sim.Ref, n+1),
-		v:         v,
-		unanimous: true,
-		done:      done,
-	}
-	for q := 1; q <= n; q++ {
-		m.a[q] = regs.Reg(regNameA(object, q))
-		m.b[q] = regs.Reg(regNameB(object, q))
-	}
+	l := sim.Layout(regs, proposeKey{object, n}, func() *proposeLayout {
+		return newProposeLayout(regs, object, n)
+	})
+	m := &ProposeMachine{}
+	m.reset(l, self, v)
+	m.done = done
 	return m
 }
 
-// Next implements sim.Machine, mirroring Object.Propose operation for
-// operation.
+// reset rearms m in place as a fresh proposal of v on the object behind l,
+// with no done callback. The chain machines reuse one inner machine this
+// way for every round.
+func (m *ProposeMachine) reset(l *proposeLayout, self procset.ID, v any) {
+	*m = ProposeMachine{l: l, self: self, v: v, unanimous: true}
+}
+
+// Next implements sim.Machine; the runner prefers the pointer form below.
 func (m *ProposeMachine) Next(prev any) (sim.Op, bool) {
+	if op := m.NextOp(prev); op != nil {
+		return *op, true
+	}
+	return sim.Op{}, false
+}
+
+// NextOp implements sim.PtrMachine, mirroring Object.Propose operation for
+// operation: collect reads come straight from the layout's op tables, the
+// two publishes land in opBuf. nil halts the machine.
+func (m *ProposeMachine) NextOp(prev any) *sim.Op {
 	switch m.phase {
 	case ppStart:
 		// Phase 1: publish the proposal.
 		m.phase = ppWroteA
-		return sim.WriteOp(m.a[m.self], m.v), true
+		m.opBuf = sim.WriteOp(m.l.a[m.self], m.v)
+		return &m.opBuf
 	case ppWroteA:
 		m.phase, m.q = ppReadingA, 1
-		return sim.ReadOp(m.a[1]), true
+		return &m.l.readA[1]
 	case ppReadingA:
 		if prev != nil && prev != m.v {
 			m.unanimous = false
 		}
-		if m.q < m.n {
+		if m.q < m.l.n {
 			m.q++
-			return sim.ReadOp(m.a[m.q]), true
+			return &m.l.readA[m.q]
 		}
 		// Phase 2: publish the candidate with its tag.
 		m.phase = ppWroteB
-		return sim.WriteOp(m.b[m.self], phase2Val{Val: m.v, CommitTry: m.unanimous}), true
+		m.opBuf = sim.WriteOp(m.l.b[m.self], phase2Val{Val: m.v, CommitTry: m.unanimous})
+		return &m.opBuf
 	case ppWroteB:
 		m.phase, m.q = ppReadingB, 1
-		return sim.ReadOp(m.b[1]), true
+		return &m.l.readB[1]
 	case ppReadingB:
 		if prev != nil {
 			p2, ok := prev.(phase2Val)
@@ -112,25 +199,24 @@ func (m *ProposeMachine) Next(prev any) (sim.Op, bool) {
 				m.sawOther = true
 			}
 		}
-		if m.q < m.n {
+		if m.q < m.l.n {
 			m.q++
-			return sim.ReadOp(m.b[m.q]), true
+			return &m.l.readB[m.q]
 		}
 		// Resolve exactly as Propose does and halt.
-		var commit bool
-		var val any
 		switch {
 		case m.commitVal != nil && !m.sawOther:
-			commit, val = true, m.commitVal
+			m.commit, m.val = true, m.commitVal
 		case m.commitVal != nil:
-			commit, val = false, m.commitVal
+			m.commit, m.val = false, m.commitVal
 		default:
-			commit, val = false, m.v
+			m.commit, m.val = false, m.v
 		}
+		m.phase = ppDone
 		if m.done != nil {
-			m.done(commit, val)
+			m.done(m.commit, m.val)
 		}
-		return sim.Op{}, false
+		return nil
 	default:
 		panic(fmt.Sprintf("commitadopt: invalid propose phase %d", m.phase))
 	}
@@ -151,89 +237,87 @@ const (
 // an endless loop and halts once a round commits — the shape the explorer's
 // chain-consensus target executes. done receives the decision.
 type ConsensusMachine struct {
-	n        int
-	self     procset.ID
-	instance string
+	l        *chainLayout
 	regs     sim.Registry
-	dec      sim.Ref
+	self     procset.ID
 	proposal any
 
 	est   any
 	round int
 
-	phase       consensusPhase
-	inner       *ProposeMachine
-	innerDone   bool
-	innerCommit bool
-	innerVal    any
+	phase consensusPhase
+	// inner is the current round's commit-adopt proposal, rearmed in place
+	// every round.
+	inner ProposeMachine
+	opBuf sim.Op // stable storage behind the decision write
 
 	done func(val any)
 }
 
 // NewConsensusMachine builds the machine for one process of the named
 // instance. It performs no steps; round objects intern their registers
-// lazily as rounds are reached.
+// lazily as rounds are first reached on the runner.
 func NewConsensusMachine(regs sim.Registry, instance string, self procset.ID, n int, proposal any, done func(val any)) *ConsensusMachine {
 	if proposal == nil {
 		panic("commitadopt: nil proposals are not supported")
 	}
 	return &ConsensusMachine{
-		n:        n,
-		self:     self,
-		instance: instance,
+		l:        chainLayoutFor(regs, instance, n),
 		regs:     regs,
-		dec:      regs.Reg(regNameDec(instance)),
+		self:     self,
 		proposal: proposal,
 		done:     done,
 	}
 }
 
-// Next implements sim.Machine, mirroring the Attempt loop operation for
+// Next implements sim.Machine; the runner prefers the pointer form below.
+func (m *ConsensusMachine) Next(prev any) (sim.Op, bool) {
+	if op := m.NextOp(prev); op != nil {
+		return *op, true
+	}
+	return sim.Op{}, false
+}
+
+// NextOp implements sim.PtrMachine, mirroring the Attempt loop operation for
 // operation: read the decision register; if undecided, run one commit-adopt
 // round on the current estimate; on commit, publish the decision and halt.
-func (m *ConsensusMachine) Next(prev any) (sim.Op, bool) {
+func (m *ConsensusMachine) NextOp(prev any) *sim.Op {
 	switch m.phase {
 	case cpStart:
 		m.phase = cpCheckDec
-		return sim.ReadOp(m.dec), true
+		return &m.l.readDec
 	case cpCheckDec:
 		if prev != nil {
 			if m.done != nil {
 				m.done(prev)
 			}
-			return sim.Op{}, false
+			return nil
 		}
 		if m.est == nil {
 			m.est = m.proposal
 		}
 		m.round++
-		m.innerDone = false
-		m.inner = NewProposeMachine(m.regs, roundName(m.instance, m.round), m.self, m.n, m.est, func(commit bool, val any) {
-			m.innerDone, m.innerCommit, m.innerVal = true, commit, val
-		})
+		m.inner.reset(m.l.round(m.regs, m.round), m.self, m.est)
 		m.phase = cpInner
-		op, _ := m.inner.Next(nil) // a fresh propose machine always has a first op
-		return op, true
+		return m.inner.NextOp(nil) // a fresh propose machine always has a first op
 	case cpInner:
-		if op, ok := m.inner.Next(prev); ok {
-			return op, true
+		if op := m.inner.NextOp(prev); op != nil {
+			return op
 		}
-		if !m.innerDone {
-			panic("commitadopt: propose machine halted without delivering")
-		}
-		m.est = m.innerVal
-		if !m.innerCommit {
+		m.est = m.inner.val
+		if !m.inner.commit {
 			// Next attempt: re-check the decision register.
 			m.phase = cpCheckDec
-			return sim.ReadOp(m.dec), true
+			return &m.l.readDec
 		}
 		m.phase = cpWroteDec
-		return sim.WriteOp(m.dec, m.innerVal), true
+		m.opBuf = sim.WriteOp(m.l.dec, m.inner.val)
+		return &m.opBuf
 	case cpWroteDec:
 		if m.done != nil {
-			m.done(m.innerVal)
+			m.done(m.inner.val)
 		}
-		return sim.Op{}, false
+		return nil
 	default:
 		panic(fmt.Sprintf("commitadopt: invalid consensus phase %d", m.phase))
 	}
@@ -259,11 +343,9 @@ const (
 // engine. (ConsensusMachine above is the standalone run-to-decision loop;
 // this type mirrors the per-call granularity of the coroutine Consensus.)
 type InstanceMachine struct {
+	l    *chainLayout
 	regs sim.Registry
-	name string
 	self procset.ID
-	n    int
-	dec  sim.Ref
 
 	round   int
 	est     any
@@ -273,24 +355,22 @@ type InstanceMachine struct {
 	attempting bool
 	v          any
 	phase      imPhase
-	inner      *ProposeMachine
-	innerDone  bool
-	innerCmt   bool
-	innerVal   any
-	resVal     any
-	resOk      bool
+	// inner is the current round's commit-adopt proposal, rearmed in place
+	// every round.
+	inner  ProposeMachine
+	resVal any
+	resOk  bool
 }
 
 // NewInstanceMachine creates the machine-form handle for the named chain
 // instance. It performs no steps; round objects intern their registers
-// lazily as rounds are reached, exactly like the coroutine form.
+// lazily as rounds are first reached on the runner, exactly like the
+// coroutine form.
 func NewInstanceMachine(regs sim.Registry, name string, self procset.ID, n int) *InstanceMachine {
 	return &InstanceMachine{
+		l:    chainLayoutFor(regs, name, n),
 		regs: regs,
-		name: name,
 		self: self,
-		n:    n,
-		dec:  regs.Reg(regNameDec(name)),
 	}
 }
 
@@ -315,7 +395,7 @@ func (m *InstanceMachine) StartCheck() (op sim.Op, hasOp bool) {
 	}
 	m.attempting = false
 	m.phase = imCheckRead
-	return sim.ReadOp(m.dec), true
+	return m.l.readDec, true
 }
 
 // StartAttempt begins an Attempt(v) call: one chain round, preceded (as in
@@ -330,7 +410,7 @@ func (m *InstanceMachine) StartAttempt(v any) (op sim.Op, hasOp bool) {
 	}
 	m.attempting, m.v = true, v
 	m.phase = imCheckRead
-	return sim.ReadOp(m.dec), true
+	return m.l.readDec, true
 }
 
 // Feed consumes the result of the operation in flight and issues the call's
@@ -349,28 +429,21 @@ func (m *InstanceMachine) Feed(prev any) (op sim.Op, hasOp bool) {
 			m.est = m.v
 		}
 		m.round++
-		m.innerDone = false
-		m.inner = NewProposeMachine(m.regs, roundName(m.name, m.round), m.self, m.n, m.est, func(commit bool, val any) {
-			m.innerDone, m.innerCmt, m.innerVal = true, commit, val
-		})
+		m.inner.reset(m.l.round(m.regs, m.round), m.self, m.est)
 		m.phase = imInner
-		op, _ := m.inner.Next(nil) // a fresh propose machine always has a first op
-		return op, true
+		return *m.inner.NextOp(nil), true // a fresh propose machine always has a first op
 	case imInner:
-		if op, ok := m.inner.Next(prev); ok {
-			return op, true
+		if op := m.inner.NextOp(prev); op != nil {
+			return *op, true
 		}
-		if !m.innerDone {
-			panic("commitadopt: propose machine halted without delivering")
-		}
-		m.est = m.innerVal
-		if !m.innerCmt {
+		m.est = m.inner.val
+		if !m.inner.commit {
 			return m.finish(nil, false)
 		}
 		m.phase = imDecWrite
-		return sim.WriteOp(m.dec, m.innerVal), true
+		return sim.WriteOp(m.l.dec, m.inner.val), true
 	case imDecWrite:
-		m.decided, m.hasDec = m.innerVal, true
+		m.decided, m.hasDec = m.inner.val, true
 		return m.finish(m.decided, true)
 	default:
 		panic(fmt.Sprintf("commitadopt: Feed with no call in flight (phase %d)", m.phase))

@@ -46,10 +46,9 @@ const (
 // Feed returns hasOp == false the call is complete and Result holds its
 // return value. At most one call may be in flight at a time.
 type InstanceMachine struct {
-	n      int
-	self   procset.ID
-	blocks []sim.Ref
-	dec    sim.Ref
+	l    *instanceLayout
+	n    int
+	self procset.ID
 
 	block    xblock
 	decided  any
@@ -67,20 +66,53 @@ type InstanceMachine struct {
 	resOk      bool
 }
 
+// instanceLayout is one consensus object's immutable machine layout: its
+// interned registers and prebuilt read ops, shared read-only by every
+// process's handle on the object and kept in the runner's layout cache
+// across Reset. Block slices are 1-based on the process index.
+type instanceLayout struct {
+	dec       sim.Ref
+	readDec   sim.Op
+	blocks    []sim.Ref
+	readBlock []sim.Op
+}
+
+// instanceKey keys an object's layout in the runner's cache.
+type instanceKey struct {
+	name string
+	n    int
+}
+
+// instanceLayoutFor returns the named object's layout, interning the same
+// registers as NewInstance, in the same order, on first use.
+func instanceLayoutFor(regs sim.Registry, name string, n int) *instanceLayout {
+	return sim.Layout(regs, instanceKey{name, n}, func() *instanceLayout {
+		l := &instanceLayout{
+			dec:       regs.Reg(regNameDec(name)),
+			blocks:    make([]sim.Ref, n+1),
+			readBlock: make([]sim.Op, n+1),
+		}
+		l.readDec = sim.ReadOp(l.dec)
+		for q := 1; q <= n; q++ {
+			l.blocks[q] = regs.Reg(regNameBlock(name, q))
+			l.readBlock[q] = sim.ReadOp(l.blocks[q])
+		}
+		return l
+	})
+}
+
 // NewInstanceMachine creates the machine-form handle for the consensus
 // object with the given name. It performs no steps and interns the same
 // registers as NewInstance.
 func NewInstanceMachine(regs sim.Registry, name string, self procset.ID, n int) *InstanceMachine {
-	m := &InstanceMachine{
-		n:      n,
-		self:   self,
-		blocks: make([]sim.Ref, n+1),
-		dec:    regs.Reg(regNameDec(name)),
-	}
-	for q := 1; q <= n; q++ {
-		m.blocks[q] = regs.Reg(regNameBlock(name, q))
-	}
+	m := &InstanceMachine{}
+	m.init(regs, name, self, n)
 	return m
+}
+
+// init initializes m in place, for callers that embed the handle by value.
+func (m *InstanceMachine) init(regs sim.Registry, name string, self procset.ID, n int) {
+	*m = InstanceMachine{l: instanceLayoutFor(regs, name, n), n: n, self: self}
 }
 
 // Attempts returns how many ballots this process has started.
@@ -104,7 +136,7 @@ func (m *InstanceMachine) StartCheck() (op sim.Op, hasOp bool) {
 	}
 	m.attempting = false
 	m.phase = cpCheckRead
-	return sim.ReadOp(m.dec), true
+	return m.l.readDec, true
 }
 
 // StartAttempt begins an Attempt(v) call: one full ballot, preceded (as in
@@ -119,7 +151,7 @@ func (m *InstanceMachine) StartAttempt(v any) (op sim.Op, hasOp bool) {
 	}
 	m.attempting, m.v = true, v
 	m.phase = cpCheckRead
-	return sim.ReadOp(m.dec), true
+	return m.l.readDec, true
 }
 
 // nextBallot mirrors Instance.nextBallot on the machine's block state.
@@ -137,7 +169,7 @@ func (m *InstanceMachine) nextBallot(floor int) int {
 func (m *InstanceMachine) nextPeerRead() (sim.Op, bool) {
 	for m.q++; m.q <= m.n; m.q++ {
 		if m.q != int(m.self) {
-			return sim.ReadOp(m.blocks[m.q]), true
+			return m.l.readBlock[m.q], true
 		}
 	}
 	return sim.Op{}, false
@@ -176,7 +208,7 @@ func (m *InstanceMachine) Feed(prev any) (op sim.Op, hasOp bool) {
 			m.block.Inp = m.v
 		}
 		m.phase = cpP1Write
-		return sim.WriteOp(m.blocks[m.self], m.block), true
+		return sim.WriteOp(m.l.blocks[m.self], m.block), true
 	case cpP1Write:
 		m.maxSeen = 0
 		m.adopt = m.block
@@ -231,7 +263,7 @@ func (m *InstanceMachine) closePhase1() (sim.Op, bool) {
 	}
 	m.block.Bal = m.ballot
 	m.phase = cpP2Write
-	return sim.WriteOp(m.blocks[m.self], m.block), true
+	return sim.WriteOp(m.l.blocks[m.self], m.block), true
 }
 
 // closePhase2 runs the local resolution after the phase-2 sweep: abort on a
@@ -242,7 +274,7 @@ func (m *InstanceMachine) closePhase2() (sim.Op, bool) {
 		return m.finish(nil, false)
 	}
 	m.phase = cpDecWrite
-	return sim.WriteOp(m.dec, m.block.Inp), true
+	return sim.WriteOp(m.l.dec, m.block.Inp), true
 }
 
 // AttemptLoopMachine is the contending-proposer automaton in machine form:
@@ -250,26 +282,38 @@ func (m *InstanceMachine) closePhase2() (sim.Op, bool) {
 // the decision to done and halt — the machine equivalent of the coroutine
 // loop `for { if d, ok := in.Attempt(v); ok { ... return } }`.
 func AttemptLoopMachine(regs sim.Registry, name string, self procset.ID, n int, v any, done func(any)) sim.Machine {
-	m := NewInstanceMachine(regs, name, self, n)
-	inFlight := false
-	return sim.MachineFunc(func(prev any) (sim.Op, bool) {
-		for {
-			var op sim.Op
-			var hasOp bool
-			if inFlight {
-				op, hasOp = m.Feed(prev)
-			} else {
-				op, hasOp = m.StartAttempt(v)
-				inFlight = true
-			}
-			if hasOp {
-				return op, true
-			}
-			if d, ok := m.Result(); ok {
-				done(d)
-				return sim.Op{}, false
-			}
-			inFlight, prev = false, nil
+	m := &attemptLoop{v: v, done: done}
+	m.in.init(regs, name, self, n)
+	return m
+}
+
+// attemptLoop is AttemptLoopMachine's automaton: one allocation holding the
+// instance handle and the loop state.
+type attemptLoop struct {
+	in       InstanceMachine
+	v        any
+	done     func(any)
+	inFlight bool
+}
+
+// Next implements sim.Machine.
+func (m *attemptLoop) Next(prev any) (sim.Op, bool) {
+	for {
+		var op sim.Op
+		var hasOp bool
+		if m.inFlight {
+			op, hasOp = m.in.Feed(prev)
+		} else {
+			op, hasOp = m.in.StartAttempt(m.v)
+			m.inFlight = true
 		}
-	})
+		if hasOp {
+			return op, true
+		}
+		if d, ok := m.in.Result(); ok {
+			m.done(d)
+			return sim.Op{}, false
+		}
+		m.inFlight, prev = false, nil
+	}
 }

@@ -1,6 +1,10 @@
 package explore
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/settimeliness/settimeliness/internal/sched"
+)
 
 // BenchmarkExhaustiveReducedStates measures the reduced explorer's
 // throughput — prefix states expanded per second, replays included — on the
@@ -21,4 +25,54 @@ func BenchmarkExhaustiveReducedStates(b *testing.B) {
 		states += int64(stats.States)
 	}
 	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
+}
+
+// pooledTargets lists the five pooled fuzz targets in campaign order.
+var pooledTargets = []string{TargetCommitAdopt, TargetConsensus, TargetCAChain, TargetKSet, TargetBG}
+
+// fuzzSchedule is one run of the nightly fuzz shape: n = 4, a 300-step
+// failure-free random schedule.
+func fuzzSchedule(tb testing.TB, seed int64) sched.Schedule {
+	tb.Helper()
+	src, err := sched.Random(4, seed, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sched.Take(src, 300)
+}
+
+// BenchmarkPooledReset measures the per-run fixed cost of the pooled path:
+// the harness hook plus Runner.Reset on a runner that has just replayed a
+// fuzz-shaped schedule, so every reset rewinds a run's worth of register
+// values, recycler state, and machines. The replay between resets runs
+// with the timer (and the allocation count) stopped.
+func BenchmarkPooledReset(b *testing.B) {
+	for _, target := range pooledTargets {
+		b.Run(target, func(b *testing.B) {
+			build, err := PooledTargetBuilder(target, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			run, err := build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer run.Runner.Close()
+			s := fuzzSchedule(b, 7)
+			run.Runner.RunSchedule(s)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if run.Reset != nil {
+					run.Reset()
+				}
+				if err := run.Runner.Reset(); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				run.Runner.RunSchedule(s)
+				b.StartTimer()
+			}
+		})
+	}
 }

@@ -143,27 +143,48 @@ func CommitAdoptBuilder(n int) Builder {
 	}
 }
 
-// CommitAdoptPooledBuilder is CommitAdoptBuilder on the pooled path: one
-// direct-dispatch runner per worker, machines rebuilt by Runner.Reset.
-func CommitAdoptPooledBuilder(n int) PooledBuilder {
+// targetRig is one pooled target's wiring: the per-process machine factory
+// plus the harness hooks a Run carries. The pooled builders run it on an
+// observer-free runner; the reset tests attach an observer to the same
+// wiring.
+type targetRig struct {
+	machine func(procset.ID, sim.Registry) sim.Machine
+	reset   func()
+	check   func() error
+}
+
+// pooledBuilder returns the PooledBuilder running rig's wiring for n
+// processes, one fresh rig per Run.
+func pooledBuilder(n int, rig func() (targetRig, error)) PooledBuilder {
 	return func() (*Run, error) {
-		results := make([]*caResult, n+1)
-		runner, err := sim.NewRunner(sim.Config{
-			N: n,
-			Machine: func(p procset.ID, regs sim.Registry) sim.Machine {
-				return commitadopt.NewProposeMachine(regs, "x", p, n, int(p), func(commit bool, val any) {
-					results[p] = &caResult{commit: commit, val: val}
-				})
-			},
-		})
+		r, err := rig()
 		if err != nil {
 			return nil, err
 		}
-		return &Run{
-			Runner: runner,
-			Reset:  func() { clear(results) },
-			Check:  func() error { return checkCommitAdopt(n, results) },
-		}, nil
+		runner, err := sim.NewRunner(sim.Config{N: n, Machine: r.machine})
+		if err != nil {
+			return nil, err
+		}
+		return &Run{Runner: runner, Reset: r.reset, Check: r.check}, nil
+	}
+}
+
+// CommitAdoptPooledBuilder is CommitAdoptBuilder on the pooled path: one
+// direct-dispatch runner per worker, machines rebuilt by Runner.Reset.
+func CommitAdoptPooledBuilder(n int) PooledBuilder {
+	return pooledBuilder(n, func() (targetRig, error) { return commitAdoptRig(n), nil })
+}
+
+func commitAdoptRig(n int) targetRig {
+	results := make([]*caResult, n+1)
+	return targetRig{
+		machine: func(p procset.ID, regs sim.Registry) sim.Machine {
+			return commitadopt.NewProposeMachine(regs, "x", p, n, int(p), func(commit bool, val any) {
+				results[p] = &caResult{commit: commit, val: val}
+			})
+		},
+		reset: func() { clear(results) },
+		check: func() error { return checkCommitAdopt(n, results) },
 	}
 }
 
@@ -217,24 +238,19 @@ func consensusAlgo(n int, decisions []any) func(procset.ID) sim.Algorithm {
 // ConsensusPooledBuilder is ConsensusBuilder on the pooled direct-dispatch
 // path, running the consensus.AttemptLoopMachine port.
 func ConsensusPooledBuilder(n int) PooledBuilder {
-	return func() (*Run, error) {
-		decisions := make([]any, n+1)
-		runner, err := sim.NewRunner(sim.Config{
-			N: n,
-			Machine: func(p procset.ID, regs sim.Registry) sim.Machine {
-				return consensus.AttemptLoopMachine(regs, "c", p, n, int(p)*10, func(d any) {
-					decisions[p] = d
-				})
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Run{
-			Runner: runner,
-			Reset:  func() { clear(decisions) },
-			Check:  func() error { return checkDecisions(n, decisions) },
-		}, nil
+	return pooledBuilder(n, func() (targetRig, error) { return consensusRig(n), nil })
+}
+
+func consensusRig(n int) targetRig {
+	decisions := make([]any, n+1)
+	return targetRig{
+		machine: func(p procset.ID, regs sim.Registry) sim.Machine {
+			return consensus.AttemptLoopMachine(regs, "c", p, n, int(p)*10, func(d any) {
+				decisions[p] = d
+			})
+		},
+		reset: func() { clear(decisions) },
+		check: func() error { return checkDecisions(n, decisions) },
 	}
 }
 
@@ -309,25 +325,19 @@ func KSetBuilder(n int) Builder {
 // KSetPooledBuilder is KSetBuilder on the pooled direct-dispatch path,
 // running the detector-composed agreement machine.
 func KSetPooledBuilder(n int) PooledBuilder {
-	cfg := ksetConfig(n)
-	return func() (*Run, error) {
-		ag, err := kset.New(cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		runner, err := sim.NewRunner(sim.Config{
-			N:       n,
-			Machine: ag.Machine(func(p procset.ID) any { return int(p) * 10 }),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Run{
-			Runner: runner,
-			Reset:  ag.Reset,
-			Check:  func() error { return checkKSet(cfg, ag) },
-		}, nil
+	return pooledBuilder(n, func() (targetRig, error) { return ksetRig(ksetConfig(n)) })
+}
+
+func ksetRig(cfg kset.Config) (targetRig, error) {
+	ag, err := kset.New(cfg, nil)
+	if err != nil {
+		return targetRig{}, err
 	}
+	return targetRig{
+		machine: ag.Machine(func(p procset.ID) any { return int(p) * 10 }),
+		reset:   ag.Reset,
+		check:   func() error { return checkKSet(cfg, ag) },
+	}, nil
 }
 
 // bgShape fixes the fuzzed simulation shape for n simulators: n+2 simulated
@@ -389,43 +399,36 @@ func BGBuilder(n int) Builder {
 // BGPooledBuilder is BGBuilder on the pooled direct-dispatch path, running
 // the simulator machine port.
 func BGPooledBuilder(n int) PooledBuilder {
-	return func() (*Run, error) {
-		simn, err := newBGSimulation(n)
-		if err != nil {
-			return nil, err
-		}
-		runner, err := sim.NewRunner(sim.Config{N: n, Machine: simn.Machine})
-		if err != nil {
-			return nil, err
-		}
-		return &Run{
-			Runner: runner,
-			Reset:  simn.Reset,
-			Check:  func() error { return checkBG(n, simn) },
-		}, nil
+	return pooledBuilder(n, func() (targetRig, error) { return bgRig(n) })
+}
+
+func bgRig(n int) (targetRig, error) {
+	simn, err := newBGSimulation(n)
+	if err != nil {
+		return targetRig{}, err
 	}
+	return targetRig{
+		machine: simn.Machine,
+		reset:   simn.Reset,
+		check:   func() error { return checkBG(n, simn) },
+	}, nil
 }
 
 // CAChainPooledBuilder is CAChainBuilder on the pooled direct-dispatch
 // path, running the ConsensusMachine port.
 func CAChainPooledBuilder(n int) PooledBuilder {
-	return func() (*Run, error) {
-		decisions := make([]any, n+1)
-		runner, err := sim.NewRunner(sim.Config{
-			N: n,
-			Machine: func(p procset.ID, regs sim.Registry) sim.Machine {
-				return commitadopt.NewConsensusMachine(regs, "c", p, n, int(p)*10, func(val any) {
-					decisions[p] = val
-				})
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Run{
-			Runner: runner,
-			Reset:  func() { clear(decisions) },
-			Check:  func() error { return checkDecisions(n, decisions) },
-		}, nil
+	return pooledBuilder(n, func() (targetRig, error) { return caChainRig(n), nil })
+}
+
+func caChainRig(n int) targetRig {
+	decisions := make([]any, n+1)
+	return targetRig{
+		machine: func(p procset.ID, regs sim.Registry) sim.Machine {
+			return commitadopt.NewConsensusMachine(regs, "c", p, n, int(p)*10, func(val any) {
+				decisions[p] = val
+			})
+		},
+		reset: func() { clear(decisions) },
+		check: func() error { return checkDecisions(n, decisions) },
 	}
 }

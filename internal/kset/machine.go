@@ -62,13 +62,20 @@ type trivialMachine struct {
 	l       int // leader register whose read is in flight (0 = none yet)
 }
 
+// trivialKey keys the trivial algorithm's leader registers in the runner's
+// layout cache.
+type trivialKey struct{ leaders int }
+
 func newTrivialMachine(a *Agreement, p procset.ID, v any, regs sim.Registry) *trivialMachine {
 	leaders := a.cfg.T + 1
-	m := &trivialMachine{ag: a, self: p, v: v, leaders: leaders, refs: make([]sim.Ref, leaders+1)}
-	for l := 1; l <= leaders; l++ {
-		m.refs[l] = regs.Reg(fmt.Sprintf("ksettrivial.V[%d]", l))
-	}
-	return m
+	refs := sim.Layout(regs, trivialKey{leaders}, func() []sim.Ref {
+		refs := make([]sim.Ref, leaders+1)
+		for l := 1; l <= leaders; l++ {
+			refs[l] = regs.Reg(fmt.Sprintf("ksettrivial.V[%d]", l))
+		}
+		return refs
+	})
+	return &trivialMachine{ag: a, self: p, v: v, leaders: leaders, refs: refs}
 }
 
 func (m *trivialMachine) Next(prev any) (sim.Op, bool) {
@@ -118,15 +125,25 @@ type detectorMachine struct {
 	opBuf  sim.Op      // stable storage behind consensus sub-automaton ops
 }
 
+// consNamesKey keys the consensus instance names in the runner's layout
+// cache.
+type consNamesKey struct{ dk int }
+
 func newDetectorMachine(a *Agreement, p procset.ID, v any, regs sim.Registry) *detectorMachine {
 	dk := a.cfg.detectorK()
 	fd, err := antiomega.NewMachineInstance(antiomega.Config{N: a.cfg.N, K: dk, T: a.cfg.T}, p, regs)
 	if err != nil {
 		panic(err) // Config.Validate guarantees detector parameters
 	}
+	names := sim.Layout(regs, consNamesKey{dk}, func() []string {
+		names := make([]string, dk)
+		for r := range names {
+			names[r] = fmt.Sprintf("kset[%d]", r)
+		}
+		return names
+	})
 	cons := make([]instanceMachine, dk)
-	for r := range cons {
-		name := fmt.Sprintf("kset[%d]", r)
+	for r, name := range names {
 		switch a.cfg.Engine {
 		case EngineCommitAdopt:
 			cons[r] = commitadopt.NewInstanceMachine(regs, name, p, a.cfg.N)

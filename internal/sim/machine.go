@@ -96,7 +96,9 @@ type Registry interface {
 // throughput. NextOp returning nil halts the automaton, exactly like Next
 // returning ok == false; the pointed-to Op need only stay valid until the
 // machine's next call, and both entry points must drive the same automaton
-// (the runner uses NextOp exclusively when present).
+// (the runner uses NextOp exclusively when present). The runner only reads
+// the Op, so it may live in a layout shared by every machine of the runner
+// (see Layout).
 type PtrMachine interface {
 	Machine
 	NextOp(prev any) *Op

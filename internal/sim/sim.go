@@ -238,11 +238,14 @@ type memory struct {
 	writeSeqs  []uint32
 	lastWriter []procset.ID
 
-	// recycleOK gates Recycler: set once at construction (machine mode, no
-	// observer) and never changed. Recyclers are only touched from machine
-	// factories and the stepping path, both serial, so no lock is needed.
+	// cache is the runner-scoped keyed store behind both Recycler (mutable
+	// recycling state, gated by recycleOK) and Layout (immutable machine
+	// layouts, ungated; see layout.go). It survives Reset. recycleOK is set
+	// once at construction (machine mode, no observer) and never changed.
+	// The cache is only touched from machine factories and the stepping
+	// path, both serial, so no lock is needed.
 	recycleOK bool
-	recyclers map[any]any
+	cache     map[any]any
 }
 
 func newMemory(dense bool) *memory {
@@ -254,15 +257,20 @@ func (m *memory) Recycler(key any, create func() any) any {
 	if !m.recycleOK {
 		return nil
 	}
-	if m.recyclers == nil {
-		m.recyclers = make(map[any]any)
-	}
-	v, ok := m.recyclers[key]
+	v, ok := m.cache[key]
 	if !ok {
 		v = create()
-		m.recyclers[key] = v
+		m.store(key, v)
 	}
 	return v
+}
+
+// store enters v under key in the runner-scoped cache.
+func (m *memory) store(key, v any) {
+	if m.cache == nil {
+		m.cache = make(map[any]any)
+	}
+	m.cache[key] = v
 }
 
 // TakeValue implements RecyclerHost. Stepping-goroutine only: register
@@ -280,7 +288,7 @@ func (m *memory) TakeValue(r Ref) any {
 
 // resetRecyclers bulk-resets every runner-scoped recycler. Reset-path only.
 func (m *memory) resetRecyclers() {
-	for _, v := range m.recyclers {
+	for _, v := range m.cache {
 		if r, ok := v.(Recycler); ok {
 			r.ResetRecycler()
 		}
@@ -489,9 +497,12 @@ type Config struct {
 	// once per process id at construction (and again on Reset).
 	Algorithm func(p procset.ID) Algorithm
 	// Machine returns the direct-dispatch automaton for each process. The
-	// factory is called once per process id at construction (and again on
-	// Reset), sequentially on the constructing goroutine; regs interns the
-	// machine's registers.
+	// factory is called once per process id at construction and again on
+	// every Reset, sequentially on the constructing goroutine, and is the
+	// only source of a machine's initial state. regs interns the machine's
+	// registers; immutable construction products (refs, op tables, names)
+	// belong in the runner's layout cache (see Layout), so a factory run on
+	// Reset costs a cache lookup plus the machine's mutable fields.
 	Machine func(p procset.ID, regs Registry) Machine
 	// Network, if non-nil, attaches a message substrate: machines may then
 	// request OpSend/OpRecv steps (see net.go and SendOp/RecvOp). Machine
@@ -728,9 +739,12 @@ func (r *Runner) observe(info *StepInfo) {
 // another run without paying construction costs again: step counters
 // revert to zero, every register value reverts to nil (the interned
 // register set survives — an unwritten register reads as nil either way),
-// and every process restarts from its factory. In machine mode this is a
-// handful of stores plus the factory calls; in coroutine mode the old
-// process goroutines are killed and fresh ones spawned.
+// recyclers reclaim what they vended, and every process restarts from its
+// factory. In machine mode the factories run again on every Reset; they
+// take their immutable products — register refs, op tables, names — from
+// the runner's layout cache (see Layout), which survives Reset, so
+// rebuilding a machine costs a lookup plus its mutable fields. In coroutine
+// mode the old process goroutines are killed and fresh ones spawned.
 //
 // A reset runner produces bit-identical StepInfo streams to a freshly
 // constructed one with the same Config — the property the campaign engine's

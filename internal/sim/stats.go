@@ -127,7 +127,7 @@ type StatsSource interface {
 // without recycling (coroutine mode, observer attached) it is a no-op.
 // Sampling-path only: allocates map entries, so keep it off hot loops.
 func (r *Runner) RecyclerStats(dst map[string]int64) {
-	for _, v := range r.mem.recyclers {
+	for _, v := range r.mem.cache {
 		if s, ok := v.(StatsSource); ok {
 			s.StatsInto(dst)
 		}

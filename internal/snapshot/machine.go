@@ -141,6 +141,30 @@ func SegRefs(regs sim.Registry, name string, n int) ([]sim.Ref, []sim.Op) {
 	return segs, readOps
 }
 
+// segLayout is a named object's shared refs and read ops (see SegRefs).
+type segLayout struct {
+	segs    []sim.Ref
+	readOps []sim.Op
+}
+
+// segKey keys a segLayout in the runner's layout cache.
+type segKey struct {
+	name string
+	n    int
+}
+
+// LayoutRefs is SegRefs through the runner's layout cache: the named
+// object's registers are interned and its read ops built once per runner,
+// and every later call — a factory run again by Runner.Reset included —
+// returns the same read-only slices, ready for InitShared.
+func LayoutRefs(regs sim.Registry, name string, n int) ([]sim.Ref, []sim.Op) {
+	l := sim.Layout(regs, segKey{name, n}, func() segLayout {
+		segs, readOps := SegRefs(regs, name, n)
+		return segLayout{segs, readOps}
+	})
+	return l.segs, l.readOps
+}
+
 // decodeSegment maps a register value to its segment, shared by the
 // coroutine and machine forms: nil (never written) decodes to the zero
 // segment. Segments travel by pointer, so decoding costs no copy.
