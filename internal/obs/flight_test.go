@@ -47,7 +47,7 @@ func TestFlightDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.RunBatch(src, 40, 0, nil)
+	r.Run(src, 40, 0, nil)
 	dump := obs.FlightDump(r)
 	if !strings.Contains(dump, "ping") {
 		t.Fatalf("dump does not resolve register names:\n%s", dump)

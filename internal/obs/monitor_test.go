@@ -352,7 +352,7 @@ func TestMonitorTapFeedThroughRunner(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		res := r.RunBatch(src, steps, 0, nil)
+		res := r.Run(src, steps, 0, nil)
 		if res.Steps != steps {
 			t.Fatalf("run executed %d steps, want %d", res.Steps, steps)
 		}

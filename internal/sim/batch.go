@@ -1,197 +1,106 @@
-// The batched execution loop: the machine path's answer to Run's per-step
-// overhead. Run and RunSchedule pay, per step, one interface dispatch on the
-// schedule source, a StepInfo materialization, an observer branch, and a
-// stop-predicate modulus. None of that is needed on the hot configuration —
-// a machine-mode runner with no observer driving millions of steps between
-// stop checks — so RunBatch prefetches schedule entries in blocks (through
-// sched.BlockSource when the source provides it) and executes each block in
-// a tight loop of inlined machine dispatch that constructs no StepInfo at
-// all. The stop()/checkEvery branching is hoisted out of the inner loop:
-// blocks are sized so checks land exactly on the multiples of checkEvery
-// where Run would have performed them.
+// The run loops. Every machine-mode step — Step, Run, RunSchedule,
+// RunDirected, honest or Byzantine — executes through one kernel, exec
+// (machine.go), which applies the pending operation, counts it, advances
+// the machine, and itself loops over a block of process ids or a
+// Director's choices (directed.go). The entry points differ only in what
+// they hand it:
 //
-// The coroutine path keeps the per-step loop: every one of its steps blocks
-// on two channel handoffs anyway, so batching would complicate the engine
-// for a path whose cost is dominated by synchronization, not dispatch.
+//   - Run on a machine runner without an observer prefetches schedule
+//     entries in blocks (through sched.BlockSource when the source provides
+//     it) and hands each block to the kernel, materializing no StepInfo at
+//     all; RunSchedule hands over its whole fixed schedule.
+//   - Step hands it one id and a result slot, from which it fills the
+//     StepInfo. Run with an observer, and every coroutine run, takes one
+//     Step per entry: the observer needs its StepInfo, and a coroutine step
+//     blocks on two channel handoffs anyway, so batching would buy nothing
+//     there.
+//
+// The stop()/checkEvery branching is hoisted out of the inner loops by
+// chunked: chunks are sized so checks land exactly on the multiples of
+// checkEvery where a per-step loop would have performed them.
 
 package sim
 
-import (
-	"fmt"
-
-	"github.com/settimeliness/settimeliness/internal/procset"
-	"github.com/settimeliness/settimeliness/internal/sched"
-)
+import "github.com/settimeliness/settimeliness/internal/sched"
 
 // batchBlock is the schedule prefetch size. Big enough to amortize the
 // per-block source call and loop bookkeeping, small enough to stay in cache
 // and to keep partial blocks (between stop checks) cheap to fill.
 const batchBlock = 256
 
-// RunBatch drives the runner with steps from src until the stop predicate
-// returns true (checked every checkEvery steps; 0 means every step) or
-// maxSteps have been executed — the same contract as Run, of which it is the
-// fast path. Machine-mode runners without an observer execute on the batched
-// loop; any other configuration falls back to the generic per-step loop, so
-// RunBatch is always safe to call. Runs are bit-identical across the two
-// loops and across engine modes.
-func (r *Runner) RunBatch(src sched.Source, maxSteps, checkEvery int, stop func() bool) RunResult {
-	if checkEvery <= 0 {
-		checkEvery = 1
-	}
+// RunResult summarizes a Run invocation.
+type RunResult struct {
+	// Steps is the number of steps executed by this Run call.
+	Steps int
+	// Stopped reports whether the stop predicate ended the run (as opposed
+	// to the step budget running out).
+	Stopped bool
+}
+
+// Run drives the runner with steps from src until the stop predicate returns
+// true (checked every checkEvery steps; 0 means every step) or maxSteps have
+// been executed. stop may be nil. Machine-mode runners without an observer
+// prefetch the schedule in blocks and step without materializing StepInfo;
+// all other configurations call Step per entry. The two are bit-identical.
+func (r *Runner) Run(src sched.Source, maxSteps, checkEvery int, stop func() bool) RunResult {
+	batched := r.machine != nil && r.observer == nil
+	return r.chunked(maxSteps, checkEvery, stop, func(k int) {
+		if !batched {
+			for ; k > 0; k-- {
+				r.Step(src.Next())
+			}
+			return
+		}
+		// The prefetch buffer lives on the runner: handed to the schedule
+		// source through an interface it would escape, costing one 2 KiB
+		// heap allocation per Run call.
+		for k > 0 {
+			block := r.batchBuf[:min(k, batchBlock)]
+			sched.FillBlock(src, block)
+			r.exec(len(block), block, nil, nil)
+			k -= len(block)
+		}
+	})
+}
+
+// RunSchedule executes a fixed finite schedule. Like Run it skips StepInfo
+// when there is no observer to feed.
+func (r *Runner) RunSchedule(s sched.Schedule) {
 	if r.machine == nil || r.observer != nil {
-		return r.runGeneric(src, maxSteps, checkEvery, stop)
+		for _, p := range s {
+			r.Step(p)
+		}
+		return
 	}
 	if r.closed {
 		panic("sim: Step after Close")
 	}
-	// The prefetch buffer lives on the runner: handed to the schedule source
-	// through an interface it would escape, costing one 2 KiB heap
-	// allocation per RunBatch call — visible to the zero-overhead guard now
-	// that short pooled runs call RunBatch millions of times per campaign.
-	buf := &r.batchBuf
+	r.exec(len(s), s, nil, nil)
+}
+
+// chunked is the stop-check loop shared by Run and RunDirected: it calls
+// steps(k) for consecutive chunks of k steps, sized so that stop runs after
+// exactly every checkEvery-th step (0 means every step), until stop returns
+// true or maxSteps have been executed. With stop nil the whole budget is one
+// chunk.
+func (r *Runner) chunked(maxSteps, checkEvery int, stop func() bool, steps func(k int)) RunResult {
+	if r.closed {
+		panic("sim: Step after Close")
+	}
+	if checkEvery <= 0 {
+		checkEvery = 1
+	}
 	executed := 0
 	for executed < maxSteps {
-		// Steps until the next stop check (or the end of the run): the whole
-		// chunk executes with no predicate branching.
-		chunk := maxSteps - executed
-		if stop != nil && chunk > checkEvery {
-			chunk = checkEvery
+		k := maxSteps - executed
+		if stop != nil && k > checkEvery {
+			k = checkEvery
 		}
-		for chunk > 0 {
-			k := chunk
-			if k > batchBlock {
-				k = batchBlock
-			}
-			block := buf[:k]
-			sched.FillBlock(src, block)
-			r.stepBlock(block)
-			executed += k
-			chunk -= k
-		}
+		steps(k)
+		executed += k
 		if stop != nil && executed%checkEvery == 0 && stop() {
 			return RunResult{Steps: executed, Stopped: true}
 		}
 	}
-	return RunResult{Steps: maxSteps, Stopped: false}
-}
-
-// stepBlock executes a block of schedule entries by inlined machine
-// dispatch. It is Step minus everything the hot path does not need: no
-// StepInfo is materialized (there is no observer), no per-step predicate
-// runs, and the machine-advance bookkeeping of advanceMachine is spelled
-// out in the loop body (the per-step function call is measurable at this
-// loop's throughput). Counters (Steps, StepsTaken, Halted) advance exactly
-// as under Step.
-func (r *Runner) stepBlock(block []procset.ID) {
-	procs := r.procs
-	// mem is a stable pointer, but its dense slices must be re-read per step:
-	// a machine's Next may intern a register (mid-run Rebind), growing the
-	// arrays. Indexing through mem each time keeps the loads current; the
-	// slice headers stay in cache regardless.
-	mem := r.mem
-	// Metrics accumulate in block-local counters folded at the end of the
-	// block — never a runner-field store per step — and the flight recorder,
-	// nil unless a debugging session attached one, costs one predictable
-	// branch per step while detached.
-	fr := r.flight
-	var reads, writes, noops, sends, recvs int64
-	for _, p := range block {
-		if p < 1 || procset.ID(len(procs)) < p {
-			panic(fmt.Sprintf("sim: process %v outside Π%d", p, len(procs)))
-		}
-		pr := procs[p-1]
-		r.steps++
-		if pr.isHalted {
-			noops++
-			if fr != nil {
-				fr.record(r.steps-1, p, OpNoop, -1)
-			}
-			continue
-		}
-		if !pr.started {
-			pr.started = true
-			r.advanceMachine(pr, nil)
-			if pr.isHalted {
-				noops++
-				if fr != nil {
-					fr.record(r.steps-1, p, OpNoop, -1)
-				}
-				continue
-			}
-		}
-		var prev any
-		id := pr.nextRegID
-		switch pr.nextKind {
-		case OpRead:
-			prev = mem.values[id]
-			reads++
-		case OpWrite:
-			mem.values[id] = pr.nextValue
-			mem.writeSeqs[id]++
-			mem.lastWriter[id] = p
-			writes++
-		case OpSend:
-			r.net.Send(r.steps-1, p, pr.nextDest, pr.nextValue)
-			sends++
-		default: // OpRecv — setNextNet admits nothing else
-			if m := r.net.Recv(r.steps-1, p); m != nil {
-				prev = m
-			}
-			recvs++
-		}
-		if fr != nil {
-			fr.record(r.steps-1, p, pr.nextKind, id)
-		}
-		pr.stepCount++
-		if pm := pr.ptrMachine; pm != nil {
-			// Pointer-op machines hand back a pointer into their own stable
-			// storage: no five-word Op copy across the dispatch boundary.
-			op := pm.NextOp(prev)
-			if op == nil {
-				pr.isHalted = true
-				continue
-			}
-			if op.Kind != OpRead && op.Kind != OpWrite {
-				r.setNextNet(pr, op.Kind, op.Dest, op.Value)
-				continue
-			}
-			rr := op.reg
-			if rr == nil {
-				rr = mustRegister(op.Reg)
-			}
-			pr.nextKind, pr.nextReg = op.Kind, rr
-			pr.nextRegID = rr.id
-			if op.Kind == OpWrite {
-				pr.nextValue = op.Value
-			}
-			continue
-		}
-		op, ok := pr.machine.Next(prev)
-		if !ok {
-			pr.isHalted = true
-			continue
-		}
-		if op.Kind != OpRead && op.Kind != OpWrite {
-			r.setNextNet(pr, op.Kind, op.Dest, op.Value)
-			continue
-		}
-		rr := op.reg
-		if rr == nil {
-			rr = mustRegister(op.Reg)
-		}
-		pr.nextKind, pr.nextReg = op.Kind, rr
-		pr.nextRegID = rr.id
-		if op.Kind == OpWrite {
-			// Reads leave the stale value in place rather than storing a nil
-			// interface: the read path never looks at it, and skipping the
-			// store spares a write barrier on ~¾ of all steps.
-			pr.nextValue = op.Value
-		}
-	}
-	r.stats.reads += reads
-	r.stats.writes += writes
-	r.stats.noops += noops
-	r.stats.sends += sends
-	r.stats.recvs += recvs
+	return RunResult{Steps: maxSteps}
 }

@@ -1,14 +1,14 @@
-// Directed execution: the fast path for adaptive adversaries. The batched
-// loop (batch.go) assumes the whole schedule is known ahead of the run, so
-// an observer that must *react* to executed steps — the parking adversary of
-// the Theorem 26/27 experiments — was stuck on the generic per-step path:
-// one Step call, one StepInfo materialization, and one observer dispatch per
-// step. A Director collapses that round trip: it supplies the next process
-// to schedule and is called back only on write steps, with the register
-// identified by its dense RegID instead of a name to parse. RunDirected
-// drives the director through an inlined machine-dispatch loop that
-// materializes no StepInfo at all and hoists the stop/checkEvery branching
-// out of the inner loop exactly like RunBatch.
+// Directed execution: runs driven by adaptive adversaries. Run assumes the
+// whole schedule is known ahead of the run, so an adversary that must *react*
+// to executed steps — the parking adversary of the Theorem 26/27
+// experiments — would otherwise pay a Step call, a StepInfo, and an observer
+// dispatch per step. A Director collapses that round trip: it supplies the
+// next process to schedule and is called back only on write steps, with the
+// register identified by its dense RegID instead of a name to parse.
+// RunDirected hands the director to the same kernel as Run (exec, in
+// machine.go), which asks it for each next process and reports writes to
+// it; a Byzantine director's WriteMutator is consulted by the kernel at the
+// write point.
 //
 // This mirrors the adaptive-adversary-as-scheduler framing used by
 // lower-bound executions in the literature: the adversary IS the schedule
@@ -70,244 +70,34 @@ type DirectorRW interface {
 // stop predicate returns true (checked every checkEvery steps; 0 means every
 // step) or maxSteps have been executed — Run's contract with the schedule
 // source replaced by an adaptive director. Machine-mode runners without an
-// observer execute on the inlined fast loop; other configurations fall back
-// to a generic per-step loop with identical observable behavior (schedules,
-// write callbacks, stop decisions).
+// observer step through the kernel directly; other configurations call Step
+// per entry, with identical observable behavior (schedules, write
+// callbacks, stop decisions).
 func (r *Runner) RunDirected(d Director, maxSteps, checkEvery int, stop func() bool) RunResult {
-	if checkEvery <= 0 {
-		checkEvery = 1
-	}
-	mut, mutating := d.(WriteMutator)
-	if r.machine == nil || r.observer != nil {
-		if mutating {
-			// Mutation exists only on the machine fast path: the generic loop
+	direct := r.machine != nil && r.observer == nil
+	if _, mutating := d.(WriteMutator); mutating {
+		if !direct {
+			// Mutation needs the kernel's write point: a Step-per-entry loop
 			// would execute writes before the director could intercept them,
 			// and silently-honest "Byzantine" runs are a false-green hazard.
 			panic("sim: WriteMutator directors require a machine-mode runner without an observer")
 		}
-		return r.runDirectedGeneric(d, maxSteps, checkEvery, stop)
-	}
-	if r.closed {
-		panic("sim: Step after Close")
-	}
-	if mutating {
 		if r.mem.recycleOK {
 			panic("sim: WriteMutator directors require Config.NoRecycle (replayed/retained values outlive the recycler's reuse horizon)")
 		}
-		return r.runDirectedRW(d, mut, maxSteps, checkEvery, stop)
 	}
-	executed := 0
-	for executed < maxSteps {
-		// Steps until the next stop check (or the end of the run): the whole
-		// chunk executes with no predicate branching, mirroring RunBatch.
-		chunk := maxSteps - executed
-		if stop != nil && chunk > checkEvery {
-			chunk = checkEvery
-		}
-		for end := executed + chunk; executed < end; executed++ {
-			r.stepDirected(d)
-		}
-		if stop != nil && executed%checkEvery == 0 && stop() {
-			return RunResult{Steps: executed, Stopped: true}
-		}
-	}
-	return RunResult{Steps: maxSteps, Stopped: false}
-}
-
-// stepDirected executes one director-chosen step by inlined machine
-// dispatch: Step minus the StepInfo, plus the write callback. Like
-// stepBlock, the machine-advance bookkeeping is spelled out in the body —
-// the advanceMachine call (and the Op struct copy through it) is measurable
-// at the adversarial campaigns' throughput.
-func (r *Runner) stepDirected(d Director) {
-	p := d.Next()
-	pr := r.procAt(p)
-	r.steps++
-	if pr.isHalted {
-		r.recordStep(r.steps-1, p, OpNoop, -1)
-		return
-	}
-	if !pr.started {
-		pr.started = true
-		r.advanceMachine(pr, nil)
-		if pr.isHalted {
-			r.recordStep(r.steps-1, p, OpNoop, -1)
+	return r.chunked(maxSteps, checkEvery, stop, func(k int) {
+		if direct {
+			r.exec(k, nil, d, nil)
 			return
 		}
-	}
-	id := pr.nextRegID
-	pr.stepCount++
-	r.recordStep(r.steps-1, p, pr.nextKind, id)
-	var prev, wrote any
-	mem := r.mem
-	isWrite := pr.nextKind == OpWrite
-	switch pr.nextKind {
-	case OpWrite:
-		wrote = pr.nextValue
-		mem.values[id] = wrote
-		mem.writeSeqs[id]++
-		mem.lastWriter[id] = p
-	case OpRead:
-		prev = mem.values[id]
-	case OpSend:
-		r.net.Send(r.steps-1, p, pr.nextDest, pr.nextValue)
-	default: // OpRecv — setNextNet admits nothing else
-		if m := r.net.Recv(r.steps-1, p); m != nil {
-			prev = m
-		}
-	}
-	if pm := pr.ptrMachine; pm != nil {
-		op := pm.NextOp(prev)
-		if op == nil {
-			pr.isHalted = true
-		} else if op.Kind != OpRead && op.Kind != OpWrite {
-			r.setNextNet(pr, op.Kind, op.Dest, op.Value)
-		} else {
-			rr := op.reg
-			if rr == nil {
-				rr = mustRegister(op.Reg)
-			}
-			pr.nextKind, pr.nextReg = op.Kind, rr
-			pr.nextRegID = rr.id
-			if op.Kind == OpWrite {
-				pr.nextValue = op.Value
+		for ; k > 0; k-- {
+			p := d.Next()
+			if info := r.Step(p); info.Kind == OpWrite {
+				// The register id is resolved through the interning table,
+				// off the fast path by construction.
+				d.OnWrite(r.mem.idOf(info.Reg), p, info.Value)
 			}
 		}
-	} else if op, ok := pr.machine.Next(prev); !ok {
-		pr.isHalted = true
-	} else if op.Kind != OpRead && op.Kind != OpWrite {
-		r.setNextNet(pr, op.Kind, op.Dest, op.Value)
-	} else {
-		rr := op.reg
-		if rr == nil {
-			rr = mustRegister(op.Reg)
-		}
-		pr.nextKind, pr.nextReg = op.Kind, rr
-		pr.nextRegID = rr.id
-		if op.Kind == OpWrite {
-			pr.nextValue = op.Value
-		}
-	}
-	if isWrite {
-		d.OnWrite(id, p, wrote)
-	}
-}
-
-// runDirectedRW is RunDirected's chunked loop for mutating directors: the
-// same stop/checkEvery hoisting, stepping through stepDirectedRW. It is a
-// separate loop (rather than a branch inside stepDirected) so the honest
-// directed path keeps its instruction stream — and its 0 allocs/op
-// steady state — bit-identical to before the fault plane existed.
-func (r *Runner) runDirectedRW(d Director, mut WriteMutator, maxSteps, checkEvery int, stop func() bool) RunResult {
-	executed := 0
-	for executed < maxSteps {
-		chunk := maxSteps - executed
-		if stop != nil && chunk > checkEvery {
-			chunk = checkEvery
-		}
-		for end := executed + chunk; executed < end; executed++ {
-			r.stepDirectedRW(d, mut)
-		}
-		if stop != nil && executed%checkEvery == 0 && stop() {
-			return RunResult{Steps: executed, Stopped: true}
-		}
-	}
-	return RunResult{Steps: maxSteps, Stopped: false}
-}
-
-// stepDirectedRW is stepDirected with the pre-write interception: the
-// mutator sees (slot, writer, current content, intended value) and decides
-// what lands; everything else — machine advance, bookkeeping, the post-write
-// OnWrite callback — is identical, so an inert mutator (one that always
-// returns value) replays the honest path bit for bit.
-func (r *Runner) stepDirectedRW(d Director, mut WriteMutator) {
-	p := d.Next()
-	pr := r.procAt(p)
-	r.steps++
-	if pr.isHalted {
-		r.recordStep(r.steps-1, p, OpNoop, -1)
-		return
-	}
-	if !pr.started {
-		pr.started = true
-		r.advanceMachine(pr, nil)
-		if pr.isHalted {
-			r.recordStep(r.steps-1, p, OpNoop, -1)
-			return
-		}
-	}
-	id := pr.nextRegID
-	pr.stepCount++
-	r.recordStep(r.steps-1, p, pr.nextKind, id)
-	var prev, wrote any
-	mem := r.mem
-	isWrite := pr.nextKind == OpWrite
-	switch pr.nextKind {
-	case OpWrite:
-		wrote = mut.MutateWrite(id, p, mem.values[id], pr.nextValue)
-		mem.values[id] = wrote
-		mem.writeSeqs[id]++
-		mem.lastWriter[id] = p
-	case OpRead:
-		prev = mem.values[id]
-	case OpSend:
-		r.net.Send(r.steps-1, p, pr.nextDest, pr.nextValue)
-	default: // OpRecv — setNextNet admits nothing else
-		if m := r.net.Recv(r.steps-1, p); m != nil {
-			prev = m
-		}
-	}
-	if pm := pr.ptrMachine; pm != nil {
-		op := pm.NextOp(prev)
-		if op == nil {
-			pr.isHalted = true
-		} else if op.Kind != OpRead && op.Kind != OpWrite {
-			r.setNextNet(pr, op.Kind, op.Dest, op.Value)
-		} else {
-			rr := op.reg
-			if rr == nil {
-				rr = mustRegister(op.Reg)
-			}
-			pr.nextKind, pr.nextReg = op.Kind, rr
-			pr.nextRegID = rr.id
-			if op.Kind == OpWrite {
-				pr.nextValue = op.Value
-			}
-		}
-	} else if op, ok := pr.machine.Next(prev); !ok {
-		pr.isHalted = true
-	} else if op.Kind != OpRead && op.Kind != OpWrite {
-		r.setNextNet(pr, op.Kind, op.Dest, op.Value)
-	} else {
-		rr := op.reg
-		if rr == nil {
-			rr = mustRegister(op.Reg)
-		}
-		pr.nextKind, pr.nextReg = op.Kind, rr
-		pr.nextRegID = rr.id
-		if op.Kind == OpWrite {
-			pr.nextValue = op.Value
-		}
-	}
-	if isWrite {
-		d.OnWrite(id, p, wrote)
-	}
-}
-
-// runDirectedGeneric is the per-step directed loop for coroutine runners and
-// observed machine runners: a full Step per schedule entry, with the write
-// callback synthesized from the StepInfo (the register id resolved through
-// the interning table, off the fast path by construction).
-func (r *Runner) runDirectedGeneric(d Director, maxSteps, checkEvery int, stop func() bool) RunResult {
-	for i := 0; i < maxSteps; i++ {
-		p := d.Next()
-		info := r.Step(p)
-		if info.Kind == OpWrite {
-			d.OnWrite(r.mem.idOf(info.Reg), p, info.Value)
-		}
-		if stop != nil && (i+1)%checkEvery == 0 && stop() {
-			return RunResult{Steps: i + 1, Stopped: true}
-		}
-	}
-	return RunResult{Steps: maxSteps, Stopped: false}
+	})
 }

@@ -1,8 +1,8 @@
 // The flight recorder: an off-by-default fixed ring of the last K executed
 // steps, for post-mortem debugging of directed/adversarial runs whose fast
-// paths deliberately materialize no StepInfo. When attached, every stepping
-// path (Step, the batched block loop, the directed loop) appends one fixed-
-// size record — proc, kind, dense register id, step index — to the ring;
+// paths deliberately materialize no StepInfo. When attached, every step
+// (machine steps in the step kernel, coroutine steps in Step) appends one
+// fixed-size record — proc, kind, dense register id, step index — to the ring;
 // values are deliberately NOT recorded, because retaining written values
 // would break the recycler's reuse horizon on arena-backed runners (the
 // same reason observers disable recycling). Recording therefore leaves the

@@ -135,121 +135,144 @@ func (r *Runner) PendingOp(p procset.ID) (OpKind, RegID) {
 	return pr.nextKind, pr.nextRegID
 }
 
-// stepMachine executes one direct-dispatch step of pr: the pending request
-// is applied to shared memory with plain loads/stores, and the machine is
-// advanced in place to produce its next request (its local computation runs
-// now, inside Step, mirroring the coroutine park barrier).
-func (r *Runner) stepMachine(pr *proc, info *StepInfo) {
-	if pr.isHalted {
-		info.Kind = OpNoop
-		r.recordStep(info.Index, pr.id, OpNoop, -1)
-		return
-	}
-	if !pr.started {
-		// First activation: the machine's initialization already ran in
-		// NewRunner (the factory); fetch its first request.
-		pr.started = true
-		r.advanceMachine(pr, nil)
+// exec is the machine-mode step kernel: every machine step — batched,
+// scheduled, directed, Byzantine or observed — runs through it. It executes
+// n steps. The process taking step i is ps[i] or, when d is non-nil,
+// d.Next(); the loop stays inside the kernel either way, so a batched or
+// directed run pays no call per step beyond the machine advance.
+//
+// Each step applies the pending request to shared memory (or hands it to
+// the network) with plain loads and stores, counts the step in the stats
+// block and the flight recorder, and advances the machine in place to
+// produce its next request (its local computation runs now, mirroring the
+// coroutine park barrier). A director that is also a WriteMutator decides
+// the value each write lands, and OnWrite then reports the landed value.
+// When res is non-nil it receives what the last step did, which is how
+// Step fills its StepInfo.
+func (r *Runner) exec(n int, ps []procset.ID, d Director, res *stepResult) {
+	mut, _ := d.(WriteMutator)
+	for i := 0; i < n; i++ {
+		var p procset.ID
+		if d != nil {
+			p = d.Next()
+		} else {
+			p = ps[i]
+		}
+		pr := r.procAt(p)
+		index := r.steps
+		r.steps++
+		if !pr.started {
+			// First activation: the machine's initialization already ran in
+			// its factory; fetch its first request.
+			pr.started = true
+			r.advanceMachine(pr, nil)
+		}
 		if pr.isHalted {
-			info.Kind = OpNoop
-			r.recordStep(info.Index, pr.id, OpNoop, -1)
-			return
+			r.stats.noops++
+			if fr := r.flight; fr != nil {
+				fr.record(index, p, OpNoop, -1)
+			}
+			if res != nil {
+				res.kind, res.id, res.v, res.peer = OpNoop, -1, nil, 0
+			}
+			continue
 		}
-	}
-	id := pr.nextRegID
-	pr.stepCount++
-	r.recordStep(info.Index, pr.id, pr.nextKind, id)
-	switch pr.nextKind {
-	case OpRead:
-		v := r.mem.values[id]
-		info.Kind, info.Reg, info.Value = OpRead, pr.nextReg.name, v
-		r.advanceMachine(pr, v)
-	case OpWrite:
-		v := pr.nextValue
-		r.mem.values[id] = v
-		r.mem.writeSeqs[id]++
-		r.mem.lastWriter[id] = pr.id
-		info.Kind, info.Reg, info.Value = OpWrite, pr.nextReg.name, v
-		r.advanceMachine(pr, nil)
-	case OpSend:
-		v := pr.nextValue
-		r.net.Send(info.Index, pr.id, pr.nextDest, v)
-		info.Kind, info.Value, info.Peer = OpSend, v, pr.nextDest
-		r.advanceMachine(pr, nil)
-	case OpRecv:
-		var prev any
-		if m := r.net.Recv(info.Index, pr.id); m != nil {
-			prev = m
-			info.Value, info.Peer = m.Payload, m.From
+		kind, id := pr.nextKind, pr.nextRegID
+		pr.stepCount++
+		var prev, v any
+		var peer procset.ID
+		// mem is a stable pointer, but its dense slices are re-read per
+		// step: a machine's Next may intern a register (mid-run Rebind),
+		// growing them.
+		mem := r.mem
+		switch kind {
+		case OpRead:
+			v = mem.values[id]
+			prev = v
+			r.stats.reads++
+		case OpWrite:
+			v = pr.nextValue
+			if mut != nil {
+				v = mut.MutateWrite(id, p, mem.values[id], v)
+			}
+			mem.values[id] = v
+			mem.writeSeqs[id]++
+			mem.lastWriter[id] = p
+			r.stats.writes++
+		case OpSend:
+			v, peer = pr.nextValue, pr.nextDest
+			r.net.Send(index, p, peer, v)
+			r.stats.sends++
+		default: // OpRecv — setNextNet admits nothing else
+			if m := r.net.Recv(index, p); m != nil {
+				prev, v, peer = m, m.Payload, m.From
+			}
+			r.stats.recvs++
 		}
-		info.Kind = OpRecv
+		if fr := r.flight; fr != nil {
+			fr.record(index, p, kind, id)
+		}
+		if res != nil {
+			// Field by field: a whole-struct store through the pointer
+			// compiles to a runtime.wbMove call, which Step pays per step.
+			res.kind, res.id, res.v, res.peer = kind, id, v, peer
+		}
 		r.advanceMachine(pr, prev)
-	default:
-		panic(badOpKind(pr.nextKind))
+		if d != nil && kind == OpWrite {
+			d.OnWrite(id, p, v)
+		}
 	}
 }
 
+// stepResult is what one kernel step did: its kind, the register's dense id
+// (-1 for no-ops and message steps), the value read, landed, sent or
+// received (the payload), and the other endpoint of a message step.
+type stepResult struct {
+	kind OpKind
+	id   RegID
+	v    any
+	peer procset.ID
+}
+
 // advanceMachine asks pr's machine for its next request, halting the process
-// when the machine is done. The request is stored resolved (kind, concrete
-// register, value), so the stepping loops touch no Op struct and perform no
-// type assertion per step.
+// when the machine is done. It is the only place the runner calls NextOp or
+// Next. The request is stored resolved (kind, concrete register, value), so
+// the kernel touches no Op struct and performs no type assertion per step.
 func (r *Runner) advanceMachine(pr *proc, prev any) {
+	var op *Op
 	if pm := pr.ptrMachine; pm != nil {
-		op := pm.NextOp(prev)
-		if op == nil {
-			pr.isHalted = true
-			return
-		}
-		if op.Kind != OpRead && op.Kind != OpWrite {
-			r.setNextNet(pr, op.Kind, op.Dest, op.Value)
-			return
-		}
-		if op.Reg == nil {
-			panic("sim: Machine returned an Op with nil Reg")
-		}
+		// Pointer-op machines hand back a pointer into their own stable
+		// storage: no five-word Op copy across the dispatch boundary.
+		op = pm.NextOp(prev)
+	} else if next, ok := pr.machine.Next(prev); ok {
+		op = &next
+	}
+	switch {
+	case op == nil:
+		pr.isHalted = true
+	case op.Kind != OpRead && op.Kind != OpWrite:
+		r.setNextNet(pr, op.Kind, op.Dest, op.Value)
+	default:
 		rr := op.reg
 		if rr == nil {
+			if op.Reg == nil {
+				panic("sim: Machine returned an Op with nil Reg")
+			}
 			rr = mustRegister(op.Reg)
 		}
-		pr.nextKind = op.Kind
-		pr.nextReg = rr
-		pr.nextRegID = rr.id
+		pr.nextKind, pr.nextReg, pr.nextRegID = op.Kind, rr, rr.id
 		if op.Kind == OpWrite {
+			// Reads leave the stale value in place (the read path never looks
+			// at it), sparing an interface store per read step.
 			pr.nextValue = op.Value
 		}
-		return
-	}
-	op, ok := pr.machine.Next(prev)
-	if !ok {
-		pr.isHalted = true
-		return
-	}
-	if op.Kind != OpRead && op.Kind != OpWrite {
-		r.setNextNet(pr, op.Kind, op.Dest, op.Value)
-		return
-	}
-	if op.Reg == nil {
-		panic("sim: Machine returned an Op with nil Reg")
-	}
-	rr := op.reg
-	if rr == nil {
-		rr = mustRegister(op.Reg)
-	}
-	pr.nextKind = op.Kind
-	pr.nextReg = rr
-	pr.nextRegID = rr.id
-	if op.Kind == OpWrite {
-		// Reads leave the stale value in place (the read path never looks
-		// at it), sparing an interface store per read step.
-		pr.nextValue = op.Value
 	}
 }
 
 // setNextNet stores a message-plane request (OpSend/OpRecv) as pr's pending
-// operation — the off-the-register-path tail of every machine-advance site,
-// so the read/write hot paths keep their instruction streams. Register
-// fields are parked on the sentinel no-register state (nil, -1), which is
-// what PendingOp reports for message steps.
+// operation — advanceMachine's off-the-register-path tail. Register fields
+// are parked on the sentinel no-register state (nil, -1), which is what
+// PendingOp reports for message steps.
 func (r *Runner) setNextNet(pr *proc, kind OpKind, dest procset.ID, value any) {
 	if r.net == nil && (kind == OpSend || kind == OpRecv) {
 		panic(fmt.Sprintf("sim: %v op on a runner without Config.Network", kind))

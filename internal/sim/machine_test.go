@@ -62,6 +62,53 @@ func haltingMachine(p procset.ID, regs Registry) Machine {
 	})
 }
 
+// TestMachineNilRegPanicsOnEveryEntryPoint pins that a read/write Op with
+// a nil Reg is reported by the one machine-advance site, with the same
+// panic, whichever entry point steps the machine. The bad Op is the
+// machine's second request, so it is fetched by a step rather than by the
+// first activation.
+func TestMachineNilRegPanicsOnEveryEntryPoint(t *testing.T) {
+	t.Parallel()
+	const want = "sim: Machine returned an Op with nil Reg"
+	entries := []struct {
+		name string
+		run  func(r *Runner)
+	}{
+		{"Step", func(r *Runner) { r.Step(1); r.Step(1) }},
+		{"Run", func(r *Runner) {
+			src, err := sched.RoundRobin(1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Run(src, 2, 0, nil)
+		}},
+		{"RunSchedule", func(r *Runner) { r.RunSchedule(sched.Schedule{1, 1}) }},
+		{"RunDirected", func(r *Runner) { r.RunDirected(roundRobinDirector{n: 1, next: new(int)}, 2, 0, nil) }},
+	}
+	for _, e := range entries {
+		r, err := NewRunner(Config{N: 1, Machine: func(_ procset.ID, regs Registry) Machine {
+			first := ReadOp(regs.Reg("x"))
+			return MachineFunc(func(prev any) (Op, bool) {
+				op := first
+				first = Op{Kind: OpRead}
+				return op, true
+			})
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := func() (msg any) {
+			defer func() { msg = recover() }()
+			e.run(r)
+			return nil
+		}()
+		r.Close()
+		if got != want {
+			t.Errorf("%s panicked with %v, want %q", e.name, got, want)
+		}
+	}
+}
+
 func TestMachineHaltsToNoop(t *testing.T) {
 	t.Parallel()
 	r, err := NewRunner(Config{N: 1, Machine: haltingMachine})

@@ -12,9 +12,9 @@
 // so delivery decisions are as deterministic as the schedule that drives
 // them.
 //
-// Send and recv steps are dispatched through the same loops as reads and
-// writes, including the batched observer-free fast path, and must stay
-// 0 allocs/op there: Recv returns a pointer into per-recipient storage the
+// Send and recv steps run through the same step kernel as reads and writes,
+// including on the batched observer-free path, and must stay 0 allocs/op
+// there: Recv returns a pointer into per-recipient storage the
 // network reuses, never a fresh Message.
 
 package sim

@@ -41,7 +41,6 @@ import (
 	"sync"
 
 	"github.com/settimeliness/settimeliness/internal/procset"
-	"github.com/settimeliness/settimeliness/internal/sched"
 )
 
 // Ref is an opaque handle to a shared register. Obtain handles with Env.Reg
@@ -476,14 +475,14 @@ type Runner struct {
 	steps    int
 	closed   bool
 
-	// Observability plane (stats.go, flight.go): plain counters folded at
-	// block boundaries, and the off-by-default last-K-steps ring. Neither
-	// influences a single scheduling or memory decision.
+	// Observability plane (stats.go, flight.go): plain step counters and the
+	// off-by-default last-K-steps ring. Neither influences a single
+	// scheduling or memory decision.
 	stats  statCounters
 	flight *FlightRecorder
 
-	// batchBuf is RunBatch's schedule prefetch buffer (see batch.go); kept
-	// on the runner so the batched loop allocates nothing per call.
+	// batchBuf is Run's schedule prefetch buffer (see batch.go); kept on the
+	// runner so the batched loop allocates nothing per call.
 	batchBuf [batchBlock]procset.ID
 }
 
@@ -647,11 +646,19 @@ func (r *Runner) Halted(p procset.ID) bool {
 // StepsTaken returns the number of steps the process has taken.
 func (r *Runner) StepsTaken(p procset.ID) int { return r.procAt(p).stepCount }
 
+// procAt returns process p's state. The out-of-range panic is raised out of
+// line, which keeps procAt within the inlining budget: the step kernel pays
+// no call for it.
 func (r *Runner) procAt(p procset.ID) *proc {
-	if p < 1 || procset.ID(r.n) < p {
-		panic(fmt.Sprintf("sim: process %v outside Π%d", p, r.n))
+	if uint(p-1) >= uint(len(r.procs)) {
+		r.outside(p)
 	}
 	return r.procs[p-1]
+}
+
+//go:noinline
+func (r *Runner) outside(p procset.ID) {
+	panic(fmt.Sprintf("sim: process %v outside Π%d", p, r.n))
 }
 
 // Step executes one step of process p: the process's pending memory
@@ -665,10 +672,15 @@ func (r *Runner) Step(p procset.ID) StepInfo {
 	}
 	pr := r.procAt(p)
 	info := StepInfo{Index: r.steps, Proc: p, Fault: pr.fault}
-	r.steps++
 	if r.machine != nil {
-		r.stepMachine(pr, &info)
+		var res stepResult
+		r.exec(1, []procset.ID{p}, nil, &res)
+		info.Kind, info.Value, info.Peer = res.kind, res.v, res.peer
+		if res.id >= 0 {
+			info.Reg = r.mem.slots[res.id].name
+		}
 	} else {
+		r.steps++
 		r.stepCoroutine(pr, &info)
 	}
 	r.observe(&info)
@@ -797,51 +809,6 @@ func (r *Runner) Reset() error {
 		}
 	}
 	return nil
-}
-
-// RunResult summarizes a Run invocation.
-type RunResult struct {
-	// Steps is the number of steps executed by this Run call.
-	Steps int
-	// Stopped reports whether the stop predicate ended the run (as opposed
-	// to the step budget running out).
-	Stopped bool
-}
-
-// Run drives the runner with steps from src until the stop predicate returns
-// true (checked every checkEvery steps; 0 means every step) or maxSteps have
-// been executed. stop may be nil. Machine-mode runners without an observer
-// execute on the batched fast path (see RunBatch in batch.go); all other
-// configurations take the generic per-step loop. The two are bit-identical.
-func (r *Runner) Run(src sched.Source, maxSteps, checkEvery int, stop func() bool) RunResult {
-	return r.RunBatch(src, maxSteps, checkEvery, stop)
-}
-
-// runGeneric is the per-step run loop: the coroutine path, and the machine
-// path when an observer needs a StepInfo per step.
-func (r *Runner) runGeneric(src sched.Source, maxSteps, checkEvery int, stop func() bool) RunResult {
-	for i := 0; i < maxSteps; i++ {
-		r.Step(src.Next())
-		if stop != nil && (i+1)%checkEvery == 0 && stop() {
-			return RunResult{Steps: i + 1, Stopped: true}
-		}
-	}
-	return RunResult{Steps: maxSteps, Stopped: false}
-}
-
-// RunSchedule executes a fixed finite schedule. Like Run it takes the
-// batched machine loop when there is no observer to feed.
-func (r *Runner) RunSchedule(s sched.Schedule) {
-	if r.machine != nil && r.observer == nil {
-		if r.closed {
-			panic("sim: Step after Close")
-		}
-		r.stepBlock(s)
-		return
-	}
-	for _, p := range s {
-		r.Step(p)
-	}
 }
 
 // Close terminates all process coroutines and waits for them to exit. The

@@ -1,15 +1,14 @@
 // Runner metrics: the counter block behind the observability plane.
 //
 // The contract that keeps this compatible with the engine's performance
-// story: counters are plain integer fields accumulated by the stepping
-// goroutine — block-locally inside the batched loops and folded into the
-// runner at block boundaries, or directly on the per-step paths whose cost
-// is dominated by channel handoffs anyway — and *sampled* only between
-// runs or at RunBatch/checkEvery block boundaries, never per step. Nothing
-// here allocates, takes a lock, or changes a single scheduling or memory
-// decision: an observer-free machine run with metrics compiled in is
-// bit-identical to one without, and stays 0 allocs/op (pinned by
-// TestBatchMetricsDisabledAllocs and the CI bench-smoke job).
+// story: counters are plain integer fields on the runner, incremented by the
+// stepping goroutine inside the step kernel's own op-kind switch (exec, in
+// machine.go) or by the coroutine step, and *sampled* only between runs or
+// at checkEvery boundaries, never per step. Nothing here allocates, takes a
+// lock, or changes a single scheduling or memory decision: an observer-free
+// machine run with metrics compiled in is bit-identical to one without, and
+// stays 0 allocs/op (pinned by TestBatchMetricsDisabledAllocs and the CI
+// bench-smoke job).
 
 package sim
 
@@ -65,10 +64,9 @@ func (s Stats) Sub(t Stats) Stats {
 	}
 }
 
-// statCounters is the runner-embedded accumulation block. The step-kind
-// counters are folded in at block boundaries by the batched loops and
-// incremented directly by the per-step paths; Steps is derived from
-// Runner.steps, which the engine has always maintained.
+// statCounters is the runner-embedded accumulation block, one counter per
+// step kind; Steps is derived from Runner.steps, which the engine has always
+// maintained.
 type statCounters struct {
 	reads  int64
 	writes int64
@@ -77,20 +75,16 @@ type statCounters struct {
 	recvs  int64
 }
 
-// recordStep accumulates the counters for one executed step and, when a
-// flight recorder is attached, appends the step to its ring. Used by the
-// per-step paths (Step, the directed loop); the batched block loop
-// accumulates block-locally and folds at block boundaries instead.
+// recordStep accumulates the counters for one coroutine step (a read, a
+// write or a no-op: coroutines have no message verbs) and, when a flight
+// recorder is attached, appends the step to its ring. The machine kernel
+// counts inside its own op-kind switch instead.
 func (r *Runner) recordStep(index int, p procset.ID, kind OpKind, reg RegID) {
 	switch kind {
 	case OpRead:
 		r.stats.reads++
 	case OpWrite:
 		r.stats.writes++
-	case OpSend:
-		r.stats.sends++
-	case OpRecv:
-		r.stats.recvs++
 	default:
 		r.stats.noops++
 	}
