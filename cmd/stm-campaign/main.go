@@ -576,7 +576,6 @@ func cmdFuzz(ctx context.Context, args []string, w io.Writer) error {
 	steps := fs.Int("steps", 300, "steps per schedule")
 	schedules := fs.Int("schedules", 1000, "number of schedules")
 	crashSpec := fs.String("crashes", "", "crash patterns, e.g. \"p1@3;p2@0,p4@9\" (empty = failure-free)")
-	engine := fs.String("engine", "pooled", "execution path: pooled (reused direct-dispatch runs) or fresh (coroutine run per schedule); results are bit-identical")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -589,33 +588,16 @@ func cmdFuzz(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	defer s.close()
-	// Resolve the engine and target before opening the -jsonl sink so
-	// invalid invocations don't create (and leak) the stream file.
-	var fuzz func(onResult func(campaign.Outcome)) (*campaign.Report, int, error)
-	switch *engine {
-	case "pooled":
-		build, err := explore.PooledTargetBuilder(*target, *n)
-		if err != nil {
-			return err
-		}
-		fuzz = func(onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
-			return explore.FuzzPooledCampaign(s.ctx, c.workers, *n, *steps, *schedules, c.seed, patterns, build, onResult)
-		}
-	case "fresh":
-		build, err := explore.TargetBuilder(*target, *n)
-		if err != nil {
-			return err
-		}
-		fuzz = func(onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
-			return explore.FuzzCampaign(s.ctx, c.workers, *n, *steps, *schedules, c.seed, patterns, build, onResult)
-		}
-	default:
-		return fmt.Errorf("unknown -engine %q (want pooled or fresh)", *engine)
+	// Resolve the target before opening the -jsonl sink so invalid
+	// invocations don't create (and leak) the stream file.
+	build, err := explore.PooledTargetBuilder(*target, *n)
+	if err != nil {
+		return err
 	}
 	if err := s.openSink(); err != nil {
 		return err
 	}
-	rep, runs, err := fuzz(s.sink)
+	rep, runs, err := explore.FuzzPooledCampaign(s.ctx, c.workers, *n, *steps, *schedules, c.seed, patterns, build, s.sink)
 	if err = s.finish(err); err != nil {
 		var v *explore.Violation
 		if rep != nil && errors.As(err, &v) {

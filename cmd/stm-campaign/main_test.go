@@ -155,18 +155,18 @@ func TestRelationsCampaignSmoke(t *testing.T) {
 	}
 }
 
-// TestFuzzEnginesBitIdentical drives the CLI end to end across execution
-// paths: -engine pooled (reused direct-dispatch runs) and -engine fresh
-// (coroutine run per schedule) must emit identical -json summaries for
-// every target, at several worker counts.
+// TestFuzzEnginesBitIdentical drives the fuzz subcommand end to end: the
+// -json summary must be identical at -workers 1 and 4 for every target.
+// (explore.TestFuzzModesBitIdentical pins the pooled runs against fresh
+// coroutine runs per schedule.)
 func TestFuzzEnginesBitIdentical(t *testing.T) {
 	t.Parallel()
-	summary := func(target, engine, workers string) string {
+	summary := func(target, workers string) string {
 		var out bytes.Buffer
 		err := cmdFuzz(context.Background(), []string{"-target", target, "-n", "3", "-steps", "80",
-			"-schedules", "24", "-seed", "3", "-engine", engine, "-workers", workers, "-json"}, &out)
+			"-schedules", "24", "-seed", "3", "-workers", workers, "-json"}, &out)
 		if err != nil {
-			t.Fatalf("%s/%s: %v\n%s", target, engine, err, out.String())
+			t.Fatalf("%s/workers=%s: %v\n%s", target, workers, err, out.String())
 		}
 		var rec record
 		if err := json.Unmarshal(out.Bytes(), &rec); err != nil {
@@ -178,14 +178,9 @@ func TestFuzzEnginesBitIdentical(t *testing.T) {
 		}
 		return string(s)
 	}
-	for _, target := range []string{"commitadopt", "consensus", "cachain"} {
-		want := summary(target, "fresh", "1")
-		for _, engine := range []string{"pooled", "fresh"} {
-			for _, workers := range []string{"1", "4"} {
-				if got := summary(target, engine, workers); got != want {
-					t.Errorf("%s: engine=%s workers=%s diverges:\n%s\nvs\n%s", target, engine, workers, got, want)
-				}
-			}
+	for _, target := range []string{"commitadopt", "consensus", "cachain", "kset", "bg"} {
+		if one, four := summary(target, "1"), summary(target, "4"); one != four {
+			t.Errorf("%s: workers=4 diverges from workers=1:\n%s\nvs\n%s", target, four, one)
 		}
 	}
 }

@@ -68,7 +68,7 @@ func TestParkingPreventsDecisions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			steps, stopped := adv.Drive(runner, 250_000, 100, func() bool {
+			steps, stopped := adv.DriveDirected(runner, 250_000, 100, func() bool {
 				return !ag.DecidedSet().IsEmpty()
 			})
 			if stopped {
@@ -101,7 +101,7 @@ func TestParkedNeverExceedsInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	worst := 0
-	adv.Drive(runner, 120_000, 1, func() bool {
+	adv.DriveDirected(runner, 120_000, 1, func() bool {
 		if adv.MaxParked() > worst {
 			worst = adv.MaxParked()
 		}
@@ -122,7 +122,7 @@ func TestCrashedTailNeverScheduled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv.Drive(runner, 50_000, 0, nil)
+	adv.DriveDirected(runner, 50_000, 0, nil)
 	s := adv.Schedule()
 	if got := s.Steps(crashed); got != 0 {
 		t.Errorf("crashed processes took %d steps", got)
@@ -133,7 +133,7 @@ func TestCrashedTailNeverScheduled(t *testing.T) {
 }
 
 // advOutcome is everything observable about one adversarial run, compared
-// bit for bit across drivers, execution modes, and pooled reuse.
+// bit for bit across execution modes and pooled reuse.
 type advOutcome struct {
 	steps    int
 	stopped  bool
@@ -142,7 +142,7 @@ type advOutcome struct {
 	parked   int
 }
 
-func driveOutcome(t *testing.T, cfg kset.Config, crashed procset.Set, budget int, machineMode, directed bool, reuse int) advOutcome {
+func driveOutcome(t *testing.T, cfg kset.Config, crashed procset.Set, budget int, machineMode bool, reuse int) advOutcome {
 	t.Helper()
 	ag, runner := newKsetRunner(t, cfg, machineMode)
 	defer runner.Close()
@@ -159,14 +159,7 @@ func driveOutcome(t *testing.T, cfg kset.Config, crashed procset.Set, budget int
 				t.Fatal(err)
 			}
 		}
-		stop := func() bool { return !ag.DecidedSet().IsEmpty() }
-		var steps int
-		var stopped bool
-		if directed {
-			steps, stopped = adv.DriveDirected(runner, budget, 200, stop)
-		} else {
-			steps, stopped = adv.Drive(runner, budget, 200, stop)
-		}
+		steps, stopped := adv.DriveDirected(runner, budget, 200, func() bool { return !ag.DecidedSet().IsEmpty() })
 		out = advOutcome{
 			steps:    steps,
 			stopped:  stopped,
@@ -178,44 +171,43 @@ func driveOutcome(t *testing.T, cfg kset.Config, crashed procset.Set, budget int
 	return out
 }
 
-// TestDirectedMatchesDrive pins the tentpole's equivalence: the directed
-// fast path produces bit-identical schedules, park/resume decisions, and
-// outcomes to the legacy per-step Drive loop — across configurations, crash
-// sets, execution modes, and Reset reuse.
-func TestDirectedMatchesDrive(t *testing.T) {
+// directedCases are the configurations of the directed equivalence and
+// golden tests, one with processes crashed from the start.
+var directedCases = []struct {
+	name    string
+	cfg     kset.Config
+	crashed procset.Set
+}{
+	{"k1_n3", kset.Config{N: 3, K: 1, T: 1}, procset.EmptySet},
+	{"k2_n4", kset.Config{N: 4, K: 2, T: 2}, procset.EmptySet},
+	{"k2_n5_crashed", kset.Config{N: 5, K: 2, T: 3}, procset.MakeSet(5)},
+}
+
+// directedBudget is the step budget of every directedCases run.
+const directedBudget = 30_000
+
+// TestDirectedMatchesCoroutine pins the directed fast path's equivalence:
+// on the machine runner it produces bit-identical schedules, park/resume
+// decisions, and outcomes to the same adversary on a coroutine runner
+// (where RunDirected calls Step per entry) and to Reset reuse of one pooled
+// rig, across configurations and crash sets.
+func TestDirectedMatchesCoroutine(t *testing.T) {
 	t.Parallel()
-	cases := []struct {
-		name    string
-		cfg     kset.Config
-		crashed procset.Set
-	}{
-		{"k1_n3", kset.Config{N: 3, K: 1, T: 1}, procset.EmptySet},
-		{"k2_n4", kset.Config{N: 4, K: 2, T: 2}, procset.EmptySet},
-		{"k2_n5_crashed", kset.Config{N: 5, K: 2, T: 3}, procset.MakeSet(5)},
-	}
-	const budget = 30_000
-	for _, tc := range cases {
+	for _, tc := range directedCases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			legacy := driveOutcome(t, tc.cfg, tc.crashed, budget, true, false, 0)
-			directed := driveOutcome(t, tc.cfg, tc.crashed, budget, true, true, 0)
-			if legacy != directed {
-				t.Errorf("directed diverges from legacy Drive:\n  legacy   %+v\n  directed %+v",
-					redact(legacy), redact(directed))
-			}
-			// The directed fast path vs the generic directed loop (coroutine
-			// runner): same decisions through a completely different engine.
-			coroutine := driveOutcome(t, tc.cfg, tc.crashed, budget, false, true, 0)
-			if legacy != coroutine {
-				t.Errorf("coroutine directed run diverges:\n  legacy    %+v\n  coroutine %+v",
-					redact(legacy), redact(coroutine))
+			directed := driveOutcome(t, tc.cfg, tc.crashed, directedBudget, true, 0)
+			coroutine := driveOutcome(t, tc.cfg, tc.crashed, directedBudget, false, 0)
+			if directed != coroutine {
+				t.Errorf("coroutine directed run diverges:\n  machine   %+v\n  coroutine %+v",
+					redact(directed), redact(coroutine))
 			}
 			// Reset reuse: the third run on one pooled rig replays the first.
-			reused := driveOutcome(t, tc.cfg, tc.crashed, budget, true, true, 2)
-			if legacy != reused {
+			reused := driveOutcome(t, tc.cfg, tc.crashed, directedBudget, true, 2)
+			if directed != reused {
 				t.Errorf("pooled reuse diverges:\n  fresh  %+v\n  reused %+v",
-					redact(legacy), redact(reused))
+					redact(directed), redact(reused))
 			}
 		})
 	}

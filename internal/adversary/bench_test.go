@@ -31,19 +31,11 @@ func newBenchRig(b *testing.B, cfg kset.Config) (*kset.Agreement, *sim.Runner, *
 	return ag, runner, adv
 }
 
-// BenchmarkAdversaryDrive compares the legacy per-step Drive loop (Step →
-// StepInfo → name parsing) against the directed fast path (RunDirected →
-// dense metadata) on the same workload. This is the PR-4 tentpole's
-// before/after measurement; the bench-smoke CI job runs it.
+// BenchmarkAdversaryDrive measures the directed fast path (RunDirected →
+// dense register metadata) on the Theorem 24 workload; the bench-smoke CI
+// job runs it.
 func BenchmarkAdversaryDrive(b *testing.B) {
 	cfg := kset.Config{N: 4, K: 2, T: 2}
-	b.Run("legacy", func(b *testing.B) {
-		_, runner, adv := newBenchRig(b, cfg)
-		defer runner.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		adv.Drive(runner, b.N, 200, nil)
-	})
 	b.Run("directed", func(b *testing.B) {
 		_, runner, adv := newBenchRig(b, cfg)
 		defer runner.Close()

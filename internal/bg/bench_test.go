@@ -11,10 +11,6 @@ import (
 // property-(ii) measurement: m simulators over threads simulated threads,
 // machine mode, no observer (the recycled configuration).
 func newBenchSim(b *testing.B, m, threads int) (*Simulation, *sim.Runner, sched.Source) {
-	return newBenchSimForm(b, m, threads, false)
-}
-
-func newBenchSimForm(b *testing.B, m, threads int, chained bool) (*Simulation, *sim.Runner, sched.Source) {
 	b.Helper()
 	inputs := make([]int, threads+1)
 	for i := 1; i <= threads; i++ {
@@ -28,11 +24,7 @@ func newBenchSimForm(b *testing.B, m, threads int, chained bool) (*Simulation, *
 	if err != nil {
 		b.Fatal(err)
 	}
-	factory := simn.Machine
-	if chained {
-		factory = simn.ChainedMachine
-	}
-	runner, err := sim.NewRunner(sim.Config{N: m, Machine: factory})
+	runner, err := sim.NewRunner(sim.Config{N: m, Machine: simn.Machine})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -44,33 +36,11 @@ func newBenchSimForm(b *testing.B, m, threads int, chained bool) (*Simulation, *
 	return simn, runner, src
 }
 
-// BenchmarkSimulationSteps measures ns/step of the machine-mode BG
-// simulation on the batched loop — the hot path of the E4 reduction
-// experiment, running on the recycled (epoch-arena) configuration.
-func BenchmarkSimulationSteps(b *testing.B) {
-	_, runner, src := newBenchSim(b, 3, 5)
-	defer runner.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	runner.Run(src, b.N, 0, nil)
-}
-
-// BenchmarkBGFusedStep measures the fused automaton (the production machine
-// form, same workload as BenchmarkSimulationSteps) under its own name so the
-// fused-vs-chained dispatch cost is visible side by side in bench reports.
+// BenchmarkBGFusedStep measures ns/step of the machine-mode BG simulation
+// on the batched loop — the hot path of the E4 reduction experiment,
+// running on the recycled (epoch-arena) configuration.
 func BenchmarkBGFusedStep(b *testing.B) {
-	_, runner, src := newBenchSimForm(b, 3, 5, false)
-	defer runner.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	runner.Run(src, b.N, 0, nil)
-}
-
-// BenchmarkBGChainedStep measures the chained sub-automata form (the
-// equivalence reference) on the identical workload — the before side of the
-// fusion: every step descends the propose → update → scan feed chain.
-func BenchmarkBGChainedStep(b *testing.B) {
-	_, runner, src := newBenchSimForm(b, 3, 5, true)
+	_, runner, src := newBenchSim(b, 3, 5)
 	defer runner.Close()
 	b.ReportAllocs()
 	b.ResetTimer()

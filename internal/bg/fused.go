@@ -1,22 +1,19 @@
-// The fused BG simulator: the production machine form. The chained port
-// (machine.go) composes the simulator loop from sub-automata — a propose
-// call feeding an update machine feeding a scan machine — so every runner
-// step descends three or four dynamic calls, each re-boxing `prev any`,
-// before the actual register operation surfaces. Profiling after PR 5 put
-// that feed chain, not the memory operations, at the BG per-step floor.
+// Direct-dispatch form of the BG simulation, for sim.Runner's machine mode:
+// the simulator loop of simulation.go (Simulation.Algorithm, the coroutine
+// reference) with its program counter made explicit. The hot path of the
+// Theorem 26 reduction experiment.
 //
-// fusedSim erases the chain. The whole simulator is ONE flat automaton: a
-// single state word says which logical call is in flight (the knowledge
-// publish, the absorb scan, the three safe-agreement legs, the resolve
-// scan), and every in-flight call is a snapshot.FusedCall — itself the
-// flattened form of the scan/update composition — so a step is one switch
-// dispatch plus one Feed call. The safe agreement object dissolves into the
-// simulator: its doorway discipline (publish unsafe, scan, fix the level or
-// back off) and its resolution rule (smallest-id safe proposal, blocked
-// while any proposal is unsafe) become plain code in the state switch,
-// operating on the same registers through the same (thread, round) cache as
-// the chained port. Operation streams are bit-identical across all three
-// forms — coroutine, chained, fused — which machine_test.go pins per step.
+// The whole simulator is ONE flat automaton: a single state word says which
+// logical call is in flight (the knowledge publish, the absorb scan, the
+// three safe-agreement legs, the resolve scan), and every in-flight call is
+// a snapshot.FusedCall, so a step is one switch dispatch plus one Feed call.
+// The safe agreement object dissolves into the simulator: its doorway
+// discipline (publish unsafe, scan, fix the level or back off) and its
+// resolution rule (smallest-id safe proposal, blocked while any proposal is
+// unsafe) become plain code in the state switch, operating on the registers
+// of SafeAgreement through the runner's (thread, round) cache. Operation
+// streams and harness state are bit-identical to Algorithm's, which
+// machine_test.go pins per step.
 
 package bg
 
@@ -56,8 +53,9 @@ type fusedSim struct {
 	regs sim.Registry
 	n    int // simulated threads
 	mem  *snapshot.MachineObject
-	// shared is the runner-scoped recycling state; nil on allocate-per-write
-	// runners (see simMachine).
+	// shared is the runner-scoped recycling state (payload pools + the
+	// (thread, round) register cache); nil on allocate-per-write runners,
+	// where the machine publishes plain View copies exactly like Algorithm.
 	shared *bgShared
 	// One safe agreement handle per thread, rebound in place as the thread's
 	// round advances (rounds are processed strictly in order).
@@ -78,10 +76,10 @@ type fusedSim struct {
 	propV   any      // the propose payload, for the creator-reference release
 }
 
-// Machine returns the direct-dispatch code of simulator p — the fused
-// production automaton. The returned factory value suits sim.Config.Machine
-// for a runner of size m; ChainedMachine and Algorithm are the equivalence
-// references.
+// Machine returns the direct-dispatch code of simulator p, the production
+// form of the simulator. The returned factory value suits
+// sim.Config.Machine for a runner of size m; Algorithm is the equivalence
+// reference.
 func (s *Simulation) Machine(p procset.ID, regs sim.Registry) sim.Machine {
 	n := s.proto.Threads()
 	sh := bgSharedFor(regs, n, s.m)
@@ -117,9 +115,18 @@ func (s *Simulation) Machine(p procset.ID, regs sim.Registry) sim.Machine {
 	return m
 }
 
-// saFor returns thread i's handle bound to round r, the fused twin of
-// simMachine.saFor: shared (thread, round) register cache on a recycled
-// runner, named interning otherwise.
+// bindMem binds o as simulator p's handle on the bg.mem snapshot object
+// through the runner's layout cache: the object's registers are interned
+// once per runner, not on every Reset.
+func bindMem(o *snapshot.MachineObject, regs sim.Registry, p procset.ID, m int) *snapshot.MachineObject {
+	segs, readOps := snapshot.LayoutRefs(regs, "bg.mem", m)
+	o.InitShared(snapshot.ArenaFor(regs), p, m, segs, readOps)
+	return o
+}
+
+// saFor returns thread i's handle bound to round r: through the shared
+// (thread, round) register cache on a recycled runner, so only the first
+// simulator to reach a round interns anything; by name otherwise.
 func (m *fusedSim) saFor(i, r int) *fusedSA {
 	sa := &m.sas[i]
 	if sh := m.shared; sh != nil {
@@ -153,7 +160,8 @@ func (m *fusedSim) saFor(i, r int) *fusedSA {
 }
 
 // saEntry builds the level-carrying register value for the pending proposal
-// payload (SAProposeMachine.entry).
+// payload: a leased saBox (retaining the proposal view) on a recycled
+// runner, the plain saEntry otherwise.
 func (m *fusedSim) saEntry(level int) any {
 	if sh := m.shared; sh != nil {
 		if vb, ok := m.propV.(*viewBox); ok {
@@ -163,8 +171,7 @@ func (m *fusedSim) saEntry(level int) any {
 	return saEntry{Level: level, Val: m.propV}
 }
 
-// releaseProp drops the creator reference on a leased proposal payload
-// (SAProposeMachine.releaseOwned).
+// releaseProp drops the creator reference on a leased proposal payload.
 func (m *fusedSim) releaseProp() {
 	if vb, ok := m.propV.(*viewBox); ok {
 		vb.Release()
@@ -172,7 +179,8 @@ func (m *fusedSim) releaseProp() {
 	m.propV = nil
 }
 
-// absorb merges the freshest knowledge per thread from a scanned snapshot.
+// absorb merges the freshest knowledge per thread from a scanned snapshot of
+// all simulators' published views (Algorithm's absorb).
 func (m *fusedSim) absorb(v snapshot.View) {
 	for q := 1; q <= m.s.m; q++ {
 		other, ok := asView(v.Get(procset.ID(q)))
@@ -187,7 +195,9 @@ func (m *fusedSim) absorb(v snapshot.View) {
 	}
 }
 
-// knowCopy builds the payload publishing m.know (simMachine.knowCopy).
+// knowCopy builds the payload publishing m.know: a leased box on a recycled
+// runner (the copy the model requires lands in recycled memory), a fresh
+// View otherwise.
 func (m *fusedSim) knowCopy() any {
 	if m.shared != nil {
 		return m.shared.newView(m.know)
@@ -210,8 +220,7 @@ func (m *fusedSim) NextOp(prev any) *sim.Op { return m.next(prev) }
 
 // next is the whole simulator as one flat automaton: feed the call in
 // flight, and when it completes run the local computation that separates it
-// from the next call — the code that in the chained port is smeared across
-// four sub-automaton boundaries.
+// from the next call.
 func (m *fusedSim) next(prev any) *sim.Op {
 	if !m.started {
 		m.started = true
@@ -231,8 +240,8 @@ func (m *fusedSim) next(prev any) *sim.Op {
 		sa := m.saFor(m.i, m.round[m.i])
 		m.propV = m.knowCopy()
 		if sa.proposed {
-			// Already through the doorway (the chained port's zero-step
-			// Propose): drop the payload and go straight to resolution.
+			// Already through the doorway (SafeAgreement.Propose's early
+			// return): drop the payload and go straight to resolution.
 			m.releaseProp()
 			m.phase[m.i] = phaseResolve
 			return m.startResolve()
@@ -301,7 +310,7 @@ func (m *fusedSim) next(prev any) *sim.Op {
 }
 
 // resolveThread folds the agreed view into local knowledge, advances the
-// protocol, and records the resolution (simMachine.resolveThread).
+// protocol, and records the resolution.
 func (m *fusedSim) resolveThread(view View) {
 	i := m.i
 	for j := 1; j <= m.n; j++ {
@@ -334,7 +343,7 @@ func (m *fusedSim) startResolve() *sim.Op {
 
 // pump advances the thread pass over purely local work until a call issues
 // an operation, or halts the machine when a full pass finds every thread
-// decided (simMachine.pump).
+// decided.
 func (m *fusedSim) pump() *sim.Op {
 	for {
 		if m.i > m.n {

@@ -33,14 +33,32 @@ func newWaitMin(t *testing.T, threads, f int) *WaitMinProtocol {
 	return proto
 }
 
-// simForm selects which of the three equivalent simulator forms to run.
+// simForm selects which of the two equivalent simulator forms to run.
 type simForm int
 
 const (
 	formCoroutine simForm = iota // the coroutine reference (Algorithm)
 	formFused                    // the fused production automaton (Machine)
-	formChained                  // the chained sub-automata (ChainedMachine)
 )
+
+// simCase is one simulation configuration of the equivalence and golden
+// tests.
+type simCase struct {
+	name       string
+	m, threads int
+	seed       int64
+	steps      int
+	crashes    map[procset.ID]int
+}
+
+// simCases spans simulator counts and crash patterns, including a simulator
+// crashed before its first step.
+var simCases = []simCase{
+	{"m2t3", 2, 3, 5, 30_000, nil},
+	{"m3t5", 3, 5, 77, 60_000, nil},
+	{"m3t5-crashes", 3, 5, 77, 60_000, map[procset.ID]int{1: 300, 3: 800}},
+	{"m4t4", 4, 4, 9, 40_000, map[procset.ID]int{2: 0}},
+}
 
 func snapshotSimulation(t *testing.T, m, threads int, s sched.Schedule, form simForm) bgSnapshot {
 	t.Helper()
@@ -50,12 +68,9 @@ func snapshotSimulation(t *testing.T, m, threads int, s sched.Schedule, form sim
 	}
 	var snap bgSnapshot
 	scfg := sim.Config{N: m, Observer: func(info sim.StepInfo) { snap.trace = append(snap.trace, info) }}
-	switch form {
-	case formFused:
+	if form == formFused {
 		scfg.Machine = simn.Machine
-	case formChained:
-		scfg.Machine = simn.ChainedMachine
-	default:
+	} else {
 		scfg.Algorithm = simn.Algorithm
 	}
 	r, err := sim.NewRunner(scfg)
@@ -122,19 +137,7 @@ func sameBGSnapshot(t *testing.T, label string, a, b bgSnapshot) {
 // simulated schedules — across simulator counts and crash patterns.
 func TestSimulationMachineMatchesAlgorithm(t *testing.T) {
 	t.Parallel()
-	cases := []struct {
-		name       string
-		m, threads int
-		seed       int64
-		steps      int
-		crashes    map[procset.ID]int
-	}{
-		{"m2t3", 2, 3, 5, 30_000, nil},
-		{"m3t5", 3, 5, 77, 60_000, nil},
-		{"m3t5-crashes", 3, 5, 77, 60_000, map[procset.ID]int{1: 300, 3: 800}},
-		{"m4t4", 4, 4, 9, 40_000, map[procset.ID]int{2: 0}},
-	}
-	for _, tc := range cases {
+	for _, tc := range simCases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -195,17 +198,13 @@ func TestSimulationMachineResetDeterminism(t *testing.T) {
 // stream to compare on this path; the observable contract is the harness
 // state, which must match the observed (allocate-per-write) run bit for
 // bit.
-func snapshotSimulationRecycled(t *testing.T, m, threads int, s sched.Schedule, form simForm) bgSnapshot {
+func snapshotSimulationRecycled(t *testing.T, m, threads int, s sched.Schedule) bgSnapshot {
 	t.Helper()
 	simn, err := New(m, newWaitMin(t, threads, m-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := simn.Machine
-	if form == formChained {
-		factory = simn.ChainedMachine
-	}
-	r, err := sim.NewRunner(sim.Config{N: m, Machine: factory})
+	r, err := sim.NewRunner(sim.Config{N: m, Machine: simn.Machine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,19 +229,7 @@ func sameBGOutcome(t *testing.T, label string, a, b bgSnapshot) {
 // patterns.
 func TestSimulationMachineRecycledMatchesObserved(t *testing.T) {
 	t.Parallel()
-	cases := []struct {
-		name       string
-		m, threads int
-		seed       int64
-		steps      int
-		crashes    map[procset.ID]int
-	}{
-		{"m2t3", 2, 3, 5, 30_000, nil},
-		{"m3t5", 3, 5, 77, 60_000, nil},
-		{"m3t5-crashes", 3, 5, 77, 60_000, map[procset.ID]int{1: 300, 3: 800}},
-		{"m4t4", 4, 4, 9, 40_000, map[procset.ID]int{2: 0}},
-	}
-	for _, tc := range cases {
+	for _, tc := range simCases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -252,7 +239,7 @@ func TestSimulationMachineRecycledMatchesObserved(t *testing.T) {
 			}
 			s := sched.Take(src, tc.steps)
 			observed := snapshotSimulation(t, tc.m, tc.threads, s, formFused)
-			recycled := snapshotSimulationRecycled(t, tc.m, tc.threads, s, formFused)
+			recycled := snapshotSimulationRecycled(t, tc.m, tc.threads, s)
 			sameBGOutcome(t, tc.name, observed, recycled)
 		})
 	}
@@ -270,7 +257,7 @@ func TestSimulationMachineRecycledResetReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sched.Take(src, 40_000)
-	fresh := snapshotSimulationRecycled(t, m, threads, s, formFused)
+	fresh := snapshotSimulationRecycled(t, m, threads, s)
 
 	simn, err := New(m, newWaitMin(t, threads, m-1))
 	if err != nil {
@@ -292,115 +279,5 @@ func TestSimulationMachineRecycledResetReuse(t *testing.T) {
 		var snap bgSnapshot
 		reused := harvest(&snap, simn, m, threads)
 		sameBGOutcome(t, fmt.Sprintf("fresh vs reuse round %d", round), fresh, reused)
-	}
-}
-
-// TestSimulationFusedMatchesChainedAndAlgorithm is the fused automaton's
-// contract: one flat state machine per simulator produces the exact StepInfo
-// stream of the chained sub-automata (propose feeding update feeding scan)
-// and of the coroutine reference — bit for bit, including crashed writers
-// mid-scan.
-func TestSimulationFusedMatchesChainedAndAlgorithm(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		name       string
-		m, threads int
-		seed       int64
-		steps      int
-		crashes    map[procset.ID]int
-	}{
-		{"m2t3", 2, 3, 5, 30_000, nil},
-		{"m3t5", 3, 5, 77, 60_000, nil},
-		{"m3t5-crashes", 3, 5, 77, 60_000, map[procset.ID]int{1: 300, 3: 800}},
-		{"m4t4", 4, 4, 9, 40_000, map[procset.ID]int{2: 0}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			src, err := sched.Random(tc.m, tc.seed, tc.crashes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := sched.Take(src, tc.steps)
-			fused := snapshotSimulation(t, tc.m, tc.threads, s, formFused)
-			chained := snapshotSimulation(t, tc.m, tc.threads, s, formChained)
-			coro := snapshotSimulation(t, tc.m, tc.threads, s, formCoroutine)
-			sameBGSnapshot(t, tc.name+" fused vs chained", fused, chained)
-			sameBGSnapshot(t, tc.name+" fused vs coroutine", fused, coro)
-		})
-	}
-}
-
-// TestSimulationFusedRecycledMatchesChained pins the fused automaton on the
-// recycled-arena path: with no observer both machine forms run on the epoch
-// arena with leased views and register-group reuse, and must reach identical
-// harness-visible outcomes.
-func TestSimulationFusedRecycledMatchesChained(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		name       string
-		m, threads int
-		seed       int64
-		steps      int
-		crashes    map[procset.ID]int
-	}{
-		{"m3t5", 3, 5, 77, 60_000, nil},
-		{"m3t5-crashes", 3, 5, 77, 60_000, map[procset.ID]int{1: 300, 3: 800}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			src, err := sched.Random(tc.m, tc.seed, tc.crashes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s := sched.Take(src, tc.steps)
-			fused := snapshotSimulationRecycled(t, tc.m, tc.threads, s, formFused)
-			chained := snapshotSimulationRecycled(t, tc.m, tc.threads, s, formChained)
-			sameBGOutcome(t, tc.name, fused, chained)
-		})
-	}
-}
-
-// TestSimulationFusedResetMatchesChained pins Reset reuse across forms: a
-// fused runner stopped mid-run, Reset, and replayed in full matches a fresh
-// chained run's StepInfo stream bit for bit.
-func TestSimulationFusedResetMatchesChained(t *testing.T) {
-	t.Parallel()
-	const m, threads = 3, 5
-	src, err := sched.Random(m, 13, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sched.Take(src, 40_000)
-	chained := snapshotSimulation(t, m, threads, s, formChained)
-
-	simn, err := New(m, newWaitMin(t, threads, m-1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap bgSnapshot
-	r, err := sim.NewRunner(sim.Config{
-		N:        m,
-		Machine:  simn.Machine,
-		Observer: func(info sim.StepInfo) { snap.trace = append(snap.trace, info) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	// Leave the first job stopped mid-run, scans in flight.
-	r.RunSchedule(s[:2345])
-	for round := 0; round < 2; round++ {
-		snap = bgSnapshot{}
-		simn.Reset()
-		if err := r.Reset(); err != nil {
-			t.Fatal(err)
-		}
-		r.RunSchedule(s)
-		reused := harvest(&snap, simn, m, threads)
-		sameBGSnapshot(t, fmt.Sprintf("chained vs fused reuse round %d", round), chained, reused)
 	}
 }

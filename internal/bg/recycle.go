@@ -90,9 +90,10 @@ type bgShared struct {
 
 // fusedHandles is one fused simulator's snapshot handles on a recycled
 // runner: the bg.mem handle and one safe agreement handle per thread. Each
-// handle is ~0.7 KiB of reusable call machines and collect buffers that
-// every call re-arms, so they outlive Reset: the factory rebinds them and
-// clears their doorway state instead of allocating n+1 handles per run.
+// handle is ~0.4 KiB (its one reusable FusedCall and that call's collect
+// buffers) that every call re-arms, so they outlive Reset: the factory
+// rebinds them and clears their doorway state instead of allocating n+1
+// handles per run.
 type fusedHandles struct {
 	mem snapshot.MachineObject
 	sas []fusedSA // indexed by thread (1-based)

@@ -128,7 +128,7 @@ type indexed struct {
 // Two context knobs reroute execution without changing results: a
 // worker-serve knob (WithWorkerServe) makes Run serve its job list to a
 // parent coordinator over the worker protocol, and a resilience knob
-// (WithResilience) runs the jobs under the fault-tolerant coordinator —
+// (Options.Resilience) runs the jobs under the fault-tolerant coordinator —
 // checkpointed, lease-based, self-healing dispatch. All three paths fold
 // outcomes in job-index order, so their aggregates are bit-identical.
 func Run(ctx context.Context, cfg Config, jobs []Job) (*Report, error) {

@@ -112,7 +112,7 @@ func TestCoordinatedMatchesPlain(t *testing.T) {
 	want := plainBaseline(t, jobs, 7)
 	for _, workers := range []int{1, 8} {
 		tr := &runTrace{}
-		ctx := WithResilience(context.Background(), &Resilience{})
+		ctx := WithOptions(context.Background(), Options{Resilience: &Resilience{}})
 		rep, err := Run(ctx, Config{Workers: workers, Seed: 7, OnResult: tr.onResult}, jobs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -132,7 +132,7 @@ func TestCoordinatedCheckpointColdRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck.jsonl")
 	tr := &runTrace{}
 	res := &Resilience{Checkpoint: path, Spec: Spec{Kind: "wtest", Seed: 7}}
-	rep, err := Run(WithResilience(context.Background(), res), Config{Workers: 4, Seed: 7, OnResult: tr.onResult}, jobs)
+	rep, err := Run(WithOptions(context.Background(), Options{Resilience: res}), Config{Workers: 4, Seed: 7, OnResult: tr.onResult}, jobs)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestCrashResumeDeterministic(t *testing.T) {
 				}
 				spec := Spec{Kind: "wtest", Seed: 7}
 				res := &Resilience{Checkpoint: path, Spec: spec, Chaos: faultinject.New(plan, 1)}
-				_, err = Run(WithResilience(context.Background(), res), Config{Workers: workers, Seed: 7}, jobs)
+				_, err = Run(WithOptions(context.Background(), Options{Resilience: res}), Config{Workers: workers, Seed: 7}, jobs)
 				var ie *InterruptedError
 				if !errors.As(err, &ie) || !ie.Injected {
 					t.Fatalf("chaos run: err = %v, want injected InterruptedError", err)
@@ -177,7 +177,7 @@ func TestCrashResumeDeterministic(t *testing.T) {
 
 				tr := &runTrace{}
 				resume := &Resilience{Checkpoint: path, Resume: true, Spec: spec}
-				rep, err := Run(WithResilience(context.Background(), resume), Config{Workers: workers, Seed: 7, OnResult: tr.onResult}, jobs)
+				rep, err := Run(WithOptions(context.Background(), Options{Resilience: resume}), Config{Workers: workers, Seed: 7, OnResult: tr.onResult}, jobs)
 				if err != nil {
 					t.Fatalf("resume: %v", err)
 				}
@@ -205,7 +205,7 @@ func TestResumeAfterEveryPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := &Resilience{Checkpoint: path, Spec: spec, Chaos: faultinject.New(plan, 1)}
-		_, err = Run(WithResilience(context.Background(), res), Config{Workers: 1, Seed: 3}, jobs)
+		_, err = Run(WithOptions(context.Background(), Options{Resilience: res}), Config{Workers: 1, Seed: 3}, jobs)
 		var ie *InterruptedError
 		if !errors.As(err, &ie) {
 			t.Fatalf("crash@%d: err = %v", k, err)
@@ -216,7 +216,7 @@ func TestResumeAfterEveryPrefix(t *testing.T) {
 			t.Errorf("crash@%d: Done = %d, want %d", k, ie.Done, k-1)
 		}
 		tr := &runTrace{}
-		rep, err := Run(WithResilience(context.Background(), &Resilience{Checkpoint: path, Resume: true, Spec: spec}),
+		rep, err := Run(WithOptions(context.Background(), Options{Resilience: &Resilience{Checkpoint: path, Resume: true, Spec: spec}}),
 			Config{Workers: 1, Seed: 3, OnResult: tr.onResult}, jobs)
 		if err != nil {
 			t.Fatalf("resume after crash@%d: %v", k, err)
@@ -233,7 +233,7 @@ func TestResumeMissingJournalStartsFresh(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "never-written.jsonl")
 	tr := &runTrace{}
 	res := &Resilience{Checkpoint: path, Resume: true, Spec: Spec{Kind: "wtest6", Seed: 11}}
-	rep, err := Run(WithResilience(context.Background(), res), Config{Workers: 2, Seed: 11, OnResult: tr.onResult}, jobs)
+	rep, err := Run(WithOptions(context.Background(), Options{Resilience: res}), Config{Workers: 2, Seed: 11, OnResult: tr.onResult}, jobs)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestWorkerKillsHeal(t *testing.T) {
 	}
 	tr := &runTrace{}
 	res := &Resilience{Chaos: faultinject.New(plan, 1)}
-	rep, err := Run(WithResilience(context.Background(), res), Config{Workers: 4, Seed: 7, OnResult: tr.onResult}, jobs)
+	rep, err := Run(WithOptions(context.Background(), Options{Resilience: res}), Config{Workers: 4, Seed: 7, OnResult: tr.onResult}, jobs)
 	if err != nil {
 		t.Fatalf("Run under kill@3: %v", err)
 	}
@@ -278,7 +278,7 @@ func TestStalledJobLeaseExpiresAndHeals(t *testing.T) {
 		BackoffBase: time.Millisecond,
 		BackoffMax:  4 * time.Millisecond,
 	}
-	rep, err := Run(WithResilience(context.Background(), res), Config{Workers: 3, Seed: 5, OnResult: tr.onResult}, jobs)
+	rep, err := Run(WithOptions(context.Background(), Options{Resilience: res}), Config{Workers: 3, Seed: 5, OnResult: tr.onResult}, jobs)
 	if err != nil {
 		t.Fatalf("Run under stall: %v", err)
 	}
@@ -312,7 +312,7 @@ func TestPoisonJobQuarantined(t *testing.T) {
 			}
 		},
 	}
-	rep, err := Run(WithResilience(context.Background(), res), Config{Workers: 8, Seed: 9, OnResult: tr.onResult}, jobs)
+	rep, err := Run(WithOptions(context.Background(), Options{Resilience: res}), Config{Workers: 8, Seed: 9, OnResult: tr.onResult}, jobs)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -346,7 +346,7 @@ func TestCoordinatedJobErrorAborts(t *testing.T) {
 	jobs[7] = Job{Name: "bad", Run: func(ctx context.Context, seed int64) (Outcome, error) {
 		return Outcome{}, boom
 	}}
-	rep, err := Run(WithResilience(context.Background(), &Resilience{}), Config{Workers: 4, Seed: 2}, jobs)
+	rep, err := Run(WithOptions(context.Background(), Options{Resilience: &Resilience{}}), Config{Workers: 4, Seed: 2}, jobs)
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "job 7") {
 		t.Fatalf("err = %v", err)
 	}
@@ -361,7 +361,7 @@ func TestCoordinatedStopOnFail(t *testing.T) {
 	jobs[2] = Job{Name: "fail", Run: func(ctx context.Context, seed int64) (Outcome, error) {
 		return Outcome{Verdict: "violation", Ok: false, Detail: "witness"}, nil
 	}}
-	rep, err := Run(WithResilience(context.Background(), &Resilience{}), Config{Workers: 2, Seed: 2, StopOnFail: true}, jobs)
+	rep, err := Run(WithOptions(context.Background(), Options{Resilience: &Resilience{}}), Config{Workers: 2, Seed: 2, StopOnFail: true}, jobs)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -399,7 +399,7 @@ func TestCoordinatedInterruptCheckpointsAndResumes(t *testing.T) {
 			cancel() // interrupt as soon as the first outcome folds
 		}
 	}}
-	_, err := Run(WithResilience(ctx, res), cfg, jobs)
+	_, err := Run(WithOptions(ctx, Options{Resilience: res}), cfg, jobs)
 	var ie *InterruptedError
 	if !errors.As(err, &ie) || ie.Injected {
 		t.Fatalf("err = %v, want real (non-injected) InterruptedError", err)
@@ -412,7 +412,7 @@ func TestCoordinatedInterruptCheckpointsAndResumes(t *testing.T) {
 	}
 
 	tr := &runTrace{}
-	rep, err := Run(WithResilience(context.Background(), &Resilience{Checkpoint: path, Resume: true, Spec: spec}),
+	rep, err := Run(WithOptions(context.Background(), Options{Resilience: &Resilience{Checkpoint: path, Resume: true, Spec: spec}}),
 		Config{Workers: 2, Seed: 21, OnResult: tr.onResult}, jobs)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
@@ -432,7 +432,7 @@ func TestProcWorkersMatchPlain(t *testing.T) {
 	for _, procs := range []int{1, 3} {
 		tr := &runTrace{}
 		res := &Resilience{Procs: procs, WorkerArgv: []string{exe}}
-		rep, err := Run(WithResilience(context.Background(), res), Config{Seed: 7, OnResult: tr.onResult}, jobs)
+		rep, err := Run(WithOptions(context.Background(), Options{Resilience: res}), Config{Seed: 7, OnResult: tr.onResult}, jobs)
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
@@ -464,7 +464,7 @@ func TestProcWorkersSurviveChaosKills(t *testing.T) {
 		BackoffBase: time.Millisecond,
 		BackoffMax:  5 * time.Millisecond,
 	}
-	rep, err := Run(WithResilience(context.Background(), res), Config{Seed: 7, OnResult: tr.onResult}, jobs)
+	rep, err := Run(WithOptions(context.Background(), Options{Resilience: res}), Config{Seed: 7, OnResult: tr.onResult}, jobs)
 	if err != nil {
 		t.Fatalf("Run under kill@4 with process workers: %v", err)
 	}
@@ -503,7 +503,7 @@ func TestProcWorkersStalledLeaseHeals(t *testing.T) {
 		BackoffBase: time.Millisecond,
 		BackoffMax:  5 * time.Millisecond,
 	}
-	rep, err := Run(WithResilience(context.Background(), res), Config{Seed: 4, OnResult: tr.onResult}, jobs)
+	rep, err := Run(WithOptions(context.Background(), Options{Resilience: res}), Config{Seed: 4, OnResult: tr.onResult}, jobs)
 	if err != nil {
 		t.Fatalf("Run with a stalled process worker: %v", err)
 	}
@@ -520,7 +520,7 @@ func TestProcWorkersStalledLeaseHeals(t *testing.T) {
 func TestProcWorkersBadBinaryAborts(t *testing.T) {
 	t.Parallel()
 	res := &Resilience{Procs: 1, WorkerArgv: []string{filepath.Join(t.TempDir(), "no-such-binary")}}
-	_, err := Run(WithResilience(context.Background(), res), Config{Seed: 1}, workerTestJobs()[:4])
+	_, err := Run(WithOptions(context.Background(), Options{Resilience: res}), Config{Seed: 1}, workerTestJobs()[:4])
 	if err == nil {
 		t.Fatal("spawning a nonexistent worker binary succeeded")
 	}
@@ -532,7 +532,7 @@ func TestCoordinatedPanicIsolated(t *testing.T) {
 	jobs[5] = Job{Name: "p", Run: func(ctx context.Context, seed int64) (Outcome, error) {
 		panic("kaboom-coordinated")
 	}}
-	rep, err := Run(WithResilience(context.Background(), &Resilience{}), Config{Workers: 4, Seed: 3}, jobs)
+	rep, err := Run(WithOptions(context.Background(), Options{Resilience: &Resilience{}}), Config{Workers: 4, Seed: 3}, jobs)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

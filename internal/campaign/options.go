@@ -1,10 +1,7 @@
-// The unified knob surface: every context-travelling campaign option —
-// coordinator resilience, progress heartbeats, and the flight-recorder
-// request honored by pooled-runner campaigns — collapses into one Options
-// struct applied by a single WithOptions call. The individual constructors
-// (WithResilience, WithHeartbeat, obs.WithFlight) remain as the underlying
-// primitives, but adapters and CLIs should build one Options value and
-// apply it once.
+// The knob surface: every context-travelling campaign option — coordinator
+// resilience, progress heartbeats, and the flight-recorder request honored
+// by pooled-runner campaigns — is a field of one Options struct, applied by
+// a single WithOptions call.
 
 package campaign
 
@@ -31,11 +28,16 @@ type Options struct {
 	Flight int
 }
 
-// WithOptions applies every configured knob of o to ctx in one call — the
-// replacement for chaining WithResilience, WithHeartbeat, and
-// obs.WithFlight by hand.
+// WithOptions applies every configured knob of o to ctx in one call. A nil
+// Resilience keeps the plain pool path; a heartbeat needs HeartbeatEvery ≥
+// 1 and a non-nil Heartbeat, which runs on the fold goroutine, so it may
+// write to shared sinks without locking but must return quickly.
 func WithOptions(ctx context.Context, o Options) context.Context {
-	ctx = WithResilience(ctx, o.Resilience)
-	ctx = WithHeartbeat(ctx, o.HeartbeatEvery, o.Heartbeat)
+	if o.Resilience != nil {
+		ctx = context.WithValue(ctx, resilienceKey{}, o.Resilience)
+	}
+	if o.HeartbeatEvery >= 1 && o.Heartbeat != nil {
+		ctx = context.WithValue(ctx, heartbeatKey{}, heartbeatCfg{every: o.HeartbeatEvery, fn: o.Heartbeat})
+	}
 	return obs.WithFlight(ctx, o.Flight)
 }

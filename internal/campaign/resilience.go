@@ -11,7 +11,7 @@ import (
 // Resilience configures the fault-tolerant coordinator path of campaign.Run:
 // checkpointed, lease-based dispatch that survives worker crashes, hangs,
 // and coordinator death. Like the heartbeat and flight-recorder knobs, it
-// travels by context (WithResilience) so every campaign adapter gains
+// travels by context (Options.Resilience) so every campaign adapter gains
 // checkpoint/resume, self-healing dispatch, and fault injection without a
 // signature change. A context without the knob takes the original in-process
 // pool path, untouched.
@@ -71,17 +71,6 @@ func (s Spec) header(jobs int) JournalHeader {
 }
 
 type resilienceKey struct{}
-
-// WithResilience returns a context that routes campaign.Run through the
-// fault-tolerant coordinator. A nil config returns ctx unchanged.
-//
-// Deprecated: build an Options value and apply it with WithOptions.
-func WithResilience(ctx context.Context, r *Resilience) context.Context {
-	if r == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, resilienceKey{}, r)
-}
 
 func resilienceFrom(ctx context.Context) *Resilience {
 	r, _ := ctx.Value(resilienceKey{}).(*Resilience)

@@ -56,19 +56,6 @@ type heartbeatCfg struct {
 	fn    func(Heartbeat)
 }
 
-// WithHeartbeat returns a context that asks campaign.Run to call fn after
-// every `every` folded jobs (every ≥ 1; fn non-nil — otherwise ctx is
-// returned unchanged). fn runs on the fold goroutine, so it may write to
-// shared sinks without locking but must return quickly.
-//
-// Deprecated: build an Options value and apply it with WithOptions.
-func WithHeartbeat(ctx context.Context, every int, fn func(Heartbeat)) context.Context {
-	if every < 1 || fn == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, heartbeatKey{}, heartbeatCfg{every: every, fn: fn})
-}
-
 func heartbeatFrom(ctx context.Context) heartbeatCfg {
 	cfg, _ := ctx.Value(heartbeatKey{}).(heartbeatCfg)
 	return cfg

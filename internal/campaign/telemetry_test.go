@@ -42,9 +42,9 @@ func TestHeartbeatDeterministicPositions(t *testing.T) {
 	}
 	collect := func(workers int) ([]counts, *Report) {
 		var beats []counts
-		ctx := WithHeartbeat(context.Background(), every, func(hb Heartbeat) {
+		ctx := WithOptions(context.Background(), Options{HeartbeatEvery: every, Heartbeat: func(hb Heartbeat) {
 			beats = append(beats, counts{hb.Seq, hb.Completed, hb.Ok, hb.StepsSum, hb.Verdicts})
-		})
+		}})
 		rep, err := Run(ctx, Config{Workers: workers, Seed: seed}, telemetryJobs(jobs))
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +87,7 @@ func TestHeartbeatDoesNotChangeSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := WithHeartbeat(context.Background(), 2, func(Heartbeat) {})
+	ctx := WithOptions(context.Background(), Options{HeartbeatEvery: 2, Heartbeat: func(Heartbeat) {}})
 	beating, err := Run(ctx, Config{Workers: 3, Seed: seed}, telemetryJobs(jobs))
 	if err != nil {
 		t.Fatal(err)
@@ -104,9 +104,9 @@ func TestHeartbeatDoesNotChangeSummary(t *testing.T) {
 // The verdict map handed to a heartbeat is a snapshot the receiver may keep
 // or mutate without corrupting the engine's tallies.
 func TestHeartbeatVerdictsAreCopies(t *testing.T) {
-	ctx := WithHeartbeat(context.Background(), 1, func(hb Heartbeat) {
+	ctx := WithOptions(context.Background(), Options{HeartbeatEvery: 1, Heartbeat: func(hb Heartbeat) {
 		hb.Verdicts["even"] = -999
-	})
+	}})
 	rep, err := Run(ctx, Config{Workers: 2, Seed: 1}, telemetryJobs(6))
 	if err != nil {
 		t.Fatal(err)
@@ -119,10 +119,10 @@ func TestHeartbeatVerdictsAreCopies(t *testing.T) {
 // Invalid knobs disable themselves rather than panicking mid-campaign.
 func TestHeartbeatKnobValidation(t *testing.T) {
 	base := context.Background()
-	if WithHeartbeat(base, 0, func(Heartbeat) {}) != base {
+	if WithOptions(base, Options{HeartbeatEvery: 0, Heartbeat: func(Heartbeat) {}}) != base {
 		t.Fatal("every=0 installed a heartbeat")
 	}
-	if WithHeartbeat(base, 5, nil) != base {
+	if WithOptions(base, Options{HeartbeatEvery: 5}) != base {
 		t.Fatal("nil fn installed a heartbeat")
 	}
 }

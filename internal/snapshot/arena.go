@@ -277,7 +277,7 @@ func (a *Arena) newSegment() *segment {
 // at least until the ticket closes. At most one snapshot call per process
 // is ever in flight, so the slot is simply overwritten — which is also how
 // a ticket deliberately left open by a non-owned scan completion (see
-// ScanMachine.Feed) ends: the previous result's validity expires exactly
+// FusedCall.Feed) ends: the previous result's validity expires exactly
 // when the process's next snapshot call begins. The epoch advances here as
 // well as at EndScan, so reclamation makes progress even on scan-heavy
 // stretches whose tickets close only by replacement.

@@ -26,14 +26,15 @@ func cloneRecord(p procset.ID, v View) recordedView {
 	}
 }
 
-// recUpdScanMachine alternates Update and Scan, recording every completed
-// scan into the shared log — the machine twin of recAlgorithm.
+// recUpdScanMachine alternates Update and Scan through FusedCall, recording
+// every completed scan into the shared log — the machine twin of
+// recAlgorithm.
 type recUpdScanMachine struct {
 	o       *MachineObject
 	self    procset.ID
 	log     *[]recordedView
-	upd     *UpdateMachine
-	scan    *ScanMachine
+	call    *FusedCall
+	inScan  bool
 	seq     int
 	started bool
 }
@@ -42,25 +43,20 @@ func (m *recUpdScanMachine) Next(prev any) (sim.Op, bool) {
 	if !m.started {
 		m.started = true
 		m.seq++
-		m.upd = m.o.NewUpdate(m.seq * 100)
-		return *m.upd.Start(), true
+		m.call = m.o.NewFusedUpdate(m.seq * 100)
+		return *m.call.Start(), true
 	}
-	if m.upd != nil {
-		if op := m.upd.Feed(prev); op != nil {
-			return *op, true
-		}
-		m.upd = nil
-		m.scan = m.o.NewScan()
-		return *m.scan.Start(), true
-	}
-	if op := m.scan.Feed(prev); op != nil {
+	if op := m.call.Feed(prev); op != nil {
 		return *op, true
 	}
-	*m.log = append(*m.log, cloneRecord(m.self, m.scan.Result()))
-	m.scan = nil
-	m.seq++
-	m.upd = m.o.NewUpdate(m.seq * 100)
-	return *m.upd.Start(), true
+	if m.inScan {
+		*m.log = append(*m.log, cloneRecord(m.self, m.call.Result()))
+		m.seq++
+		m.call, m.inScan = m.o.NewFusedUpdate(m.seq*100), false
+	} else {
+		m.call, m.inScan = m.o.NewFusedScan(), true
+	}
+	return *m.call.Start(), true
 }
 
 // recAlgorithm is the coroutine reference of the same workload, running on
@@ -262,27 +258,24 @@ func TestRecycledMachineResetMidScan(t *testing.T) {
 // borrows from it, with no later ticket of its own to block reclamation.
 type haltingUpdaterMachine struct {
 	o       *MachineObject
-	upd     *UpdateMachine
+	call    *FusedCall
 	left    int
 	started bool
 }
 
 func (m *haltingUpdaterMachine) Next(prev any) (sim.Op, bool) {
-	if !m.started {
-		m.started = true
-		m.left--
-		m.upd = m.o.NewUpdate(m.left)
-		return *m.upd.Start(), true
+	if m.started {
+		if op := m.call.Feed(prev); op != nil {
+			return *op, true
+		}
+		if m.left == 0 {
+			return sim.Op{}, false
+		}
 	}
-	if op := m.upd.Feed(prev); op != nil {
-		return *op, true
-	}
-	if m.left == 0 {
-		return sim.Op{}, false
-	}
+	m.started = true
 	m.left--
-	m.upd = m.o.NewUpdate(m.left)
-	return *m.upd.Start(), true
+	m.call = m.o.NewFusedUpdate(m.left)
+	return *m.call.Start(), true
 }
 
 // scanOnlyMachine scans forever, recording every completed (non-owned)
@@ -292,22 +285,20 @@ type scanOnlyMachine struct {
 	o       *MachineObject
 	self    procset.ID
 	log     *[]recordedView
-	scan    *ScanMachine
+	call    *FusedCall
 	started bool
 }
 
 func (m *scanOnlyMachine) Next(prev any) (sim.Op, bool) {
-	if !m.started {
-		m.started = true
-		m.scan = m.o.NewScan()
-		return *m.scan.Start(), true
+	if m.started {
+		if op := m.call.Feed(prev); op != nil {
+			return *op, true
+		}
+		*m.log = append(*m.log, cloneRecord(m.self, m.call.Result()))
 	}
-	if op := m.scan.Feed(prev); op != nil {
-		return *op, true
-	}
-	*m.log = append(*m.log, cloneRecord(m.self, m.scan.Result()))
-	m.scan = m.o.NewScan()
-	return *m.scan.Start(), true
+	m.started = true
+	m.call = m.o.NewFusedScan()
+	return *m.call.Start(), true
 }
 
 // TestRecycledNonOwnedResultSurvivesEndScan is the regression test for the

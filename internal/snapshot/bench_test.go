@@ -38,37 +38,31 @@ func BenchmarkUpdateScanThroughput(b *testing.B) {
 	}
 }
 
-// updScanMachine alternates Update(val) and Scan on one shared snapshot
-// object — the BG substrate's write workload in machine form, running on
-// the recycled (epoch-arena) configuration when the runner permits it.
+// updScanMachine alternates Update(val) and Scan through FusedCall on one
+// shared snapshot object — the BG substrate's write workload in machine
+// form, running on the recycled (epoch-arena) configuration when the runner
+// permits it.
 type updScanMachine struct {
 	o       *MachineObject
-	upd     *UpdateMachine
-	scan    *ScanMachine
+	call    *FusedCall
+	inScan  bool
 	val     any
 	started bool
 }
 
 func (m *updScanMachine) Next(prev any) (sim.Op, bool) {
-	if !m.started {
-		m.started = true
-		m.upd = m.o.NewUpdate(m.val)
-		return *m.upd.Start(), true
-	}
-	if m.upd != nil {
-		if op := m.upd.Feed(prev); op != nil {
+	if m.started {
+		if op := m.call.Feed(prev); op != nil {
 			return *op, true
 		}
-		m.upd = nil
-		m.scan = m.o.NewScan()
-		return *m.scan.Start(), true
+		if !m.inScan {
+			m.call, m.inScan = m.o.NewFusedScan(), true
+			return *m.call.Start(), true
+		}
 	}
-	if op := m.scan.Feed(prev); op != nil {
-		return *op, true
-	}
-	m.scan = nil
-	m.upd = m.o.NewUpdate(m.val)
-	return *m.upd.Start(), true
+	m.started = true
+	m.call, m.inScan = m.o.NewFusedUpdate(m.val), false
+	return *m.call.Start(), true
 }
 
 func newBGWriteRunner(tb testing.TB, n int) (*sim.Runner, sched.Source) {

@@ -1,19 +1,19 @@
-// The fused call automaton: Scan and Update flattened into ONE sub-automaton
-// with a single Feed entry point. The chained machines (machine.go) spell
-// the calls as a composition — UpdateMachine forwarding every collect step
-// into its embedded ScanMachine — which reads exactly like the coroutine
-// code but pays one extra dynamic call and `prev any` hand-off per step at
-// every composition boundary. The BG simulation stacks three such boundaries
-// (simulation → safe-agreement call → update → scan), so the per-step cost
-// floor of the whole engine was the feed chain itself, not the memory ops.
+// The snapshot call automaton: Scan and Update as ONE flat sub-automaton
+// with the Start/Feed/Result protocol of the machine ports (see
+// consensus.InstanceMachine). Start issues the call's first operation, Feed
+// consumes each result and issues the next operation (nil completes the
+// call), and Result delivers the scan's view. A scan call runs entirely
+// inside fcCollect; an update call continues through fcSelfRead and
+// fcWrite. One struct, one phase word and one switch, so a step costs one
+// dynamic call whether the caller is a plain scan or the BG simulator's
+// safe-agreement doorway.
 //
-// FusedCall collapses the chain: one struct, one phase word, one switch.
-// A scan call runs entirely inside fcCollect; an update call continues
-// through fcSelfRead and fcWrite. Every arena interaction — epoch tickets,
-// owned-lease construction, borrow pinning, segment retirement — is copied
-// from the chained machines line for line, and the operation streams are
-// op-for-op identical, which the equivalence tests in bg pin against both
-// the chained machines and the coroutine reference.
+// Operations travel as pointers into stable per-call storage, so a returned
+// op must be consumed before the next Feed. Every arena interaction (epoch
+// tickets, owned-lease construction, borrow pinning, segment retirement)
+// lives here. The operation streams and returned views are op-for-op those
+// of Object.Scan and Object.Update, which the recycler tests (arena_test.go)
+// pin against the coroutine reference and the bg tests pin end to end.
 package snapshot
 
 import (
@@ -32,10 +32,10 @@ const (
 )
 
 // FusedCall is one snapshot call — Scan or Update — as a single flat
-// sub-automaton with the Start/Feed/Result protocol of the chained machines.
-// Obtain one from MachineObject.NewFusedScan or NewFusedUpdate; it is valid
-// until the next call begins on the handle. Ops are returned as pointers
-// into stable per-call storage and must be consumed before the next Feed.
+// sub-automaton with the Start/Feed/Result protocol. Obtain one from
+// MachineObject.NewFusedScan or NewFusedUpdate; it is valid until the next
+// call begins on the handle. Ops are returned as pointers into stable
+// per-call storage and must be consumed before the next Feed.
 type FusedCall struct {
 	o *MachineObject
 	// n and readOps mirror the handle's fields, captured per call: the
@@ -55,7 +55,10 @@ type FusedCall struct {
 	update bool // this call is an Update; run fcSelfRead/fcWrite after the scan converges
 	v      any  // the update's value
 
-	// Result state, aliasing rules identical to ScanMachine.
+	// Result state (see Result for the aliasing rules). direct marks a view
+	// that aliases viewBuf; wantOwned asks for a result the caller retains
+	// (the update embeds it in the written segment); lease backs an owned
+	// result on a recycled runner, transferred into the written segment.
 	view      View
 	viewBuf   View
 	direct    bool
@@ -70,8 +73,8 @@ type FusedCall struct {
 
 // NewFusedScan begins a Scan call on the handle's reusable fused machine.
 // Call Start for the first operation. The returned call is valid until the
-// next New* call on this handle, and its Result aliases reusable buffers
-// under the same rules as ScanMachine.Result.
+// next New* call on this handle, and its Result may alias reusable buffers
+// (see Result).
 func (o *MachineObject) NewFusedScan() *FusedCall {
 	f := o.fusedReset()
 	f.update, f.wantOwned = false, false
@@ -79,9 +82,9 @@ func (o *MachineObject) NewFusedScan() *FusedCall {
 }
 
 // NewFusedUpdate begins an Update(v) call on the handle's reusable fused
-// machine. Ownership of v follows NewUpdate: on a recycled runner the call
-// takes one reference if v implements Shared, released when the written
-// segment is reclaimed.
+// machine. On a recycled runner the call takes ownership of one reference
+// to v if v implements Shared, released when the written segment is
+// eventually reclaimed.
 func (o *MachineObject) NewFusedUpdate(v any) *FusedCall {
 	f := o.fusedReset()
 	f.update, f.wantOwned, f.v = true, true, v
@@ -116,9 +119,8 @@ func (f *FusedCall) Start() *sim.Op {
 }
 
 // Feed consumes the result of the operation in flight and issues the next
-// one; nil completes the call. The body is the chained machines' logic with
-// the composition boundaries erased: scan convergence falls through to the
-// update's self-read instead of returning nil across a machine boundary.
+// one; nil completes the call. Scan convergence falls through to the
+// update's self-read (scanDone).
 func (f *FusedCall) Feed(prev any) *sim.Op {
 	switch f.phase {
 	case fcCollect:
@@ -140,10 +142,17 @@ func (f *FusedCall) Feed(prev any) *sim.Op {
 				same = false
 				f.moved[q]++
 				if f.moved[q] >= 2 {
-					// Borrow q's embedded view (doubly moved), with the same
-					// lease discipline as ScanMachine: an owned borrow pins
-					// the source segment's lease; a non-owned borrow leaves
-					// the epoch ticket open until the next BeginScan.
+					// q completed two Updates inside our interval; borrow its
+					// embedded view, exactly as Object.Scan does. Views are
+					// immutable once written on the allocate-per-write
+					// paths, so no defensive clone is needed. On a recycled
+					// runner an owned borrow pins the source segment's lease
+					// so the view outlives both this scan and the borrowed-
+					// from segment; a non-owned borrow leaves the epoch
+					// ticket open, so the reclaim EndScan would run cannot
+					// free the borrowed-from segment before the caller
+					// consumes Result. It dies at this process's next
+					// BeginScan.
 					f.view, f.direct = f.cur[q].Emb, false
 					if a := f.o.arena; a != nil {
 						if f.wantOwned {
@@ -152,6 +161,8 @@ func (f *FusedCall) Feed(prev any) *sim.Op {
 								f.lease = l
 								a.stats.Pins++
 							} else {
+								// Not lease-backed (cannot happen on an
+								// all-recycled runner): clone instead.
 								f.view = cloneView(f.view)
 							}
 							a.EndScan(f.o.self)
@@ -164,8 +175,9 @@ func (f *FusedCall) Feed(prev any) *sim.Op {
 		if same {
 			if f.wantOwned {
 				if a := f.o.arena; a != nil {
-					// Owned direct result in a leased backing, exactly as
-					// ScanMachine builds it.
+					// Owned direct result in a leased backing: the payload
+					// slots hold one retained reference each, released when
+					// the lease dies with its last embedding segment.
 					l := f.o.bucket.newLease()
 					for q := 1; q <= f.n; q++ {
 						v := f.cur[q].Val
@@ -177,6 +189,7 @@ func (f *FusedCall) Feed(prev any) *sim.Op {
 					a.EndScan(f.o.self)
 					return f.scanDone()
 				}
+				// The caller retains the result: build it in fresh slices.
 				f.view, f.direct = directView(f.cur), false
 				return f.scanDone()
 			}
@@ -188,7 +201,11 @@ func (f *FusedCall) Feed(prev any) *sim.Op {
 				f.viewBuf.Seqs[q] = f.cur[q].Seq
 			}
 			f.view, f.direct = f.viewBuf, true
-			// Non-owned direct result: ticket stays open (see ScanMachine).
+			// Non-owned direct result: the ticket stays open. The buffered
+			// payload values alias boxes whose segments may retire during
+			// the final collect, and reclaiming them here would release the
+			// boxes before the caller reads them. The ticket dies at this
+			// process's next BeginScan.
 			return f.scanDone()
 		}
 		f.prev, f.cur = f.cur, f.prev
@@ -212,6 +229,9 @@ func (f *FusedCall) Feed(prev any) *sim.Op {
 		return &f.writeOp
 	case fcWrite:
 		if f.old != nil {
+			// The overwrite executed: from now on only scans already in
+			// flight can hold the old segment, so the epoch rule bounds its
+			// remaining lifetime.
 			f.o.arena.retire(f.old)
 			f.old = nil
 		}
@@ -221,8 +241,8 @@ func (f *FusedCall) Feed(prev any) *sim.Op {
 	}
 }
 
-// scanDone is the seam the chained machines spelled as a machine boundary:
-// a plain scan completes here; an update falls through to its self-read.
+// scanDone ends the collect phase: a plain scan completes here; an update
+// falls through to its own-segment read.
 func (f *FusedCall) scanDone() *sim.Op {
 	if !f.update {
 		return nil
@@ -232,12 +252,18 @@ func (f *FusedCall) scanDone() *sim.Op {
 }
 
 // Result returns the completed call's snapshot: the scan result for a Scan
-// call (aliasing rules of ScanMachine.Result), the embedded scan's result
-// for an Update call.
+// call, the embedded scan's result for an Update call. A Scan's View may
+// alias the call's reusable buffers: it is valid (and must be treated as
+// read-only) until the process's next snapshot call begins on any handle.
+// On a recycled runner the epoch arena enforces that boundary: a non-owned
+// completion leaves the scan's ticket open, so the segments and leases the
+// result may alias cannot be reclaimed until the next call's BeginScan
+// replaces it.
 func (f *FusedCall) Result() View { return f.view }
 
 // ownedView returns the scan result as an independent View, cloning only
-// when it aliases the reusable buffers (ScanMachine.ResultOwned).
+// when it aliases the reusable buffers (borrowed embedded views are
+// immutable and already stable).
 func (f *FusedCall) ownedView() View {
 	if f.direct {
 		return cloneView(f.view)
