@@ -11,19 +11,20 @@ import (
 )
 
 // goldenCases pin every subcommand's stdout, in text and -json mode, at
-// seed 7 and -workers 2. The files under testdata/golden were frozen from
-// the built binary; only wall-clock figures are masked.
+// seed 7 and -workers 2 (monitor takes no -workers). The files under
+// testdata/golden were frozen from the built binary; only wall-clock
+// figures are masked.
 var goldenCases = []struct{ name, args string }{
-	{"matrix", "matrix -t 1 -k 1 -n 3"},
-	{"matrix-sweep", "matrix -t 1:2 -k 1:2 -n 3 -negbudget 20000"},
-	{"fuzz", "fuzz -target consensus -n 3 -steps 60 -schedules 30 -crashes p1@3"},
-	{"exhaustive", "exhaustive -target commitadopt -n 2 -depth 8"},
-	{"exhaustive-full", "exhaustive -target commitadopt -n 2 -depth 8 -reduce=false"},
-	{"converge", "converge -n 3 -k 1 -t 1 -trials 3"},
-	{"relations", "relations -n 3 -steps 200 -schedules 8"},
-	{"adversarial", "adversarial -n 3 -runs 6 -steps 20000"},
-	{"byzantine", "byzantine -target consensus -n 3 -runs 4 -steps 2000 -flight 8"},
-	{"netconv", "netconv -n 3 -runs 4 -steps 2000"},
+	{"matrix", "matrix -t 1 -k 1 -n 3 -workers 2"},
+	{"matrix-sweep", "matrix -t 1:2 -k 1:2 -n 3 -negbudget 20000 -workers 2"},
+	{"fuzz", "fuzz -target consensus -n 3 -steps 60 -schedules 30 -crashes p1@3 -workers 2"},
+	{"exhaustive", "exhaustive -target commitadopt -n 2 -depth 8 -workers 2"},
+	{"exhaustive-full", "exhaustive -target commitadopt -n 2 -depth 8 -reduce=false -workers 2"},
+	{"converge", "converge -n 3 -k 1 -t 1 -trials 3 -workers 2"},
+	{"relations", "relations -n 3 -steps 200 -schedules 8 -workers 2"},
+	{"adversarial", "adversarial -n 3 -runs 6 -steps 20000 -workers 2"},
+	{"byzantine", "byzantine -target consensus -n 3 -runs 4 -steps 2000 -flight 8 -workers 2"},
+	{"netconv", "netconv -n 3 -runs 4 -steps 2000 -workers 2"},
 	{"monitor", "monitor -n 3 -steps 1500 -every 700 -window 128"},
 }
 
@@ -42,15 +43,14 @@ func TestGolden(t *testing.T) {
 	t.Parallel()
 	for _, gc := range goldenCases {
 		for _, mode := range []string{"txt", "json"} {
-			gc, mode := gc, mode
 			t.Run(gc.name+"."+mode, func(t *testing.T) {
 				t.Parallel()
-				args := append(strings.Fields(gc.args), "-seed", "7", "-workers", "2")
+				args := append(strings.Fields(gc.args), "-seed", "7")
 				if mode == "json" {
 					args = append(args, "-json")
 				}
 				var out bytes.Buffer
-				if err, _ := dispatch(context.Background(), args[0], args[1:], &out); err != nil {
+				if err := execute(context.Background(), args[0], args[1:], &out); err != nil {
 					t.Fatalf("%v: %v", args, err)
 				}
 				want, err := os.ReadFile(filepath.Join("testdata", "golden", gc.name+"."+mode))

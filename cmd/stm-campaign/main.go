@@ -9,12 +9,19 @@
 //	stm-campaign converge -n 4 -k 2 -t 2 -trials 64
 //	stm-campaign relations -n 4 -schedules 200
 //
-// Global-ish flags on every subcommand: -workers (0 = GOMAXPROCS), -seed,
-// -json (machine-readable summary on stdout), -jsonl FILE (stream one JSON
-// record per job). Resilience flags (-checkpoint, -resume, -procs, -chaos,
-// -lease, -retries) route the run through the fault-tolerant coordinator:
-// checkpointed, lease-based dispatch that survives worker crashes and hangs
-// and resumes after coordinator death with a bit-identical aggregate.
+// Every subcommand is one entry of the commands table: its flags, and the
+// plan (params, run, render) it builds from them. One driver, execute, does
+// the rest for all of them and for worker processes: parse, validate,
+// begin the session, stream -jsonl, print findings, emit the summary and
+// map the outcome to the exit code.
+//
+// Global-ish flags on every campaign subcommand: -workers (0 = GOMAXPROCS),
+// -seed, -json (machine-readable summary on stdout), -jsonl FILE (stream
+// one JSON record per job). Resilience flags (-checkpoint, -resume, -procs,
+// -chaos, -lease, -retries) route the run through the fault-tolerant
+// coordinator: checkpointed, lease-based dispatch that survives worker
+// crashes and hangs and resumes after coordinator death with a bit-identical
+// aggregate.
 //
 // Exit codes: 0 clean; 1 error or property violation; 2 usage; 3 completed
 // degraded (quarantined jobs — reported, never silent); 4 interrupted with a
@@ -30,6 +37,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -78,54 +86,11 @@ func main() {
 	// context is done).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	err, known := dispatch(ctx, os.Args[1], os.Args[2:], os.Stdout)
-	if !known {
-		usage()
-		os.Exit(exitUsage)
-	}
+	err := execute(ctx, os.Args[1], os.Args[2:], os.Stdout)
 	if ctx.Err() != nil && err == nil {
 		err = fmt.Errorf("interrupted; partial results above")
 	}
-	var ie *campaign.InterruptedError
-	var de *degradedError
-	switch {
-	case err == nil:
-	case errors.As(err, &ie):
-		fmt.Fprintf(os.Stderr, "stm-campaign: %v\n", err)
-		fmt.Fprintf(os.Stderr, "stm-campaign: resume with: %s\n", resumeCommand())
-		os.Exit(exitInterrupted)
-	case errors.As(err, &de):
-		fmt.Fprintf(os.Stderr, "stm-campaign: %v\n", err)
-		os.Exit(exitDegraded)
-	default:
-		fmt.Fprintf(os.Stderr, "stm-campaign: %v\n", err)
-		os.Exit(exitError)
-	}
-}
-
-// dispatch routes a subcommand; known reports whether the name was one.
-func dispatch(ctx context.Context, sub string, args []string, w io.Writer) (err error, known bool) {
-	switch sub {
-	case "matrix":
-		return cmdMatrix(ctx, args, w), true
-	case "fuzz":
-		return cmdFuzz(ctx, args, w), true
-	case "exhaustive":
-		return cmdExhaustive(ctx, args, w), true
-	case "converge":
-		return cmdConverge(ctx, args, w), true
-	case "relations":
-		return cmdRelations(ctx, args, w), true
-	case "adversarial":
-		return cmdAdversarial(ctx, args, w), true
-	case "byzantine":
-		return cmdByzantine(ctx, args, w), true
-	case "netconv":
-		return cmdNetConv(ctx, args, w), true
-	case "monitor":
-		return cmdMonitor(ctx, args, w), true
-	}
-	return nil, false
+	os.Exit(exitCode("stm-campaign", err))
 }
 
 // runWorker is the worker-process entry: rebuild the same campaign the
@@ -135,16 +100,31 @@ func dispatch(ctx context.Context, sub string, args []string, w io.Writer) (err 
 // disabled by the ServingWorker gates in the shared helpers.
 func runWorker() {
 	ctx := campaign.WithWorkerServe(context.Background(), os.Stdin, os.Stdout)
-	err, known := dispatch(ctx, os.Args[1], os.Args[2:], io.Discard)
-	if !known {
-		fmt.Fprintf(os.Stderr, "stm-campaign worker: unknown subcommand %q\n", os.Args[1])
-		os.Exit(exitError)
+	os.Exit(exitCode("stm-campaign worker", execute(ctx, os.Args[1], os.Args[2:], io.Discard)))
+}
+
+// errUsage marks a bad command line whose problem was already printed.
+var errUsage = errors.New("usage")
+
+// exitCode reports err on stderr and maps it to the process exit code.
+func exitCode(prog string, err error) int {
+	if err == nil {
+		return exitOK
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "stm-campaign worker: %v\n", err)
-		os.Exit(exitError)
+	if errors.Is(err, errUsage) {
+		return exitUsage
 	}
-	os.Exit(exitOK)
+	fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+	var ie *campaign.InterruptedError
+	var de *degradedError
+	switch {
+	case errors.As(err, &ie):
+		fmt.Fprintf(os.Stderr, "%s: resume with: %s\n", prog, resumeCommand())
+		return exitInterrupted
+	case errors.As(err, &de):
+		return exitDegraded
+	}
+	return exitError
 }
 
 // resumeCommand reconstructs this invocation with -resume appended, for the
@@ -183,18 +163,72 @@ func checkDegraded(rep *campaign.Report) error {
 	return nil
 }
 
+// finding is a property failure that a campaign found and reported in full:
+// the driver prints line (on stderr in -json mode), still emits the
+// summary, and fails with err.
+type finding struct {
+	line string
+	err  error
+}
+
+func (f *finding) Error() string { return f.err.Error() }
+
+// violation turns a campaign's explore.Violation into a finding; any other
+// error passes through.
+func violation(name string, rep *campaign.Report, runs int, err error) error {
+	var v *explore.Violation
+	if rep == nil || !errors.As(err, &v) {
+		return err
+	}
+	return &finding{fmt.Sprintf("VIOLATION after %d runs: %v", runs, v), fmt.Errorf("%s campaign found a violation", name)}
+}
+
+// subcommand is one entry of the commands table.
+type subcommand struct {
+	name     string
+	synopsis string
+	// standalone subcommands run no campaign: of the common flags they
+	// take only -seed, -json and -pprof.
+	standalone bool
+	// flags registers the subcommand's own flags and returns the function
+	// that, once they are parsed, validates them and builds the plan.
+	flags func(fs *flag.FlagSet, c *common) func() (*plan, error)
+}
+
+// plan is one validated invocation. params is both the checkpoint identity
+// and the -json params field, so every flag that changes an outcome
+// belongs in it. A campaign plan sets run, and optionally render and
+// failed; a standalone plan sets direct, which writes its own output.
+type plan struct {
+	params map[string]any
+	// run executes the campaign, streaming outcomes to sink (nil when
+	// there is no -jsonl). cells, if not nil, is the -json record's cells.
+	run func(ctx context.Context, sink func(campaign.Outcome)) (rep *campaign.Report, cells any, err error)
+	// render writes the human-readable report ahead of the summary lines.
+	render func(w io.Writer, rep *campaign.Report)
+	// failed, if set, makes failed jobs an error: "<count> <failed>".
+	failed string
+	direct func(ctx context.Context, w io.Writer) error
+}
+
+var commands = []*subcommand{
+	{name: "matrix", synopsis: "-t T -k K -n N [-posbudget B] [-negbudget B]  empirical Theorem 27 matrices", flags: matrixCmd},
+	{name: "fuzz", synopsis: "-target commitadopt|consensus|cachain|kset|bg -schedules S [-crashes P]  schedule fuzzing", flags: fuzzCmd},
+	{name: "exhaustive", synopsis: "-target T -n N -depth D [-reduce=false]  every schedule up to depth D (partial-order reduced by default)", flags: exhaustiveCmd},
+	{name: "converge", synopsis: "-n N -k K -t T -trials R  detector-convergence sweep", flags: convergeCmd},
+	{name: "relations", synopsis: "-n N -schedules S [-gen random|starver|mixed]  timeliness-relation extraction", flags: relationsCmd},
+	{name: "adversarial", synopsis: "-n N -runs R [-steps S]  parking adversary vs the Theorem 24 solver", flags: adversarialCmd},
+	{name: "byzantine", synopsis: "-target T -n N [-crash LO:HI] [-byz LO:HI] [-strategies flip,stale,split] [-runs R] [-steps S]  Byzantine degradation matrix", flags: byzantineCmd},
+	{name: "netconv", synopsis: "-n N [-matrices sync,psync,async,mixed] [-runs R] [-steps S] [-delta D] [-gst G] [-probe P]  detector convergence over graded link matrices", flags: netconvCmd},
+	{name: "monitor", synopsis: "-n N -steps S [-every E] [-gen random|starver|mixed]  online timeliness-graph monitoring (flags: -seed, -json, -pprof)", standalone: true, flags: monitorCmd},
+}
+
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
-  stm-campaign matrix    -t T -k K -n N [-posbudget B] [-negbudget B]   empirical Theorem 27 matrices
-  stm-campaign fuzz      -target commitadopt|consensus|cachain|kset|bg -schedules S  schedule fuzzing
-  stm-campaign exhaustive -target T -n N -depth D [-reduce=false]      every schedule up to depth D (partial-order reduced by default)
-  stm-campaign converge  -n N -k K -t T -trials R                       detector-convergence sweep
-  stm-campaign relations -n N -schedules S [-gen random|starver|mixed]  timeliness-relation extraction
-  stm-campaign adversarial -n N -runs R [-steps S]                      parking adversary vs the Theorem 24 solver
-  stm-campaign byzantine -target T -n N [-crash LO:HI] [-byz LO:HI] [-strategies flip,stale,split] [-runs R] [-steps S]  Byzantine degradation matrix
-  stm-campaign netconv   -n N [-matrices sync,psync,async,mixed] [-runs R] [-steps S] [-delta D] [-gst G] [-probe P]  detector convergence over graded link matrices
-  stm-campaign monitor   -n N -steps S [-every E] [-gen random|starver|mixed]  online timeliness-graph monitoring
-T, K, N accept single values ("2") or inclusive ranges ("1:3").
+	fmt.Fprintln(os.Stderr, "usage:")
+	for _, cmd := range commands {
+		fmt.Fprintf(os.Stderr, "  stm-campaign %-11s %s\n", cmd.name, cmd.synopsis)
+	}
+	fmt.Fprintln(os.Stderr, `T, K, N accept single values ("2") or inclusive ranges ("1:3").
 Common flags: -workers W (0 = GOMAXPROCS), -seed S, -json, -jsonl FILE,
 -progress N (heartbeat to stderr every N jobs), -pprof ADDR (pprof+expvar),
 -flight K (flight-recorder depth on campaigns with pooled runners).
@@ -218,6 +252,77 @@ Exit codes: 0 clean; 1 error or property violation; 2 usage; 3 completed
 degraded (quarantined jobs); 4 interrupted with a usable checkpoint.`)
 }
 
+// execute runs one invocation of the named subcommand, writing its report
+// to w: the one path from arguments to result for every subcommand, in the
+// coordinating process and in worker processes alike.
+func execute(ctx context.Context, name string, args []string, w io.Writer) error {
+	i := slices.IndexFunc(commands, func(cmd *subcommand) bool { return cmd.name == name })
+	if i < 0 {
+		usage()
+		return errUsage
+	}
+	cmd := commands[i]
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	var c common
+	c.register(fs, cmd.standalone)
+	prepare := cmd.flags(fs, &c)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+	// Validate before any side effect, so a bad invocation leaves no
+	// stream file behind and starts no debug server.
+	p, err := prepare()
+	if err != nil {
+		return err
+	}
+	ctx, cleanup, err := c.begin(ctx, name, args, p.params)
+	if err != nil {
+		return err
+	}
+	defer cleanup()
+	var rep *campaign.Report
+	var cells any
+	if p.direct != nil {
+		err = p.direct(ctx, w)
+	} else {
+		sink, closeSink, serr := c.sink(ctx)
+		if serr != nil {
+			return serr
+		}
+		rep, cells, err = p.run(ctx, sink)
+		if cerr := closeSink(); err == nil {
+			err = cerr
+		}
+	}
+	var f *finding
+	if errors.As(err, &f) {
+		// Keep stdout parseable in -json mode.
+		dst := w
+		if c.jsonOut {
+			dst = os.Stderr
+		}
+		fmt.Fprintln(dst, f.line)
+	}
+	if rep == nil || (err != nil && f == nil) {
+		return err
+	}
+	if p.render != nil && !c.jsonOut {
+		p.render(w, rep)
+	}
+	if err := emit(w, c, name, p.params, rep, cells); err != nil {
+		return err
+	}
+	if f != nil {
+		return f.err
+	}
+	if p.failed != "" && rep.Summary.Failed > 0 {
+		return fmt.Errorf("%d %s", rep.Summary.Failed, p.failed)
+	}
+	return checkDegraded(rep)
+}
+
 // common holds the flags every campaign shares.
 type common struct {
 	workers   int
@@ -237,13 +342,18 @@ type common struct {
 	retries    int
 }
 
-func (c *common) register(fs *flag.FlagSet) {
-	fs.IntVar(&c.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+// register defines the common flags on fs; a standalone subcommand gets
+// only the three it uses.
+func (c *common) register(fs *flag.FlagSet, standalone bool) {
 	fs.Int64Var(&c.seed, "seed", 1, "campaign master seed")
 	fs.BoolVar(&c.jsonOut, "json", false, "emit a machine-readable JSON summary on stdout")
+	fs.StringVar(&c.pprofAddr, "pprof", "", "serve pprof and expvar debug endpoints on this address (e.g. localhost:6060)")
+	if standalone {
+		return
+	}
+	fs.IntVar(&c.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	fs.StringVar(&c.jsonlOut, "jsonl", "", "stream one JSON record per job to this file")
 	fs.IntVar(&c.progress, "progress", 0, "emit a JSONL heartbeat to stderr every N completed jobs (0 = off)")
-	fs.StringVar(&c.pprofAddr, "pprof", "", "serve pprof and expvar debug endpoints on this address (e.g. localhost:6060)")
 	fs.IntVar(&c.flight, "flight", 0, "per-runner flight recorder depth, dumped on violation or panic (0 = off; honored by campaigns with pooled runners)")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "journal completed jobs to this file; interrupted runs resume from it")
 	fs.BoolVar(&c.resume, "resume", false, "resume from the -checkpoint journal, skipping completed jobs (aggregate stays bit-identical)")
@@ -253,25 +363,12 @@ func (c *common) register(fs *flag.FlagSet) {
 	fs.IntVar(&c.retries, "retries", 0, "re-leases per job before quarantine (0 = 3, negative = none)")
 }
 
-// session bundles the context ceremony every subcommand used to repeat:
-// begin applies coordinator resilience, instrumentation, and the
-// flight-recorder knob in the canonical order; openSink opens the -jsonl
-// stream (call it after validating inputs, so a bad invocation never leaves
-// a stream file behind); finish folds the sink's close error into the
-// campaign's; close stops instrumentation.
-type session struct {
-	ctx       context.Context
-	c         *common
-	cleanup   func()
-	sink      func(campaign.Outcome)
-	closeSink func() error
-}
-
-// begin starts a session for the named subcommand: it folds every common
-// context knob into one campaign.Options and applies it with a single
-// campaign.WithOptions call. name, args, and params feed the resilience
-// layer's checkpoint identity and worker respawn.
-func (c *common) begin(ctx context.Context, name string, args []string, params map[string]any) (*session, error) {
+// begin folds every common context knob — coordinator resilience,
+// instrumentation and the flight-recorder depth — into one campaign.Options
+// and applies it with a single campaign.WithOptions call. name, args, and
+// params feed the resilience layer's checkpoint identity and worker
+// respawn. The returned cleanup stops instrumentation.
+func (c *common) begin(ctx context.Context, name string, args []string, params map[string]any) (context.Context, func(), error) {
 	o := campaign.Options{Flight: c.flight}
 	cleanup := func() {}
 	// Resilience and instrumentation belong to the coordinating parent; a
@@ -280,39 +377,16 @@ func (c *common) begin(ctx context.Context, name string, args []string, params m
 	if !campaign.ServingWorker(ctx) {
 		res, err := c.resilienceOptions(name, args, params)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		o.Resilience = res
 		if cleanup, err = c.instrument(&o); err != nil {
 			cleanup()
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	ctx = campaign.WithOptions(ctx, o)
-	return &session{ctx: ctx, c: c, cleanup: cleanup, closeSink: func() error { return nil }}, nil
+	return campaign.WithOptions(ctx, o), cleanup, nil
 }
-
-// openSink opens the -jsonl stream and arms finish with its close error.
-func (s *session) openSink() error {
-	sink, closeSink, err := s.c.sink(s.ctx)
-	if err != nil {
-		return err
-	}
-	s.sink, s.closeSink = sink, closeSink
-	return nil
-}
-
-// finish closes the sink, folding its error into err when err is nil.
-func (s *session) finish(err error) error {
-	if cerr := s.closeSink(); err == nil {
-		err = cerr
-	}
-	s.closeSink = func() error { return nil }
-	return err
-}
-
-// close stops instrumentation (deferred by every caller).
-func (s *session) close() { s.cleanup() }
 
 // resilienceRequested reports whether any coordinator flag was set.
 func (c *common) resilienceRequested() bool {
@@ -422,7 +496,7 @@ func (c *common) sink(ctx context.Context) (func(campaign.Outcome), func() error
 	return sink, closeFn, nil
 }
 
-// record is the -json summary envelope shared by all subcommands.
+// record is the -json summary envelope shared by all campaign subcommands.
 type record struct {
 	Campaign  string           `json:"campaign"`
 	Params    map[string]any   `json:"params"`
@@ -430,18 +504,19 @@ type record struct {
 	Workers   int              `json:"workers"`
 	ElapsedNS int64            `json:"elapsed_ns"`
 	Summary   campaign.Summary `json:"summary"`
+	Cells     any              `json:"cells,omitempty"`
 }
 
-func emit(w io.Writer, c common, name string, params map[string]any, rep *campaign.Report) error {
+func emit(w io.Writer, c common, name string, params map[string]any, rep *campaign.Report, cells any) error {
 	if c.jsonOut {
-		enc := json.NewEncoder(w)
-		return enc.Encode(record{
+		return json.NewEncoder(w).Encode(record{
 			Campaign:  name,
 			Params:    params,
 			Seed:      c.seed,
 			Workers:   rep.Workers,
 			ElapsedNS: int64(rep.Elapsed),
 			Summary:   rep.Summary,
+			Cells:     cells,
 		})
 	}
 	s := rep.Summary
@@ -477,239 +552,140 @@ func parseRange(text string) (int, int, error) {
 	return l, h, nil
 }
 
-func cmdMatrix(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("matrix", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func matrixCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	tRange := fs.String("t", "2", "resilience t (value or lo:hi range)")
 	kRange := fs.String("k", "2", "agreement parameter k (value or range)")
 	nRange := fs.String("n", "4", "system size n (value or range)")
 	posBudget := fs.Int("posbudget", 3_000_000, "step budget for solvable cells")
 	negBudget := fs.Int("negbudget", 300_000, "step horizon for unsolvable cells")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	t0, t1, err := parseRange(*tRange)
-	if err != nil {
-		return err
-	}
-	k0, k1, err := parseRange(*kRange)
-	if err != nil {
-		return err
-	}
-	n0, n1, err := parseRange(*nRange)
-	if err != nil {
-		return err
-	}
-	var problems []core.Problem
-	for n := n0; n <= n1; n++ {
-		for t := t0; t <= t1; t++ {
-			for k := k0; k <= k1; k++ {
-				p := core.Problem{T: t, K: k, N: n}
-				if p.Validate() == nil {
-					problems = append(problems, p)
+	return func() (*plan, error) {
+		var bounds [6]int
+		for i, text := range []string{*tRange, *kRange, *nRange} {
+			lo, hi, err := parseRange(text)
+			if err != nil {
+				return nil, err
+			}
+			bounds[2*i], bounds[2*i+1] = lo, hi
+		}
+		var problems []core.Problem
+		for n := bounds[4]; n <= bounds[5]; n++ {
+			for t := bounds[0]; t <= bounds[1]; t++ {
+				for k := bounds[2]; k <= bounds[3]; k++ {
+					if p := (core.Problem{T: t, K: k, N: n}); p.Validate() == nil {
+						problems = append(problems, p)
+					}
 				}
 			}
 		}
-	}
-	if len(problems) == 0 {
-		return fmt.Errorf("no valid (t,k,n) problems in t=%s k=%s n=%s", *tRange, *kRange, *nRange)
-	}
-	params := map[string]any{
-		"t": *tRange, "k": *kRange, "n": *nRange,
-		"posbudget": *posBudget, "negbudget": *negBudget,
-		"problems": len(problems),
-	}
-	s, err := c.begin(ctx, "matrix", args, params)
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	if err := s.openSink(); err != nil {
-		return err
-	}
-	cells, rep, err := experiments.MatrixSweep(s.ctx, problems, c.seed, *posBudget, *negBudget, c.workers, s.sink)
-	if err = s.finish(err); err != nil {
-		return err
-	}
-	if !c.jsonOut {
-		var tb *trace.Table
-		var last core.Problem
-		for _, cell := range cells {
-			if tb == nil || cell.Problem != last {
-				if tb != nil {
-					fmt.Fprintln(w, tb.Render())
+		if len(problems) == 0 {
+			return nil, fmt.Errorf("no valid (t,k,n) problems in t=%s k=%s n=%s", *tRange, *kRange, *nRange)
+		}
+		var cells []experiments.MatrixCell
+		return &plan{
+			params: map[string]any{
+				"t": *tRange, "k": *kRange, "n": *nRange,
+				"posbudget": *posBudget, "negbudget": *negBudget,
+				"problems": len(problems),
+			},
+			run: func(ctx context.Context, sink func(campaign.Outcome)) (rep *campaign.Report, _ any, err error) {
+				cells, rep, err = experiments.MatrixSweep(ctx, problems, c.seed, *posBudget, *negBudget, c.workers, sink)
+				return rep, nil, err
+			},
+			render: func(w io.Writer, _ *campaign.Report) {
+				// One table per problem; cells come problem-major.
+				for lo := 0; lo < len(cells); {
+					hi := lo + 1
+					for hi < len(cells) && cells[hi].Problem == cells[lo].Problem {
+						hi++
+					}
+					fmt.Fprintln(w, experiments.MatrixTable(fmt.Sprintf("Theorem 27 matrix for %v", cells[lo].Problem), cells[lo:hi]).Render())
+					lo = hi
 				}
-				last = cell.Problem
-				tb = trace.NewTable(fmt.Sprintf("Theorem 27 matrix for %v", cell.Problem),
-					"i", "j", "theory", "empirical", "match")
-			}
-			theory := "unsolvable"
-			if cell.Theory {
-				theory = "solvable"
-			}
-			match := "yes"
-			if !cell.Match {
-				match = "NO"
-			}
-			tb.AddRow(cell.I, cell.J, theory, cell.Empirical, match)
-		}
-		if tb != nil {
-			fmt.Fprintln(w, tb.Render())
-		}
+			},
+			failed: "cells did not match the characterization",
+		}, nil
 	}
-	if err := emit(w, c, "matrix", params, rep); err != nil {
-		return err
-	}
-	if rep.Summary.Failed > 0 {
-		return fmt.Errorf("%d cells did not match the characterization", rep.Summary.Failed)
-	}
-	return checkDegraded(rep)
 }
 
-func cmdFuzz(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("fuzz", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func fuzzCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	target := fs.String("target", explore.TargetCommitAdopt, "protocol to fuzz (commitadopt|consensus|cachain|kset|bg)")
 	n := fs.Int("n", 4, "number of processes")
 	steps := fs.Int("steps", 300, "steps per schedule")
 	schedules := fs.Int("schedules", 1000, "number of schedules")
 	crashSpec := fs.String("crashes", "", "crash patterns, e.g. \"p1@3;p2@0,p4@9\" (empty = failure-free)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	patterns, err := parseCrashPatterns(*crashSpec)
-	if err != nil {
-		return err
-	}
-	s, err := c.begin(ctx, "fuzz", args, fuzzParams(*target, *n, *steps, *schedules))
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	// Resolve the target before opening the -jsonl sink so invalid
-	// invocations don't create (and leak) the stream file.
-	build, err := explore.PooledTargetBuilder(*target, *n)
-	if err != nil {
-		return err
-	}
-	if err := s.openSink(); err != nil {
-		return err
-	}
-	rep, runs, err := explore.FuzzPooledCampaign(s.ctx, c.workers, *n, *steps, *schedules, c.seed, patterns, build, s.sink)
-	if err = s.finish(err); err != nil {
-		var v *explore.Violation
-		if rep != nil && errors.As(err, &v) {
-			// Keep stdout parseable in -json mode: the human-readable
-			// violation line goes to stderr there.
-			dst := w
-			if c.jsonOut {
-				dst = os.Stderr
-			}
-			fmt.Fprintf(dst, "VIOLATION after %d runs: %v\n", runs, v)
-			if eerr := emit(w, c, "fuzz", fuzzParams(*target, *n, *steps, *schedules), rep); eerr != nil {
-				return eerr
-			}
-			return fmt.Errorf("fuzz campaign found a violation")
+	return func() (*plan, error) {
+		patterns, err := parseCrashPatterns(*crashSpec)
+		if err != nil {
+			return nil, err
 		}
-		return err
+		build, err := explore.PooledTargetBuilder(*target, *n)
+		if err != nil {
+			return nil, err
+		}
+		return &plan{
+			params: map[string]any{"target": *target, "n": *n, "steps": *steps, "schedules": *schedules},
+			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, any, error) {
+				rep, runs, err := explore.FuzzPooledCampaign(ctx, c.workers, *n, *steps, *schedules, c.seed, patterns, build, sink)
+				return rep, nil, violation("fuzz", rep, runs, err)
+			},
+		}, nil
 	}
-	if err := emit(w, c, "fuzz", fuzzParams(*target, *n, *steps, *schedules), rep); err != nil {
-		return err
-	}
-	return checkDegraded(rep)
 }
 
-// cmdExhaustive sweeps every schedule of exactly -depth steps over -n
+// exhaustiveCmd sweeps every schedule of exactly -depth steps over -n
 // processes for the named target. By default the sweep is partial-order
 // reduced: one canonical representative per class of schedules that differ
 // only by swapping adjacent commuting operations, with the states-explored
 // accounting in the summary. -reduce=false runs the full n^depth enumeration
 // on the campaign engine instead (the reduction's ground truth).
-func cmdExhaustive(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("exhaustive", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func exhaustiveCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	target := fs.String("target", explore.TargetCommitAdopt, "protocol to explore (commitadopt|consensus|cachain|kset|bg)")
 	n := fs.Int("n", 2, "number of processes (1..4)")
 	depth := fs.Int("depth", 10, "schedule length (every schedule of exactly this depth)")
 	reduce := fs.Bool("reduce", true, "prune commutation-equivalent schedules (sleep-set partial-order reduction)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	params := map[string]any{"target": *target, "n": *n, "depth": *depth, "reduce": *reduce}
-	if *reduce && c.resilienceRequested() {
-		return fmt.Errorf("the reduced exhaustive sweep is a single sequential explorer; checkpoint/chaos flags need the campaign engine (-reduce=false)")
-	}
-	s, err := c.begin(ctx, "exhaustive", args, params)
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	build, err := explore.PooledTargetBuilder(*target, *n)
-	if err != nil {
-		return err
-	}
-	if !*reduce {
-		if err := s.openSink(); err != nil {
-			return err
+	return func() (*plan, error) {
+		if *reduce && (c.resilienceRequested() || c.jsonlOut != "") {
+			return nil, fmt.Errorf("the reduced exhaustive sweep is a single sequential explorer; -jsonl and the checkpoint/chaos flags need the campaign engine (-reduce=false)")
 		}
-		rep, runs, err := explore.ExhaustivePooledCampaign(s.ctx, c.workers, *n, *depth, build, s.sink)
-		if err = s.finish(err); err != nil {
+		build, err := explore.PooledTargetBuilder(*target, *n)
+		if err != nil {
+			return nil, err
+		}
+		p := &plan{params: map[string]any{"target": *target, "n": *n, "depth": *depth, "reduce": *reduce}}
+		if !*reduce {
+			p.run = func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, any, error) {
+				rep, runs, err := explore.ExhaustivePooledCampaign(ctx, c.workers, *n, *depth, build, sink)
+				return rep, nil, violation("exhaustive", rep, runs, err)
+			}
+			return p, nil
+		}
+		p.direct = func(_ context.Context, w io.Writer) error {
+			stats, err := explore.ExhaustiveReduced(*n, *depth, build)
 			var v *explore.Violation
-			if rep != nil && errors.As(err, &v) {
-				dst := w
-				if c.jsonOut {
-					dst = os.Stderr
-				}
-				fmt.Fprintf(dst, "VIOLATION after %d runs: %v\n", runs, v)
-				if eerr := emit(w, c, "exhaustive", params, rep); eerr != nil {
-					return eerr
-				}
-				return fmt.Errorf("exhaustive campaign found a violation")
+			if err != nil && !errors.As(err, &v) {
+				return err
 			}
-			return err
-		}
-		if err := emit(w, c, "exhaustive", params, rep); err != nil {
-			return err
-		}
-		return checkDegraded(rep)
-	}
-	stats, err := explore.ExhaustiveReduced(*n, *depth, build)
-	summary := struct {
-		Campaign  string               `json:"campaign"`
-		Params    map[string]any       `json:"params"`
-		Stats     explore.ReducedStats `json:"stats"`
-		Reduction float64              `json:"reduction"`
-	}{"exhaustive", params, stats, stats.Ratio()}
-	if err != nil {
-		var v *explore.Violation
-		if errors.As(err, &v) {
-			dst := w
 			if c.jsonOut {
-				dst = os.Stderr
-			}
-			fmt.Fprintf(dst, "VIOLATION after %d canonical schedules: %v\n", stats.Schedules, v)
-			if c.jsonOut {
-				if eerr := json.NewEncoder(w).Encode(summary); eerr != nil {
-					return eerr
+				if err := json.NewEncoder(w).Encode(struct {
+					Campaign  string               `json:"campaign"`
+					Params    map[string]any       `json:"params"`
+					Stats     explore.ReducedStats `json:"stats"`
+					Reduction float64              `json:"reduction"`
+				}{"exhaustive", p.params, stats, stats.Ratio()}); err != nil {
+					return err
 				}
 			}
-			return fmt.Errorf("exhaustive sweep found a violation")
+			if v != nil {
+				return &finding{fmt.Sprintf("VIOLATION after %d canonical schedules: %v", stats.Schedules, v), errors.New("exhaustive sweep found a violation")}
+			}
+			if !c.jsonOut {
+				fmt.Fprintf(w, "exhaustive %s: n=%d depth=%d: %d of %d schedules executed (%.1fx reduction), %d states expanded, %d simulator steps\n",
+					*target, *n, *depth, stats.Schedules, stats.Total, stats.Ratio(), stats.States, stats.Steps)
+			}
+			return nil
 		}
-		return err
+		return p, nil
 	}
-	if c.jsonOut {
-		return json.NewEncoder(w).Encode(summary)
-	}
-	fmt.Fprintf(w, "exhaustive %s: n=%d depth=%d: %d of %d schedules executed (%.1fx reduction), %d states expanded, %d simulator steps\n",
-		*target, *n, *depth, stats.Schedules, stats.Total, stats.Ratio(), stats.States, stats.Steps)
-	return nil
-}
-
-func fuzzParams(target string, n, steps, schedules int) map[string]any {
-	return map[string]any{"target": target, "n": n, "steps": steps, "schedules": schedules}
 }
 
 // parseCrashPatterns parses "p1@3;p2@0,p4@9": patterns separated by ';',
@@ -748,55 +724,30 @@ func parseCrashPatterns(spec string) ([]map[procset.ID]int, error) {
 	return patterns, nil
 }
 
-func cmdAdversarial(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("adversarial", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func adversarialCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	n := fs.Int("n", 4, "number of processes (solver runs at k = t = n/2)")
 	steps := fs.Int("steps", 100_000, "step horizon per run")
 	runs := fs.Int("runs", 32, "number of runs (cycles through the crash-pattern population)")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func() (*plan, error) {
+		return &plan{
+			params: map[string]any{"n": *n, "steps": *steps, "runs": *runs},
+			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, any, error) {
+				rep, executed, err := explore.AdversarialPooledCampaign(ctx, c.workers, *n, *steps, *runs, c.seed, sink)
+				if err != nil && rep != nil && len(rep.Failures) > 0 {
+					err = &finding{fmt.Sprintf("FAILED after %d runs: %v", executed, err), errors.New("adversarial campaign failed")}
+				}
+				return rep, nil, err
+			},
+		}, nil
 	}
-	params := map[string]any{"n": *n, "steps": *steps, "runs": *runs}
-	s, err := c.begin(ctx, "adversarial", args, params)
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	if err := s.openSink(); err != nil {
-		return err
-	}
-	rep, executed, err := explore.AdversarialPooledCampaign(s.ctx, c.workers, *n, *steps, *runs, c.seed, s.sink)
-	if err = s.finish(err); err != nil {
-		if rep != nil {
-			dst := w
-			if c.jsonOut {
-				dst = os.Stderr
-			}
-			fmt.Fprintf(dst, "FAILED after %d runs: %v\n", executed, err)
-			if eerr := emit(w, c, "adversarial", params, rep); eerr != nil {
-				return eerr
-			}
-			return fmt.Errorf("adversarial campaign failed")
-		}
-		return err
-	}
-	if err := emit(w, c, "adversarial", params, rep); err != nil {
-		return err
-	}
-	return checkDegraded(rep)
 }
 
-// cmdByzantine sweeps the Byzantine degradation grid: (crash count × byz
+// byzantineCmd sweeps the Byzantine degradation grid: (crash count × byz
 // count × corruption strategy) cells against one workload, each cell
 // classified safe/degraded/violated over its runs. Violated cells are data
 // — the sweep exits 0 when it completes — and the matrix is invariant under
 // -workers and -procs.
-func cmdByzantine(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("byzantine", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func byzantineCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	target := fs.String("target", explore.TargetConsensus, "workload: commitadopt|consensus|cachain|kset|bg|antiomega")
 	n := fs.Int("n", 3, "number of processes")
 	crashRange := fs.String("crash", "0:1", "crash counts swept (value or lo:hi range)")
@@ -804,107 +755,70 @@ func cmdByzantine(ctx context.Context, args []string, w io.Writer) error {
 	strategies := fs.String("strategies", "flip,stale,split", "comma-separated corruption strategies for byz ≥ 1 cells")
 	runs := fs.Int("runs", 32, "runs per cell (each draws its own fault population)")
 	steps := fs.Int("steps", 100_000, "step horizon per run")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	crashLo, crashHi, err := parseRange(*crashRange)
-	if err != nil {
-		return err
-	}
-	byzLo, byzHi, err := parseRange(*byzRange)
-	if err != nil {
-		return err
-	}
-	if crashLo != 0 || byzLo != 0 {
-		return fmt.Errorf("byzantine: crash and byz ranges must start at 0 (the honest baseline anchors the matrix), got %s and %s", *crashRange, *byzRange)
-	}
-	var strats []adversary.Strategy
-	for _, s := range strings.Split(*strategies, ",") {
-		st, err := adversary.ParseStrategy(s)
+	return func() (*plan, error) {
+		crashLo, crashHi, err := parseRange(*crashRange)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if st == adversary.StrategyNone {
-			return fmt.Errorf("byzantine: strategy \"none\" is implicit in the byz=0 cells; sweep real strategies")
+		byzLo, byzHi, err := parseRange(*byzRange)
+		if err != nil {
+			return nil, err
 		}
-		strats = append(strats, st)
-	}
-	params := map[string]any{
-		"target": *target, "n": *n, "crash": crashHi, "byz": byzHi,
-		"strategies": *strategies, "runs": *runs, "steps": *steps,
-	}
-	s, err := c.begin(ctx, "byzantine", args, params)
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	if err := s.openSink(); err != nil {
-		return err
-	}
-	rep, cells, err := explore.ByzantineCampaign(s.ctx, explore.ByzConfig{
-		Target:     *target,
-		N:          *n,
-		CrashMax:   crashHi,
-		ByzMax:     byzHi,
-		Strategies: strats,
-		Runs:       *runs,
-		Steps:      *steps,
-		Seed:       c.seed,
-		Workers:    c.workers,
-	}, s.sink)
-	if err = s.finish(err); err != nil {
-		return err
-	}
-	if c.jsonOut {
-		enc := json.NewEncoder(w)
-		if err := enc.Encode(struct {
-			record
-			Cells []explore.ByzCell `json:"cells"`
-		}{record{
-			Campaign:  "byzantine",
-			Params:    params,
-			Seed:      c.seed,
-			Workers:   rep.Workers,
-			ElapsedNS: int64(rep.Elapsed),
-			Summary:   rep.Summary,
-		}, cells}); err != nil {
-			return err
+		if crashLo != 0 || byzLo != 0 {
+			return nil, fmt.Errorf("byzantine: crash and byz ranges must start at 0 (the honest baseline anchors the matrix), got %s and %s", *crashRange, *byzRange)
 		}
-	} else {
-		tb := trace.NewTable(
-			fmt.Sprintf("Byzantine degradation matrix: %s, n=%d, %d runs/cell", *target, *n, *runs),
-			"crash", "byz", "strategy", "safe", "degraded", "violated", "class")
-		for _, cell := range cells {
-			tb.AddRow(cell.Crash, cell.Byz, cell.Strategy, cell.Safe, cell.Degraded, cell.Violated, cell.Class)
-		}
-		fmt.Fprintln(w, tb.Render())
-		for _, cell := range cells {
-			if cell.Violation != nil {
-				fmt.Fprintf(w, "cell c%d b%d %s first violation: %v\n", cell.Crash, cell.Byz, cell.Strategy, cell.Violation.Err)
-				if cell.Violation.Trace != "" {
-					fmt.Fprintln(w, cell.Violation.Trace)
-				}
-				if cell.Violation.Flight != "" {
-					fmt.Fprint(w, cell.Violation.Flight)
-				}
+		var strats []adversary.Strategy
+		for _, s := range strings.Split(*strategies, ",") {
+			st, err := adversary.ParseStrategy(s)
+			if err != nil {
+				return nil, err
 			}
+			if st == adversary.StrategyNone {
+				return nil, fmt.Errorf("byzantine: strategy \"none\" is implicit in the byz=0 cells; sweep real strategies")
+			}
+			strats = append(strats, st)
 		}
-		if err := emit(w, c, "byzantine", params, rep); err != nil {
-			return err
-		}
+		var cells []explore.ByzCell
+		return &plan{
+			params: map[string]any{
+				"target": *target, "n": *n, "crash": crashHi, "byz": byzHi,
+				"strategies": *strategies, "runs": *runs, "steps": *steps,
+			},
+			run: func(ctx context.Context, sink func(campaign.Outcome)) (rep *campaign.Report, _ any, err error) {
+				rep, cells, err = explore.ByzantineCampaign(ctx, explore.ByzConfig{
+					Target: *target, N: *n, CrashMax: crashHi, ByzMax: byzHi, Strategies: strats,
+					Runs: *runs, Steps: *steps, Seed: c.seed, Workers: c.workers,
+				}, sink)
+				return rep, cells, err
+			},
+			render: func(w io.Writer, _ *campaign.Report) {
+				tb := trace.NewTable(
+					fmt.Sprintf("Byzantine degradation matrix: %s, n=%d, %d runs/cell", *target, *n, *runs),
+					"crash", "byz", "strategy", "safe", "degraded", "violated", "class")
+				for _, cell := range cells {
+					tb.AddRow(cell.Crash, cell.Byz, cell.Strategy, cell.Safe, cell.Degraded, cell.Violated, cell.Class)
+				}
+				fmt.Fprintln(w, tb.Render())
+				for _, cell := range cells {
+					if v := cell.Violation; v != nil {
+						fmt.Fprintf(w, "cell c%d b%d %s first violation: %v\n", cell.Crash, cell.Byz, cell.Strategy, v.Err)
+						if v.Trace != "" {
+							fmt.Fprintln(w, v.Trace)
+						}
+						fmt.Fprint(w, v.Flight)
+					}
+				}
+			},
+		}, nil
 	}
-	return checkDegraded(rep)
 }
 
-// cmdNetConv sweeps detector convergence over graded link matrices: for
+// netconvCmd sweeps detector convergence over graded link matrices: for
 // each named msgnet matrix, many (schedule, delay) samples of the heartbeat
 // Ω detector, tallying convergence, elected leaders, and the per-link
 // grades an online obs.LinkMonitor extracted from the deliveries. The whole
 // matrix is invariant under -workers and -procs.
-func cmdNetConv(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("netconv", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func netconvCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	n := fs.Int("n", 4, "number of processes (the mixed matrix needs ≥ 3)")
 	matrices := fs.String("matrices", "", "comma-separated link matrices to sweep: sync,psync,async,mixed (empty = all)")
 	delta := fs.Int("delta", 2, "timely grades' delivery bound Δ")
@@ -913,162 +827,104 @@ func cmdNetConv(ctx context.Context, args []string, w io.Writer) error {
 	wild := fs.Int("wild", 0, "unbounded-regime delivery bound (0 = msgnet default)")
 	runs := fs.Int("runs", 32, "samples per matrix")
 	steps := fs.Int("steps", 20_000, "step horizon per run")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var names []string
-	for _, m := range strings.Split(*matrices, ",") {
-		if m = strings.TrimSpace(m); m != "" {
-			names = append(names, m)
+	return func() (*plan, error) {
+		var names []string
+		for _, m := range strings.Split(*matrices, ",") {
+			if m = strings.TrimSpace(m); m != "" {
+				names = append(names, m)
+			}
 		}
+		var cells []explore.NetCell
+		return &plan{
+			params: map[string]any{
+				"n": *n, "matrices": strings.Join(names, ","), "delta": *delta, "gst": *gst,
+				"probe": *probe, "wild": *wild, "runs": *runs, "steps": *steps,
+			},
+			run: func(ctx context.Context, sink func(campaign.Outcome)) (rep *campaign.Report, _ any, err error) {
+				rep, cells, err = explore.NetConvCampaign(ctx, explore.NetConvConfig{
+					Matrices: names, N: *n, Delta: *delta, GST: *gst, Probe: *probe, Wild: *wild,
+					Runs: *runs, Steps: *steps, Seed: c.seed, Workers: c.workers,
+				}, sink)
+				return rep, cells, err
+			},
+			render: func(w io.Writer, _ *campaign.Report) {
+				tb := trace.NewTable(
+					fmt.Sprintf("detector convergence over graded link matrices: n=%d, %d runs/matrix", *n, *runs),
+					"matrix", "runs", "converged", "split", "top leader", "top grades")
+				for _, cell := range cells {
+					leader, grades := "-", "-"
+					if len(cell.Leaders) > 0 {
+						leader = fmt.Sprintf("%s ×%d", cell.Leaders[0].Leader, cell.Leaders[0].Count)
+					}
+					if len(cell.Grades) > 0 {
+						grades = fmt.Sprintf("%s ×%d", cell.Grades[0].Grades, cell.Grades[0].Count)
+					}
+					tb.AddRow(cell.Matrix, cell.Runs, cell.Converged, cell.Split, leader, grades)
+				}
+				fmt.Fprintln(w, tb.Render())
+				for _, cell := range cells {
+					fmt.Fprintf(w, "%s sample: %s\n", cell.Matrix, cell.Sample)
+				}
+			},
+		}, nil
 	}
-	params := map[string]any{
-		"n": *n, "matrices": strings.Join(names, ","), "delta": *delta, "gst": *gst,
-		"probe": *probe, "wild": *wild, "runs": *runs, "steps": *steps,
-	}
-	s, err := c.begin(ctx, "netconv", args, params)
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	if err := s.openSink(); err != nil {
-		return err
-	}
-	rep, cells, err := explore.NetConvCampaign(s.ctx, explore.NetConvConfig{
-		Matrices: names,
-		N:        *n,
-		Delta:    *delta,
-		GST:      *gst,
-		Probe:    *probe,
-		Wild:     *wild,
-		Runs:     *runs,
-		Steps:    *steps,
-		Seed:     c.seed,
-		Workers:  c.workers,
-	}, s.sink)
-	if err = s.finish(err); err != nil {
-		return err
-	}
-	if c.jsonOut {
-		return json.NewEncoder(w).Encode(struct {
-			record
-			Cells []explore.NetCell `json:"cells"`
-		}{record{
-			Campaign:  "netconv",
-			Params:    params,
-			Seed:      c.seed,
-			Workers:   rep.Workers,
-			ElapsedNS: int64(rep.Elapsed),
-			Summary:   rep.Summary,
-		}, cells})
-	}
-	tb := trace.NewTable(
-		fmt.Sprintf("detector convergence over graded link matrices: n=%d, %d runs/matrix", *n, *runs),
-		"matrix", "runs", "converged", "split", "top leader", "top grades")
-	for _, cell := range cells {
-		leader, grades := "-", "-"
-		if len(cell.Leaders) > 0 {
-			leader = fmt.Sprintf("%s ×%d", cell.Leaders[0].Leader, cell.Leaders[0].Count)
-		}
-		if len(cell.Grades) > 0 {
-			grades = fmt.Sprintf("%s ×%d", cell.Grades[0].Grades, cell.Grades[0].Count)
-		}
-		tb.AddRow(cell.Matrix, cell.Runs, cell.Converged, cell.Split, leader, grades)
-	}
-	fmt.Fprintln(w, tb.Render())
-	for _, cell := range cells {
-		fmt.Fprintf(w, "%s sample: %s\n", cell.Matrix, cell.Sample)
-	}
-	if err := emit(w, c, "netconv", params, rep); err != nil {
-		return err
-	}
-	return checkDegraded(rep)
 }
 
-func cmdConverge(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("converge", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func convergeCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	n := fs.Int("n", 4, "system size n")
 	k := fs.Int("k", 2, "detector parameter k")
 	t := fs.Int("t", 2, "resilience t")
 	bound := fs.Int("bound", 4, "Definition 1 bound enforced by the generator")
 	trials := fs.Int("trials", 32, "independent trials")
 	maxSteps := fs.Int("maxsteps", 2_000_000, "step budget per trial")
-	if err := fs.Parse(args); err != nil {
-		return err
+	return func() (*plan, error) {
+		return &plan{
+			params: map[string]any{"n": *n, "k": *k, "t": *t, "bound": *bound, "trials": *trials},
+			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, any, error) {
+				rep, err := experiments.RunConvergenceSweep(ctx, experiments.ConvergenceConfig{
+					N: *n, K: *k, T: *t, Bound: *bound, Trials: *trials, MaxSteps: *maxSteps, Workers: c.workers,
+				}, c.seed, sink)
+				return rep, nil, err
+			},
+			failed: "trials failed to converge or violated the property",
+		}, nil
 	}
-	params := map[string]any{"n": *n, "k": *k, "t": *t, "bound": *bound, "trials": *trials}
-	s, err := c.begin(ctx, "converge", args, params)
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	if err := s.openSink(); err != nil {
-		return err
-	}
-	rep, err := experiments.RunConvergenceSweep(s.ctx, experiments.ConvergenceConfig{
-		N: *n, K: *k, T: *t, Bound: *bound, Trials: *trials, MaxSteps: *maxSteps, Workers: c.workers,
-	}, c.seed, s.sink)
-	if err = s.finish(err); err != nil {
-		return err
-	}
-	if err := emit(w, c, "converge", params, rep); err != nil {
-		return err
-	}
-	if rep.Summary.Failed > 0 {
-		return fmt.Errorf("%d trials failed to converge or violated the property", rep.Summary.Failed)
-	}
-	return checkDegraded(rep)
 }
 
-func cmdRelations(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("relations", flag.ExitOnError)
-	var c common
-	c.register(fs)
+func relationsCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	n := fs.Int("n", 4, "system size n (2..6)")
 	bound := fs.Int("bound", 4, "Definition 1 bound tested")
 	steps := fs.Int("steps", 2000, "prefix length analyzed per schedule")
 	schedules := fs.Int("schedules", 100, "population size")
 	gen := fs.String("gen", "mixed", "schedule generator: random|starver|mixed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	params := map[string]any{"n": *n, "bound": *bound, "steps": *steps, "schedules": *schedules, "gen": *gen}
-	s, err := c.begin(ctx, "relations", args, params)
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	if err := s.openSink(); err != nil {
-		return err
-	}
-	rep, err := experiments.RunRelationsCampaign(s.ctx, experiments.RelationsConfig{
-		N: *n, Bound: *bound, Steps: *steps, Schedules: *schedules, Generator: *gen, Workers: c.workers,
-	}, c.seed, s.sink)
-	if err = s.finish(err); err != nil {
-		return err
-	}
-	if !c.jsonOut {
-		tb := trace.NewTable(
-			fmt.Sprintf("empirical timeliness relations over %d schedules (bound %d)", rep.Summary.Completed, *bound),
-			"system", "held", "fraction")
-		for i := 1; i <= *n; i++ {
-			for j := i; j <= *n; j++ {
-				held := rep.Summary.Tallies[experiments.RelationKey(i, j)]
-				frac := 0.0
-				if rep.Summary.Completed > 0 {
-					frac = float64(held) / float64(rep.Summary.Completed)
+	return func() (*plan, error) {
+		return &plan{
+			params: map[string]any{"n": *n, "bound": *bound, "steps": *steps, "schedules": *schedules, "gen": *gen},
+			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, any, error) {
+				rep, err := experiments.RunRelationsCampaign(ctx, experiments.RelationsConfig{
+					N: *n, Bound: *bound, Steps: *steps, Schedules: *schedules, Generator: *gen, Workers: c.workers,
+				}, c.seed, sink)
+				return rep, nil, err
+			},
+			render: func(w io.Writer, rep *campaign.Report) {
+				s := rep.Summary
+				tb := trace.NewTable(
+					fmt.Sprintf("empirical timeliness relations over %d schedules (bound %d)", s.Completed, *bound),
+					"system", "held", "fraction")
+				for i := 1; i <= *n; i++ {
+					for j := i; j <= *n; j++ {
+						held := s.Tallies[experiments.RelationKey(i, j)]
+						frac := 0.0
+						if s.Completed > 0 {
+							frac = float64(held) / float64(s.Completed)
+						}
+						tb.AddRow(fmt.Sprintf("S^%d_{%d,%d}", i, j, *n), held, fmt.Sprintf("%.2f", frac))
+					}
 				}
-				tb.AddRow(fmt.Sprintf("S^%d_{%d,%d}", i, j, *n), held, fmt.Sprintf("%.2f", frac))
-			}
-		}
-		fmt.Fprintln(w, tb.Render())
+				fmt.Fprintln(w, tb.Render())
+			},
+		}, nil
 	}
-	if err := emit(w, c, "relations", params, rep); err != nil {
-		return err
-	}
-	return checkDegraded(rep)
 }
 
 // segmentSwitcher alternates between two sources in fixed-length segments,
@@ -1123,6 +979,109 @@ func monitorSource(gen string, n int, seed int64) (sched.Source, error) {
 	}
 }
 
+// monitorCmd runs the online timeliness-graph monitor over a generated
+// schedule, printing the graph periodically and cross-checking the final
+// state against the batch extractor on the retained schedule.
+func monitorCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
+	n := fs.Int("n", 4, "system size n (2..6)")
+	gen := fs.String("gen", "mixed", "schedule generator: random|starver|mixed")
+	steps := fs.Int("steps", 4096, "steps to observe")
+	every := fs.Int("every", 1024, "print the timeliness graph every E steps (0 = final only)")
+	bound := fs.Int("bound", 4, "Definition 1 bound probed by the graph")
+	window := fs.Int("window", 0, "sliding-window size for the recent view (0 = cumulative only)")
+	return func() (*plan, error) {
+		if *n < 2 || *n > 6 {
+			return nil, fmt.Errorf("monitor tracks the full S^i_{j,n} family, which needs 2 <= n <= 6 (got %d)", *n)
+		}
+		if *steps < 1 {
+			return nil, fmt.Errorf("-steps must be positive")
+		}
+		src, err := monitorSource(*gen, *n, c.seed)
+		if err != nil {
+			return nil, err
+		}
+		m, err := obs.NewMonitor(obs.MonitorConfig{N: *n, Window: *window})
+		if err != nil {
+			return nil, err
+		}
+		p := &plan{params: map[string]any{"n": *n, "gen": *gen, "every": *every, "bound": *bound, "window": *window}}
+		p.direct = func(ctx context.Context, w io.Writer) error {
+			if c.pprofAddr != "" {
+				obs.Publish("monitor", func() any {
+					return map[string]any{"steps": m.Steps(), "graph": m.Graph(*bound)}
+				})
+			}
+			printGraphs := func() {
+				printGraph(w, fmt.Sprintf("timeliness graph after %d steps (bound %d)", m.Steps(), *bound), m.Graph(*bound), *n)
+				if *window > 0 {
+					win := len(m.WindowSchedule())
+					printGraph(w, fmt.Sprintf("recent view: last %d steps (bound %d)", win, *bound), m.RecentGraph(*bound), *n)
+				}
+			}
+			// Feed the monitor in blocks (the bulk path the engines use),
+			// retaining the full schedule so the final state can be
+			// cross-checked below.
+			full := make(sched.Schedule, 0, *steps)
+			var block [256]procset.ID
+			nextPrint := *steps
+			if *every > 0 {
+				nextPrint = *every
+			}
+			for done := 0; done < *steps; {
+				if ctx.Err() != nil {
+					return fmt.Errorf("interrupted after %d steps", done)
+				}
+				k := min(len(block), *steps-done, nextPrint-done)
+				sched.FillBlock(src, block[:k])
+				m.ObserveBlock(block[:k])
+				full = append(full, block[:k]...)
+				done += k
+				if done == nextPrint {
+					if *every > 0 && !c.jsonOut {
+						printGraphs()
+						nextPrint += *every
+					} else {
+						nextPrint = *steps
+					}
+				}
+			}
+			// The online monitor must agree with the batch extractor on the
+			// schedule it just observed; a mismatch is a bug, not a
+			// measurement.
+			for i := 1; i <= *n; i++ {
+				for j := i; j <= *n; j++ {
+					if got, want := m.Best(i, j), sched.BestPair(full, *n, i, j); got != want {
+						return fmt.Errorf("monitor disagrees with batch extractor on S^%d_{%d,%d}: online %+v, batch %+v", i, j, *n, got, want)
+					}
+					if got, want := m.InSystem(i, j, *bound), sched.InSystem(full, *n, i, j, *bound); got != want {
+						return fmt.Errorf("monitor InSystem(%d,%d,%d) = %v, batch says %v", i, j, *bound, got, want)
+					}
+				}
+			}
+			if c.jsonOut {
+				out := struct {
+					Campaign string             `json:"campaign"`
+					Params   map[string]any     `json:"params"`
+					Seed     int64              `json:"seed"`
+					Steps    int                `json:"steps"`
+					Graph    []obs.SystemStatus `json:"graph"`
+					Recent   []obs.SystemStatus `json:"recent,omitempty"`
+				}{Campaign: "monitor", Params: p.params, Seed: c.seed, Steps: m.Steps(), Graph: m.Graph(*bound)}
+				if *window > 0 {
+					out.Recent = m.RecentGraph(*bound)
+				}
+				return json.NewEncoder(w).Encode(out)
+			}
+			if *every <= 0 || *steps%*every != 0 {
+				printGraphs()
+			}
+			fmt.Fprintf(w, "monitor: %d steps observed, online state verified against the batch extractor\n", m.Steps())
+			return nil
+		}
+		return p, nil
+	}
+}
+
 func printGraph(w io.Writer, title string, graph []obs.SystemStatus, n int) {
 	tb := trace.NewTable(title, "system", "held", "best P", "best Q", "min bound")
 	for _, st := range graph {
@@ -1133,128 +1092,4 @@ func printGraph(w io.Writer, title string, graph []obs.SystemStatus, n int) {
 		tb.AddRow(fmt.Sprintf("S^%d_{%d,%d}", st.I, st.J, n), held, st.BestP, st.BestQ, st.MinBound)
 	}
 	fmt.Fprintln(w, tb.Render())
-}
-
-// cmdMonitor runs the online timeliness-graph monitor over a generated
-// schedule, printing the graph periodically and cross-checking the final
-// state against the batch extractor on the retained schedule.
-func cmdMonitor(ctx context.Context, args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("monitor", flag.ExitOnError)
-	var c common
-	c.register(fs)
-	n := fs.Int("n", 4, "system size n (2..6)")
-	gen := fs.String("gen", "mixed", "schedule generator: random|starver|mixed")
-	steps := fs.Int("steps", 4096, "steps to observe")
-	every := fs.Int("every", 1024, "print the timeliness graph every E steps (0 = final only)")
-	bound := fs.Int("bound", 4, "Definition 1 bound probed by the graph")
-	window := fs.Int("window", 0, "sliding-window size for the recent view (0 = cumulative only)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *n < 2 || *n > 6 {
-		return fmt.Errorf("monitor tracks the full S^i_{j,n} family, which needs 2 <= n <= 6 (got %d)", *n)
-	}
-	if *steps < 1 {
-		return fmt.Errorf("-steps must be positive")
-	}
-	s, err := c.begin(ctx, "monitor", args,
-		map[string]any{"n": *n, "gen": *gen, "steps": *steps, "every": *every, "bound": *bound, "window": *window})
-	if err != nil {
-		return err
-	}
-	defer s.close()
-	ctx = s.ctx
-	src, err := monitorSource(*gen, *n, c.seed)
-	if err != nil {
-		return err
-	}
-	m, err := obs.NewMonitor(obs.MonitorConfig{N: *n, Window: *window})
-	if err != nil {
-		return err
-	}
-	if c.pprofAddr != "" {
-		obs.Publish("monitor", func() any {
-			return map[string]any{"steps": m.Steps(), "graph": m.Graph(*bound)}
-		})
-	}
-
-	// Feed the monitor in blocks (the bulk path the engines use), retaining
-	// the full schedule so the final state can be cross-checked below.
-	full := make(sched.Schedule, 0, *steps)
-	var block [256]procset.ID
-	nextPrint := *steps
-	if *every > 0 {
-		nextPrint = *every
-	}
-	for done := 0; done < *steps; {
-		if ctx.Err() != nil {
-			return fmt.Errorf("interrupted after %d steps", done)
-		}
-		k := len(block)
-		if rem := *steps - done; rem < k {
-			k = rem
-		}
-		if rem := nextPrint - done; rem < k {
-			k = rem
-		}
-		sched.FillBlock(src, block[:k])
-		m.ObserveBlock(block[:k])
-		full = append(full, block[:k]...)
-		done += k
-		if done == nextPrint {
-			if *every > 0 && !c.jsonOut {
-				printGraph(w, fmt.Sprintf("timeliness graph after %d steps (bound %d)", m.Steps(), *bound), m.Graph(*bound), *n)
-				if *window > 0 {
-					win := len(m.WindowSchedule())
-					printGraph(w, fmt.Sprintf("recent view: last %d steps (bound %d)", win, *bound), m.RecentGraph(*bound), *n)
-				}
-				nextPrint += *every
-			} else {
-				nextPrint = *steps
-			}
-		}
-	}
-
-	// The online monitor must agree with the batch extractor on the schedule
-	// it just observed; a mismatch is a bug, not a measurement.
-	for i := 1; i <= *n; i++ {
-		for j := i; j <= *n; j++ {
-			if got, want := m.Best(i, j), sched.BestPair(full, *n, i, j); got != want {
-				return fmt.Errorf("monitor disagrees with batch extractor on S^%d_{%d,%d}: online %+v, batch %+v", i, j, *n, got, want)
-			}
-			if got, want := m.InSystem(i, j, *bound), sched.InSystem(full, *n, i, j, *bound); got != want {
-				return fmt.Errorf("monitor InSystem(%d,%d,%d) = %v, batch says %v", i, j, *bound, got, want)
-			}
-		}
-	}
-
-	if c.jsonOut {
-		out := struct {
-			Campaign string             `json:"campaign"`
-			Params   map[string]any     `json:"params"`
-			Seed     int64              `json:"seed"`
-			Steps    int                `json:"steps"`
-			Graph    []obs.SystemStatus `json:"graph"`
-			Recent   []obs.SystemStatus `json:"recent,omitempty"`
-		}{
-			Campaign: "monitor",
-			Params:   map[string]any{"n": *n, "gen": *gen, "every": *every, "bound": *bound, "window": *window},
-			Seed:     c.seed,
-			Steps:    m.Steps(),
-			Graph:    m.Graph(*bound),
-		}
-		if *window > 0 {
-			out.Recent = m.RecentGraph(*bound)
-		}
-		return json.NewEncoder(w).Encode(out)
-	}
-	if *every <= 0 || *steps%*every != 0 {
-		printGraph(w, fmt.Sprintf("timeliness graph after %d steps (bound %d)", m.Steps(), *bound), m.Graph(*bound), *n)
-		if *window > 0 {
-			win := len(m.WindowSchedule())
-			printGraph(w, fmt.Sprintf("recent view: last %d steps (bound %d)", win, *bound), m.RecentGraph(*bound), *n)
-		}
-	}
-	fmt.Fprintf(w, "monitor: %d steps observed, online state verified against the batch extractor\n", m.Steps())
-	return nil
 }

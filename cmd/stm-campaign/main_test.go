@@ -63,7 +63,7 @@ func TestParseCrashPatterns(t *testing.T) {
 func TestMatrixCampaignSmoke(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	err := cmdMatrix(context.Background(), []string{"-t", "1", "-k", "1", "-n", "2",
+	err := execute(context.Background(), "matrix", []string{"-t", "1", "-k", "1", "-n", "2",
 		"-posbudget", "500000", "-negbudget", "20000", "-workers", "2", "-json"}, &out)
 	if err != nil {
 		t.Fatalf("matrix campaign failed: %v\noutput: %s", err, out.String())
@@ -81,7 +81,7 @@ func TestFuzzCampaignSmokeWithJSONL(t *testing.T) {
 	t.Parallel()
 	path := filepath.Join(t.TempDir(), "fuzz.jsonl")
 	var out bytes.Buffer
-	err := cmdFuzz(context.Background(), []string{"-target", "commitadopt", "-n", "3", "-steps", "60",
+	err := execute(context.Background(), "fuzz", []string{"-target", "commitadopt", "-n", "3", "-steps", "60",
 		"-schedules", "40", "-crashes", "p1@3", "-workers", "2", "-json", "-jsonl", path}, &out)
 	if err != nil {
 		t.Fatalf("fuzz campaign failed: %v\noutput: %s", err, out.String())
@@ -114,7 +114,7 @@ func TestFuzzCampaignSmokeWithJSONL(t *testing.T) {
 func TestConvergeCampaignSmoke(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	err := cmdConverge(context.Background(), []string{"-n", "3", "-k", "1", "-t", "1", "-trials", "3", "-workers", "2", "-json"}, &out)
+	err := execute(context.Background(), "converge", []string{"-n", "3", "-k", "1", "-t", "1", "-trials", "3", "-workers", "2", "-json"}, &out)
 	if err != nil {
 		t.Fatalf("converge campaign failed: %v\noutput: %s", err, out.String())
 	}
@@ -130,7 +130,7 @@ func TestConvergeCampaignSmoke(t *testing.T) {
 func TestAdversarialCampaignSmoke(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	err := cmdAdversarial(context.Background(), []string{"-n", "3", "-runs", "6", "-steps", "20000", "-workers", "2", "-json"}, &out)
+	err := execute(context.Background(), "adversarial", []string{"-n", "3", "-runs", "6", "-steps", "20000", "-workers", "2", "-json"}, &out)
 	if err != nil {
 		t.Fatalf("adversarial campaign failed: %v\noutput: %s", err, out.String())
 	}
@@ -146,7 +146,7 @@ func TestAdversarialCampaignSmoke(t *testing.T) {
 func TestRelationsCampaignSmoke(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	err := cmdRelations(context.Background(), []string{"-n", "3", "-steps", "200", "-schedules", "8", "-workers", "2"}, &out)
+	err := execute(context.Background(), "relations", []string{"-n", "3", "-steps", "200", "-schedules", "8", "-workers", "2"}, &out)
 	if err != nil {
 		t.Fatalf("relations campaign failed: %v\noutput: %s", err, out.String())
 	}
@@ -163,7 +163,7 @@ func TestFuzzEnginesBitIdentical(t *testing.T) {
 	t.Parallel()
 	summary := func(target, workers string) string {
 		var out bytes.Buffer
-		err := cmdFuzz(context.Background(), []string{"-target", target, "-n", "3", "-steps", "80",
+		err := execute(context.Background(), "fuzz", []string{"-target", target, "-n", "3", "-steps", "80",
 			"-schedules", "24", "-seed", "3", "-workers", workers, "-json"}, &out)
 		if err != nil {
 			t.Fatalf("%s/workers=%s: %v\n%s", target, workers, err, out.String())
@@ -191,7 +191,7 @@ func TestCampaignJSONDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
 	summary := func(workers string) string {
 		var out bytes.Buffer
-		err := cmdRelations(context.Background(), []string{"-n", "3", "-steps", "200", "-schedules", "10",
+		err := execute(context.Background(), "relations", []string{"-n", "3", "-steps", "200", "-schedules", "10",
 			"-seed", "5", "-workers", workers, "-json"}, &out)
 		if err != nil {
 			t.Fatal(err)
@@ -217,7 +217,7 @@ func TestMonitorSmoke(t *testing.T) {
 	// Non-multiple of -every exercises both the periodic and the final print;
 	// the command itself cross-checks the monitor against the batch extractor
 	// and fails on any mismatch.
-	err := cmdMonitor(context.Background(), []string{"-n", "4", "-steps", "1500", "-every", "700", "-window", "128", "-seed", "3"}, &out)
+	err := execute(context.Background(), "monitor", []string{"-n", "4", "-steps", "1500", "-every", "700", "-window", "128", "-seed", "3"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestMonitorSmoke(t *testing.T) {
 func TestMonitorJSON(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	if err := cmdMonitor(context.Background(), []string{"-n", "3", "-gen", "random", "-steps", "600", "-json"}, &out); err != nil {
+	if err := execute(context.Background(), "monitor", []string{"-n", "3", "-gen", "random", "-steps", "600", "-json"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	var rec struct {
@@ -255,15 +255,80 @@ func TestMonitorJSON(t *testing.T) {
 func TestMonitorRejectsBadFlags(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	if err := cmdMonitor(context.Background(), []string{"-n", "7"}, &out); err == nil {
+	if err := execute(context.Background(), "monitor", []string{"-n", "7"}, &out); err == nil {
 		t.Error("n=7 accepted (full family tracking is bounded at 6)")
 	}
-	if err := cmdMonitor(context.Background(), []string{"-gen", "bogus"}, &out); err == nil {
+	if err := execute(context.Background(), "monitor", []string{"-gen", "bogus"}, &out); err == nil {
 		t.Error("bogus generator accepted")
+	}
+	// monitor runs no campaign, so the campaign flags are usage errors
+	// rather than accepted and ignored.
+	dir := t.TempDir()
+	for _, flags := range [][]string{
+		{"-checkpoint", filepath.Join(dir, "ck")},
+		{"-procs", "2"},
+		{"-jsonl", filepath.Join(dir, "m.jsonl")},
+		{"-workers", "2"},
+	} {
+		err := execute(context.Background(), "monitor", append(flags, "-steps", "64"), &out)
+		if exitCode("stm-campaign", err) != exitUsage {
+			t.Errorf("monitor %v: %v, want a usage error", flags, err)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("rejected monitor invocations wrote %d file(s)", len(entries))
 	}
 }
 
-// fuzzSummary runs cmdFuzz with the given extra flags prepended to a fixed
+// degradedArgs are small invocations of every campaign subcommand; a
+// subcommand added to the table without one fails
+// TestEveryCampaignExitsDegraded.
+var degradedArgs = map[string][]string{
+	"matrix":      {"-t", "1", "-k", "1", "-n", "2", "-posbudget", "20000", "-negbudget", "2000"},
+	"fuzz":        {"-target", "commitadopt", "-n", "3", "-steps", "40", "-schedules", "8"},
+	"exhaustive":  {"-reduce=false", "-n", "2", "-depth", "4"},
+	"converge":    {"-n", "3", "-k", "1", "-t", "1", "-trials", "2"},
+	"relations":   {"-n", "3", "-steps", "100", "-schedules", "4"},
+	"adversarial": {"-n", "3", "-runs", "2", "-steps", "2000"},
+	"byzantine":   {"-n", "3", "-runs", "2", "-steps", "500"},
+	"netconv":     {"-n", "3", "-runs", "2", "-steps", "200", "-matrices", "sync"},
+}
+
+// TestEveryCampaignExitsDegraded stalls job 0 past its lease with no
+// retries, so the coordinator quarantines it: every campaign subcommand,
+// in text and -json mode, must complete and exit degraded (3).
+func TestEveryCampaignExitsDegraded(t *testing.T) {
+	t.Parallel()
+	for _, cmd := range commands {
+		if cmd.standalone {
+			continue
+		}
+		args, ok := degradedArgs[cmd.name]
+		if !ok {
+			t.Errorf("no degradedArgs entry for subcommand %q", cmd.name)
+			continue
+		}
+		for _, mode := range []string{"text", "json"} {
+			t.Run(cmd.name+"/"+mode, func(t *testing.T) {
+				t.Parallel()
+				args := append([]string{"-chaos", "stall@0~300ms", "-lease", "50ms", "-retries", "-1", "-workers", "2"}, args...)
+				if mode == "json" {
+					args = append(args, "-json")
+				}
+				var out bytes.Buffer
+				err := execute(context.Background(), cmd.name, args, &out)
+				if code := exitCode("stm-campaign", err); code != exitDegraded {
+					t.Fatalf("%s %v: exit %d (%v), want %d", cmd.name, args, code, err, exitDegraded)
+				}
+				if mode == "json" && !json.Valid(out.Bytes()) {
+					t.Errorf("-json stdout is not JSON:\n%s", out.String())
+				}
+			})
+		}
+	}
+}
+
+// fuzzSummary runs the fuzz subcommand with the given extra flags prepended to a fixed
 // base invocation and returns the marshaled -json Summary (deterministic:
 // no wall-clock fields).
 func fuzzSummary(t *testing.T, extra ...string) string {
@@ -271,9 +336,9 @@ func fuzzSummary(t *testing.T, extra ...string) string {
 	base := []string{"-target", "consensus", "-n", "3", "-steps", "60",
 		"-schedules", "30", "-seed", "7", "-workers", "4", "-json"}
 	var out bytes.Buffer
-	err := cmdFuzz(context.Background(), append(extra, base...), &out)
+	err := execute(context.Background(), "fuzz", append(extra, base...), &out)
 	if err != nil {
-		t.Fatalf("cmdFuzz(%v): %v\n%s", extra, err, out.String())
+		t.Fatalf("execute(fuzz %v): %v\n%s", extra, err, out.String())
 	}
 	var rec record
 	if err := json.Unmarshal(out.Bytes(), &rec); err != nil {
@@ -300,7 +365,7 @@ func TestFuzzCheckpointCrashResume(t *testing.T) {
 	base := []string{"-target", "consensus", "-n", "3", "-steps", "60",
 		"-schedules", "30", "-seed", "7", "-workers", "4", "-json"}
 	var out bytes.Buffer
-	err := cmdFuzz(context.Background(), append([]string{"-checkpoint", ck, "-chaos", "trunc@9"}, base...), &out)
+	err := execute(context.Background(), "fuzz", append([]string{"-checkpoint", ck, "-chaos", "trunc@9"}, base...), &out)
 	var ie *campaign.InterruptedError
 	if !errors.As(err, &ie) {
 		t.Fatalf("chaos run returned %v, want InterruptedError", err)
@@ -363,17 +428,24 @@ func TestFuzzProcWorkersSurviveKills(t *testing.T) {
 func TestResilienceFlagValidation(t *testing.T) {
 	t.Parallel()
 	var out bytes.Buffer
-	err := cmdFuzz(context.Background(), []string{"-resume", "-schedules", "4"}, &out)
+	err := execute(context.Background(), "fuzz", []string{"-resume", "-schedules", "4"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "-checkpoint") {
 		t.Errorf("-resume without -checkpoint: %v", err)
 	}
-	err = cmdFuzz(context.Background(), []string{"-chaos", "explode@3", "-schedules", "4"}, &out)
+	err = execute(context.Background(), "fuzz", []string{"-chaos", "explode@3", "-schedules", "4"}, &out)
 	if err == nil {
 		t.Error("bad -chaos plan accepted")
 	}
-	err = cmdExhaustive(context.Background(), []string{"-checkpoint", filepath.Join(t.TempDir(), "ck"), "-depth", "3"}, &out)
-	if err == nil || !strings.Contains(err.Error(), "-reduce=false") {
-		t.Errorf("reduced exhaustive with -checkpoint: %v", err)
+	dir := t.TempDir()
+	for _, flag := range []string{"-checkpoint", "-jsonl"} {
+		path := filepath.Join(dir, "out")
+		err = execute(context.Background(), "exhaustive", []string{flag, path, "-depth", "3"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "-reduce=false") {
+			t.Errorf("reduced exhaustive with %s: %v", flag, err)
+		}
+		if _, err := os.Stat(path); err == nil {
+			t.Errorf("reduced exhaustive with %s wrote %s", flag, path)
+		}
 	}
 }
 
@@ -415,10 +487,10 @@ func TestCheckDegraded(t *testing.T) {
 func TestPprofFlagSmoke(t *testing.T) {
 	var plain, instrumented bytes.Buffer
 	args := []string{"-n", "3", "-schedules", "6", "-steps", "200", "-json"}
-	if err := cmdRelations(context.Background(), args, &plain); err != nil {
+	if err := execute(context.Background(), "relations", args, &plain); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdRelations(context.Background(), append([]string{"-pprof", "127.0.0.1:0"}, args...), &instrumented); err != nil {
+	if err := execute(context.Background(), "relations", append([]string{"-pprof", "127.0.0.1:0"}, args...), &instrumented); err != nil {
 		t.Fatal(err)
 	}
 	var p, i map[string]json.RawMessage

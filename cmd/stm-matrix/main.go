@@ -1,98 +1,65 @@
 // stm-matrix prints the Theorem 27 solvability matrix for a
-// (t,k,n)-agreement problem, optionally validating every cell empirically
+// (t,k,n)-agreement problem. To validate every cell on the simulator
 // (solvable cells must decide and verify; unsolvable cells must stay safe
-// without deciding under the adaptive adversary).
+// without deciding under the adaptive adversary), run the same problem
+// through `stm-campaign matrix`.
 //
 //	stm-matrix -t 3 -k 2 -n 5
-//	stm-matrix -t 2 -k 2 -n 4 -empirical -workers 8
+//	stm-campaign matrix -t 3 -k 2 -n 5
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"github.com/settimeliness/settimeliness/internal/core"
-	"github.com/settimeliness/settimeliness/internal/experiments"
-	"github.com/settimeliness/settimeliness/internal/trace"
 )
 
 func main() {
 	var (
-		t         = flag.Int("t", 3, "resilience t")
-		k         = flag.Int("k", 2, "agreement parameter k")
-		n         = flag.Int("n", 5, "number of processes n")
-		empirical = flag.Bool("empirical", false, "run every cell on the simulator")
-		seed      = flag.Int64("seed", 1, "schedule seed for empirical runs")
-		workers   = flag.Int("workers", 0, "cell workers for -empirical (0 = GOMAXPROCS)")
+		t = flag.Int("t", 3, "resilience t")
+		k = flag.Int("k", 2, "agreement parameter k")
+		n = flag.Int("n", 5, "number of processes n")
 	)
 	flag.Parse()
-	if err := run(*t, *k, *n, *empirical, *seed, *workers); err != nil {
+	if err := run(*t, *k, *n); err != nil {
 		fmt.Fprintf(os.Stderr, "stm-matrix: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(t, k, n int, empirical bool, seed int64, workers int) error {
+func run(t, k, n int) error {
 	p := core.Problem{T: t, K: k, N: n}
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	fmt.Printf("%v — solvable in S^i_{j,%d} iff i ≤ %d and j−i ≥ %d (Theorem 27)\n", p, n, k, t+1-k)
 	fmt.Printf("matching system: %v\n\n", p.MatchingSystem())
-
-	if !empirical {
-		fmt.Print("      ")
+	fmt.Print("      ")
+	for j := 1; j <= n; j++ {
+		fmt.Printf("  j=%-2d", j)
+	}
+	fmt.Println()
+	for i := 1; i <= n; i++ {
+		fmt.Printf("  i=%-2d", i)
 		for j := 1; j <= n; j++ {
-			fmt.Printf("  j=%-2d", j)
-		}
-		fmt.Println()
-		for i := 1; i <= n; i++ {
-			fmt.Printf("  i=%-2d", i)
-			for j := 1; j <= n; j++ {
-				switch {
-				case j < i:
-					fmt.Print("     -")
-				default:
-					ok, err := p.SolvableIn(core.Sij(i, j, n))
-					if err != nil {
-						return err
-					}
-					if ok {
-						fmt.Print("     Y")
-					} else {
-						fmt.Print("     .")
-					}
+			switch {
+			case j < i:
+				fmt.Print("     -")
+			default:
+				ok, err := p.SolvableIn(core.Sij(i, j, n))
+				if err != nil {
+					return err
+				}
+				if ok {
+					fmt.Print("     Y")
+				} else {
+					fmt.Print("     .")
 				}
 			}
-			fmt.Println()
 		}
-		return nil
+		fmt.Println()
 	}
-
-	cells, _, err := experiments.RunMatrixCampaign(context.Background(), p, seed, 3_000_000, 300_000, workers)
-	if err != nil {
-		return err
-	}
-	tb := trace.NewTable("empirical matrix", "i", "j", "theory", "empirical", "match")
-	mismatches := 0
-	for _, c := range cells {
-		theory := "unsolvable"
-		if c.Theory {
-			theory = "solvable"
-		}
-		match := "yes"
-		if !c.Match {
-			match = "NO"
-			mismatches++
-		}
-		tb.AddRow(c.I, c.J, theory, c.Empirical, match)
-	}
-	fmt.Println(tb.Render())
-	if mismatches > 0 {
-		return fmt.Errorf("%d cells did not match the characterization", mismatches)
-	}
-	fmt.Println("all cells match the characterization")
 	return nil
 }

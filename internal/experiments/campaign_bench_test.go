@@ -20,7 +20,7 @@ func BenchmarkMatrixCampaignWorkers(b *testing.B) {
 		workers := workers
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cells, _, err := RunMatrixCampaign(context.Background(), p, 1, 2_000_000, 150_000, workers)
+				cells, _, err := MatrixSweep(context.Background(), []core.Problem{p}, 1, 2_000_000, 150_000, workers, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -53,24 +53,6 @@ func TestMatrixCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunMatrixWrapperEquivalence: the sequential-looking wrapper must
-// produce exactly what the campaign produces.
-func TestRunMatrixWrapperEquivalence(t *testing.T) {
-	t.Parallel()
-	p := core.Problem{T: 1, K: 1, N: 2}
-	cells, err := RunMatrix(p, 7, 500_000, 20_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cCampaign, _, err := RunMatrixCampaign(context.Background(), p, 7, 500_000, 20_000, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cells, cCampaign) {
-		t.Errorf("wrapper and campaign disagree:\n%+v\nvs\n%+v", cells, cCampaign)
-	}
-}
-
 func TestConvergenceSweepDeterministic(t *testing.T) {
 	t.Parallel()
 	cfg := ConvergenceConfig{N: 3, K: 1, T: 1, Trials: 4}

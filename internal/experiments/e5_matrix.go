@@ -76,34 +76,16 @@ type MatrixCell struct {
 	Steps int
 }
 
-// RunMatrix evaluates the full Theorem 27 matrix for one problem: solvable
-// cells run the dispatcher-selected algorithm on a conformant schedule and
-// must decide and verify; unsolvable cells run the best available algorithm
-// against the matching adversary and must neither violate safety nor reach a
-// decision within the horizon. It is a thin wrapper over RunMatrixCampaign
-// at the default worker count; results are identical at any worker count.
-func RunMatrix(p core.Problem, seed int64, posBudget, negBudget int) ([]MatrixCell, error) {
-	cells, _, err := RunMatrixCampaign(context.Background(), p, seed, posBudget, negBudget, 0)
-	return cells, err
-}
-
-// RunMatrixCampaign evaluates the matrix with one campaign job per cell,
-// sharded across workers (0 means GOMAXPROCS). Every cell uses the caller's
-// seed — exactly as the historical sequential loop did — so the returned
-// cells are bit-identical to a sequential evaluation.
-func RunMatrixCampaign(ctx context.Context, p core.Problem, seed int64, posBudget, negBudget, workers int) ([]MatrixCell, *campaign.Report, error) {
-	cells, rep, err := runMatrixSweep(ctx, []core.Problem{p}, seed, posBudget, negBudget, workers, nil)
-	return cells, rep, err
-}
-
-// MatrixSweep evaluates the matrices of several problems as one campaign,
+// MatrixSweep evaluates the Theorem 27 matrices of several problems as one
+// campaign, one job per cell, sharded across workers (0 means GOMAXPROCS),
 // streaming each completed cell outcome to onResult (may be nil) in a fixed
-// order. The returned cells are ordered problem-major, then (i,j).
+// order. Solvable cells run the dispatcher-selected algorithm on a
+// conformant schedule and must decide and verify; unsolvable cells run the
+// best available algorithm against the matching adversary and must neither
+// violate safety nor reach a decision within the horizon. Every cell uses
+// the caller's seed, so the returned cells, ordered problem-major, then
+// (i,j), are identical at any worker count.
 func MatrixSweep(ctx context.Context, problems []core.Problem, seed int64, posBudget, negBudget, workers int, onResult func(campaign.Outcome)) ([]MatrixCell, *campaign.Report, error) {
-	return runMatrixSweep(ctx, problems, seed, posBudget, negBudget, workers, onResult)
-}
-
-func runMatrixSweep(ctx context.Context, problems []core.Problem, seed int64, posBudget, negBudget, workers int, onResult func(campaign.Outcome)) ([]MatrixCell, *campaign.Report, error) {
 	pools := newRigPools()
 	defer pools.drain()
 	var jobs []campaign.Job
@@ -309,24 +291,28 @@ func runE5(cfg Config) (*Result, error) {
 	}
 	pass := true
 	for _, p := range problems {
-		cells, err := RunMatrix(p, cfg.Seed+101, posBudget, negBudget)
+		cells, _, err := MatrixSweep(context.Background(), []core.Problem{p}, cfg.Seed+101, posBudget, negBudget, 0, nil)
 		if err != nil {
 			return nil, err
 		}
-		tb := trace.NewTable(fmt.Sprintf("Theorem 27 matrix for %v (rows: i, cols: j)", p),
-			"i", "j", "theory", "empirical", "match")
 		for _, c := range cells {
-			tb.AddRow(c.I, c.J, solvableMark(c.Theory), c.Empirical, boolMark(c.Match))
-			if !c.Match {
-				pass = false
-			}
+			pass = pass && c.Match
 		}
-		res.Tables = append(res.Tables, tb)
+		res.Tables = append(res.Tables, MatrixTable(fmt.Sprintf("Theorem 27 matrix for %v (rows: i, cols: j)", p), cells))
 	}
 	res.Pass = pass
 	res.Notes = append(res.Notes,
 		"solvable cells must DECIDE and verify all three properties; unsolvable cells must stay safe with no decision at the horizon")
 	return res, nil
+}
+
+// MatrixTable renders matrix cells as a titled table, one row per (i,j).
+func MatrixTable(title string, cells []MatrixCell) *trace.Table {
+	tb := trace.NewTable(title, "i", "j", "theory", "empirical", "match")
+	for _, c := range cells {
+		tb.AddRow(c.I, c.J, solvableMark(c.Theory), c.Empirical, boolMark(c.Match))
+	}
+	return tb
 }
 
 func solvableMark(b bool) string {

@@ -267,22 +267,13 @@ func pooledCampaign(ctx context.Context, workers, total int, nth func(int) sched
 	return runCampaign(ctx, workers, total, nth, acquire, onResult)
 }
 
-// Exhaustive checks every schedule of exactly depth steps over n processes
-// (n^depth runs — keep n and depth small). It returns the number of runs
-// and the first violation found, if any. It is a thin wrapper over
-// ExhaustiveCampaign at the default worker count.
-func Exhaustive(n, depth int, build Builder) (int, error) {
-	_, runs, err := ExhaustiveCampaign(context.Background(), 0, n, depth, build, nil)
-	return runs, err
-}
-
 // exhaustiveSpace validates the (n, depth) bounds and returns the run count
 // and the fixed schedule enumeration (run r's step i is digit i of r in
 // base n), so which schedules run is independent of sharding and of the
 // execution path.
 func exhaustiveSpace(n, depth int) (int, func(int) sched.Schedule, error) {
 	if n < 1 || n > 4 {
-		return 0, nil, fmt.Errorf("explore: Exhaustive supports 1 ≤ n ≤ 4, got %d", n)
+		return 0, nil, fmt.Errorf("explore: exhaustive enumeration supports 1 ≤ n ≤ 4, got %d", n)
 	}
 	if depth < 1 || depth > 24 {
 		return 0, nil, fmt.Errorf("explore: depth %d out of range [1,24]", depth)
@@ -302,37 +293,18 @@ func exhaustiveSpace(n, depth int) (int, func(int) sched.Schedule, error) {
 	return total, nth, nil
 }
 
-// ExhaustiveCampaign shards the exhaustive enumeration across workers
-// (0 means GOMAXPROCS) on the builder path. When a violation exists the
-// reported one is the violation of the smallest run index found before
-// cancellation, which may differ from the sequential first under
+// ExhaustivePooledCampaign shards the full n^depth enumeration across
+// workers (0 means GOMAXPROCS) on per-worker reusable runs. It is the
+// ground truth ExhaustiveReduced is checked against. When a violation
+// exists the reported one is the violation of the smallest run index found
+// before cancellation, which may differ from the sequential first under
 // parallelism.
-func ExhaustiveCampaign(ctx context.Context, workers, n, depth int, build Builder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
-	total, nth, err := exhaustiveSpace(n, depth)
-	if err != nil {
-		return nil, 0, err
-	}
-	return runCampaign(ctx, workers, total, nth, freshAcquire(n, build), onResult)
-}
-
-// ExhaustivePooledCampaign is ExhaustiveCampaign on the pooled path: the
-// same enumeration executed on per-worker reusable runs. Results are
-// bit-identical to the builder path.
 func ExhaustivePooledCampaign(ctx context.Context, workers, n, depth int, build PooledBuilder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
 	total, nth, err := exhaustiveSpace(n, depth)
 	if err != nil {
 		return nil, 0, err
 	}
 	return pooledCampaign(ctx, workers, total, nth, build, onResult)
-}
-
-// FuzzRandom checks seeded random schedules (seeds runs of steps steps) with
-// each of the given crash patterns (nil for failure-free only). It returns
-// the number of runs and the first violation. It is a thin wrapper over
-// FuzzCampaign at the default worker count with base seed 0.
-func FuzzRandom(n, steps, seeds int, crashPatterns []map[procset.ID]int, build Builder) (int, error) {
-	_, runs, err := FuzzCampaign(context.Background(), 0, n, steps, seeds, 0, crashPatterns, build, nil)
-	return runs, err
 }
 
 // fuzzSpace validates the generators and returns the run count and the

@@ -19,11 +19,22 @@ import (
 // historical test name.
 func caBuilder(n int) Builder { return CommitAdoptBuilder(n) }
 
+// exhaustiveFresh runs the full n^depth enumeration on the builder path
+// (a fresh coroutine run per schedule), for the mutants that have no
+// pooled form.
+func exhaustiveFresh(workers, n, depth int, build Builder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
+	total, nth, err := exhaustiveSpace(n, depth)
+	if err != nil {
+		return nil, 0, err
+	}
+	return runCampaign(context.Background(), workers, total, nth, freshAcquire(n, build), onResult)
+}
+
 func TestCommitAdoptExhaustiveN2(t *testing.T) {
 	t.Parallel()
 	// Propose costs 2 + 2n = 6 steps per process with n=2; depth 12 covers
 	// every interleaving of two complete proposals: 4096 runs.
-	runs, err := Exhaustive(2, 12, caBuilder(2))
+	_, runs, err := exhaustiveFresh(0, 2, 12, caBuilder(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +50,7 @@ func TestCommitAdoptFuzzN4(t *testing.T) {
 		{1: 3},
 		{2: 0, 4: 9},
 	}
-	runs, err := FuzzRandom(4, 300, 60, crashes, caBuilder(4))
+	_, runs, err := FuzzCampaign(context.Background(), 0, 4, 300, 60, 0, crashes, caBuilder(4), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +102,7 @@ func brokenAgreementBuilder(n int) Builder {
 
 func TestExplorerCatchesBrokenAgreement(t *testing.T) {
 	t.Parallel()
-	_, err := Exhaustive(2, 12, brokenAgreementBuilder(2))
+	_, _, err := exhaustiveFresh(0, 2, 12, brokenAgreementBuilder(2), nil)
 	var v *Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("broken protocol not caught: %v", err)
@@ -156,7 +167,7 @@ func brokenCommitAdoptBuilder(n int) Builder {
 
 func TestExplorerCatchesBrokenCommitAdopt(t *testing.T) {
 	t.Parallel()
-	_, err := Exhaustive(2, 8, brokenCommitAdoptBuilder(2))
+	_, _, err := exhaustiveFresh(0, 2, 8, brokenCommitAdoptBuilder(2), nil)
 	var v *Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("broken commit-adopt not caught: %v", err)
@@ -168,7 +179,7 @@ func TestExplorerCatchesBrokenCommitAdopt(t *testing.T) {
 // two different decisions or a non-proposal decision.
 func TestConsensusSafetyExhaustiveTiny(t *testing.T) {
 	t.Parallel()
-	runs, err := Exhaustive(2, 16, ConsensusBuilder(2))
+	_, runs, err := exhaustiveFresh(0, 2, 16, ConsensusBuilder(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +191,13 @@ func TestConsensusSafetyExhaustiveTiny(t *testing.T) {
 func TestExhaustiveValidation(t *testing.T) {
 	t.Parallel()
 	b := caBuilder(2)
-	if _, err := Exhaustive(5, 3, b); err == nil {
+	if _, _, err := exhaustiveFresh(0, 5, 3, b, nil); err == nil {
 		t.Error("n = 5 accepted")
 	}
-	if _, err := Exhaustive(2, 0, b); err == nil {
+	if _, _, err := exhaustiveFresh(0, 2, 0, b, nil); err == nil {
 		t.Error("depth = 0 accepted")
 	}
-	if _, err := Exhaustive(2, 25, b); err == nil {
+	if _, _, err := exhaustiveFresh(0, 2, 25, b, nil); err == nil {
 		t.Error("depth = 25 accepted")
 	}
 }
@@ -217,7 +228,7 @@ func TestViolationReachesJSONLStream(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer
 	sink, sinkErr := campaign.JSONLSink(&buf)
-	_, _, err := ExhaustiveCampaign(context.Background(), 2, 2, 12, brokenAgreementBuilder(2), sink)
+	_, _, err := exhaustiveFresh(2, 2, 12, brokenAgreementBuilder(2), sink)
 	var v *Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("broken protocol not caught: %v", err)

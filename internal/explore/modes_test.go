@@ -64,7 +64,7 @@ func TestFuzzModesBitIdentical(t *testing.T) {
 // same way on the full n=2 interleaving space of commit-adopt.
 func TestExhaustiveModesBitIdentical(t *testing.T) {
 	t.Parallel()
-	rep, runs, err := ExhaustiveCampaign(context.Background(), 2, 2, 10, CommitAdoptBuilder(2), nil)
+	rep, runs, err := exhaustiveFresh(2, 2, 10, CommitAdoptBuilder(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
