@@ -623,7 +623,7 @@ func fuzzCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 			return nil, err
 		}
 		return &plan{
-			params: map[string]any{"target": *target, "n": *n, "steps": *steps, "schedules": *schedules},
+			params: map[string]any{"target": *target, "n": *n, "steps": *steps, "schedules": *schedules, "crashes": *crashSpec},
 			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, any, error) {
 				rep, runs, err := explore.FuzzPooledCampaign(ctx, c.workers, *n, *steps, *schedules, c.seed, patterns, build, sink)
 				return rep, nil, violation("fuzz", rep, runs, err)
@@ -879,7 +879,7 @@ func convergeCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	maxSteps := fs.Int("maxsteps", 2_000_000, "step budget per trial")
 	return func() (*plan, error) {
 		return &plan{
-			params: map[string]any{"n": *n, "k": *k, "t": *t, "bound": *bound, "trials": *trials},
+			params: map[string]any{"n": *n, "k": *k, "t": *t, "bound": *bound, "trials": *trials, "maxsteps": *maxSteps},
 			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, any, error) {
 				rep, err := experiments.RunConvergenceSweep(ctx, experiments.ConvergenceConfig{
 					N: *n, K: *k, T: *t, Bound: *bound, Trials: *trials, MaxSteps: *maxSteps, Workers: c.workers,

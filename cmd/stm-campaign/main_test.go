@@ -449,6 +449,40 @@ func TestResilienceFlagValidation(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesChangedParams: every flag that changes outcomes is part
+// of the checkpoint identity, so resuming a journal under a different value
+// is refused by the journal-header check instead of mixing two campaigns.
+func TestResumeRefusesChangedParams(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		cmd        string
+		base       []string
+		flag, a, b string
+	}{
+		{"fuzz", []string{"-target", "consensus", "-n", "3", "-steps", "60", "-schedules", "60"}, "-crashes", "p1@3", "p2@40"},
+		{"converge", []string{"-n", "3", "-k", "1", "-t", "1", "-trials", "6"}, "-maxsteps", "200000", "100000"},
+	} {
+		t.Run(tc.cmd, func(t *testing.T) {
+			t.Parallel()
+			ck := filepath.Join(t.TempDir(), "ck.jsonl")
+			common := append([]string{"-workers", "2", "-checkpoint", ck}, tc.base...)
+			var out bytes.Buffer
+			err := execute(context.Background(), tc.cmd, append(common, tc.flag, tc.a, "-chaos", "trunc@3"), &out)
+			var ie *campaign.InterruptedError
+			if !errors.As(err, &ie) {
+				t.Fatalf("chaos run returned %v, want InterruptedError", err)
+			}
+			err = execute(context.Background(), tc.cmd, append(common, tc.flag, tc.b, "-resume"), &out)
+			if err == nil || !strings.Contains(err.Error(), "belongs to a different campaign") {
+				t.Fatalf("resume under %s %s: %v, want the journal-header refusal", tc.flag, tc.b, err)
+			}
+			if err := execute(context.Background(), tc.cmd, append(common, tc.flag, tc.a, "-resume"), &out); err != nil {
+				t.Fatalf("resume under the original %s: %v", tc.flag, err)
+			}
+		})
+	}
+}
+
 func TestResumeCommand(t *testing.T) {
 	old := os.Args
 	defer func() { os.Args = old }()
