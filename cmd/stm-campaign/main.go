@@ -208,6 +208,7 @@ type plan struct {
 	render func(w io.Writer, rep *campaign.Report)
 	// failed, if set, makes failed jobs an error: "<count> <failed>".
 	failed string
+	// direct replaces run, render and failed for a standalone subcommand.
 	direct func(ctx context.Context, w io.Writer) error
 }
 
@@ -305,6 +306,8 @@ func execute(ctx context.Context, name string, args []string, w io.Writer) error
 		}
 		fmt.Fprintln(dst, f.line)
 	}
+	// Standalone runs and campaigns that failed to complete have no
+	// summary to emit.
 	if rep == nil || (err != nil && f == nil) {
 		return err
 	}
@@ -559,18 +562,17 @@ func matrixCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	posBudget := fs.Int("posbudget", 3_000_000, "step budget for solvable cells")
 	negBudget := fs.Int("negbudget", 300_000, "step horizon for unsolvable cells")
 	return func() (*plan, error) {
-		var bounds [6]int
+		var lo, hi [3]int // t, k, n
 		for i, text := range []string{*tRange, *kRange, *nRange} {
-			lo, hi, err := parseRange(text)
-			if err != nil {
+			var err error
+			if lo[i], hi[i], err = parseRange(text); err != nil {
 				return nil, err
 			}
-			bounds[2*i], bounds[2*i+1] = lo, hi
 		}
 		var problems []core.Problem
-		for n := bounds[4]; n <= bounds[5]; n++ {
-			for t := bounds[0]; t <= bounds[1]; t++ {
-				for k := bounds[2]; k <= bounds[3]; k++ {
+		for n := lo[2]; n <= hi[2]; n++ {
+			for t := lo[0]; t <= hi[0]; t++ {
+				for k := lo[1]; k <= hi[1]; k++ {
 					if p := (core.Problem{T: t, K: k, N: n}); p.Validate() == nil {
 						problems = append(problems, p)
 					}

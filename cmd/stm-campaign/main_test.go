@@ -280,10 +280,10 @@ func TestMonitorRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// degradedArgs are small invocations of every campaign subcommand; a
-// subcommand added to the table without one fails
-// TestEveryCampaignExitsDegraded.
-var degradedArgs = map[string][]string{
+// campaignArgs are small invocations of every campaign subcommand; a
+// subcommand added to the table without one fails the TestEveryCampaign
+// tests.
+var campaignArgs = map[string][]string{
 	"matrix":      {"-t", "1", "-k", "1", "-n", "2", "-posbudget", "20000", "-negbudget", "2000"},
 	"fuzz":        {"-target", "commitadopt", "-n", "3", "-steps", "40", "-schedules", "8"},
 	"exhaustive":  {"-reduce=false", "-n", "2", "-depth", "4"},
@@ -299,28 +299,48 @@ var degradedArgs = map[string][]string{
 // in text and -json mode, must complete and exit degraded (3).
 func TestEveryCampaignExitsDegraded(t *testing.T) {
 	t.Parallel()
+	everyCampaignExits(t, exitDegraded, func(string) []string {
+		return []string{"-chaos", "stall@0~300ms", "-lease", "50ms", "-retries", "-1"}
+	})
+}
+
+// TestEveryCampaignExitsInterrupted crashes the coordinator right after it
+// writes the journal header: every campaign subcommand must exit
+// interrupted (4), never report the crash as a failed campaign.
+func TestEveryCampaignExitsInterrupted(t *testing.T) {
+	t.Parallel()
+	everyCampaignExits(t, exitInterrupted, func(dir string) []string {
+		return []string{"-checkpoint", filepath.Join(dir, "ck.jsonl"), "-chaos", "trunc@1"}
+	})
+}
+
+// everyCampaignExits runs every campaign subcommand of the table, in text
+// and -json mode, with the fault flags chaos returns for a fresh directory,
+// and requires exit code want. A degraded run completed, so in -json mode
+// its stdout must still be the JSON summary.
+func everyCampaignExits(t *testing.T, want int, chaos func(dir string) []string) {
 	for _, cmd := range commands {
 		if cmd.standalone {
 			continue
 		}
-		args, ok := degradedArgs[cmd.name]
+		args, ok := campaignArgs[cmd.name]
 		if !ok {
-			t.Errorf("no degradedArgs entry for subcommand %q", cmd.name)
+			t.Errorf("no campaignArgs entry for subcommand %q", cmd.name)
 			continue
 		}
 		for _, mode := range []string{"text", "json"} {
 			t.Run(cmd.name+"/"+mode, func(t *testing.T) {
 				t.Parallel()
-				args := append([]string{"-chaos", "stall@0~300ms", "-lease", "50ms", "-retries", "-1", "-workers", "2"}, args...)
+				args := append(append(chaos(t.TempDir()), "-workers", "2"), args...)
 				if mode == "json" {
 					args = append(args, "-json")
 				}
 				var out bytes.Buffer
 				err := execute(context.Background(), cmd.name, args, &out)
-				if code := exitCode("stm-campaign", err); code != exitDegraded {
-					t.Fatalf("%s %v: exit %d (%v), want %d", cmd.name, args, code, err, exitDegraded)
+				if code := exitCode("stm-campaign", err); code != want {
+					t.Fatalf("%s %v: exit %d (%v), want %d", cmd.name, args, code, err, want)
 				}
-				if mode == "json" && !json.Valid(out.Bytes()) {
+				if mode == "json" && want == exitDegraded && !json.Valid(out.Bytes()) {
 					t.Errorf("-json stdout is not JSON:\n%s", out.String())
 				}
 			})
@@ -328,9 +348,9 @@ func TestEveryCampaignExitsDegraded(t *testing.T) {
 	}
 }
 
-// fuzzSummary runs the fuzz subcommand with the given extra flags prepended to a fixed
-// base invocation and returns the marshaled -json Summary (deterministic:
-// no wall-clock fields).
+// fuzzSummary runs the fuzz subcommand with the given extra flags prepended
+// to a fixed base invocation and returns the marshaled -json Summary
+// (deterministic: no wall-clock fields).
 func fuzzSummary(t *testing.T, extra ...string) string {
 	t.Helper()
 	base := []string{"-target", "consensus", "-n", "3", "-steps", "60",
