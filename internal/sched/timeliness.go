@@ -41,12 +41,25 @@ func MaxQGap(s Schedule, p, q procset.Set) int {
 
 // IsTimely reports whether P is timely with respect to Q in s with the given
 // bound: every window containing bound occurrences of Q-steps contains a
-// P-step. bound must be at least 1.
+// P-step. bound must be at least 1. It is MaxQGap(s, p, q) < bound, but the
+// scan stops at the first P-free window that reaches bound Q-steps.
 func IsTimely(s Schedule, p, q procset.Set, bound int) bool {
 	if bound < 1 {
 		return false
 	}
-	return MaxQGap(s, p, q) < bound
+	gap := 0
+	for _, step := range s {
+		switch {
+		case p.Contains(step):
+			gap = 0
+		case q.Contains(step):
+			gap++
+			if gap == bound {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // MinBound returns the smallest bound with which P is timely with respect to
