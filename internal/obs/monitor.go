@@ -7,18 +7,24 @@
 //
 // The Monitor answers the paper's central question — *which set is timely
 // right now, with what bound?* (Definition 1) — while a run unfolds,
-// instead of by batch relation extraction after it ends. It maintains, for
-// every tracked pair (P, Q), the number of Q-steps since the last P-step
-// and the maximum any P-free window ever reached: exactly the quantities
-// behind sched.MaxQGap, kept incrementally in the style of the online
-// timeliness-graph extraction algorithms of Delporte-Gallet et al.
-// (arXiv:1003.1058). Queries therefore agree bit for bit with the batch
-// extractor on the observed prefix, which the equivalence tests pin.
+// instead of by batch relation extraction after it ends. A P-free window
+// counts the steps of R = Q∖P only, so the monitor keeps its state per
+// tracked P rather than per (P, Q) pair: the cumulative step count of every
+// process, the counts as they stood at P's last step, and, for each
+// distinct R of P's tracked pairs, the largest R-count of any closed P-free
+// window. A step by x closes the open window of exactly the P's containing
+// x; a query adds the still-open window (current counts minus the counts at
+// P's last step) to the stored maximum. This is the incremental extraction
+// of the timeliness graph of Delporte-Gallet et al. (arXiv:1003.1058), and
+// it answers exactly sched.MaxQGap of the observed prefix, which the
+// equivalence and fuzz tests pin.
 package obs
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sched"
@@ -44,26 +50,34 @@ type MonitorConfig struct {
 // (experiments.RunRelationsCampaign supports 2 ≤ n ≤ 6).
 const defaultSizesMaxN = 6
 
-// pairGap is the online state of one (P, Q) pair: the Q-count of the
-// current P-free window and the maximum over all closed windows.
-type pairGap struct {
-	q           procset.Set
-	gap, maxGap int32
+// rSet is one distinct R = Q∖P among the tracked pairs of a P. The R-count
+// of P's open window is the parent's count (R minus its lowest member, when
+// that set is tracked for P too) plus the open count of that lowest member,
+// so over a full power set every count costs one addition.
+type rSet struct {
+	r      procset.Set
+	parent int32 // index of r minus its lowest member in the same list, or -1
+	low    uint8 // index in Monitor.counts of r's lowest member
 }
 
-// pGroup holds every tracked Q for one P of a class, so the per-step update
-// tests P's membership once per group rather than once per pair.
-type pGroup struct {
-	p  procset.Set
-	qs []pairGap
+// pState is the online state of one tracked P.
+type pState struct {
+	p procset.Set
+	// last holds every process's step count as it stood at P's last step.
+	last []int64
+	// rs lists P's distinct R sets in ascending order; maxes[k] is the
+	// largest rs[k]-count of any closed P-free window.
+	rs    []rSet
+	maxes []int64
 }
 
-// classState is one tracked size class (i, j), its pairs enumerated in the
-// canonical procset.KSubsets order — the same order sched.BestPair searches
-// in, so tie-breaking agrees.
-type classState struct {
-	i, j   int
-	groups []pGroup
+// classIndex is one tracked size class (i, j): its P's (indices into
+// Monitor.ps) and Q's in the canonical procset.KSubsets order — the order
+// sched.BestPair searches in, so tie-breaking agrees.
+type classIndex struct {
+	i, j int
+	ps   []int32
+	qs   []procset.Set
 }
 
 // Monitor incrementally maintains the timeliness graph of an observed
@@ -72,7 +86,15 @@ type classState struct {
 type Monitor struct {
 	n       int
 	steps   int
-	classes []classState
+	classes []classIndex
+
+	// counts[x-1] is the number of observed steps of process x; ps is every
+	// tracked P in ascending order, and byProc[x-1] the indices of the P's
+	// containing x. sums is scratch for the open-window counts of one P.
+	counts []int64
+	ps     []pState
+	byProc [][]int32
+	sums   []int64
 
 	window  int
 	ring    []procset.ID
@@ -99,32 +121,113 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.Window < 0 {
 		return nil, fmt.Errorf("obs: negative window %d", cfg.Window)
 	}
-	m := &Monitor{n: cfg.N, window: cfg.Window}
+	m := &Monitor{n: cfg.N, window: cfg.Window, counts: make([]int64, cfg.N)}
 	if cfg.Window > 0 {
 		m.ring = make([]procset.ID, cfg.Window)
 	}
-	seen := map[[2]int]bool{}
 	for _, s := range sizes {
 		i, j := s[0], s[1]
 		if i < 1 || j < i || j > cfg.N {
 			return nil, fmt.Errorf("obs: size class (%d,%d) invalid for n = %d (need 1 ≤ i ≤ j ≤ n)", i, j, cfg.N)
 		}
-		if seen[s] {
-			continue
+		if !slices.ContainsFunc(m.classes, func(cl classIndex) bool { return cl.i == i && cl.j == j }) {
+			m.classes = append(m.classes, classIndex{i: i, j: j, qs: procset.KSubsets(cfg.N, j)})
 		}
-		seen[s] = true
-		cl := classState{i: i, j: j}
-		qsets := procset.KSubsets(cfg.N, j)
-		for _, p := range procset.KSubsets(cfg.N, i) {
-			g := pGroup{p: p, qs: make([]pairGap, len(qsets))}
-			for k, q := range qsets {
-				g.qs[k] = pairGap{q: q}
+	}
+	var pset []procset.Set
+	for _, cl := range m.classes {
+		pset = append(pset, procset.KSubsets(cfg.N, cl.i)...)
+	}
+	slices.Sort(pset)
+	pset = slices.Compact(pset)
+
+	// P's distinct R sets are Q∖P over the Q's of every tracked class whose
+	// P-size is |P|, sorted and compacted; all of them go in one flat slice.
+	m.ps = make([]pState, len(pset))
+	m.byProc = make([][]int32, cfg.N)
+	last := make([]int64, cfg.N*len(pset))
+	var rs []rSet
+	var rbuf []procset.Set
+	off := make([]int, len(pset)+1)
+	for k, p := range pset {
+		rbuf = rbuf[:0]
+		for _, cl := range m.classes {
+			if cl.i == p.Size() {
+				for _, q := range cl.qs {
+					rbuf = append(rbuf, q&^p)
+				}
 			}
-			cl.groups = append(cl.groups, g)
 		}
-		m.classes = append(m.classes, cl)
+		slices.Sort(rbuf)
+		rbuf = slices.Compact(rbuf)
+		off[k] = len(rs)
+		for _, r := range rbuf {
+			rs = append(rs, indexR(r, rs[off[k]:]))
+		}
+		off[k+1] = len(rs)
+		m.ps[k] = pState{p: p, last: last[k*cfg.N : (k+1)*cfg.N : (k+1)*cfg.N]}
+		for x := 0; x < cfg.N; x++ {
+			if p.Contains(procset.ID(x + 1)) {
+				m.byProc[x] = append(m.byProc[x], int32(k))
+			}
+		}
+	}
+	maxes := make([]int64, len(rs))
+	widest := 0
+	for k := range m.ps {
+		widest = max(widest, off[k+1]-off[k])
+		m.ps[k].rs = rs[off[k]:off[k+1]:off[k+1]]
+		m.ps[k].maxes = maxes[off[k]:off[k+1]:off[k+1]]
+	}
+	m.sums = make([]int64, widest)
+	for ci := range m.classes {
+		cl := &m.classes[ci]
+		for _, p := range procset.KSubsets(cfg.N, cl.i) {
+			cl.ps = append(cl.ps, int32(m.pIndex(p)))
+		}
 	}
 	return m, nil
+}
+
+func cmpSet(a, b procset.Set) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// indexR describes r given the smaller R sets already indexed for its P.
+func indexR(r procset.Set, prev []rSet) rSet {
+	e := rSet{r: r, parent: -1}
+	if r == 0 {
+		return e
+	}
+	e.low = uint8(bits.TrailingZeros64(uint64(r)))
+	if k, ok := slices.BinarySearchFunc(prev, r&(r-1), func(e rSet, t procset.Set) int { return cmpSet(e.r, t) }); ok {
+		e.parent = int32(k)
+	}
+	return e
+}
+
+// pIndex returns the index of p in m.ps, or -1 when p is not tracked.
+func (m *Monitor) pIndex(p procset.Set) int {
+	k, ok := slices.BinarySearchFunc(m.ps, p, func(e pState, t procset.Set) int { return cmpSet(e.p, t) })
+	if !ok {
+		return -1
+	}
+	return k
+}
+
+// rIndex returns the index of r among ps's R sets, or -1.
+func (ps *pState) rIndex(r procset.Set) int {
+	k, ok := slices.BinarySearchFunc(ps.rs, r, func(e rSet, t procset.Set) int { return cmpSet(e.r, t) })
+	if !ok {
+		return -1
+	}
+	return k
 }
 
 // N returns the system size.
@@ -152,29 +255,37 @@ func (m *Monitor) Observe(p procset.ID) {
 			m.ringLen++
 		}
 	}
-	for ci := range m.classes {
-		cl := &m.classes[ci]
-		for gi := range cl.groups {
-			g := &cl.groups[gi]
-			if g.p.Contains(p) {
-				// A P-step closes every P-free window of this group.
-				for k := range g.qs {
-					e := &g.qs[k]
-					if e.gap > e.maxGap {
-						e.maxGap = e.gap
-					}
-					e.gap = 0
-				}
-			} else {
-				for k := range g.qs {
-					e := &g.qs[k]
-					if e.q.Contains(p) {
-						e.gap++
-					}
-				}
+	m.counts[p-1]++
+	// A step by p closes the open window of every P containing p.
+	for _, k := range m.byProc[p-1] {
+		ps := &m.ps[k]
+		for r, c := range m.openCounts(ps) {
+			if c > ps.maxes[r] {
+				ps.maxes[r] = c
 			}
 		}
+		copy(ps.last, m.counts)
 	}
+}
+
+// openCounts returns, for each R set of ps, the number of R-steps since P's
+// last step. The slice is scratch, valid until the next call.
+func (m *Monitor) openCounts(ps *pState) []int64 {
+	sums := m.sums[:len(ps.rs)]
+	counts, last := m.counts, ps.last
+	for k, e := range ps.rs {
+		if e.parent >= 0 {
+			sums[k] = sums[e.parent] + counts[e.low] - last[e.low]
+			continue
+		}
+		var c int64
+		for r := uint64(e.r); r != 0; r &= r - 1 {
+			x := bits.TrailingZeros64(r)
+			c += counts[x] - last[x]
+		}
+		sums[k] = c
+	}
+	return sums
 }
 
 // ObserveBlock feeds a block of steps — the shape sched.Tap delivers, so
@@ -192,19 +303,15 @@ func (m *Monitor) ObserveBlock(block []procset.ID) {
 func (m *Monitor) Reset() {
 	m.steps = 0
 	m.ringPos, m.ringLen = 0, 0
-	for ci := range m.classes {
-		cl := &m.classes[ci]
-		for gi := range cl.groups {
-			g := &cl.groups[gi]
-			for k := range g.qs {
-				g.qs[k].gap, g.qs[k].maxGap = 0, 0
-			}
-		}
+	clear(m.counts)
+	for k := range m.ps {
+		clear(m.ps[k].last)
+		clear(m.ps[k].maxes)
 	}
 }
 
 // class returns the tracked class (i, j), or nil.
-func (m *Monitor) class(i, j int) *classState {
+func (m *Monitor) class(i, j int) *classIndex {
 	for ci := range m.classes {
 		if m.classes[ci].i == i && m.classes[ci].j == j {
 			return &m.classes[ci]
@@ -213,32 +320,33 @@ func (m *Monitor) class(i, j int) *classState {
 	return nil
 }
 
+// mustClass returns the tracked class (i, j) and panics when it is not
+// tracked (a configuration error, not a runtime condition).
+func (m *Monitor) mustClass(i, j int) *classIndex {
+	cl := m.class(i, j)
+	if cl == nil {
+		panic(fmt.Sprintf("obs: size class (%d,%d) not tracked", i, j))
+	}
+	return cl
+}
+
 // MaxQGap returns the maximal number of Q-steps in any P-free window of the
 // observed prefix — sched.MaxQGap of the same prefix, answered online. The
 // pair's size class must be tracked; it panics otherwise (a configuration
 // error, not a runtime condition).
 func (m *Monitor) MaxQGap(p, q procset.Set) int {
-	cl := m.class(p.Size(), q.Size())
-	if cl == nil {
-		panic(fmt.Sprintf("obs: size class (%d,%d) not tracked", p.Size(), q.Size()))
+	m.mustClass(p.Size(), q.Size())
+	k := m.pIndex(p)
+	if k < 0 {
+		panic(fmt.Sprintf("obs: pair (%v,%v) not tracked", p, q))
 	}
-	for gi := range cl.groups {
-		if cl.groups[gi].p != p {
-			continue
-		}
-		for k := range cl.groups[gi].qs {
-			e := &cl.groups[gi].qs[k]
-			if e.q == q {
-				// The trailing (still open) window counts, as in the batch
-				// extractor.
-				if e.gap > e.maxGap {
-					return int(e.gap)
-				}
-				return int(e.maxGap)
-			}
-		}
+	ps := &m.ps[k]
+	r := ps.rIndex(q &^ p)
+	if r < 0 {
+		panic(fmt.Sprintf("obs: pair (%v,%v) not tracked", p, q))
 	}
-	panic(fmt.Sprintf("obs: pair (%v,%v) not tracked", p, q))
+	// The trailing (still open) window counts, as in the batch extractor.
+	return int(max(ps.maxes[r], m.openCounts(ps)[r]))
 }
 
 // MinBound returns the smallest Definition 1 bound with which P is timely
@@ -258,21 +366,17 @@ func (m *Monitor) IsTimely(p, q procset.Set, bound int) bool {
 // minimal bound, breaking ties exactly like sched.BestPair (canonical set
 // order on P then Q). It panics when the class is not tracked.
 func (m *Monitor) Best(i, j int) sched.TimelyPair {
-	cl := m.class(i, j)
-	if cl == nil {
-		panic(fmt.Sprintf("obs: size class (%d,%d) not tracked", i, j))
-	}
+	cl := m.mustClass(i, j)
 	best := sched.TimelyPair{MinBound: math.MaxInt}
-	for gi := range cl.groups {
-		g := &cl.groups[gi]
-		for k := range g.qs {
-			e := &g.qs[k]
-			gap := e.maxGap
-			if e.gap > gap {
-				gap = e.gap
-			}
-			if b := int(gap) + 1; b < best.MinBound {
-				best = sched.TimelyPair{P: g.p, Q: e.q, MinBound: b}
+	for _, k := range cl.ps {
+		ps := &m.ps[k]
+		gaps := m.openCounts(ps)
+		for r, c := range ps.maxes {
+			gaps[r] = max(gaps[r], c)
+		}
+		for _, q := range cl.qs {
+			if b := int(gaps[ps.rIndex(q&^ps.p)]) + 1; b < best.MinBound {
+				best = sched.TimelyPair{P: ps.p, Q: q, MinBound: b}
 			}
 		}
 	}
