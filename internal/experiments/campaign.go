@@ -100,11 +100,13 @@ type RelationsConfig struct {
 	// N is the system size (keep small: the membership check enumerates
 	// all (P,Q) pairs with |P| = i, |Q| = j).
 	N int
-	// Bound is the Definition 1 constant tested; 0 means 4.
+	// Bound is the Definition 1 constant tested; 0 means 4, and a negative
+	// bound is an error.
 	Bound int
-	// Steps is the prefix length analyzed per schedule; 0 means 2000.
+	// Steps is the prefix length analyzed per schedule; 0 means 2000, and a
+	// negative length is an error.
 	Steps int
-	// Schedules is the population size.
+	// Schedules is the population size (not negative).
 	Schedules int
 	// Generator picks the population: "random", "starver", or "mixed"
 	// (alternating); "" means random.
@@ -123,6 +125,9 @@ func RunRelationsCampaign(ctx context.Context, cfg RelationsConfig, seed int64, 
 	if cfg.N < 2 || cfg.N > 6 {
 		return nil, fmt.Errorf("experiments: relations extraction supports 2 ≤ n ≤ 6, got %d", cfg.N)
 	}
+	if cfg.Bound < 0 || cfg.Steps < 0 || cfg.Schedules < 0 {
+		return nil, fmt.Errorf("experiments: relations extraction needs a non-negative bound, steps and schedules, got %d, %d and %d", cfg.Bound, cfg.Steps, cfg.Schedules)
+	}
 	bound := cfg.Bound
 	if bound == 0 {
 		bound = 4
@@ -140,6 +145,9 @@ func RunRelationsCampaign(ctx context.Context, cfg RelationsConfig, seed int64, 
 	default:
 		return nil, fmt.Errorf("experiments: unknown generator %q (want random, starver, or mixed)", gen)
 	}
+	// Each worker analyses its schedules in one recycled buffer, which
+	// FillBlock overwrites in full.
+	bufs := campaign.NewPool(func() (sched.Schedule, error) { return make(sched.Schedule, steps), nil })
 	jobs := make([]campaign.Job, cfg.Schedules)
 	for idx := range jobs {
 		idx := idx
@@ -170,7 +178,9 @@ func RunRelationsCampaign(ctx context.Context, cfg RelationsConfig, seed int64, 
 				if err != nil {
 					return campaign.Outcome{}, err
 				}
-				s := sched.Take(src, steps)
+				s, _ := bufs.Get()
+				defer bufs.Put(s)
+				sched.FillBlock(src, s)
 				tallies := map[string]int{"schedules": 1}
 				held := 0
 				for i := 1; i <= cfg.N; i++ {

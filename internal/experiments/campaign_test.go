@@ -121,4 +121,13 @@ func TestRelationsCampaignValidation(t *testing.T) {
 	if _, err := RunRelationsCampaign(context.Background(), RelationsConfig{N: 3, Schedules: 1, Generator: "nope"}, 1, nil); err == nil {
 		t.Error("unknown generator accepted")
 	}
+	for _, cfg := range []RelationsConfig{
+		{N: 3, Schedules: 1, Bound: -2},
+		{N: 3, Schedules: 1, Steps: -5},
+		{N: 3, Schedules: -1},
+	} {
+		if _, err := RunRelationsCampaign(context.Background(), cfg, 1, nil); err == nil {
+			t.Errorf("%+v accepted", cfg)
+		}
+	}
 }
