@@ -106,6 +106,16 @@ func runWorker() {
 // errUsage marks a bad command line whose problem was already printed.
 var errUsage = errors.New("usage")
 
+// flagError is a flag value out of its domain, found by a subcommand's
+// validation; unlike errUsage, its message has not been printed yet.
+type flagError struct{ msg string }
+
+func (e *flagError) Error() string { return e.msg }
+
+func badFlag(format string, args ...any) error {
+	return &flagError{fmt.Sprintf(format, args...)}
+}
+
 // exitCode reports err on stderr and maps it to the process exit code.
 func exitCode(prog string, err error) int {
 	if err == nil {
@@ -115,6 +125,10 @@ func exitCode(prog string, err error) int {
 		return exitUsage
 	}
 	fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+	var fe *flagError
+	if errors.As(err, &fe) {
+		return exitUsage
+	}
 	var ie *campaign.InterruptedError
 	var de *degradedError
 	switch {
@@ -320,6 +334,13 @@ func execute(ctx context.Context, name string, args []string, w io.Writer) error
 	if f != nil {
 		return f.err
 	}
+	return p.verdict(rep)
+}
+
+// verdict is the result of a campaign that completed without a finding:
+// failed jobs are an error when the plan names them, quarantined jobs make
+// the run degraded.
+func (p *plan) verdict(rep *campaign.Report) error {
 	if p.failed != "" && rep.Summary.Failed > 0 {
 		return fmt.Errorf("%d %s", rep.Summary.Failed, p.failed)
 	}
@@ -900,6 +921,14 @@ func relationsCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	schedules := fs.Int("schedules", 100, "population size")
 	gen := fs.String("gen", "mixed", "schedule generator: random|starver|mixed")
 	return func() (*plan, error) {
+		for _, f := range []struct {
+			name string
+			v    int
+		}{{"bound", *bound}, {"steps", *steps}, {"schedules", *schedules}} {
+			if f.v < 1 {
+				return nil, badFlag("-%s must be at least 1 (got %d)", f.name, f.v)
+			}
+		}
 		return &plan{
 			params: map[string]any{"n": *n, "bound": *bound, "steps": *steps, "schedules": *schedules, "gen": *gen},
 			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, any, error) {
@@ -925,6 +954,7 @@ func relationsCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 				}
 				fmt.Fprintln(w, tb.Render())
 			},
+			failed: "schedules failed their analysis",
 		}, nil
 	}
 }
@@ -997,6 +1027,9 @@ func monitorCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 		}
 		if *steps < 1 {
 			return nil, fmt.Errorf("-steps must be positive")
+		}
+		if *bound < 1 {
+			return nil, badFlag("-bound must be at least 1 (got %d)", *bound)
 		}
 		src, err := monitorSource(*gen, *n, c.seed)
 		if err != nil {

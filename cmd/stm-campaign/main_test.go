@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -155,6 +156,48 @@ func TestRelationsCampaignSmoke(t *testing.T) {
 	}
 }
 
+// A relations bound, prefix length or population below 1 is a usage error
+// (exit 2) caught before the -jsonl stream is opened.
+func TestRelationsRejectsBadFlags(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	for _, flags := range [][]string{
+		{"-bound", "-2"},
+		{"-bound", "0"},
+		{"-steps", "-5"},
+		{"-steps", "0"},
+		{"-schedules", "0"},
+	} {
+		var out bytes.Buffer
+		args := append(flags, "-n", "3", "-jsonl", filepath.Join(dir, "r.jsonl"))
+		if code := exitCode("stm-campaign", execute(context.Background(), "relations", args, &out)); code != exitUsage {
+			t.Errorf("relations %v: exit %d, want %d", flags, code, exitUsage)
+		}
+		if out.Len() != 0 {
+			t.Errorf("relations %v printed a report:\n%s", flags, out.String())
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("rejected relations invocations wrote %d file(s)", len(entries))
+	}
+}
+
+// A relations job that fails (a panicking analysis is one) makes the
+// subcommand exit 1 instead of printing a summary and exiting 0.
+func TestRelationsFailedJobsExitError(t *testing.T) {
+	t.Parallel()
+	fs := flag.NewFlagSet("relations", flag.ContinueOnError)
+	var c common
+	p, err := relationsCmd(fs, &c)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &campaign.Report{Summary: campaign.Summary{Jobs: 2, Completed: 2, Ok: 0, Failed: 2}}
+	if code := exitCode("stm-campaign", p.verdict(rep)); code != exitError {
+		t.Errorf("relations with 2 failed jobs: exit %d, want %d", code, exitError)
+	}
+}
+
 // TestFuzzEnginesBitIdentical drives the fuzz subcommand end to end: the
 // -json summary must be identical at -workers 1 and 4 for every target.
 // (explore.TestFuzzModesBitIdentical pins the pooled runs against fresh
@@ -269,6 +312,7 @@ func TestMonitorRejectsBadFlags(t *testing.T) {
 		{"-procs", "2"},
 		{"-jsonl", filepath.Join(dir, "m.jsonl")},
 		{"-workers", "2"},
+		{"-bound", "0"},
 	} {
 		err := execute(context.Background(), "monitor", append(flags, "-steps", "64"), &out)
 		if exitCode("stm-campaign", err) != exitUsage {
