@@ -8,9 +8,11 @@ import (
 	"github.com/settimeliness/settimeliness/internal/sched"
 )
 
-// fuzzMaxSteps caps the schedule a fuzz input may describe, so one input
-// stays in the millisecond range even at n = 6, where every block boundary
-// re-checks all 2,446 pairs against the batch extractor.
+// fuzzMaxSteps caps the schedule a fuzz input may describe at n ≤ 4; the
+// cap halves for each process beyond 4. Every block boundary re-checks all
+// pairs against the batch extractor (2,446 of them at n = 6), so this keeps
+// one input in the tens of milliseconds and the fuzzer's minimisation of a
+// new input from stalling the run.
 const fuzzMaxSteps = 512
 
 // FuzzTimeliness pins the online monitor to the batch Definition 1
@@ -23,8 +25,8 @@ const fuzzMaxSteps = 512
 func FuzzTimeliness(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nb uint8, bound int8, window uint8, classes uint32, split uint8, data []byte) {
 		n := 2 + int(nb)%5
-		if len(data) > fuzzMaxSteps {
-			data = data[:fuzzMaxSteps]
+		if limit := fuzzMaxSteps >> max(0, n-4); len(data) > limit {
+			data = data[:limit]
 		}
 		s := make(sched.Schedule, len(data))
 		for k, b := range data {
