@@ -66,18 +66,22 @@ type pState struct {
 	// last holds every process's step count as it stood at P's last step.
 	last []int64
 	// rs lists P's distinct R sets in ascending order; maxes[k] is the
-	// largest rs[k]-count of any closed P-free window.
+	// largest rs[k]-count of any closed P-free window. open is scratch for
+	// the counts of the open window (see openCounts and gaps).
 	rs    []rSet
 	maxes []int64
+	open  []int64
 }
 
 // classIndex is one tracked size class (i, j): its P's (indices into
 // Monitor.ps) and Q's in the canonical procset.KSubsets order — the order
-// sched.BestPair searches in, so tie-breaking agrees.
+// sched.BestPair searches in, so tie-breaking agrees. rs[a*len(qs)+b] is
+// the index of qs[b]∖P among the R sets of the a-th P.
 type classIndex struct {
 	i, j int
 	ps   []int32
 	qs   []procset.Set
+	rs   []int32
 }
 
 // Monitor incrementally maintains the timeliness graph of an observed
@@ -90,11 +94,10 @@ type Monitor struct {
 
 	// counts[x-1] is the number of observed steps of process x; ps is every
 	// tracked P in ascending order, and byProc[x-1] the indices of the P's
-	// containing x. sums is scratch for the open-window counts of one P.
+	// containing x.
 	counts []int64
 	ps     []pState
 	byProc [][]int32
-	sums   []int64
 
 	window  int
 	ring    []procset.ID
@@ -172,18 +175,23 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 			}
 		}
 	}
-	maxes := make([]int64, len(rs))
-	widest := 0
+	maxes, open := make([]int64, len(rs)), make([]int64, len(rs))
 	for k := range m.ps {
-		widest = max(widest, off[k+1]-off[k])
 		m.ps[k].rs = rs[off[k]:off[k+1]:off[k+1]]
 		m.ps[k].maxes = maxes[off[k]:off[k+1]:off[k+1]]
+		m.ps[k].open = open[off[k]:off[k+1]:off[k+1]]
 	}
-	m.sums = make([]int64, widest)
 	for ci := range m.classes {
 		cl := &m.classes[ci]
-		for _, p := range procset.KSubsets(cfg.N, cl.i) {
-			cl.ps = append(cl.ps, int32(m.pIndex(p)))
+		pk := procset.KSubsets(cfg.N, cl.i)
+		cl.ps = make([]int32, len(pk))
+		cl.rs = make([]int32, 0, len(pk)*len(cl.qs))
+		for a, p := range pk {
+			cl.ps[a] = int32(m.pIndex(p))
+			ps := &m.ps[cl.ps[a]]
+			for _, q := range cl.qs {
+				cl.rs = append(cl.rs, int32(ps.rIndex(q&^p)))
+			}
 		}
 	}
 	return m, nil
@@ -223,11 +231,19 @@ func (m *Monitor) pIndex(p procset.Set) int {
 
 // rIndex returns the index of r among ps's R sets, or -1.
 func (ps *pState) rIndex(r procset.Set) int {
-	k, ok := slices.BinarySearchFunc(ps.rs, r, func(e rSet, t procset.Set) int { return cmpSet(e.r, t) })
-	if !ok {
+	lo, hi := 0, len(ps.rs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ps.rs[mid].r < r {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(ps.rs) || ps.rs[lo].r != r {
 		return -1
 	}
-	return k
+	return lo
 }
 
 // N returns the system size.
@@ -259,7 +275,7 @@ func (m *Monitor) Observe(p procset.ID) {
 	// A step by p closes the open window of every P containing p.
 	for _, k := range m.byProc[p-1] {
 		ps := &m.ps[k]
-		for r, c := range m.openCounts(ps) {
+		for r, c := range openCounts(ps, m.counts) {
 			if c > ps.maxes[r] {
 				ps.maxes[r] = c
 			}
@@ -268,11 +284,10 @@ func (m *Monitor) Observe(p procset.ID) {
 	}
 }
 
-// openCounts returns, for each R set of ps, the number of R-steps since P's
-// last step. The slice is scratch, valid until the next call.
-func (m *Monitor) openCounts(ps *pState) []int64 {
-	sums := m.sums[:len(ps.rs)]
-	counts, last := m.counts, ps.last
+// openCounts returns ps.open filled with, for each R set of ps, the number
+// of R-steps since P's last step.
+func openCounts(ps *pState, counts []int64) []int64 {
+	sums, last := ps.open, ps.last
 	for k, e := range ps.rs {
 		if e.parent >= 0 {
 			sums[k] = sums[e.parent] + counts[e.low] - last[e.low]
@@ -346,7 +361,7 @@ func (m *Monitor) MaxQGap(p, q procset.Set) int {
 		panic(fmt.Sprintf("obs: pair (%v,%v) not tracked", p, q))
 	}
 	// The trailing (still open) window counts, as in the batch extractor.
-	return int(max(ps.maxes[r], m.openCounts(ps)[r]))
+	return int(max(ps.maxes[r], openCounts(ps, m.counts)[r]))
 }
 
 // MinBound returns the smallest Definition 1 bound with which P is timely
@@ -367,16 +382,28 @@ func (m *Monitor) IsTimely(p, q procset.Set, bound int) bool {
 // order on P then Q). It panics when the class is not tracked.
 func (m *Monitor) Best(i, j int) sched.TimelyPair {
 	cl := m.mustClass(i, j)
-	best := sched.TimelyPair{MinBound: math.MaxInt}
 	for _, k := range cl.ps {
+		m.gaps(&m.ps[k])
+	}
+	return m.best(cl)
+}
+
+// gaps leaves in ps.open, for each R set of ps, the largest R-count of any
+// P-free window so far, the open one included.
+func (m *Monitor) gaps(ps *pState) {
+	for r, c := range openCounts(ps, m.counts) {
+		ps.open[r] = max(c, ps.maxes[r])
+	}
+}
+
+// best is Best over cl once gaps has run for each of its P's.
+func (m *Monitor) best(cl *classIndex) sched.TimelyPair {
+	best := sched.TimelyPair{MinBound: math.MaxInt}
+	for a, k := range cl.ps {
 		ps := &m.ps[k]
-		gaps := m.openCounts(ps)
-		for r, c := range ps.maxes {
-			gaps[r] = max(gaps[r], c)
-		}
-		for _, q := range cl.qs {
-			if b := int(gaps[ps.rIndex(q&^ps.p)]) + 1; b < best.MinBound {
-				best = sched.TimelyPair{P: ps.p, Q: q, MinBound: b}
+		for b, r := range cl.rs[a*len(cl.qs) : (a+1)*len(cl.qs)] {
+			if bound := int(ps.open[r]) + 1; bound < best.MinBound {
+				best = sched.TimelyPair{P: ps.p, Q: cl.qs[b], MinBound: bound}
 			}
 		}
 	}
@@ -412,10 +439,13 @@ type SystemStatus struct {
 // construction order: which systems of the family the observed prefix
 // belongs to with the probed bound, each with its best witness pair.
 func (m *Monitor) Graph(bound int) []SystemStatus {
+	for k := range m.ps {
+		m.gaps(&m.ps[k])
+	}
 	out := make([]SystemStatus, 0, len(m.classes))
 	for ci := range m.classes {
 		cl := &m.classes[ci]
-		best := m.Best(cl.i, cl.j)
+		best := m.best(cl)
 		out = append(out, SystemStatus{
 			I: cl.i, J: cl.j,
 			Held:     best.MinBound <= bound,

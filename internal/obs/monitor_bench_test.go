@@ -70,3 +70,18 @@ func TestMonitorObserveAllocs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkMonitorGraph is the cost of one timeliness-graph query over the
+// whole family at n = 6, after 10,000 observed steps.
+func BenchmarkMonitorGraph(b *testing.B) {
+	m, err := obs.NewMonitor(obs.MonitorConfig{N: 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.ObserveBlock(mixedSchedule(b, 6, 7, 10_000))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		m.Graph(4)
+	}
+}
