@@ -21,6 +21,7 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -190,21 +191,11 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 			cl.ps[a] = int32(m.pIndex(p))
 			ps := &m.ps[cl.ps[a]]
 			for _, q := range cl.qs {
-				cl.rs = append(cl.rs, int32(ps.rIndex(q&^p)))
+				cl.rs = append(cl.rs, int32(findR(ps.rs, q&^p)))
 			}
 		}
 	}
 	return m, nil
-}
-
-func cmpSet(a, b procset.Set) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 // indexR describes r given the smaller R sets already indexed for its P.
@@ -214,36 +205,26 @@ func indexR(r procset.Set, prev []rSet) rSet {
 		return e
 	}
 	e.low = uint8(bits.TrailingZeros64(uint64(r)))
-	if k, ok := slices.BinarySearchFunc(prev, r&(r-1), func(e rSet, t procset.Set) int { return cmpSet(e.r, t) }); ok {
-		e.parent = int32(k)
-	}
+	e.parent = int32(findR(prev, r&(r-1)))
 	return e
 }
 
 // pIndex returns the index of p in m.ps, or -1 when p is not tracked.
 func (m *Monitor) pIndex(p procset.Set) int {
-	k, ok := slices.BinarySearchFunc(m.ps, p, func(e pState, t procset.Set) int { return cmpSet(e.p, t) })
+	k, ok := slices.BinarySearchFunc(m.ps, p, func(e pState, t procset.Set) int { return cmp.Compare(e.p, t) })
 	if !ok {
 		return -1
 	}
 	return k
 }
 
-// rIndex returns the index of r among ps's R sets, or -1.
-func (ps *pState) rIndex(r procset.Set) int {
-	lo, hi := 0, len(ps.rs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ps.rs[mid].r < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(ps.rs) || ps.rs[lo].r != r {
+// findR returns the index of r in the ascending list rs, or -1.
+func findR(rs []rSet, r procset.Set) int {
+	k, ok := slices.BinarySearchFunc(rs, r, func(e rSet, t procset.Set) int { return cmp.Compare(e.r, t) })
+	if !ok {
 		return -1
 	}
-	return lo
+	return k
 }
 
 // N returns the system size.
@@ -356,7 +337,7 @@ func (m *Monitor) MaxQGap(p, q procset.Set) int {
 		panic(fmt.Sprintf("obs: pair (%v,%v) not tracked", p, q))
 	}
 	ps := &m.ps[k]
-	r := ps.rIndex(q &^ p)
+	r := findR(ps.rs, q&^p)
 	if r < 0 {
 		panic(fmt.Sprintf("obs: pair (%v,%v) not tracked", p, q))
 	}
