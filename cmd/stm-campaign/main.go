@@ -921,13 +921,13 @@ func relationsCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	schedules := fs.Int("schedules", 100, "population size")
 	gen := fs.String("gen", "mixed", "schedule generator: random|starver|mixed")
 	return func() (*plan, error) {
-		for _, f := range []struct {
-			name string
-			v    int
-		}{{"bound", *bound}, {"steps", *steps}, {"schedules", *schedules}} {
-			if f.v < 1 {
-				return nil, badFlag("-%s must be at least 1 (got %d)", f.name, f.v)
-			}
+		switch {
+		case *bound < 1:
+			return nil, badFlag("-bound must be at least 1 (got %d)", *bound)
+		case *steps < 1:
+			return nil, badFlag("-steps must be at least 1 (got %d)", *steps)
+		case *schedules < 1:
+			return nil, badFlag("-schedules must be at least 1 (got %d)", *schedules)
 		}
 		return &plan{
 			params: map[string]any{"n": *n, "bound": *bound, "steps": *steps, "schedules": *schedules, "gen": *gen},
