@@ -47,10 +47,10 @@ func FuzzTimeliness(f *testing.F) {
 				}
 			}
 			lo = hi
-			checkFuzzPrefix(t, m, cfg, s[:hi], int(bound))
+			checkPrefix(t, m, cfg, s[:hi], int(bound))
 		}
 		if len(s) == 0 {
-			checkFuzzPrefix(t, m, cfg, s, int(bound))
+			checkPrefix(t, m, cfg, s, int(bound))
 		}
 	})
 }
@@ -70,70 +70,4 @@ func fuzzSizes(n int, mask uint32) [][2]int {
 		}
 	}
 	return sizes
-}
-
-// checkFuzzPrefix compares every query of m with the batch extractor on s,
-// the prefix m has observed so far.
-func checkFuzzPrefix(t *testing.T, m *obs.Monitor, cfg obs.MonitorConfig, s sched.Schedule, bound int) {
-	t.Helper()
-	n := cfg.N
-	if m.Steps() != len(s) {
-		t.Fatalf("Steps() = %d, want %d", m.Steps(), len(s))
-	}
-	sizes := cfg.Sizes
-	if len(sizes) == 0 {
-		sizes = fuzzSizes(n, ^uint32(0))
-	}
-	bounds := []int{bound, 0, 1, 2, 4}
-	for _, ij := range sizes {
-		i, j := ij[0], ij[1]
-		for _, p := range procset.KSubsets(n, i) {
-			for _, q := range procset.KSubsets(n, j) {
-				want := sched.MaxQGap(s, p, q)
-				if got := m.MaxQGap(p, q); got != want {
-					t.Fatalf("after %d steps: MaxQGap(%v,%v) = %d, batch says %d", len(s), p, q, got, want)
-				}
-				if got, w := m.MinBound(p, q), sched.MinBound(s, p, q); got != w {
-					t.Fatalf("after %d steps: MinBound(%v,%v) = %d, batch says %d", len(s), p, q, got, w)
-				}
-				for _, b := range append(bounds, want, want+1) {
-					batch := sched.IsTimely(s, p, q, b)
-					if scan := b >= 1 && want < b; batch != scan {
-						t.Fatalf("after %d steps: sched.IsTimely(%v,%v,%d) = %v, but MaxQGap = %d", len(s), p, q, b, batch, want)
-					}
-					if got := m.IsTimely(p, q, b); got != batch {
-						t.Fatalf("after %d steps: IsTimely(%v,%v,%d) = %v, batch says %v", len(s), p, q, b, got, batch)
-					}
-				}
-			}
-		}
-		if got, want := m.Best(i, j), sched.BestPair(s, n, i, j); got != want {
-			t.Fatalf("after %d steps: Best(%d,%d) = %+v, batch says %+v", len(s), i, j, got, want)
-		}
-		for _, b := range bounds {
-			if got, want := m.InSystem(i, j, b), sched.InSystem(s, n, i, j, b); got != want {
-				t.Fatalf("after %d steps: InSystem(%d,%d,%d) = %v, batch says %v", len(s), i, j, b, got, want)
-			}
-		}
-		if cfg.Window > 0 {
-			win := s[max(0, len(s)-cfg.Window):]
-			if got, want := m.RecentBest(i, j), sched.BestPair(win, n, i, j); got != want {
-				t.Fatalf("after %d steps: RecentBest(%d,%d) = %+v, batch over the last %d steps says %+v", len(s), i, j, got, want, len(win))
-			}
-		}
-	}
-	graph := m.Graph(bound)
-	if len(graph) != len(sizes) {
-		t.Fatalf("Graph has %d rows, want %d", len(graph), len(sizes))
-	}
-	for k, row := range graph {
-		best := sched.BestPair(s, n, sizes[k][0], sizes[k][1])
-		if row.I != sizes[k][0] || row.J != sizes[k][1] || row.Best != best || row.MinBound != best.MinBound ||
-			row.BestP != best.P.String() || row.BestQ != best.Q.String() {
-			t.Fatalf("after %d steps: Graph row %d = %+v, batch best %+v", len(s), k, row, best)
-		}
-		if want := sched.InSystem(s, n, row.I, row.J, bound); row.Held != want {
-			t.Fatalf("after %d steps: Graph row S^%d_%d held = %v, sched.InSystem says %v", len(s), row.I, row.J, row.Held, want)
-		}
-	}
 }

@@ -306,24 +306,15 @@ func (m *Monitor) Reset() {
 	}
 }
 
-// class returns the tracked class (i, j), or nil.
-func (m *Monitor) class(i, j int) *classIndex {
+// mustClass returns the tracked class (i, j) and panics when it is not
+// tracked (a configuration error, not a runtime condition).
+func (m *Monitor) mustClass(i, j int) *classIndex {
 	for ci := range m.classes {
 		if m.classes[ci].i == i && m.classes[ci].j == j {
 			return &m.classes[ci]
 		}
 	}
-	return nil
-}
-
-// mustClass returns the tracked class (i, j) and panics when it is not
-// tracked (a configuration error, not a runtime condition).
-func (m *Monitor) mustClass(i, j int) *classIndex {
-	cl := m.class(i, j)
-	if cl == nil {
-		panic(fmt.Sprintf("obs: size class (%d,%d) not tracked", i, j))
-	}
-	return cl
+	panic(fmt.Sprintf("obs: size class (%d,%d) not tracked", i, j))
 }
 
 // MaxQGap returns the maximal number of Q-steps in any P-free window of the
