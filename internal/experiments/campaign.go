@@ -178,7 +178,7 @@ func RunRelationsCampaign(ctx context.Context, cfg RelationsConfig, seed int64, 
 				if err != nil {
 					return campaign.Outcome{}, err
 				}
-				s, _ := bufs.Get()
+				s, _ := bufs.Get() // the builder above cannot fail
 				defer bufs.Put(s)
 				sched.FillBlock(src, s)
 				tallies := map[string]int{"schedules": 1}
