@@ -637,6 +637,12 @@ func fuzzCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	schedules := fs.Int("schedules", 1000, "number of schedules")
 	crashSpec := fs.String("crashes", "", "crash patterns, e.g. \"p1@3;p2@0,p4@9\" (empty = failure-free)")
 	return func() (*plan, error) {
+		switch {
+		case *steps < 1:
+			return nil, badFlag("-steps must be at least 1 (got %d)", *steps)
+		case *schedules < 1:
+			return nil, badFlag("-schedules must be at least 1 (got %d)", *schedules)
+		}
 		patterns, err := parseCrashPatterns(*crashSpec)
 		if err != nil {
 			return nil, err
@@ -651,6 +657,7 @@ func fuzzCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 				rep, runs, err := explore.FuzzPooledCampaign(ctx, c.workers, *n, *steps, *schedules, c.seed, patterns, build, sink)
 				return rep, nil, violation("fuzz", rep, runs, err)
 			},
+			failed: "runs failed to complete",
 		}, nil
 	}
 }
@@ -1007,7 +1014,7 @@ func monitorSource(gen string, n int, seed int64) (sched.Source, error) {
 		}
 		return &segmentSwitcher{a: a, b: b, seg: 512}, nil
 	default:
-		return nil, fmt.Errorf("unknown -gen %q (want random|starver|mixed)", gen)
+		return nil, badFlag("unknown -gen %q (want random|starver|mixed)", gen)
 	}
 }
 
@@ -1022,14 +1029,17 @@ func monitorCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	bound := fs.Int("bound", 4, "Definition 1 bound probed by the graph")
 	window := fs.Int("window", 0, "sliding-window size for the recent view (0 = cumulative only)")
 	return func() (*plan, error) {
-		if *n < 2 || *n > 6 {
-			return nil, fmt.Errorf("monitor tracks the full S^i_{j,n} family, which needs 2 <= n <= 6 (got %d)", *n)
-		}
-		if *steps < 1 {
-			return nil, fmt.Errorf("-steps must be positive")
-		}
-		if *bound < 1 {
+		switch {
+		case *n < 2 || *n > 6:
+			return nil, badFlag("monitor tracks the full S^i_{j,n} family, which needs 2 <= n <= 6 (got %d)", *n)
+		case *steps < 1:
+			return nil, badFlag("-steps must be at least 1 (got %d)", *steps)
+		case *every < 0:
+			return nil, badFlag("-every must be at least 0 (got %d)", *every)
+		case *bound < 1:
 			return nil, badFlag("-bound must be at least 1 (got %d)", *bound)
+		case *window < 0:
+			return nil, badFlag("-window must be at least 0 (got %d)", *window)
 		}
 		src, err := monitorSource(*gen, *n, c.seed)
 		if err != nil {

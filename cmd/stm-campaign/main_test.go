@@ -198,6 +198,47 @@ func TestRelationsFailedJobsExitError(t *testing.T) {
 	}
 }
 
+// A fuzz schedule length or population below 1 is a usage error (exit 2)
+// caught before the -jsonl stream is opened.
+func TestFuzzRejectsBadFlags(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	for _, flags := range [][]string{
+		{"-steps", "-4"},
+		{"-steps", "0"},
+		{"-schedules", "-2"},
+		{"-schedules", "0"},
+	} {
+		var out bytes.Buffer
+		args := append(flags, "-n", "3", "-jsonl", filepath.Join(dir, "f.jsonl"))
+		if code := exitCode("stm-campaign", execute(context.Background(), "fuzz", args, &out)); code != exitUsage {
+			t.Errorf("fuzz %v: exit %d, want %d", flags, code, exitUsage)
+		}
+		if out.Len() != 0 {
+			t.Errorf("fuzz %v printed a report:\n%s", flags, out.String())
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("rejected fuzz invocations wrote %d file(s)", len(entries))
+	}
+}
+
+// A fuzz job that fails (a panicking run is one) makes the subcommand exit
+// 1 instead of printing a summary and exiting 0.
+func TestFuzzFailedJobsExitError(t *testing.T) {
+	t.Parallel()
+	fs := flag.NewFlagSet("fuzz", flag.ContinueOnError)
+	var c common
+	p, err := fuzzCmd(fs, &c)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &campaign.Report{Summary: campaign.Summary{Jobs: 3, Completed: 3, Ok: 0, Failed: 3}}
+	if code := exitCode("stm-campaign", p.verdict(rep)); code != exitError {
+		t.Errorf("fuzz with 3 failed jobs: exit %d, want %d", code, exitError)
+	}
+}
+
 // TestFuzzEnginesBitIdentical drives the fuzz subcommand end to end: the
 // -json summary must be identical at -workers 1 and 4 for every target.
 // (explore.TestFuzzModesBitIdentical pins the pooled runs against fresh
@@ -295,28 +336,32 @@ func TestMonitorJSON(t *testing.T) {
 	}
 }
 
+// Every monitor flag out of its domain is a usage error (exit 2), and so is
+// any campaign flag: monitor runs no campaign, so those are rejected rather
+// than accepted and ignored.
 func TestMonitorRejectsBadFlags(t *testing.T) {
 	t.Parallel()
-	var out bytes.Buffer
-	if err := execute(context.Background(), "monitor", []string{"-n", "7"}, &out); err == nil {
-		t.Error("n=7 accepted (full family tracking is bounded at 6)")
-	}
-	if err := execute(context.Background(), "monitor", []string{"-gen", "bogus"}, &out); err == nil {
-		t.Error("bogus generator accepted")
-	}
-	// monitor runs no campaign, so the campaign flags are usage errors
-	// rather than accepted and ignored.
 	dir := t.TempDir()
 	for _, flags := range [][]string{
+		{"-n", "7"}, // full family tracking is bounded at 6
+		{"-n", "1"},
+		{"-steps", "0"},
+		{"-window", "-3"},
+		{"-every", "-5"},
+		{"-gen", "foo"},
+		{"-bound", "0"},
 		{"-checkpoint", filepath.Join(dir, "ck")},
 		{"-procs", "2"},
 		{"-jsonl", filepath.Join(dir, "m.jsonl")},
 		{"-workers", "2"},
-		{"-bound", "0"},
 	} {
-		err := execute(context.Background(), "monitor", append(flags, "-steps", "64"), &out)
-		if exitCode("stm-campaign", err) != exitUsage {
-			t.Errorf("monitor %v: %v, want a usage error", flags, err)
+		var out bytes.Buffer
+		err := execute(context.Background(), "monitor", append([]string{"-steps", "64"}, flags...), &out)
+		if code := exitCode("stm-campaign", err); code != exitUsage {
+			t.Errorf("monitor %v: exit %d (%v), want %d", flags, code, err, exitUsage)
+		}
+		if out.Len() != 0 {
+			t.Errorf("monitor %v printed a report:\n%s", flags, out.String())
 		}
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 0 {

@@ -312,6 +312,9 @@ func ExhaustivePooledCampaign(ctx context.Context, workers, n, depth int, build 
 // with crash pattern r%len(patterns), so coverage is independent of sharding
 // and of the execution path.
 func fuzzSpace(n, steps, seeds int, base int64, crashPatterns []map[procset.ID]int) (int, func(int) sched.Schedule, error) {
+	if steps < 1 {
+		return 0, nil, fmt.Errorf("explore: fuzzing needs at least 1 step per schedule, got %d", steps)
+	}
 	if len(crashPatterns) == 0 {
 		crashPatterns = []map[procset.ID]int{nil}
 	}

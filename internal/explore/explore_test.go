@@ -202,6 +202,20 @@ func TestExhaustiveValidation(t *testing.T) {
 	}
 }
 
+// A fuzz campaign with fewer than one step per schedule is rejected before
+// any job runs, on both execution paths.
+func TestFuzzValidation(t *testing.T) {
+	t.Parallel()
+	for _, steps := range []int{0, -4} {
+		if _, _, err := FuzzCampaign(context.Background(), 0, 3, steps, 3, 0, nil, caBuilder(3), nil); err == nil {
+			t.Errorf("FuzzCampaign: steps = %d accepted", steps)
+		}
+		if _, _, err := FuzzPooledCampaign(context.Background(), 0, 3, steps, 3, 0, nil, CommitAdoptPooledBuilder(3), nil); err == nil {
+			t.Errorf("FuzzPooledCampaign: steps = %d accepted", steps)
+		}
+	}
+}
+
 func TestViolationMarshalJSON(t *testing.T) {
 	t.Parallel()
 	v := &Violation{Schedule: sched.Schedule{1, 2, 1}, Err: fmt.Errorf("disagreement: 10 vs 20")}

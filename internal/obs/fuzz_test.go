@@ -21,7 +21,8 @@ const fuzzMaxSteps = 512
 // block sizes and the schedule itself (one byte per step, mapped onto Πn).
 // The monitor is fed in uneven blocks; at every block boundary each of its
 // queries must equal sched's answer on the same prefix, and sched.IsTimely
-// must agree with its own full scan.
+// must agree with its own full scan. The schedule is then fed a second time
+// after Reset, under the same checks.
 func FuzzTimeliness(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nb uint8, bound int8, window uint8, classes uint32, split uint8, data []byte) {
 		n := 2 + int(nb)%5
@@ -37,20 +38,25 @@ func FuzzTimeliness(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for lo, k := 0, 0; lo < len(s); k++ {
-			hi := min(lo+1+(int(split)+k*k)%61, len(s))
-			if k%2 == 0 {
-				m.ObserveBlock(s[lo:hi])
-			} else {
-				for _, p := range s[lo:hi] {
-					m.Observe(p)
-				}
+		for pass := 0; pass < 2; pass++ {
+			if pass == 1 {
+				m.Reset()
 			}
-			lo = hi
-			checkPrefix(t, m, cfg, s[:hi], int(bound))
-		}
-		if len(s) == 0 {
-			checkPrefix(t, m, cfg, s, int(bound))
+			for lo, k := 0, 0; lo < len(s); k++ {
+				hi := min(lo+1+(int(split)+k*k)%61, len(s))
+				if k%2 == pass {
+					m.ObserveBlock(s[lo:hi])
+				} else {
+					for _, p := range s[lo:hi] {
+						m.Observe(p)
+					}
+				}
+				lo = hi
+				checkPrefix(t, m, cfg, s[:hi], int(bound))
+			}
+			if len(s) == 0 {
+				checkPrefix(t, m, cfg, s, int(bound))
+			}
 		}
 	})
 }

@@ -14,10 +14,15 @@
 // distinct R of P's tracked pairs, the largest R-count of any closed P-free
 // window. A step by x closes the open window of exactly the P's containing
 // x; a query adds the still-open window (current counts minus the counts at
-// P's last step) to the stored maximum. This is the incremental extraction
-// of the timeliness graph of Delporte-Gallet et al. (arXiv:1003.1058), and
-// it answers exactly sched.MaxQGap of the observed prefix, which the
-// equivalence and fuzz tests pin.
+// P's last step) to the stored maximum. A closing window holds only steps
+// of processes outside P, so none of its R-counts exceeds its length; when
+// that length is at most P's smallest stored maximum over its nonempty R's,
+// no maximum can rise and the step skips P's R-sums. On a long run the
+// maxima soon outgrow most windows, so most steps only record the counts.
+// This is the incremental extraction of the timeliness graph of
+// Delporte-Gallet et al. (arXiv:1003.1058), and it answers exactly
+// sched.MaxQGap of the observed prefix, which the equivalence and fuzz
+// tests pin.
 package obs
 
 import (
@@ -64,8 +69,14 @@ type rSet struct {
 // pState is the online state of one tracked P.
 type pState struct {
 	p procset.Set
-	// last holds every process's step count as it stood at P's last step.
-	last []int64
+	// last holds every process's step count as it stood at P's last step,
+	// and lastStep that step's index (0 before P's first step).
+	last     []int64
+	lastStep int
+	// thresh is the smallest maximum over P's nonempty R sets, or
+	// math.MaxInt64 when P's only R is ∅: a closing window no longer than
+	// thresh cannot raise any maximum (see Observe).
+	thresh int64
 	// rs lists P's distinct R sets in ascending order; maxes[k] is the
 	// largest rs[k]-count of any closed P-free window. open is scratch for
 	// the counts of the open window (see openCounts and gaps).
@@ -181,6 +192,7 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 		m.ps[k].rs = rs[off[k]:off[k+1]:off[k+1]]
 		m.ps[k].maxes = maxes[off[k]:off[k+1]:off[k+1]]
 		m.ps[k].open = open[off[k]:off[k+1]:off[k+1]]
+		m.ps[k].thresh = minMax(&m.ps[k])
 	}
 	for ci := range m.classes {
 		cl := &m.classes[ci]
@@ -253,16 +265,46 @@ func (m *Monitor) Observe(p procset.ID) {
 		}
 	}
 	m.counts[p-1]++
-	// A step by p closes the open window of every P containing p.
+	// A step by p closes the open window of every P containing p. That
+	// window holds the steps-1-lastStep steps since P's last step, all by
+	// processes outside P, so each of its R-counts is at most its length:
+	// when the length is within thresh, no maximum can rise.
 	for _, k := range m.byProc[p-1] {
 		ps := &m.ps[k]
-		for r, c := range openCounts(ps, m.counts) {
-			if c > ps.maxes[r] {
-				ps.maxes[r] = c
-			}
+		if int64(m.steps-1-ps.lastStep) > ps.thresh {
+			ps.fold(m.counts)
 		}
 		copy(ps.last, m.counts)
+		ps.lastStep = m.steps
 	}
+}
+
+// fold raises each of P's maxima to the closing window's R-count, and
+// recomputes thresh when one rose.
+func (ps *pState) fold(counts []int64) {
+	rose := false
+	for r, c := range openCounts(ps, counts) {
+		if c > ps.maxes[r] {
+			ps.maxes[r] = c
+			rose = true
+		}
+	}
+	if rose {
+		ps.thresh = minMax(ps)
+	}
+}
+
+// minMax returns the smallest maximum over P's nonempty R sets, or
+// math.MaxInt64 when there is none. R = ∅ is left out: its count is
+// always 0.
+func minMax(ps *pState) int64 {
+	t := int64(math.MaxInt64)
+	for r, e := range ps.rs {
+		if e.r != 0 {
+			t = min(t, ps.maxes[r])
+		}
+	}
+	return t
 }
 
 // openCounts returns ps.open filled with, for each R set of ps, the number
@@ -301,8 +343,11 @@ func (m *Monitor) Reset() {
 	m.ringPos, m.ringLen = 0, 0
 	clear(m.counts)
 	for k := range m.ps {
-		clear(m.ps[k].last)
-		clear(m.ps[k].maxes)
+		ps := &m.ps[k]
+		clear(ps.last)
+		clear(ps.maxes)
+		ps.lastStep = 0
+		ps.thresh = minMax(ps)
 	}
 }
 

@@ -50,6 +50,34 @@ func BenchmarkMonitorObserve(b *testing.B) {
 	}
 }
 
+// foldSteps is the length of the benchmark's monitored schedules per n.
+var foldSteps = map[int]int{4: 128_000, 5: 40_000, 6: 10_000}
+
+// BenchmarkMonitorFold is one pass of a fresh monitor over one
+// benchmark-shaped schedule (128k, 40k and 10k mixed steps at n = 4, 5, 6),
+// fed in 256-step blocks. Unlike BenchmarkMonitorObserve, whose monitor has
+// long reached its steady state, it includes the early steps, where the
+// maxima are still small and most closing windows fold. One op is one pass.
+func BenchmarkMonitorFold(b *testing.B) {
+	for _, n := range []int{4, 5, 6} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := mixedSchedule(b, n, 7, foldSteps[n])
+			b.ReportAllocs()
+			b.ResetTimer()
+			for it := 0; it < b.N; it++ {
+				m, err := obs.NewMonitor(obs.MonitorConfig{N: n})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for lo := 0; lo < len(s); lo += 256 {
+					m.ObserveBlock(s[lo:min(lo+256, len(s))])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(s)), "ns/step")
+		})
+	}
+}
+
 // Observing a step allocates nothing, with or without a sliding window.
 func TestMonitorObserveAllocs(t *testing.T) {
 	for _, window := range []int{0, 64} {

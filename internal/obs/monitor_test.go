@@ -247,6 +247,39 @@ func TestMonitorReset(t *testing.T) {
 	checkAgainstBatch(t, m, s, n)
 }
 
+// On long mixed schedules, the shape of the benchmark's monitored ones, the
+// stored maxima grow large, so most closing windows are within P's
+// threshold and skip the fold. At several prefixes, fed in 256-step blocks
+// and ending mid-block, Graph, Best and InSystem still equal the batch
+// extractor's answers.
+func TestMonitorLongSchedules(t *testing.T) {
+	for _, n := range []int{4, 5, 6} {
+		s := mixedSchedule(t, n, int64(n), foldSteps[n])
+		m := mustMonitor(t, obs.MonitorConfig{N: n})
+		done := 0
+		for _, end := range []int{1000, len(s)/3 + 7, 2*len(s)/3 + 129, len(s)} {
+			for ; done < end; done = min(done+256, end) {
+				m.ObserveBlock(s[done:min(done+256, end)])
+			}
+			prefix := s[:end]
+			for k, row := range m.Graph(4) {
+				best := sched.BestPair(prefix, n, row.I, row.J)
+				if row.Best != best || row.Held != sched.InSystem(prefix, n, row.I, row.J, 4) {
+					t.Fatalf("n=%d after %d steps: Graph row %d = %+v, batch best %+v", n, end, k, row, best)
+				}
+				if got := m.Best(row.I, row.J); got != best {
+					t.Fatalf("n=%d after %d steps: Best(%d,%d) = %+v, batch says %+v", n, end, row.I, row.J, got, best)
+				}
+				for _, b := range []int{best.MinBound - 1, best.MinBound} {
+					if got, want := m.InSystem(row.I, row.J, b), sched.InSystem(prefix, n, row.I, row.J, b); got != want {
+						t.Fatalf("n=%d after %d steps: InSystem(%d,%d,%d) = %v, batch says %v", n, end, row.I, row.J, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // Graph reports one row per tracked class with the batch extractor's best
 // witness, and marks held classes by the probed bound.
 func TestMonitorGraph(t *testing.T) {
