@@ -57,7 +57,8 @@ var foldSteps = map[int]int{4: 128_000, 5: 40_000, 6: 10_000}
 // benchmark-shaped schedule (128k, 40k and 10k mixed steps at n = 4, 5, 6),
 // fed in 256-step blocks. Unlike BenchmarkMonitorObserve, whose monitor has
 // long reached its steady state, it includes the early steps, where the
-// maxima are still small and most closing windows fold. One op is one pass.
+// maxima are still small and more closing windows fold, and the monitor's
+// construction. One op is one pass.
 func BenchmarkMonitorFold(b *testing.B) {
 	for _, n := range []int{4, 5, 6} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
