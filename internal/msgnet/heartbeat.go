@@ -2,12 +2,18 @@
 // eventual-leader detector from heartbeats with adaptive timeouts — the
 // message-passing sibling of internal/antiomega's register-plane detector,
 // and the natural probe for mixed-grade networks. Each process alternates
-// broadcast rounds (one send per peer) with a receive window, counts its own
-// steps of silence per peer, and suspects a peer whose silence exceeds that
-// peer's timeout; hearing from a suspected peer rehabilitates it and bumps
-// its timeout (the classic adaptive rule, so finitely many false suspicions
-// per eventually-timely link). The leader output is the smallest
+// broadcast rounds (one send per peer) with a receive window, measures each
+// peer's silence in its own steps, and suspects a peer whose silence exceeds
+// that peer's timeout; hearing from a suspected peer rehabilitates it and
+// bumps its timeout (the classic adaptive rule, so finitely many false
+// suspicions per eventually-timely link). The leader output is the smallest
 // unsuspected process.
+//
+// The timers are deadlines, not counters: a process keeps its own step
+// clock, the clock value at which it last heard from each peer, and the
+// earliest expiry over its unsuspected peers. A step looks at the peers only
+// once the clock passes that deadline, so the per-step cost does not grow
+// with n while every peer is heard from in time.
 //
 // On a network whose links from some correct process are eventually timely
 // (Sync, or PartialSync past GST) and given enough steps, every correct
@@ -19,6 +25,7 @@ package msgnet
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sim"
@@ -82,8 +89,8 @@ func NewHeartbeat(cfg HeartbeatConfig) (*Heartbeat, error) {
 // factory (the regs argument is unused: the detector touches no registers,
 // only the message plane).
 func (h *Heartbeat) Machine(p procset.ID, _ sim.Registry) sim.Machine {
-	m := &hbMachine{h: h, self: p, n: h.cfg.N}
-	m.silence = make([]int, h.cfg.N+1)
+	m := &hbMachine{h: h, self: p, n: h.cfg.N, deadline: h.cfg.Timeout}
+	m.heard = make([]int, h.cfg.N+1)
 	m.timeout = make([]int, h.cfg.N+1)
 	for q := 1; q <= h.cfg.N; q++ {
 		m.timeout[q] = h.cfg.Timeout
@@ -132,8 +139,15 @@ type hbMachine struct {
 	recvsLeft int
 	round     int
 
-	silence   []int  // own steps since last heard, indexed by id
+	// Timers. q's silence is clock-heard[q]; q expires, and becomes
+	// suspected, once that exceeds timeout[q]. deadline is at most the
+	// smallest heard[q]+timeout[q] over unsuspected peers (exactly it after
+	// a scan, earlier when a peer was heard from since), and MaxInt when
+	// every peer is suspected: until the clock passes it no peer can expire.
+	clock     int    // own steps taken since the first
+	heard     []int  // clock when last heard from, indexed by id
 	timeout   []int  // current silence tolerance, indexed by id
+	deadline  int    // no unsuspected peer expires at or before this clock
 	suspected uint64 // bitmask, bit q-1
 	started   bool
 
@@ -154,28 +168,24 @@ func (m *hbMachine) Next(prev any) (sim.Op, bool) {
 // operation from stable storage. The detector never halts.
 func (m *hbMachine) NextOp(prev any) *sim.Op {
 	if m.started {
-		// One own step elapsed: every peer's silence grows, crossing a
-		// timeout turns into a suspicion.
+		// One own step elapsed: every peer's silence grows by one, and a
+		// silence crossing its timeout turns into a suspicion — which can
+		// only happen once the clock passes the deadline.
+		m.clock++
 		changed := false
-		for q := 1; q <= m.n; q++ {
-			if procset.ID(q) == m.self {
-				continue
-			}
-			m.silence[q]++
-			if m.silence[q] > m.timeout[q] && m.suspected&(1<<(q-1)) == 0 {
-				m.suspected |= 1 << (q - 1)
-				changed = true
-			}
+		if m.clock > m.deadline {
+			changed = m.expire()
 		}
 		if msg, ok := prev.(*sim.Message); ok {
 			q := int(msg.From)
-			m.silence[q] = 0
+			m.heard[q] = m.clock
 			if m.suspected&(1<<(q-1)) != 0 {
 				// A false suspicion: rehabilitate and grow the tolerance, so
 				// each eventually-timely peer is falsely suspected only
-				// finitely often.
+				// finitely often. q's new expiry may precede the deadline.
 				m.suspected &^= 1 << (q - 1)
 				m.timeout[q] += m.h.cfg.Timeout
+				m.deadline = min(m.deadline, m.clock+m.timeout[q])
 				changed = true
 			}
 		}
@@ -218,6 +228,26 @@ func (m *hbMachine) NextOp(prev any) *sim.Op {
 	}
 	m.opBuf = sim.SendOp(to, payload)
 	return &m.opBuf
+}
+
+// expire suspects every unsuspected peer whose silence exceeds its timeout
+// and recomputes the deadline over the rest. It reports whether any peer
+// became suspected.
+func (m *hbMachine) expire() bool {
+	changed := false
+	m.deadline = math.MaxInt
+	for q := 1; q <= m.n; q++ {
+		if procset.ID(q) == m.self || m.suspected&(1<<(q-1)) != 0 {
+			continue
+		}
+		if expiry := m.heard[q] + m.timeout[q]; m.clock > expiry {
+			m.suspected |= 1 << (q - 1)
+			changed = true
+		} else {
+			m.deadline = min(m.deadline, expiry)
+		}
+	}
+	return changed
 }
 
 // nextPeer returns the smallest peer id greater than after (skipping self),

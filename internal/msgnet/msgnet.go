@@ -33,6 +33,7 @@ package msgnet
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sched"
@@ -262,6 +263,7 @@ type Net struct {
 	envs   []envelope // grow-only arena
 	free   []int32    // recycled arena indexes
 	queues [][]int32  // per recipient: binary min-heap of arena indexes by (ready, seq)
+	heads  []int      // per recipient: ready step of its heap's top, MaxInt when empty
 	recv   []sim.Message
 
 	seq   uint64
@@ -293,8 +295,10 @@ func New(cfg Config) (*Net, error) {
 		director:  cfg.Director,
 		mutator:   cfg.Mutator,
 		queues:    make([][]int32, n),
+		heads:     make([]int, n),
 		recv:      make([]sim.Message, n),
 	}
+	clearHeads(net.heads)
 	for i := range net.links {
 		net.links[i] = linkState{spec: cfg.Default.Spec, phases: cfg.Default.Phases}
 	}
@@ -410,16 +414,13 @@ func (net *Net) Send(step int, from, to procset.ID, payload any) {
 // per-recipient reusable storage — valid until to's next recv.
 func (net *Net) Recv(step int, to procset.ID) *sim.Message {
 	qi := int(to) - 1
-	q := net.queues[qi]
-	if len(q) == 0 {
-		return nil
-	}
-	env := &net.envs[q[0]]
-	if env.ready > step {
+	if net.heads[qi] > step {
+		// Empty or not yet ready: about half of all recvs end here, so the
+		// answer is one int, not a heap slice and an arena envelope.
 		return nil
 	}
 	idx := net.pop(qi)
-	env = &net.envs[idx]
+	env := &net.envs[idx]
 	payload := env.payload
 	if net.mutator != nil {
 		payload = net.mutator.MutateDeliver(env.from, to, env.sentStep, payload)
@@ -444,6 +445,7 @@ func (net *Net) Reset() {
 		}
 		net.queues[i] = q[:0]
 	}
+	clearHeads(net.heads)
 	net.free = net.free[:0]
 	net.envs = net.envs[:0]
 	for i := range net.links {
@@ -472,6 +474,21 @@ func (net *Net) Stats() NetStats {
 	return s
 }
 
+// clearHeads marks every recipient's heap empty.
+func clearHeads(heads []int) {
+	for i := range heads {
+		heads[i] = math.MaxInt
+	}
+}
+
+// head returns the ready step of heap q's top, MaxInt when q is empty.
+func (net *Net) head(q []int32) int {
+	if len(q) == 0 {
+		return math.MaxInt
+	}
+	return net.envs[q[0]].ready
+}
+
 // less orders the heap: earliest ready first, send sequence breaking ties —
 // the deterministic total delivery order.
 func (net *Net) less(a, b int32) bool {
@@ -492,6 +509,7 @@ func (net *Net) push(qi int, idx int32) {
 		i = parent
 	}
 	net.queues[qi] = q
+	net.heads[qi] = net.head(q)
 }
 
 // pop removes and returns the minimum of recipient qi's heap.
@@ -518,5 +536,6 @@ func (net *Net) pop(qi int) int32 {
 		i = smallest
 	}
 	net.queues[qi] = q
+	net.heads[qi] = net.head(q)
 	return top
 }

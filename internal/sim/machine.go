@@ -203,7 +203,7 @@ func (r *Runner) exec(n int, ps []procset.ID, d Director, res *stepResult) {
 			v, peer = pr.nextValue, pr.nextDest
 			r.net.Send(index, p, peer, v)
 			r.stats.sends++
-		default: // OpRecv — setNextNet admits nothing else
+		default: // OpRecv — settle admits nothing else
 			if m := r.net.Recv(index, p); m != nil {
 				prev, v, peer = m, m.Payload, m.From
 			}
@@ -217,7 +217,24 @@ func (r *Runner) exec(n int, ps []procset.ID, d Director, res *stepResult) {
 			// compiles to a runtime.wbMove call, which Step pays per step.
 			res.kind, res.id, res.v, res.peer = kind, id, v, peer
 		}
-		r.advanceMachine(pr, prev)
+		// Advance the machine in place. The common requests of a pointer-op
+		// machine are stored right here: a resolved read or write, a recv
+		// on a networked runner, a halt. The rest goes through settle.
+		if pm := pr.ptrMachine; pm == nil {
+			r.advanceMachine(pr, prev)
+		} else if op := pm.NextOp(prev); op == nil {
+			pr.isHalted = true
+		} else if rr := op.reg; rr != nil && op.Kind == OpRead {
+			// Reads leave the stale value in place (the read path never
+			// looks at it), sparing an interface store per read step.
+			pr.nextKind, pr.nextReg, pr.nextRegID = OpRead, rr, rr.id
+		} else if rr != nil && op.Kind == OpWrite {
+			pr.nextKind, pr.nextReg, pr.nextRegID, pr.nextValue = OpWrite, rr, rr.id, op.Value
+		} else if op.Kind == OpRecv && r.net != nil {
+			pr.nextKind, pr.nextReg, pr.nextRegID = OpRecv, nil, -1
+		} else {
+			r.settle(pr, op)
+		}
 		if d != nil && kind == OpWrite {
 			d.OnWrite(id, p, v)
 		}
@@ -234,10 +251,9 @@ type stepResult struct {
 	peer procset.ID
 }
 
-// advanceMachine asks pr's machine for its next request, halting the process
-// when the machine is done. It is the only place the runner calls NextOp or
-// Next. The request is stored resolved (kind, concrete register, value), so
-// the kernel touches no Op struct and performs no type assertion per step.
+// advanceMachine asks pr's machine for its next request and stores it
+// through settle: first activation, PendingOp's peek and machines without
+// NextOp. The kernel inlines the same call with its common cases.
 func (r *Runner) advanceMachine(pr *proc, prev any) {
 	var op *Op
 	if pm := pr.ptrMachine; pm != nil {
@@ -247,12 +263,24 @@ func (r *Runner) advanceMachine(pr *proc, prev any) {
 	} else if next, ok := pr.machine.Next(prev); ok {
 		op = &next
 	}
-	switch {
-	case op == nil:
+	r.settle(pr, op)
+}
+
+// settle stores op as pr's pending request, halting the process when op is
+// nil. The request is stored resolved (kind, concrete register, value), so
+// the kernel touches no Op struct and performs no type assertion per step.
+// Message-plane requests park the register fields on the sentinel
+// no-register state (nil, -1), which is what PendingOp reports for them.
+// Every request the kernel does not store inline comes here, and so do
+// the checks: a nil Reg, a bad send destination, a message op without a
+// network, an unknown kind.
+func (r *Runner) settle(pr *proc, op *Op) {
+	if op == nil {
 		pr.isHalted = true
-	case op.Kind != OpRead && op.Kind != OpWrite:
-		r.setNextNet(pr, op.Kind, op.Dest, op.Value)
-	default:
+		return
+	}
+	switch op.Kind {
+	case OpRead, OpWrite:
 		rr := op.reg
 		if rr == nil {
 			if op.Reg == nil {
@@ -262,37 +290,28 @@ func (r *Runner) advanceMachine(pr *proc, prev any) {
 		}
 		pr.nextKind, pr.nextReg, pr.nextRegID = op.Kind, rr, rr.id
 		if op.Kind == OpWrite {
-			// Reads leave the stale value in place (the read path never looks
-			// at it), sparing an interface store per read step.
 			pr.nextValue = op.Value
 		}
+		return
+	case OpSend, OpRecv:
+		if r.net == nil {
+			panic(fmt.Sprintf("sim: %v op on a runner without Config.Network", op.Kind))
+		}
+	default:
+		panic(badOpKind(op.Kind))
 	}
-}
-
-// setNextNet stores a message-plane request (OpSend/OpRecv) as pr's pending
-// operation — advanceMachine's off-the-register-path tail. Register fields
-// are parked on the sentinel no-register state (nil, -1), which is what
-// PendingOp reports for message steps.
-func (r *Runner) setNextNet(pr *proc, kind OpKind, dest procset.ID, value any) {
-	if r.net == nil && (kind == OpSend || kind == OpRecv) {
-		panic(fmt.Sprintf("sim: %v op on a runner without Config.Network", kind))
-	}
-	switch kind {
-	case OpSend:
+	if op.Kind == OpSend {
+		dest := op.Dest
 		if dest < 1 || procset.ID(r.n) < dest {
 			panic(fmt.Sprintf("sim: send destination %v outside Π%d", dest, r.n))
 		}
 		if dest == pr.id {
 			panic(fmt.Sprintf("sim: %v sends to itself", pr.id))
 		}
-		pr.nextKind = OpSend
 		pr.nextDest = dest
-		pr.nextValue = value
-	case OpRecv:
-		pr.nextKind = OpRecv
-	default:
-		panic(badOpKind(kind))
+		pr.nextValue = op.Value
 	}
+	pr.nextKind = op.Kind
 	pr.nextReg = nil
 	pr.nextRegID = -1
 }
