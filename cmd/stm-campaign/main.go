@@ -50,6 +50,7 @@ import (
 	"github.com/settimeliness/settimeliness/internal/experiments"
 	"github.com/settimeliness/settimeliness/internal/explore"
 	"github.com/settimeliness/settimeliness/internal/faultinject"
+	"github.com/settimeliness/settimeliness/internal/msgnet"
 	"github.com/settimeliness/settimeliness/internal/obs"
 	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sched"
@@ -858,11 +859,35 @@ func netconvCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	runs := fs.Int("runs", 32, "samples per matrix")
 	steps := fs.Int("steps", 20_000, "step horizon per run")
 	return func() (*plan, error) {
+		switch {
+		case *n < 2 || *n > procset.MaxProcs:
+			return nil, badFlag("-n must be in 2..%d (got %d)", procset.MaxProcs, *n)
+		case *runs < 1:
+			return nil, badFlag("-runs must be at least 1 (got %d)", *runs)
+		case *steps < 1:
+			return nil, badFlag("-steps must be at least 1 (got %d)", *steps)
+		case *delta < 0:
+			return nil, badFlag("-delta must not be negative (got %d)", *delta)
+		case *gst < 0:
+			return nil, badFlag("-gst must not be negative (got %d)", *gst)
+		case *probe < 0:
+			return nil, badFlag("-probe must not be negative (got %d)", *probe)
+		case *wild < 0:
+			return nil, badFlag("-wild must not be negative (got %d)", *wild)
+		}
 		var names []string
 		for _, m := range strings.Split(*matrices, ",") {
 			if m = strings.TrimSpace(m); m != "" {
+				// Δ and GST are already checked; this checks the name and
+				// the mixed matrix's n ≥ 3.
+				if _, _, err := msgnet.BuildMatrix(m, *n, 1, 0); err != nil {
+					return nil, badFlag("-matrices: %v", err)
+				}
 				names = append(names, m)
 			}
+		}
+		if len(names) == 0 && *n < 3 {
+			return nil, badFlag("-n %d: the %s matrix needs n ≥ 3, so name the others with -matrices", *n, msgnet.MatrixMixed)
 		}
 		var cells []explore.NetCell
 		return &plan{

@@ -223,6 +223,39 @@ func TestFuzzRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestNetconvRejectsBadFlags: every out-of-range netconv flag is a usage
+// error (exit 2) caught before any side effect — no report, no -jsonl file.
+func TestNetconvRejectsBadFlags(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	for _, flags := range [][]string{
+		{"-runs", "0"},
+		{"-steps", "0"},
+		{"-delta", "-1"},
+		{"-gst", "-5"},
+		{"-probe", "-1"},
+		{"-wild", "-3"},
+		{"-n", "1"},
+		{"-n", "65"},
+		{"-n", "2"},
+		{"-matrices", "bogus"},
+		{"-matrices", "sync,bogus"},
+		{"-n", "2", "-matrices", "mixed"},
+	} {
+		var out bytes.Buffer
+		args := append(flags, "-jsonl", filepath.Join(dir, "n.jsonl"))
+		if code := exitCode("stm-campaign", execute(context.Background(), "netconv", args, &out)); code != exitUsage {
+			t.Errorf("netconv %v: exit %d, want %d", flags, code, exitUsage)
+		}
+		if out.Len() != 0 {
+			t.Errorf("netconv %v printed a report:\n%s", flags, out.String())
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("rejected netconv invocations wrote %d file(s)", len(entries))
+	}
+}
+
 // A fuzz job that fails (a panicking run is one) makes the subcommand exit
 // 1 instead of printing a summary and exiting 0.
 func TestFuzzFailedJobsExitError(t *testing.T) {
