@@ -90,10 +90,9 @@ func NewHeartbeat(cfg HeartbeatConfig) (*Heartbeat, error) {
 // only the message plane).
 func (h *Heartbeat) Machine(p procset.ID, _ sim.Registry) sim.Machine {
 	m := &hbMachine{h: h, self: p, n: h.cfg.N, deadline: h.cfg.Timeout}
-	m.heard = make([]int, h.cfg.N+1)
-	m.timeout = make([]int, h.cfg.N+1)
+	m.peers = make([]peerTimer, h.cfg.N+1)
 	for q := 1; q <= h.cfg.N; q++ {
-		m.timeout[q] = h.cfg.Timeout
+		m.peers[q].timeout = h.cfg.Timeout
 	}
 	h.leaders[p-1] = 1 // everyone starts trusting the smallest id
 	h.rounds[p-1] = 0
@@ -139,19 +138,24 @@ type hbMachine struct {
 	recvsLeft int
 	round     int
 
-	// Timers. q's silence is clock-heard[q]; q expires, and becomes
-	// suspected, once that exceeds timeout[q]. deadline is at most the
-	// smallest heard[q]+timeout[q] over unsuspected peers (exactly it after
-	// a scan, earlier when a peer was heard from since), and MaxInt when
-	// every peer is suspected: until the clock passes it no peer can expire.
-	clock     int    // own steps taken since the first
-	heard     []int  // clock when last heard from, indexed by id
-	timeout   []int  // current silence tolerance, indexed by id
-	deadline  int    // no unsuspected peer expires at or before this clock
-	suspected uint64 // bitmask, bit q-1
+	// Timers. q's silence is clock-peers[q].heard; q expires, and becomes
+	// suspected, once that exceeds peers[q].timeout. deadline is at most
+	// the smallest heard+timeout over unsuspected peers (exactly it after a
+	// scan, earlier when a peer was heard from since), and MaxInt when every
+	// peer is suspected: until the clock passes it no peer can expire.
+	clock     int         // own steps taken since the first
+	peers     []peerTimer // indexed by id
+	deadline  int         // no unsuspected peer expires at or before this clock
+	suspected uint64      // bitmask, bit q-1
 	started   bool
 
 	opBuf sim.Op
+}
+
+// peerTimer is one peer's timer in a detector process.
+type peerTimer struct {
+	heard   int // the process's clock when it last heard from the peer
+	timeout int // current silence tolerance
 }
 
 // Next implements sim.Machine via NextOp.
@@ -178,14 +182,15 @@ func (m *hbMachine) NextOp(prev any) *sim.Op {
 		}
 		if msg, ok := prev.(*sim.Message); ok {
 			q := int(msg.From)
-			m.heard[q] = m.clock
+			pt := &m.peers[q]
+			pt.heard = m.clock
 			if m.suspected&(1<<(q-1)) != 0 {
 				// A false suspicion: rehabilitate and grow the tolerance, so
 				// each eventually-timely peer is falsely suspected only
 				// finitely often. q's new expiry may precede the deadline.
 				m.suspected &^= 1 << (q - 1)
-				m.timeout[q] += m.h.cfg.Timeout
-				m.deadline = min(m.deadline, m.clock+m.timeout[q])
+				pt.timeout += m.h.cfg.Timeout
+				m.deadline = min(m.deadline, m.clock+pt.timeout)
 				changed = true
 			}
 		}
@@ -240,7 +245,7 @@ func (m *hbMachine) expire() bool {
 		if procset.ID(q) == m.self || m.suspected&(1<<(q-1)) != 0 {
 			continue
 		}
-		if expiry := m.heard[q] + m.timeout[q]; m.clock > expiry {
+		if expiry := m.peers[q].heard + m.peers[q].timeout; m.clock > expiry {
 			m.suspected |= 1 << (q - 1)
 			changed = true
 		} else {

@@ -109,6 +109,114 @@ func TestMachineNilRegPanicsOnEveryEntryPoint(t *testing.T) {
 	}
 }
 
+// ptrMachine adapts a function returning *Op to PtrMachine, so a test
+// reaches the kernel's inline advance: a MachineFunc always goes through
+// settle.
+type ptrMachine func(prev any) *Op
+
+func (f ptrMachine) Next(prev any) (Op, bool) {
+	if op := f(prev); op != nil {
+		return *op, true
+	}
+	return Op{}, false
+}
+
+func (f ptrMachine) NextOp(prev any) *Op { return f(prev) }
+
+// asPtr serves the machines mk builds through NextOp, from one Op buffer
+// per machine.
+func asPtr(mk func(procset.ID, Registry) Machine) func(procset.ID, Registry) Machine {
+	return func(p procset.ID, regs Registry) Machine {
+		m := mk(p, regs)
+		var buf Op
+		return ptrMachine(func(prev any) *Op {
+			op, ok := m.Next(prev)
+			if !ok {
+				return nil
+			}
+			buf = op
+			return &buf
+		})
+	}
+}
+
+// TestPtrMachineMatchesMachine: the kernel's inline advance of a pointer-op
+// machine (resolved reads and writes, recvs, halts) and settle's path for a
+// plain Machine produce the same StepInfo stream.
+func TestPtrMachineMatchesMachine(t *testing.T) {
+	t.Parallel()
+	const n = 4
+	src, err := sched.Random(n, 11, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sched.Take(src, 900)
+	for _, c := range []struct {
+		name string
+		cfg  func(mk func(procset.ID, Registry) Machine) Config
+		mk   func(procset.ID, Registry) Machine
+	}{
+		{"counter", func(mk func(procset.ID, Registry) Machine) Config { return Config{N: n, Machine: mk} }, counterMachine},
+		{"halting", func(mk func(procset.ID, Registry) Machine) Config { return Config{N: n, Machine: mk} }, haltingCounter(10)},
+		{"sendrecv", func(mk func(procset.ID, Registry) Machine) Config {
+			return Config{N: n, Machine: mk, Network: newRingNet(n)}
+		}, ringMachine(n)},
+	} {
+		sameTrace(t, c.name, traceOf(t, c.cfg(c.mk), s), traceOf(t, c.cfg(asPtr(c.mk)), s))
+	}
+}
+
+// TestSettleChecksEveryRequest: a bad request from a pointer-op machine
+// panics with settle's message whether it is the first request (fetched at
+// first activation) or a later one (fetched by the kernel's inline
+// advance, which hands it to settle).
+func TestSettleChecksEveryRequest(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		name    string
+		op      Op
+		network bool
+		want    string
+	}{
+		{"nil Reg", Op{Kind: OpWrite}, false, "sim: Machine returned an Op with nil Reg"},
+		{"send outside", SendOp(3, nil), true, "sim: send destination p3 outside Π2"},
+		{"send to self", SendOp(1, nil), true, "sim: p1 sends to itself"},
+		{"send without network", SendOp(2, nil), false, "sim: send op on a runner without Config.Network"},
+		{"recv without network", RecvOp(), false, "sim: recv op on a runner without Config.Network"},
+		{"unknown kind", Op{Kind: OpNoop}, true, badOpKind(OpNoop)},
+	} {
+		for _, later := range []bool{false, true} {
+			cfg := Config{N: 2, Machine: func(_ procset.ID, regs Registry) Machine {
+				ops := []Op{c.op}
+				if later {
+					ops = []Op{ReadOp(regs.Reg("x")), c.op}
+				}
+				return ptrMachine(func(any) *Op {
+					op := &ops[0]
+					ops = ops[1:]
+					return op
+				})
+			}}
+			if c.network {
+				cfg.Network = newRingNet(2)
+			}
+			r, err := NewRunner(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := func() (msg any) {
+				defer func() { msg = recover() }()
+				r.RunSchedule(sched.Schedule{1, 1})
+				return nil
+			}()
+			r.Close()
+			if got != c.want {
+				t.Errorf("%s (later %v) panicked with %v, want %q", c.name, later, got, c.want)
+			}
+		}
+	}
+}
+
 func TestMachineHaltsToNoop(t *testing.T) {
 	t.Parallel()
 	r, err := NewRunner(Config{N: 1, Machine: haltingMachine})
