@@ -179,9 +179,6 @@ func TestRunBatchMatchesStepLoop(t *testing.T) {
 		{"counter", func() Config { return Config{N: n, Machine: counterMachine} }, 70},
 		{"halting", func() Config { return Config{N: n, Machine: haltingCounter(10)} }, 20},
 		{"sendrecv", func() Config { return Config{N: n, Machine: ringMachine(n), Network: newRingNet(n)} }, 70},
-		{"counter/ptr", func() Config { return Config{N: n, Machine: asPtr(counterMachine)} }, 70},
-		{"halting/ptr", func() Config { return Config{N: n, Machine: asPtr(haltingCounter(10))} }, 20},
-		{"sendrecv/ptr", func() Config { return Config{N: n, Machine: asPtr(ringMachine(n)), Network: newRingNet(n)} }, 70},
 	}
 	// Each entry drives r over s and returns its result plus the writes it
 	// reports (nil if it reports none; an observer's writes are added by the
