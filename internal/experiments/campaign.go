@@ -145,19 +145,29 @@ func RunRelationsCampaign(ctx context.Context, cfg RelationsConfig, seed int64, 
 	default:
 		return nil, fmt.Errorf("experiments: unknown generator %q (want random, starver, or mixed)", gen)
 	}
-	// Each worker analyses its schedules in one recycled buffer, which
-	// FillBlock overwrites in full.
-	bufs := campaign.NewPool(func() (sched.Schedule, error) { return make(sched.Schedule, steps), nil })
+	// Each worker draws its random schedules from one reseeded source and
+	// analyses every schedule in one recycled buffer, which FillBlock
+	// overwrites in full.
+	type scratch struct {
+		random sched.RandomSource
+		buf    sched.Schedule
+	}
+	scratches := campaign.NewPool(func() (*scratch, error) {
+		random, err := sched.Random(cfg.N, 0, nil) // reseeded per job
+		return &scratch{random, make(sched.Schedule, steps)}, err
+	})
 	jobs := make([]campaign.Job, cfg.Schedules)
 	for idx := range jobs {
 		idx := idx
 		jobs[idx] = campaign.Job{
 			Name: fmt.Sprintf("schedule%d", idx),
 			Run: func(ctx context.Context, jobSeed int64) (campaign.Outcome, error) {
-				var (
-					src sched.Source
-					err error
-				)
+				sc, err := scratches.Get()
+				if err != nil {
+					return campaign.Outcome{}, err
+				}
+				defer scratches.Put(sc)
+				var src sched.Source
 				kind := gen
 				if gen == "mixed" {
 					if idx%2 == 0 {
@@ -168,7 +178,8 @@ func RunRelationsCampaign(ctx context.Context, cfg RelationsConfig, seed int64, 
 				}
 				switch kind {
 				case "random":
-					src, err = sched.Random(cfg.N, jobSeed, nil)
+					err = sc.random.Reseed(jobSeed, nil)
+					src = sc.random
 				case "starver":
 					// Vary the starved-set size with the derived seed so the
 					// population spans the family.
@@ -178,8 +189,7 @@ func RunRelationsCampaign(ctx context.Context, cfg RelationsConfig, seed int64, 
 				if err != nil {
 					return campaign.Outcome{}, err
 				}
-				s, _ := bufs.Get() // the builder above cannot fail
-				defer bufs.Put(s)
+				s := sc.buf
 				sched.FillBlock(src, s)
 				tallies := map[string]int{"schedules": 1}
 				held := 0

@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/settimeliness/settimeliness/internal/campaign"
 	"github.com/settimeliness/settimeliness/internal/obs"
@@ -132,7 +133,7 @@ func runOne(n int, schedule sched.Schedule, build Builder) error {
 	defer runner.Close()
 	runner.RunSchedule(schedule)
 	if err := check(); err != nil {
-		return &Violation{Schedule: schedule, Err: err}
+		return &Violation{Schedule: slices.Clone(schedule), Err: err}
 	}
 	return nil
 }
@@ -140,7 +141,8 @@ func runOne(n int, schedule sched.Schedule, build Builder) error {
 // runPooled executes one finite schedule on a recycled Run. A panic inside
 // the run is re-raised with the flight recorder's tail attached (when one is
 // enabled), so the campaign engine's panic isolation captures the last
-// executed steps alongside the stack.
+// executed steps alongside the stack. Like runOne, it copies the schedule
+// into a Violation: the caller's buffer holds the job's next run.
 func runPooled(run *Run, schedule sched.Schedule) error {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -158,7 +160,7 @@ func runPooled(run *Run, schedule sched.Schedule) error {
 	}
 	run.Runner.RunSchedule(schedule)
 	if err := run.Check(); err != nil {
-		return &Violation{Schedule: schedule, Err: err}
+		return &Violation{Schedule: slices.Clone(schedule), Err: err}
 	}
 	return nil
 }
@@ -182,11 +184,17 @@ type executor func(s sched.Schedule) error
 
 type acquireFunc func() (exec executor, release func(), err error)
 
+// space enumerates a campaign's schedules by run index, so which schedules
+// run is independent of sharding and of the execution path. Each job calls
+// it once for its own nth, which fills one job-owned buffer: the schedule
+// nth returns is valid until its next call.
+type space func() (nth func(int) sched.Schedule)
+
 // runCampaign builds one job per batch of [0,total) and runs them on the
 // engine, returning the report and the violation of the smallest run index
-// found, if any. Each job acquires its executor once and runs its whole
-// batch on it, stopping at the first violation.
-func runCampaign(ctx context.Context, workers, total int, nth func(int) sched.Schedule, acquire acquireFunc, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
+// found, if any. Each job acquires its executor and its enumerator once and
+// runs its whole batch on them, stopping at the first violation.
+func runCampaign(ctx context.Context, workers, total int, schedules space, acquire acquireFunc, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
 	batch := batchSize(total)
 	var jobs []campaign.Job
 	for lo := 0; lo < total; lo += batch {
@@ -202,6 +210,7 @@ func runCampaign(ctx context.Context, workers, total int, nth func(int) sched.Sc
 					return campaign.Outcome{}, err
 				}
 				defer release()
+				nth := schedules()
 				runs := 0
 				for i := lo; i < hi; i++ {
 					if ctx.Err() != nil {
@@ -253,7 +262,7 @@ func freshAcquire(n int, build Builder) acquireFunc {
 
 // pooledCampaign wraps runCampaign with a runner pool over build, draining
 // (closing) the pooled runners when the campaign finishes.
-func pooledCampaign(ctx context.Context, workers, total int, nth func(int) sched.Schedule, build PooledBuilder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
+func pooledCampaign(ctx context.Context, workers, total int, schedules space, build PooledBuilder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
 	pool := campaign.NewPool(func() (*Run, error) { return build() })
 	defer pool.Drain(func(r *Run) { r.Runner.Close() })
 	acquire := func() (executor, func(), error) {
@@ -264,14 +273,13 @@ func pooledCampaign(ctx context.Context, workers, total int, nth func(int) sched
 		return func(s sched.Schedule) error { return runPooled(run, s) },
 			func() { pool.Put(run) }, nil
 	}
-	return runCampaign(ctx, workers, total, nth, acquire, onResult)
+	return runCampaign(ctx, workers, total, schedules, acquire, onResult)
 }
 
 // exhaustiveSpace validates the (n, depth) bounds and returns the run count
-// and the fixed schedule enumeration (run r's step i is digit i of r in
-// base n), so which schedules run is independent of sharding and of the
-// execution path.
-func exhaustiveSpace(n, depth int) (int, func(int) sched.Schedule, error) {
+// and the fixed schedule enumeration: run r's step i is digit i of r in
+// base n.
+func exhaustiveSpace(n, depth int) (int, space, error) {
 	if n < 1 || n > 4 {
 		return 0, nil, fmt.Errorf("explore: exhaustive enumeration supports 1 ≤ n ≤ 4, got %d", n)
 	}
@@ -282,15 +290,16 @@ func exhaustiveSpace(n, depth int) (int, func(int) sched.Schedule, error) {
 	for i := 0; i < depth; i++ {
 		total *= n
 	}
-	nth := func(r int) sched.Schedule {
+	return total, func() func(int) sched.Schedule {
 		schedule := make(sched.Schedule, depth)
-		for i := range schedule {
-			schedule[i] = procset.ID(r%n + 1)
-			r /= n
+		return func(r int) sched.Schedule {
+			for i := range schedule {
+				schedule[i] = procset.ID(r%n + 1)
+				r /= n
+			}
+			return schedule
 		}
-		return schedule
-	}
-	return total, nth, nil
+	}, nil
 }
 
 // ExhaustivePooledCampaign shards the full n^depth enumeration across
@@ -300,18 +309,19 @@ func exhaustiveSpace(n, depth int) (int, func(int) sched.Schedule, error) {
 // before cancellation, which may differ from the sequential first under
 // parallelism.
 func ExhaustivePooledCampaign(ctx context.Context, workers, n, depth int, build PooledBuilder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
-	total, nth, err := exhaustiveSpace(n, depth)
+	total, schedules, err := exhaustiveSpace(n, depth)
 	if err != nil {
 		return nil, 0, err
 	}
-	return pooledCampaign(ctx, workers, total, nth, build, onResult)
+	return pooledCampaign(ctx, workers, total, schedules, build, onResult)
 }
 
 // fuzzSpace validates the generators and returns the run count and the
 // schedule enumeration: run index r covers schedule seed base+r/len(patterns)
-// with crash pattern r%len(patterns), so coverage is independent of sharding
-// and of the execution path.
-func fuzzSpace(n, steps, seeds int, base int64, crashPatterns []map[procset.ID]int) (int, func(int) sched.Schedule, error) {
+// with crash pattern r%len(patterns). A job reseeds one source per run and
+// fills one steps-long buffer, bit-identical to a fresh
+// Take(Random(n, seed, pattern), steps).
+func fuzzSpace(n, steps, seeds int, base int64, crashPatterns []map[procset.ID]int) (int, space, error) {
 	if steps < 1 {
 		return 0, nil, fmt.Errorf("explore: fuzzing needs at least 1 step per schedule, got %d", steps)
 	}
@@ -327,37 +337,38 @@ func fuzzSpace(n, steps, seeds int, base int64, crashPatterns []map[procset.ID]i
 			return 0, nil, err
 		}
 	}
-	nth := func(r int) sched.Schedule {
-		seed := base + int64(r/len(crashPatterns))
-		crashes := crashPatterns[r%len(crashPatterns)]
-		src, err := sched.Random(n, seed, crashes)
-		if err != nil {
-			// n and every crash pattern were validated above, so the
-			// generator cannot fail here.
-			panic(err)
+	return seeds * len(crashPatterns), func() func(int) sched.Schedule {
+		// n and every crash pattern were validated above, so neither the
+		// generator nor its reseed can fail here.
+		src, _ := sched.Random(n, base, nil)
+		schedule := make(sched.Schedule, steps)
+		return func(r int) sched.Schedule {
+			if err := src.Reseed(base+int64(r/len(crashPatterns)), crashPatterns[r%len(crashPatterns)]); err != nil {
+				panic(err)
+			}
+			src.NextBlock(schedule)
+			return schedule
 		}
-		return sched.Take(src, steps)
-	}
-	return seeds * len(crashPatterns), nth, nil
+	}, nil
 }
 
 // FuzzCampaign shards seeded random fuzzing across workers (0 means
 // GOMAXPROCS) on the builder path.
 func FuzzCampaign(ctx context.Context, workers, n, steps, seeds int, base int64, crashPatterns []map[procset.ID]int, build Builder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
-	total, nth, err := fuzzSpace(n, steps, seeds, base, crashPatterns)
+	total, schedules, err := fuzzSpace(n, steps, seeds, base, crashPatterns)
 	if err != nil {
 		return nil, 0, err
 	}
-	return runCampaign(ctx, workers, total, nth, freshAcquire(n, build), onResult)
+	return runCampaign(ctx, workers, total, schedules, freshAcquire(n, build), onResult)
 }
 
 // FuzzPooledCampaign is FuzzCampaign on the pooled path: the same schedule
 // population executed on per-worker reusable runs. Results are bit-identical
 // to the builder path.
 func FuzzPooledCampaign(ctx context.Context, workers, n, steps, seeds int, base int64, crashPatterns []map[procset.ID]int, build PooledBuilder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
-	total, nth, err := fuzzSpace(n, steps, seeds, base, crashPatterns)
+	total, schedules, err := fuzzSpace(n, steps, seeds, base, crashPatterns)
 	if err != nil {
 		return nil, 0, err
 	}
-	return pooledCampaign(ctx, workers, total, nth, build, onResult)
+	return pooledCampaign(ctx, workers, total, schedules, build, onResult)
 }

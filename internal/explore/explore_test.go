@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/settimeliness/settimeliness/internal/campaign"
@@ -23,11 +25,11 @@ func caBuilder(n int) Builder { return CommitAdoptBuilder(n) }
 // (a fresh coroutine run per schedule), for the mutants that have no
 // pooled form.
 func exhaustiveFresh(workers, n, depth int, build Builder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
-	total, nth, err := exhaustiveSpace(n, depth)
+	total, schedules, err := exhaustiveSpace(n, depth)
 	if err != nil {
 		return nil, 0, err
 	}
-	return runCampaign(context.Background(), workers, total, nth, freshAcquire(n, build), onResult)
+	return runCampaign(context.Background(), workers, total, schedules, freshAcquire(n, build), onResult)
 }
 
 func TestCommitAdoptExhaustiveN2(t *testing.T) {
@@ -253,4 +255,93 @@ func TestViolationReachesJSONLStream(t *testing.T) {
 	if !strings.Contains(buf.String(), `"err":"disagreement`) {
 		t.Errorf("violation error text missing from JSONL stream:\n%s", buf.String())
 	}
+}
+
+// TestViolationKeepsItsSchedule: a job's nth refills one buffer per run, so
+// the violation of run k must own a copy of run k's schedule. Within one
+// job whose later runs pass, and through both campaign entry points, the
+// violation's schedule must equal Take(Random(...)) for run k.
+func TestViolationKeepsItsSchedule(t *testing.T) {
+	t.Parallel()
+	const n, steps, seeds, k = 3, 40, 50, 29
+	const base = int64(5)
+	patterns := []map[procset.ID]int{nil, {2: 4}}
+	src, err := sched.Random(n, base+k/int64(len(patterns)), patterns[k%len(patterns)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sched.Take(src, steps)
+	injected := errors.New("injected failure")
+	// failing wraps check so that its k-th call (from 0) fails.
+	failing := func(check func() error) func() error {
+		var calls atomic.Int32
+		return func() error {
+			if calls.Add(1)-1 == k {
+				return injected
+			}
+			return check()
+		}
+	}
+	pooled := func() (*Run, error) {
+		run, err := CommitAdoptPooledBuilder(n)()
+		if err == nil {
+			run.Check = failing(run.Check)
+		}
+		return run, err
+	}
+	var builds atomic.Int32
+	fresh := func() (func(procset.ID) sim.Algorithm, func() error) {
+		algo, check := caBuilder(n)()
+		if builds.Add(1)-1 == k {
+			return algo, func() error { return injected }
+		}
+		return algo, check
+	}
+	holds := func(t *testing.T, err error) {
+		t.Helper()
+		var v *Violation
+		if !errors.As(err, &v) || !errors.Is(v.Err, injected) {
+			t.Fatalf("want the injected violation, got %v", err)
+		}
+		if !slices.Equal(v.Schedule, want) {
+			t.Errorf("violation schedule\n  %v\nwant run %d's\n  %v", v.Schedule, k, want)
+		}
+	}
+
+	t.Run("job", func(t *testing.T) {
+		run, err := pooled()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer run.Runner.Close()
+		execs := map[string]executor{
+			"pooled": func(s sched.Schedule) error { return runPooled(run, s) },
+			"fresh":  func(s sched.Schedule) error { return runOne(n, s, fresh) },
+		}
+		for name, exec := range execs {
+			total, schedules, err := fuzzSpace(n, steps, seeds, base, patterns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nth := schedules()
+			var kept error
+			for r := 0; r < total; r++ {
+				if err := exec(nth(r)); r == k {
+					kept = err
+				} else if err != nil {
+					t.Fatalf("%s run %d: %v", name, r, err)
+				}
+			}
+			t.Run(name, func(t *testing.T) { holds(t, kept) })
+		}
+	})
+	t.Run("FuzzPooledCampaign", func(t *testing.T) {
+		_, _, err := FuzzPooledCampaign(context.Background(), 1, n, steps, seeds, base, patterns, pooled, nil)
+		holds(t, err)
+	})
+	t.Run("FuzzCampaign", func(t *testing.T) {
+		builds.Store(0)
+		_, _, err := FuzzCampaign(context.Background(), 1, n, steps, seeds, base, patterns, fresh, nil)
+		holds(t, err)
+	})
 }

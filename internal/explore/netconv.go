@@ -91,14 +91,15 @@ type NetCell struct {
 
 // netConvRig is one reusable rig: a heartbeat workload on a graded network
 // with an online link monitor wired into the delivery hook. Per run the
-// network is reseeded, the monitor and runner reset, and a fresh random
-// schedule is drawn — all from the run seed.
+// network and the schedule source are reseeded and the monitor and runner
+// reset, all from the run seed.
 type netConvRig struct {
 	n      int
 	net    *msgnet.Net
 	hb     *msgnet.Heartbeat
 	runner *sim.Runner
 	mon    *obs.LinkMonitor
+	src    sched.RandomSource
 }
 
 func newNetConvRig(matrix string, cfg NetConvConfig) (*netConvRig, error) {
@@ -124,11 +125,15 @@ func newNetConvRig(matrix string, cfg NetConvConfig) (*netConvRig, error) {
 	if err != nil {
 		return nil, err
 	}
+	src, err := sched.Random(cfg.N, 0, nil) // reseeded per run
+	if err != nil {
+		return nil, err
+	}
 	runner, err := sim.NewRunner(sim.Config{N: cfg.N, Machine: hb.Machine, Network: net})
 	if err != nil {
 		return nil, err
 	}
-	return &netConvRig{n: cfg.N, net: net, hb: hb, runner: runner, mon: mon}, nil
+	return &netConvRig{n: cfg.N, net: net, hb: hb, runner: runner, mon: mon, src: src}, nil
 }
 
 // one executes a single sample and reports convergence, the elected leader
@@ -140,11 +145,10 @@ func (rig *netConvRig) one(seed int64, steps int) (converged bool, leader procse
 	if err := rig.runner.Reset(); err != nil {
 		return false, 0, "", "", err
 	}
-	src, err := sched.Random(rig.n, seed, nil)
-	if err != nil {
+	if err := rig.src.Reseed(seed, nil); err != nil {
 		return false, 0, "", "", err
 	}
-	rig.runner.Run(src, steps, 0, nil)
+	rig.runner.Run(rig.src, steps, 0, nil)
 	leader, converged = rig.hb.Agree(procset.FullSet(rig.n))
 	statuses := rig.mon.Snapshot()
 	return converged, leader, gradeShape(statuses), obs.FormatLinkGrades(statuses), nil

@@ -89,10 +89,11 @@ func brokenMinPooledBuilder(n int) PooledBuilder {
 // and collects every violation.
 func fullSweep(t *testing.T, n, depth int, build PooledBuilder) []*Violation {
 	t.Helper()
-	total, nth, err := exhaustiveSpace(n, depth)
+	total, schedules, err := exhaustiveSpace(n, depth)
 	if err != nil {
 		t.Fatal(err)
 	}
+	nth := schedules()
 	run, err := build()
 	if err != nil {
 		t.Fatal(err)

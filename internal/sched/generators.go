@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 
@@ -102,37 +103,55 @@ func (r *roundRobin) N() int               { return r.n }
 func (r *roundRobin) Correct() procset.Set { return correctFromCrashMap(r.n, r.crashAfter) }
 
 // random schedules live processes uniformly at random (seeded, reproducible).
-// The crash pattern is held as dense per-process slices — limit[p] < 0 means
-// p never crashes — so the per-step rejection check costs two slice loads
-// instead of map lookups (this source feeds every batched campaign run).
+// The crash pattern is held as one dense remaining-budget slice: rem[p] is
+// how many more steps p may take, math.MaxInt for a process that never
+// crashes. A drawn process with no budget left is rejected and the draw is
+// consumed, which is how the paper models a crash: p stops appearing.
 type random struct {
 	n          int
 	crashAfter map[procset.ID]int // retained for Correct()
-	limit      []int              // indexed by process; -1 = never crashes
-	taken      []int
-	pcg        *rand.PCG // drawn from directly: see intN
+	rem        []int              // indexed by process
+	pcg        *rand.PCG          // drawn from directly: see intN
+}
+
+// RandomSource is the source Random returns. Reseed rewinds it in place to
+// the state Random(N(), seed, crashAfter) starts in, so a campaign worker
+// can replay many seeds on one source without allocating.
+type RandomSource interface {
+	BlockSource
+	Reseed(seed int64, crashAfter map[procset.ID]int) error
 }
 
 // Random returns a seeded uniformly random source over the live processes.
 // Processes in crashAfter crash after taking that many steps.
-func Random(n int, seed int64, crashAfter map[procset.ID]int) (Source, error) {
+func Random(n int, seed int64, crashAfter map[procset.ID]int) (RandomSource, error) {
 	if err := validateCrashMap(n, crashAfter); err != nil {
 		return nil, err
 	}
-	r := &random{
-		n:          n,
-		crashAfter: crashAfter,
-		limit:      make([]int, n+1),
-		taken:      make([]int, n+1),
-		pcg:        newPCG(seed),
+	r := &random{n: n, rem: make([]int, n+1), pcg: new(rand.PCG)}
+	r.reset(seed, crashAfter)
+	return r, nil
+}
+
+// Reseed validates crashAfter against N() and rewinds the source to seed
+// and that crash pattern. On error the source is unchanged.
+func (r *random) Reseed(seed int64, crashAfter map[procset.ID]int) error {
+	if err := validateCrashMap(r.n, crashAfter); err != nil {
+		return err
 	}
-	for p := range r.limit {
-		r.limit[p] = -1
+	r.reset(seed, crashAfter)
+	return nil
+}
+
+func (r *random) reset(seed int64, crashAfter map[procset.ID]int) {
+	r.pcg.Seed(uint64(seed), pcgStream)
+	r.crashAfter = crashAfter
+	for p := range r.rem {
+		r.rem[p] = math.MaxInt
 	}
 	for p, c := range crashAfter {
-		r.limit[p] = c
+		r.rem[p] = c
 	}
-	return r, nil
 }
 
 // intN draws uniformly from [0, n) with math/rand/v2's bounded-draw
@@ -147,33 +166,67 @@ func (r *random) intN(n uint64) uint64 {
 	}
 	hi, lo := bits.Mul64(r.pcg.Uint64(), n)
 	if lo < n {
-		thresh := -n % n
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.pcg.Uint64(), n)
-		}
+		hi = r.retry(hi, lo, n)
 	}
 	return hi
 }
 
+// retry finishes a bounded draw whose first product fell below n: it
+// redraws while the low word is under the rejection threshold. The branch
+// into it is taken about n times in 2^64, so it stays out of line.
+func (r *random) retry(hi, lo, n uint64) uint64 {
+	thresh := -n % n
+	for lo < thresh {
+		hi, lo = bits.Mul64(r.pcg.Uint64(), n)
+	}
+	return hi
+}
+
+// Next is the reference form of the schedule: one bounded draw per
+// attempt, redrawn while the drawn process has no budget left.
 func (r *random) Next() procset.ID {
 	for {
 		p := int(r.intN(uint64(r.n))) + 1
-		lim := r.limit[p]
-		if lim < 0 {
+		if r.rem[p] > 0 {
+			r.rem[p]--
 			return procset.ID(p)
 		}
-		if r.taken[p] >= lim {
-			continue // crashed: the draw is consumed, exactly as before
-		}
-		r.taken[p]++
-		return procset.ID(p)
 	}
 }
 
-// NextBlock implements BlockSource with direct calls to the concrete Next.
+// NextBlock fills dst exactly as len(dst) Next calls would, at about one
+// PCG draw per step. A crash-free power-of-two n is a masked draw. Otherwise
+// every draw is written at the write index, which advances only when the
+// drawn process had budget left, so a crashed process's draw is consumed
+// and then overwritten without a data-dependent branch.
 func (r *random) NextBlock(dst []procset.ID) {
-	for i := range dst {
-		dst[i] = r.Next()
+	n := uint64(r.n)
+	pow2 := n&(n-1) == 0
+	if pow2 && len(r.crashAfter) == 0 {
+		for i := range dst {
+			dst[i] = procset.ID(r.pcg.Uint64()&(n-1)) + 1
+		}
+		return
+	}
+	rem := r.rem
+	for i := 0; i < len(dst); {
+		var p uint64
+		if pow2 {
+			p = r.pcg.Uint64() & (n - 1)
+		} else {
+			var lo uint64
+			p, lo = bits.Mul64(r.pcg.Uint64(), n)
+			if lo < n {
+				p = r.retry(p, lo, n)
+			}
+		}
+		dst[i] = procset.ID(p) + 1
+		live := 0
+		if rem[p+1] > 0 {
+			live = 1
+		}
+		rem[p+1] -= live
+		i += live
 	}
 }
 
@@ -438,5 +491,6 @@ func newPCG(seed int64) *rand.PCG {
 }
 
 // pcgStream is the fixed second PCG seed word (the odd golden-ratio
-// constant); splitting it out lets LinkDelays.Reset re-seed in place.
+// constant); splitting it out lets random.Reseed and LinkDelays.Reset
+// re-seed in place.
 const pcgStream = 0x9e3779b97f4a7c15
