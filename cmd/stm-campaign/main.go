@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"github.com/settimeliness/settimeliness/internal/adversary"
+	"github.com/settimeliness/settimeliness/internal/antiomega"
 	"github.com/settimeliness/settimeliness/internal/campaign"
 	"github.com/settimeliness/settimeliness/internal/core"
 	"github.com/settimeliness/settimeliness/internal/experiments"
@@ -584,6 +585,12 @@ func matrixCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	posBudget := fs.Int("posbudget", 3_000_000, "step budget for solvable cells")
 	negBudget := fs.Int("negbudget", 300_000, "step horizon for unsolvable cells")
 	return func() (*plan, error) {
+		switch {
+		case *posBudget < 1:
+			return nil, badFlag("-posbudget must be at least 1 (got %d)", *posBudget)
+		case *negBudget < 1:
+			return nil, badFlag("-negbudget must be at least 1 (got %d)", *negBudget)
+		}
 		var lo, hi [3]int // t, k, n
 		for i, text := range []string{*tRange, *kRange, *nRange} {
 			var err error
@@ -675,6 +682,12 @@ func exhaustiveCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	depth := fs.Int("depth", 10, "schedule length (every schedule of exactly this depth)")
 	reduce := fs.Bool("reduce", true, "prune commutation-equivalent schedules (sleep-set partial-order reduction)")
 	return func() (*plan, error) {
+		switch {
+		case *n < 1 || *n > 4:
+			return nil, badFlag("-n must be in 1..4 (got %d)", *n)
+		case *depth < 1 || *depth > 24:
+			return nil, badFlag("-depth must be in 1..24 (got %d)", *depth)
+		}
 		if *reduce && (c.resilienceRequested() || c.jsonlOut != "") {
 			return nil, fmt.Errorf("the reduced exhaustive sweep is a single sequential explorer; -jsonl and the checkpoint/chaos flags need the campaign engine (-reduce=false)")
 		}
@@ -760,6 +773,12 @@ func adversarialCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	steps := fs.Int("steps", 100_000, "step horizon per run")
 	runs := fs.Int("runs", 32, "number of runs (cycles through the crash-pattern population)")
 	return func() (*plan, error) {
+		switch {
+		case *steps < 1:
+			return nil, badFlag("-steps must be at least 1 (got %d)", *steps)
+		case *runs < 1:
+			return nil, badFlag("-runs must be at least 1 (got %d)", *runs)
+		}
 		return &plan{
 			params: map[string]any{"n": *n, "steps": *steps, "runs": *runs},
 			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, any, error) {
@@ -787,6 +806,14 @@ func byzantineCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	runs := fs.Int("runs", 32, "runs per cell (each draws its own fault population)")
 	steps := fs.Int("steps", 100_000, "step horizon per run")
 	return func() (*plan, error) {
+		switch {
+		case *n < 2 || *n > procset.MaxProcs:
+			return nil, badFlag("-n must be in 2..%d (got %d)", procset.MaxProcs, *n)
+		case *runs < 1:
+			return nil, badFlag("-runs must be at least 1 (got %d)", *runs)
+		case *steps < 1:
+			return nil, badFlag("-steps must be at least 1 (got %d)", *steps)
+		}
 		crashLo, crashHi, err := parseRange(*crashRange)
 		if err != nil {
 			return nil, err
@@ -933,6 +960,17 @@ func convergeCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	trials := fs.Int("trials", 32, "independent trials")
 	maxSteps := fs.Int("maxsteps", 2_000_000, "step budget per trial")
 	return func() (*plan, error) {
+		switch {
+		case *bound < 1:
+			return nil, badFlag("-bound must be at least 1 (got %d)", *bound)
+		case *trials < 1:
+			return nil, badFlag("-trials must be at least 1 (got %d)", *trials)
+		case *maxSteps < 1:
+			return nil, badFlag("-maxsteps must be at least 1 (got %d)", *maxSteps)
+		}
+		if err := (antiomega.Config{N: *n, K: *k, T: *t}).Validate(); err != nil {
+			return nil, badFlag("%v", err)
+		}
 		return &plan{
 			params: map[string]any{"n": *n, "k": *k, "t": *t, "bound": *bound, "trials": *trials, "maxsteps": *maxSteps},
 			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, any, error) {

@@ -256,6 +256,46 @@ func TestNetconvRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestFlagProbesRejected: each out-of-range flag of converge, matrix,
+// adversarial, byzantine and exhaustive is a usage error (exit 2) caught
+// before any side effect — no report, no -jsonl file. Before these checks
+// some panicked, some exited 0 having checked nothing, and matrix reported
+// a bad budget as cells that did not match Theorem 27.
+func TestFlagProbesRejected(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	for _, argv := range [][]string{
+		{"converge", "-trials", "-2"},
+		{"converge", "-trials", "0"},
+		{"converge", "-maxsteps", "0"},
+		{"converge", "-bound", "0"},
+		{"converge", "-n", "3", "-k", "3", "-t", "1"},
+		{"matrix", "-negbudget", "0"},
+		{"matrix", "-posbudget", "-1"},
+		{"adversarial", "-runs", "0"},
+		{"adversarial", "-steps", "0"},
+		{"byzantine", "-runs", "0"},
+		{"byzantine", "-steps", "-1"},
+		{"byzantine", "-n", "1"},
+		{"exhaustive", "-depth", "-1", "-reduce=false"},
+		{"exhaustive", "-depth", "25", "-reduce=false"},
+		{"exhaustive", "-n", "5", "-reduce=false"},
+		{"exhaustive", "-n", "0"},
+	} {
+		var out bytes.Buffer
+		args := append(argv[1:], "-jsonl", filepath.Join(dir, "p.jsonl"))
+		if code := exitCode("stm-campaign", execute(context.Background(), argv[0], args, &out)); code != exitUsage {
+			t.Errorf("%v: exit %d, want %d", argv, code, exitUsage)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v printed a report:\n%s", argv, out.String())
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Fatalf("%v wrote %d file(s)", argv, len(entries))
+		}
+	}
+}
+
 // A fuzz job that fails (a panicking run is one) makes the subcommand exit
 // 1 instead of printing a summary and exiting 0.
 func TestFuzzFailedJobsExitError(t *testing.T) {

@@ -245,18 +245,9 @@ func (st *state) Winnerset() procset.Set { return st.winnerset }
 // Iterations returns how many full loop iterations have completed.
 func (st *state) Iterations() int { return st.iterations }
 
-// Accusation returns the most recently computed accusation counter for the
-// subset with the given canonical index. It is exposed for the Lemma 21/22
-// experiments.
-func (st *state) Accusation(subsetIndex int) int { return st.accusation[subsetIndex] }
-
 // Timeout returns the current timeout for the subset with the given
 // canonical index (Lemma 11 diagnostics).
 func (st *state) Timeout(subsetIndex int) int { return st.timeout[subsetIndex] }
-
-// Subsets returns the canonical enumeration of Πkn used by this instance.
-// Callers must not modify the returned slice.
-func (st *state) Subsets() []procset.Set { return st.subsets }
 
 // makeRefs interns the algorithm's shared registers: Heartbeat[q] for every
 // process and Counter[A, q] for every (set, process) pair, both 1-based on

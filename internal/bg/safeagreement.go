@@ -105,6 +105,3 @@ func (sa *SafeAgreement) Resolve() (any, bool) {
 	}
 	return view.Get(procset.ID(choice)).(saEntry).Val, true
 }
-
-// Proposed reports whether this process already entered the doorway.
-func (sa *SafeAgreement) Proposed() bool { return sa.proposed }

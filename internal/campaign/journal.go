@@ -99,7 +99,6 @@ func crcOf(payload []byte) string {
 
 // Journal is an open checkpoint journal positioned for appends.
 type Journal struct {
-	path    string
 	f       *os.File
 	w       *bufio.Writer
 	appends int // outcome records appended through this handle
@@ -117,7 +116,7 @@ func CreateJournal(path string, h JournalHeader) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{path: path, f: f, w: bufio.NewWriter(f)}
+	j := &Journal{f: f, w: bufio.NewWriter(f)}
 	if err := j.writeLine(journalLine{H: &h}); err != nil {
 		f.Close()
 		return nil, err
@@ -156,7 +155,7 @@ func OpenJournal(path string, want JournalHeader) (*Journal, map[int]Outcome, er
 		return nil, nil, err
 	}
 	tmpPath := tmp.Name()
-	j := &Journal{path: path, f: tmp, w: bufio.NewWriter(tmp)}
+	j := &Journal{f: tmp, w: bufio.NewWriter(tmp)}
 	if err := j.writeLine(journalLine{H: header}); err != nil {
 		tmp.Close()
 		os.Remove(tmpPath)
@@ -322,9 +321,6 @@ func (j *Journal) Append(o Outcome) error {
 
 // Appends returns the number of outcomes appended through this handle.
 func (j *Journal) Appends() int { return j.appends }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Sync flushes buffered writes and fsyncs the file.
 func (j *Journal) Sync() error {

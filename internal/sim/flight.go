@@ -63,9 +63,6 @@ func (f *FlightRecorder) record(index int, p procset.ID, kind OpKind, reg RegID)
 // Len returns the number of records currently retained.
 func (f *FlightRecorder) Len() int { return f.len }
 
-// Cap returns the ring capacity.
-func (f *FlightRecorder) Cap() int { return len(f.recs) }
-
 // Records returns the retained steps oldest-first, as a fresh slice.
 func (f *FlightRecorder) Records() []FlightRec {
 	out := make([]FlightRec, 0, f.len)
