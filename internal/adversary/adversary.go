@@ -83,9 +83,12 @@ type parkInfo struct {
 // ResetCrashed) returns it to its initial state so campaign workers reuse
 // one adversary per rig.
 type Adversary struct {
-	cfg   Config
-	order []procset.ID
-	pos   int
+	cfg Config
+	// live is Πn minus the crashed-from-start processes: the round-robin's
+	// domain. cursor is the 0-based bit the round-robin scan resumes at, one
+	// past the process scheduled last (0 before the first step).
+	live   procset.Set
+	cursor uint
 
 	parkedSet procset.Set
 	parked    [procset.MaxProcs + 1]parkInfo
@@ -123,7 +126,7 @@ func (a *Adversary) configure(cfg Config) error {
 		return fmt.Errorf("adversary: all processes crashed")
 	}
 	a.cfg = cfg
-	a.order = append(a.order[:0], live.Members()...)
+	a.live = live
 	a.schedMax = cfg.ScheduleLimit
 	switch {
 	case a.schedMax == 0:
@@ -137,7 +140,7 @@ func (a *Adversary) configure(cfg Config) error {
 
 // resetRun clears the per-run state (park records, ballot maxima, schedule).
 func (a *Adversary) resetRun() {
-	a.pos = 0
+	a.cursor = 0
 	a.parkedSet = procset.EmptySet
 	clear(a.maxBallot)
 	a.schedule = a.schedule[:0]
@@ -173,23 +176,30 @@ func (a *Adversary) Schedule() sched.Schedule { return a.schedule }
 // may exceed len(Schedule()) once the recording bound is reached.
 func (a *Adversary) Steps() int { return a.steps }
 
-// next picks the round-robin successor among unparked live processes. If
-// every live process is parked (which the park/resume invariants prevent,
-// but guard anyway), the least recently scheduled parked process is released
-// to keep the schedule infinite.
+// next picks the round-robin successor among unparked live processes: the
+// lowest member of live − parked at or above the cursor, else (wrapping) the
+// lowest member overall. The sets are bitsets, so the pick is a few mask
+// operations and a trailing-zero count, with no division and no scan, and
+// next fits the inliner's budget.
+//
+// If every live process is parked (which the park/resume invariants prevent,
+// but guard anyway), the pick runs over live instead and releases the
+// process it lands on — the one the round-robin reaches next — to keep the
+// schedule infinite. Clearing the picked process's park bit is a no-op
+// otherwise, since the pick is unparked, so the fallback costs no branch of
+// its own.
 func (a *Adversary) next() procset.ID {
-	for range a.order {
-		p := a.order[a.pos]
-		a.pos = (a.pos + 1) % len(a.order)
-		if !a.parkedSet.Contains(p) {
-			return p
-		}
+	avail := uint64(a.live &^ a.parkedSet)
+	if avail == 0 {
+		avail = uint64(a.live)
 	}
-	// Degenerate fallback: everything parked; release the current candidate.
-	p := a.order[a.pos]
-	a.pos = (a.pos + 1) % len(a.order)
-	a.parkedSet = a.parkedSet.Remove(p)
-	return p
+	if above := avail & (^uint64(0) << a.cursor); above != 0 {
+		avail = above
+	}
+	i := uint(bits.TrailingZeros64(avail))
+	a.cursor = i + 1
+	a.parkedSet &^= 1 << i
+	return procset.ID(i + 1)
 }
 
 // record appends a scheduling decision to the bounded schedule recording.

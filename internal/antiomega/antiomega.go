@@ -167,6 +167,12 @@ func (st *state) chooseWinner() {
 	for ai := range st.subsets {
 		st.accusation[ai] = st.aggregate(st.cntRow(ai))
 	}
+	st.pickWinner()
+}
+
+// pickWinner runs lines 4–5 on the current accusation counters: the
+// (accusation, A)-smallest set becomes winnerset, its complement the output.
+func (st *state) pickWinner() {
 	winner := 0
 	for ai := 1; ai < len(st.subsets); ai++ {
 		if st.accusation[ai] < st.accusation[winner] {
@@ -295,16 +301,21 @@ func NewInstance(cfg Config, env sim.Env) (*Instance, error) {
 	return in, nil
 }
 
-// asInt converts a register value to int, mapping the initial nil to 0.
+// asInt converts a register value to int, mapping the initial nil to 0. The
+// rare cases run out of line, so asInt inlines into the collect fold.
 func asInt(v any) int {
-	if v == nil {
-		return 0
+	if i, ok := v.(int); ok {
+		return i
 	}
-	i, ok := v.(int)
-	if !ok {
+	return asIntSlow(v)
+}
+
+//go:noinline
+func asIntSlow(v any) int {
+	if v != nil {
 		panic(fmt.Sprintf("antiomega: register holds %T, want int", v))
 	}
-	return i
+	return 0
 }
 
 // Iterate runs one iteration of the main loop of Figure 2 (lines 2–19).

@@ -16,7 +16,8 @@ import (
 type mPhase int
 
 const (
-	// phaseCounters: reading Counter[ai][q], row-major (lines 2–3).
+	// phaseCounters: the collect of Counter[ai][q], row-major, is in flight
+	// (lines 2–3).
 	phaseCounters mPhase = iota
 	// phaseHeartbeatWrite: the own-heartbeat write is in flight (lines 6–7).
 	phaseHeartbeatWrite
@@ -43,7 +44,6 @@ type MachineInstance struct {
 	primed bool // whether the first operation has been issued
 	phase  mPhase
 	ai, q  int // cursors for the heartbeat and expiry phases
-	k      int // cursor into counterOps during phaseCounters
 
 	// onIterate, if non-nil, runs after each completed iteration — inside
 	// the Next call that consumes the iteration's final operation, i.e. at
@@ -55,24 +55,25 @@ type MachineInstance struct {
 	opBuf sim.Op
 }
 
-// machineLayout is the detector's immutable machine layout for one (n, k):
-// the Πkn enumeration, the interned registers, and the prebuilt operation
-// tables, shared read-only by every process's MachineInstance and kept in
-// the runner's layout cache across Reset. It holds |Πkn|·n register names,
-// and the Theorem 24 agreement rebuilds one detector per process on every
-// pooled Reset.
+// machineLayout is the detector's machine layout for one (n, k): the Πkn
+// enumeration, the interned registers, and the prebuilt operations, shared
+// by every process's MachineInstance and kept in the runner's layout cache
+// across Reset. It holds |Πkn|·n register names, and the Theorem 24
+// agreement rebuilds one detector per process on every pooled Reset.
 type machineLayout struct {
 	sets        []procset.Set // Πkn in canonical order
 	hbRefs      []sim.Ref
 	counterRefs [][]sim.Ref
+	hbReadOps   []sim.Op // ReadOp per heartbeat, indexed q-1
 
-	// Precomputed operation tables: the counter-collect phase is ~n·|Πkn| of
-	// every iteration's steps, so its read requests are materialized once
-	// and replayed by a single cursor, with cntIdx mapping the cursor
-	// straight to the flat cnt slot the result lands in.
-	counterOps []sim.Op
-	cntIdx     []int
-	hbReadOps  []sim.Op // ReadOp per heartbeat, indexed q-1
+	// The counter phase — ~n·|Πkn| of every iteration's steps — is one
+	// collect of every Counter[A, q], row-major. collectOps[p] is process
+	// p's collect and collected[p] the buffer its values land in: the one
+	// part of the layout a run writes, per process, and sound to keep here
+	// because every collect overwrites its whole buffer before the machine
+	// reads it.
+	collectOps []sim.Op
+	collected  [][]any
 }
 
 // layoutKey keys a machineLayout in the runner's cache. The registers and
@@ -82,18 +83,20 @@ type layoutKey struct{ n, k int }
 func newMachineLayout(cfg Config, regs sim.Registry) *machineLayout {
 	l := &machineLayout{sets: procset.KSubsets(cfg.N, cfg.K)}
 	l.hbRefs, l.counterRefs = makeRefs(cfg, l.sets, regs.Reg)
-	n, stride := cfg.N, cfg.N+1
-	l.counterOps = make([]sim.Op, 0, len(l.sets)*n)
-	l.cntIdx = make([]int, 0, len(l.sets)*n)
-	for ai := range l.sets {
-		for q := 1; q <= n; q++ {
-			l.counterOps = append(l.counterOps, sim.ReadOp(l.counterRefs[ai][q]))
-			l.cntIdx = append(l.cntIdx, ai*stride+q)
-		}
-	}
+	n := cfg.N
 	l.hbReadOps = make([]sim.Op, n)
 	for q := 1; q <= n; q++ {
 		l.hbReadOps[q-1] = sim.ReadOp(l.hbRefs[q])
+	}
+	counters := make([]sim.Ref, 0, len(l.sets)*n)
+	for ai := range l.sets {
+		counters = append(counters, l.counterRefs[ai][1:]...)
+	}
+	l.collectOps = make([]sim.Op, n+1)
+	l.collected = make([][]any, n+1)
+	for p := 1; p <= n; p++ {
+		l.collected[p] = make([]any, len(counters))
+		l.collectOps[p] = sim.CollectOp(counters, l.collected[p])
 	}
 	return l
 }
@@ -120,28 +123,13 @@ func (m *MachineInstance) Next(prev any) (sim.Op, bool) {
 }
 
 // NextOp implements sim.PtrMachine, the detector's native form: the counter
-// collect — the dominant phase of every iteration — returns pointers into
-// the precomputed op table; the remaining transitions come from the
-// heartbeat table or land in opBuf. No Op is copied anywhere on the hot
-// path.
+// phase — the dominant one of every iteration — is a single collect
+// request, so the machine runs once per iteration there instead of once per
+// read; the remaining transitions come from the heartbeat table or land in
+// opBuf. No Op is copied anywhere on the hot path.
 func (m *MachineInstance) NextOp(prev any) *sim.Op {
-	if m.phase == phaseCounters && m.primed {
-		// Counter collect, duplicated from FeedIterationOp: the dominant
-		// phase of every iteration runs here without the extra call frame
-		// (FeedIterationOp is beyond the inliner's budget).
-		m.cnt[m.cntIdx[m.k]] = asInt(prev)
-		m.k++
-		if m.k < len(m.counterOps) {
-			return &m.counterOps[m.k]
-		}
-		m.chooseWinner()
-		m.myHb++
-		m.phase = phaseHeartbeatWrite
-		m.opBuf = sim.WriteOp(m.hbRefs[m.self], m.myHb)
-		return &m.opBuf
-	}
 	if !m.primed {
-		// First activation: issue the first counter read of iteration one.
+		// First activation: issue iteration one's counter collect.
 		m.primed = true
 		return m.BeginIterationOp()
 	}
@@ -154,56 +142,35 @@ func (m *MachineInstance) NextOp(prev any) *sim.Op {
 	return m.BeginIterationOp()
 }
 
-// BeginIteration starts one Figure 2 iteration as a composable sub-automaton
-// and returns its first operation (the first counter read). Together with
-// FeedIteration it is the machine-form counterpart of Instance.Iterate:
-// composite automata (the kset agreement machine) interleave iterations with
-// their own operations exactly as coroutine code interleaves Iterate calls
-// with other sub-protocols of the same process.
-func (m *MachineInstance) BeginIteration() sim.Op { return *m.BeginIterationOp() }
-
-// BeginIterationOp is BeginIteration in the pointer-op form composite
-// machines step through (see sim.PtrMachine for the aliasing contract).
+// BeginIterationOp starts one Figure 2 iteration as a composable
+// sub-automaton and returns its first operation (the counter collect; see
+// sim.PtrMachine for the aliasing contract). Together with FeedIterationOp
+// it is the machine-form counterpart of Instance.Iterate: composite automata
+// (the kset agreement machine) interleave iterations with their own
+// operations exactly as coroutine code interleaves Iterate calls with other
+// sub-protocols of the same process.
 func (m *MachineInstance) BeginIterationOp() *sim.Op {
-	m.phase, m.k = phaseCounters, 0
-	return &m.counterOps[0]
+	m.phase = phaseCounters
+	return &m.collectOps[m.self]
 }
 
-// FeedIteration consumes the result of the iteration operation in flight and
-// returns the iteration's next operation, or done == true when the iteration
-// has completed — prev was the result of its final operation and the closing
+// FeedIterationOp consumes the result of the iteration operation in flight
+// and returns the iteration's next operation, or nil when the iteration has
+// completed — prev was the result of its final operation and the closing
 // local computation (including the iteration counter) has run. Callers then
-// issue their own operations or call BeginIteration again; the per-iteration
-// operation stream is op-for-op that of Instance.Iterate either way.
-func (m *MachineInstance) FeedIteration(prev any) (op sim.Op, done bool) {
-	p := m.FeedIterationOp(prev)
-	if p == nil {
-		return sim.Op{}, true
-	}
-	return *p, false
-}
-
-// FeedIterationOp is FeedIteration in the pointer-op form composite
-// machines step through; nil closes the iteration.
+// issue their own operations or call BeginIterationOp again; the
+// per-iteration operation stream is op-for-op that of Instance.Iterate
+// either way.
 func (m *MachineInstance) FeedIterationOp(prev any) *sim.Op {
-	// Counter collect first, outside the switch: the dominant phase of
-	// every iteration — and of every composite machine built on this one —
-	// pays one flat store, one cursor bump, and one table load.
-	if m.phase == phaseCounters {
-		m.cnt[m.cntIdx[m.k]] = asInt(prev)
-		m.k++
-		if m.k < len(m.counterOps) {
-			return &m.counterOps[m.k]
-		}
+	n := m.cfg.N
+	switch m.phase {
+	case phaseCounters:
 		// All counters collected: lines 4–5 locally, then lines 6–7.
-		m.chooseWinner()
+		m.foldCollect()
 		m.myHb++
 		m.phase = phaseHeartbeatWrite
 		m.opBuf = sim.WriteOp(m.hbRefs[m.self], m.myHb)
 		return &m.opBuf
-	}
-	n := m.cfg.N
-	switch m.phase {
 	case phaseHeartbeatWrite:
 		m.phase, m.q = phaseHeartbeats, 1
 		return &m.hbReadOps[0]
@@ -235,4 +202,30 @@ func (m *MachineInstance) nextExpiry() *sim.Op {
 	}
 	m.iterations++
 	return nil
+}
+
+// foldCollect runs lines 4–5 on a finished counter collect, incrementally:
+// it stores the collected values row by row and re-derives the accusation
+// of only the rows whose values changed — a row's accusation depends on
+// that row alone, and only rows hit by an accusation write since the last
+// collect can change — before picking the winner over all rows. The
+// accusations it keeps are exactly state.chooseWinner's: every row starts
+// at zero, and so does its accusation.
+func (m *MachineInstance) foldCollect() {
+	vals := m.collected[m.self]
+	n, stride := m.cfg.N, m.cfg.N+1
+	for ai := range m.subsets {
+		row := m.cnt[ai*stride+1 : ai*stride+stride]
+		changed := false
+		for q, v := range vals[ai*n : ai*n+n] {
+			if c := asInt(v); c != row[q] {
+				row[q] = c
+				changed = true
+			}
+		}
+		if changed {
+			m.accusation[ai] = m.aggregate(m.cntRow(ai))
+		}
+	}
+	m.pickWinner()
 }

@@ -1,6 +1,7 @@
 package antiomega
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/settimeliness/settimeliness/internal/procset"
@@ -82,7 +83,8 @@ func sameSnapshot(t *testing.T, label string, a, b detectorSnapshot) {
 // TestMachineMatchesInstance is the port's contract: the direct-dispatch
 // detector replays the coroutine detector bit for bit — identical StepInfo
 // streams, identical output-change events, identical harness state — across
-// configurations including the ablations.
+// configurations including the ablations, and at the matrix's widest
+// detector with a crash inside a counter collect.
 func TestMachineMatchesInstance(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -110,6 +112,38 @@ func TestMachineMatchesInstance(t *testing.T) {
 			sameSnapshot(t, tc.name, coro, mach)
 		})
 	}
+	// n6k3t3 is the matrix's widest detector: 20 rows, a 120-read collect
+	// per iteration, of which only accused rows change once timeouts grow.
+	// p6 crashes after 2000 steps, inside its collect.
+	t.Run("n6k3t3", func(t *testing.T) {
+		t.Parallel()
+		cfg := Config{N: 6, K: 3, T: 3}
+		const crashAt = 2000
+		src, err := sched.Random(cfg.N, 1234, map[procset.ID]int{6: crashAt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := sched.Take(src, 30000)
+		coro := snapshotDetector(t, cfg, s, false)
+		mach := snapshotDetector(t, cfg, s, true)
+		sameSnapshot(t, "n6k3t3", coro, mach)
+		// Counter reads run row-major, so a crash inside the collect leaves
+		// a counter read other than the row-last one as p6's last step.
+		var last sim.StepInfo
+		taken := 0
+		for _, info := range mach.trace {
+			if info.Proc == 6 {
+				last = info
+				taken++
+			}
+		}
+		if taken != crashAt {
+			t.Fatalf("p6 took %d steps, want its crash after %d", taken, crashAt)
+		}
+		if last.Kind != sim.OpRead || !strings.HasPrefix(last.Reg, "Counter[") || last.Reg == "Counter[19,6]" {
+			t.Fatalf("p6's crash does not land inside a collect: its last step is %+v", last)
+		}
+	})
 }
 
 // TestMachineDetectorResetDeterminism pins the pooled path: a machine

@@ -2,7 +2,7 @@
 // as trivialAlgorithm and detectorAlgorithm with their program counters made
 // explicit, for sim.Runner's machine mode. The detector-composed machine is
 // the package's showcase of sub-automaton composition: it drives one
-// antiomega.MachineInstance iteration (BeginIteration/FeedIteration) and the
+// antiomega.MachineInstance iteration (BeginIterationOp/FeedIterationOp) and the
 // engine-selected consensus sub-automata (consensus.InstanceMachine or
 // commitadopt.InstanceMachine) through the exact operation interleaving of
 // the coroutine loop, so both execution modes replay bit-identical StepInfo

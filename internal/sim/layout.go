@@ -18,9 +18,10 @@ package sim
 // strings, subset enumerations — shared read-only by every machine of the
 // runner that asks for the same key and kept for the runner's lifetime,
 // including across Reset (the registers it interned survive Reset too). A
-// layout must hold nothing a run mutates; a memo that grows lazily (round
-// layouts built as rounds are first reached) is allowed as long as an entry
-// never changes once built.
+// layout must hold no state a run carries forward; a memo that grows lazily
+// (round layouts built as rounds are first reached) is allowed as long as
+// an entry never changes once built, and so is a per-process scratch
+// buffer that is always overwritten before it is read (a CollectOp's dst).
 //
 // Unlike Recycler the cache is not gated: it serves observed and
 // recycle-free runners alike, since nothing in a layout is a written value.

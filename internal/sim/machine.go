@@ -20,16 +20,19 @@ import (
 )
 
 // Op is the operation a Machine requests from the runner: one read or write
-// of one shared register, or — on runners with a Config.Network — one send
-// or recv on the message substrate.
+// of one shared register, a collect (a run of reads, see CollectOp), or — on
+// runners with a Config.Network — one send or recv on the message
+// substrate.
 type Op struct {
-	// Kind is OpRead, OpWrite, OpSend, or OpRecv.
+	// Kind is OpRead, OpWrite, OpSend, or OpRecv; a collect is an OpRead.
 	Kind OpKind
 	// Reg is the register to operate on (read/write kinds), obtained from
-	// the Registry the machine was built with. Nil for send/recv kinds.
+	// the Registry the machine was built with. Nil for send/recv kinds and
+	// for collects.
 	Reg Ref
-	// Value is the value to store for OpWrite or the payload for OpSend;
-	// ignored otherwise.
+	// Value is the value to store for OpWrite or the payload for OpSend.
+	// A collect keeps its body here (a *collect, set by CollectOp), which
+	// leaves the Op as small as a plain read's; ignored otherwise.
 	Value any
 	// Dest is the destination process for OpSend; ignored otherwise.
 	Dest procset.ID
@@ -37,8 +40,16 @@ type Op struct {
 	// by ReadOp/WriteOp. Machines hand back prebuilt ops (often the same Op
 	// for millions of steps), so resolving at construction spares the
 	// stepping loops a type assertion per step. Nil for literally-constructed
-	// Ops; the loops fall back to the asserting path.
+	// Ops, for which the loops fall back to the asserting path, and for
+	// collects, which settle starts.
 	reg *register
+}
+
+// collect is the body of a CollectOp: the dense ids of the registers to read
+// in order, and the buffer their values land in.
+type collect struct {
+	ids []RegID
+	dst []any
 }
 
 // ReadOp returns a read request for r.
@@ -56,6 +67,35 @@ func SendOp(to procset.ID, payload any) Op { return Op{Kind: OpSend, Dest: to, V
 // RecvOp returns a receive request: the automaton's next prev will be the
 // next deliverable *Message, or nil when the substrate has nothing ready.
 func RecvOp() Op { return Op{Kind: OpRecv} }
+
+// CollectOp returns a collect request: a run of reads of regs in order, one
+// step per register, with the value of the i-th read stored in dst[i] at
+// the moment that step executes. Every read is an ordinary OpRead step —
+// StepInfo, PendingOp (which reports the register in flight), the stats
+// block and the flight recorder see exactly the steps the per-read
+// expansion would produce — but the machine is not called between them: its
+// next Next (or NextOp) runs once, after the last read, with that read's
+// value as prev and every value in dst. A process crashed mid-collect (the
+// schedule stops granting it steps) leaves dst partly filled; Runner.Reset
+// drops an unfinished collect.
+//
+// A collect costs the stepping loop a store and a cursor bump per read
+// instead of a machine call, which is what a scan of many registers wants.
+// The Op resolves regs once, allocating: build it with the machine's layout
+// (see Layout) and hand back the same Op for every collect. dst belongs to
+// the runner while the collect is in flight. regs must not be empty, dst
+// must be exactly as long, and every ref must come from the runner's
+// Registry.
+func CollectOp(regs []Ref, dst []any) Op {
+	if len(regs) == 0 || len(dst) != len(regs) {
+		panic(fmt.Sprintf("sim: collect of %d registers into %d slots", len(regs), len(dst)))
+	}
+	c := &collect{ids: make([]RegID, len(regs)), dst: dst}
+	for i, ref := range regs {
+		c.ids[i] = mustRegister(ref).id
+	}
+	return Op{Kind: OpRead, Value: c}
+}
 
 // asRegister resolves a Ref to the concrete register, or nil if it is
 // foreign (reported later by mustRegister with a proper panic).
@@ -181,6 +221,7 @@ func (r *Runner) exec(n int, ps []procset.ID, d Director, res *stepResult) {
 		pr.stepCount++
 		var prev, v any
 		var peer procset.ID
+		held := false // a collect read with more to come: the machine waits
 		// mem is a stable pointer, but its dense slices are re-read per
 		// step: a machine's Next may intern a register (mid-run Rebind),
 		// growing them.
@@ -190,6 +231,17 @@ func (r *Runner) exec(n int, ps []procset.ID, d Director, res *stepResult) {
 			v = mem.values[id]
 			prev = v
 			r.stats.reads++
+			if c := pr.coll; c != nil {
+				// A collect read: land the value, then move the request on
+				// to the next register in place, so PendingOp stays exact.
+				c.dst[pr.collPos] = v
+				if pr.collPos++; pr.collPos < len(c.ids) {
+					pr.nextRegID = c.ids[pr.collPos]
+					held = true
+				} else {
+					pr.coll = nil
+				}
+			}
 		case OpWrite:
 			v = pr.nextValue
 			if mut != nil {
@@ -217,6 +269,9 @@ func (r *Runner) exec(n int, ps []procset.ID, d Director, res *stepResult) {
 			// compiles to a runtime.wbMove call, which Step pays per step.
 			res.kind, res.id, res.v, res.peer = kind, id, v, peer
 		}
+		if held {
+			continue
+		}
 		// Advance the machine in place. The common requests of a pointer-op
 		// machine are stored right here: a resolved read or write, a recv
 		// on a networked runner, a halt. The rest goes through settle.
@@ -227,11 +282,11 @@ func (r *Runner) exec(n int, ps []procset.ID, d Director, res *stepResult) {
 		} else if rr := op.reg; rr != nil && op.Kind == OpRead {
 			// Reads leave the stale value in place (the read path never
 			// looks at it), sparing an interface store per read step.
-			pr.nextKind, pr.nextReg, pr.nextRegID = OpRead, rr, rr.id
+			pr.nextKind, pr.nextRegID = OpRead, rr.id
 		} else if rr != nil && op.Kind == OpWrite {
-			pr.nextKind, pr.nextReg, pr.nextRegID, pr.nextValue = OpWrite, rr, rr.id, op.Value
+			pr.nextKind, pr.nextRegID, pr.nextValue = OpWrite, rr.id, op.Value
 		} else if op.Kind == OpRecv && r.net != nil {
-			pr.nextKind, pr.nextReg, pr.nextRegID = OpRecv, nil, -1
+			pr.nextKind, pr.nextRegID = OpRecv, -1
 		} else {
 			r.settle(pr, op)
 		}
@@ -267,10 +322,10 @@ func (r *Runner) advanceMachine(pr *proc, prev any) {
 }
 
 // settle stores op as pr's pending request, halting the process when op is
-// nil. The request is stored resolved (kind, concrete register, value), so
-// the kernel touches no Op struct and performs no type assertion per step.
-// Message-plane requests park the register fields on the sentinel
-// no-register state (nil, -1), which is what PendingOp reports for them.
+// nil. The request is stored resolved (kind, register id, value), so the
+// kernel touches no Op struct and performs no type assertion per step.
+// Message-plane requests park the register id on the sentinel -1, which is
+// what PendingOp reports for them.
 // Every request the kernel does not store inline comes here, and so do
 // the checks: a nil Reg, a bad send destination, a message op without a
 // network, an unknown kind.
@@ -284,11 +339,17 @@ func (r *Runner) settle(pr *proc, op *Op) {
 		rr := op.reg
 		if rr == nil {
 			if op.Reg == nil {
+				if c, ok := op.Value.(*collect); ok && op.Kind == OpRead {
+					// A collect starts pending on its first read.
+					pr.coll, pr.collPos = c, 0
+					pr.nextKind, pr.nextRegID = OpRead, c.ids[0]
+					return
+				}
 				panic("sim: Machine returned an Op with nil Reg")
 			}
 			rr = mustRegister(op.Reg)
 		}
-		pr.nextKind, pr.nextReg, pr.nextRegID = op.Kind, rr, rr.id
+		pr.nextKind, pr.nextRegID = op.Kind, rr.id
 		if op.Kind == OpWrite {
 			pr.nextValue = op.Value
 		}
@@ -312,6 +373,5 @@ func (r *Runner) settle(pr *proc, op *Op) {
 		pr.nextValue = op.Value
 	}
 	pr.nextKind = op.Kind
-	pr.nextReg = nil
 	pr.nextRegID = -1
 }

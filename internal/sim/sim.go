@@ -399,7 +399,7 @@ type proc struct {
 	pending *opRequest
 
 	// Machine (direct-dispatch) mode. The pending request is held in
-	// resolved form — kind, concrete register, write value — so the hot
+	// resolved form — kind, register id, write value — so the hot
 	// loops neither copy an Op struct per step nor repeat the Ref type
 	// assertion (valid when started && !isHalted). ptrMachine is machine's
 	// PtrMachine form when it implements one, resolved once at start; the
@@ -407,11 +407,14 @@ type proc struct {
 	machine    Machine
 	ptrMachine PtrMachine
 	nextKind   OpKind
-	nextReg    *register
-	nextRegID  RegID // nextReg.id, resolved once so the hot loops index the dense plane without the pointer chase
+	nextRegID  RegID // the register's dense id, resolved once so the hot loops index the dense plane without a pointer chase
 	nextValue  any
 	nextDest   procset.ID // destination of a pending OpSend
 	started    bool       // whether the machine's first request has been fetched
+	// coll is the collect in flight (nil when none) and collPos the index
+	// of its pending read; nextRegID names that read's register.
+	coll    *collect
+	collPos int
 }
 
 // procEnv implements Env for one coroutine process.
@@ -799,11 +802,12 @@ func (r *Runner) Reset() error {
 		p.machine = nil
 		p.ptrMachine = nil
 		p.nextKind = 0
-		p.nextReg = nil
 		p.nextRegID = 0
 		p.nextValue = nil
 		p.nextDest = 0
 		p.started = false
+		p.coll = nil
+		p.collPos = 0
 		if err := r.start(p); err != nil {
 			return err
 		}
