@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"github.com/settimeliness/settimeliness/internal/consensus"
 	"github.com/settimeliness/settimeliness/internal/procset"
@@ -202,7 +203,8 @@ func (a *Adversary) next() procset.ID {
 	return procset.ID(i + 1)
 }
 
-// record appends a scheduling decision to the bounded schedule recording.
+// record appends a scheduling decision to the bounded schedule recording,
+// whose room DriveDirected reserves.
 func (a *Adversary) record(p procset.ID) {
 	a.steps++
 	if len(a.schedule) < a.schedMax {
@@ -271,6 +273,14 @@ func (a *Adversary) DriveDirected(runner *sim.Runner, maxSteps, checkEvery int, 
 		// keep their meaning).
 		a.boundTo = runner
 		a.table.Rebind(runner.RegName)
+	}
+	if a.schedMax != math.MaxInt {
+		// Reserve the bounded recording's room once, rather than letting
+		// record's appends grow it by doubling: a 50k-entry recording
+		// would otherwise allocate several times its own size. The
+		// reservation survives Reset, so a pooled adversary reserves once.
+		want := min(a.schedMax, len(a.schedule)+max(maxSteps, 0))
+		a.schedule = slices.Grow(a.schedule, want-len(a.schedule))
 	}
 	res := runner.RunDirected(a, maxSteps, checkEvery, stop)
 	return res.Steps, res.Stopped

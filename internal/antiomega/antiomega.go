@@ -149,15 +149,25 @@ func newStateOver(cfg Config, self procset.ID, subsets []procset.Set) state {
 		cnt:           carve(ns * (n + 1)),
 		scratch:       carve(n),
 	}
-	for ai := range subsets {
+	st.rearm()
+	return st
+}
+
+// rearm sets every variable back to Figure 2's initializer in place,
+// reusing the arrays.
+func (st *state) rearm() {
+	clear(st.prevHeartbeat)
+	clear(st.accusation)
+	clear(st.cnt)
+	for ai := range st.subsets {
 		st.timeout[ai] = 1
 		st.timer[ai] = 1
 	}
+	st.myHb, st.iterations = 0, 0
 	// Initial fdOutput: any set of n−k processes (Figure 2's initializer);
 	// we use the complement of the first subset in the canonical order.
-	st.winnerset = subsets[0]
-	st.fdOutput = subsets[0].Complement(cfg.N)
-	return st
+	st.winnerset = st.subsets[0]
+	st.fdOutput = st.subsets[0].Complement(st.cfg.N)
 }
 
 // chooseWinner runs the local part of lines 2–5 on freshly collected
@@ -402,9 +412,8 @@ func (d *Detector) Machine(p procset.ID, regs sim.Registry) sim.Machine {
 	if err != nil {
 		panic(err) // configuration was validated in NewDetector
 	}
-	prev := procset.EmptySet
 	m.onIterate = func(m *MachineInstance) {
-		d.publish(p, &m.state, &prev)
+		d.publish(p, &m.state, &m.published)
 	}
 	return m
 }

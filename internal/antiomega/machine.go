@@ -48,8 +48,16 @@ type MachineInstance struct {
 	// onIterate, if non-nil, runs after each completed iteration — inside
 	// the Next call that consumes the iteration's final operation, i.e. at
 	// the exact point the coroutine Detector publishes. The Detector wires
-	// its publication here.
+	// its publication here, and keeps in published the last fdOutput it
+	// reported (its change filter), which Rearm clears with the rest.
 	onIterate func(*MachineInstance)
+	published procset.Set
+
+	// collect is the counter phase's collect request and collected the
+	// buffer its values land in, built once per machine and kept by Rearm:
+	// every collect overwrites the whole buffer before the machine reads it.
+	collect   sim.Op
+	collected []any
 
 	// opBuf is the stable storage behind NextOp's non-table operations.
 	opBuf sim.Op
@@ -66,14 +74,50 @@ type machineLayout struct {
 	counterRefs [][]sim.Ref
 	hbReadOps   []sim.Op // ReadOp per heartbeat, indexed q-1
 
-	// The counter phase — ~n·|Πkn| of every iteration's steps — is one
-	// collect of every Counter[A, q], row-major. collectOps[p] is process
-	// p's collect and collected[p] the buffer its values land in: the one
-	// part of the layout a run writes, per process, and sound to keep here
-	// because every collect overwrites its whole buffer before the machine
-	// reads it.
-	collectOps []sim.Op
-	collected  [][]any
+	// counters lists every Counter[A, q], row-major: the counter phase —
+	// ~n·|Πkn| of every iteration's steps — is one collect of them.
+	counters []sim.Ref
+
+	// boxes holds the boxed register values the machines write.
+	boxes *intBoxes
+}
+
+// intBoxes is a runner's table of boxed ints, filled lazily and only
+// grown: heartbeats and accusation counters climb past the runtime's
+// preboxed small ints within a few hundred iterations, and boxing each
+// write would allocate once per iteration per process. Through the table
+// each value is boxed once per runner, whichever process writes it first.
+// The values stay plain ints, so streams and goldens do not change.
+type intBoxes struct {
+	chunks [][]any // value v sits at chunks[v/boxChunk][v%boxChunk]
+}
+
+// boxChunk is the table's chunk size: growing the table appends a chunk
+// and copies no boxed value. boxMax bounds the table (1 MiB of chunks):
+// the values of the longest runs stay far below it, while a Byzantine
+// director's corrupted counters (StrategyFlip doubles a value on every
+// write) can run to any int, negative ones included; those are boxed
+// per write.
+const (
+	boxChunk = 256
+	boxMax   = 1 << 16
+)
+
+// box returns v boxed, from the table when 0 ≤ v < boxMax.
+func (b *intBoxes) box(v int) any {
+	if uint(v) >= boxMax {
+		return v
+	}
+	c, i := uint(v)/boxChunk, uint(v)%boxChunk
+	for uint(len(b.chunks)) <= c {
+		b.chunks = append(b.chunks, make([]any, boxChunk))
+	}
+	x := b.chunks[c][i]
+	if x == nil {
+		x = v
+		b.chunks[c][i] = x
+	}
+	return x
 }
 
 // layoutKey keys a machineLayout in the runner's cache. The registers and
@@ -81,22 +125,16 @@ type machineLayout struct {
 type layoutKey struct{ n, k int }
 
 func newMachineLayout(cfg Config, regs sim.Registry) *machineLayout {
-	l := &machineLayout{sets: procset.KSubsets(cfg.N, cfg.K)}
+	l := &machineLayout{sets: procset.KSubsets(cfg.N, cfg.K), boxes: new(intBoxes)}
 	l.hbRefs, l.counterRefs = makeRefs(cfg, l.sets, regs.Reg)
 	n := cfg.N
 	l.hbReadOps = make([]sim.Op, n)
 	for q := 1; q <= n; q++ {
 		l.hbReadOps[q-1] = sim.ReadOp(l.hbRefs[q])
 	}
-	counters := make([]sim.Ref, 0, len(l.sets)*n)
+	l.counters = make([]sim.Ref, 0, len(l.sets)*n)
 	for ai := range l.sets {
-		counters = append(counters, l.counterRefs[ai][1:]...)
-	}
-	l.collectOps = make([]sim.Op, n+1)
-	l.collected = make([][]any, n+1)
-	for p := 1; p <= n; p++ {
-		l.collected[p] = make([]any, len(counters))
-		l.collectOps[p] = sim.CollectOp(counters, l.collected[p])
+		l.counters = append(l.counters, l.counterRefs[ai][1:]...)
 	}
 	return l
 }
@@ -114,7 +152,20 @@ func NewMachineInstance(cfg Config, self procset.ID, regs sim.Registry) (*Machin
 	l := sim.Layout(regs, layoutKey{cfg.N, cfg.K}, func() *machineLayout {
 		return newMachineLayout(cfg, regs)
 	})
-	return &MachineInstance{state: newStateOver(cfg, self, l.sets), machineLayout: *l}, nil
+	m := &MachineInstance{state: newStateOver(cfg, self, l.sets), machineLayout: *l, collected: make([]any, len(l.counters))}
+	m.collect = sim.CollectOp(l.counters, m.collected)
+	return m, nil
+}
+
+// Rearm implements sim.Rearmer: the machine returns to the state
+// NewMachineInstance built it in, before its first iteration, reusing its
+// arrays; the Detector's publication filter is cleared too. onIterate is
+// kept, and so are the collect request and its buffer.
+func (m *MachineInstance) Rearm() {
+	m.state.rearm()
+	m.primed, m.phase, m.ai, m.q = false, phaseCounters, 0, 0
+	m.published = procset.EmptySet
+	m.opBuf = sim.Op{}
 }
 
 // Next implements sim.Machine; the runner prefers the pointer form below.
@@ -151,7 +202,7 @@ func (m *MachineInstance) NextOp(prev any) *sim.Op {
 // sub-protocols of the same process.
 func (m *MachineInstance) BeginIterationOp() *sim.Op {
 	m.phase = phaseCounters
-	return &m.collectOps[m.self]
+	return &m.collect
 }
 
 // FeedIterationOp consumes the result of the iteration operation in flight
@@ -169,7 +220,7 @@ func (m *MachineInstance) FeedIterationOp(prev any) *sim.Op {
 		m.foldCollect()
 		m.myHb++
 		m.phase = phaseHeartbeatWrite
-		m.opBuf = sim.WriteOp(m.hbRefs[m.self], m.myHb)
+		m.opBuf = sim.WriteOp(m.hbRefs[m.self], m.boxes.box(m.myHb))
 		return &m.opBuf
 	case phaseHeartbeatWrite:
 		m.phase, m.q = phaseHeartbeats, 1
@@ -196,7 +247,7 @@ func (m *MachineInstance) nextExpiry() *sim.Op {
 	for ai := m.ai + 1; ai < len(m.subsets); ai++ {
 		if m.tickTimer(ai) {
 			m.ai = ai
-			m.opBuf = sim.WriteOp(m.counterRefs[ai][m.self], m.cntRow(ai)[m.self]+1)
+			m.opBuf = sim.WriteOp(m.counterRefs[ai][m.self], m.boxes.box(m.cntRow(ai)[m.self]+1))
 			return &m.opBuf
 		}
 	}
@@ -212,7 +263,7 @@ func (m *MachineInstance) nextExpiry() *sim.Op {
 // accusations it keeps are exactly state.chooseWinner's: every row starts
 // at zero, and so does its accusation.
 func (m *MachineInstance) foldCollect() {
-	vals := m.collected[m.self]
+	vals := m.collected
 	n, stride := m.cfg.N, m.cfg.N+1
 	for ai := range m.subsets {
 		row := m.cnt[ai*stride+1 : ai*stride+stride]

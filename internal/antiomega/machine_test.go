@@ -213,3 +213,31 @@ func TestMachineInstanceValidation(t *testing.T) {
 	}
 	r.Close()
 }
+
+// TestIntBoxes pins the boxing table: a value in range comes back as the
+// same boxed int on every call, and a value outside it (negative, or as
+// large as a Byzantine flip makes a counter) is boxed on its own without
+// growing the table.
+func TestIntBoxes(t *testing.T) {
+	var b intBoxes
+	first := b.box(300)
+	if first != 300 {
+		t.Fatalf("box(300) = %v", first)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if b.box(300) != first {
+			t.Fatal("box(300) changed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a boxed value allocates %.1f times on reuse", allocs)
+	}
+	for _, v := range []int{-1, -1 << 40, boxMax, 1 << 40} {
+		if got := b.box(v); got != v {
+			t.Errorf("box(%d) = %v", v, got)
+		}
+	}
+	if len(b.chunks) != 2 {
+		t.Errorf("table holds %d chunks after boxing 300 and out-of-range values, want 2", len(b.chunks))
+	}
+}

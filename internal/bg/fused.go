@@ -52,13 +52,15 @@ type fusedSim struct {
 	self procset.ID
 	regs sim.Registry
 	n    int // simulated threads
-	mem  *snapshot.MachineObject
+	// mem is the handle on the bg.mem snapshot object.
+	mem snapshot.MachineObject
 	// shared is the runner-scoped recycling state (payload pools + the
 	// (thread, round) register cache); nil on allocate-per-write runners,
 	// where the machine publishes plain View copies exactly like Algorithm.
 	shared *bgShared
 	// One safe agreement handle per thread, rebound in place as the thread's
-	// round advances (rounds are processed strictly in order).
+	// round advances (rounds are processed strictly in order). Each handle
+	// carries a reusable call and its collect buffers, which Rearm keeps.
 	sas     []fusedSA // indexed by thread (1-based)
 	saRound []int
 
@@ -82,46 +84,50 @@ type fusedSim struct {
 // reference.
 func (s *Simulation) Machine(p procset.ID, regs sim.Registry) sim.Machine {
 	n := s.proto.Threads()
-	sh := bgSharedFor(regs, n, s.m)
-	var mem *snapshot.MachineObject
-	var sas []fusedSA
-	if sh != nil {
-		h := sh.handlesFor(p)
-		mem, sas = &h.mem, h.sas
-	} else {
-		mem, sas = new(snapshot.MachineObject), make([]fusedSA, n+1)
-	}
-	bindMem(mem, regs, p, s.m)
 	m := &fusedSim{
 		s:       s,
 		self:    p,
 		regs:    regs,
 		n:       n,
-		mem:     mem,
-		shared:  sh,
-		sas:     sas,
+		shared:  bgSharedFor(regs, n, s.m),
+		sas:     make([]fusedSA, n+1),
 		saRound: make([]int, n+1),
 		know:    make(View, n+1),
 		states:  make([]any, n+1),
 		round:   make([]int, n+1),
 		phase:   make([]threadPhase, n+1),
-		i:       1,
-		allDone: true,
 	}
-	for i := 1; i <= n; i++ {
-		m.states[i] = s.proto.Init(i)
+	m.Rearm()
+	return m
+}
+
+// Rearm implements sim.Rearmer, and is the second half of Machine: it binds
+// the bg.mem handle again (Runner.Reset has just reset the arena it
+// leases from), unbinds every safe agreement handle, and sets the thread
+// pass back to its start. The handles, their calls and every slice are
+// reused.
+func (m *fusedSim) Rearm() {
+	bindMem(&m.mem, m.regs, m.self, m.s.m)
+	for i := range m.sas {
+		m.sas[i].proposed, m.sas[i].bound = false, false
+	}
+	clear(m.saRound)
+	clear(m.know)
+	clear(m.phase)
+	for i := 1; i <= m.n; i++ {
+		m.states[i] = m.s.proto.Init(i)
 		m.round[i] = 1
 	}
-	return m
+	m.i, m.allDone, m.started = 1, true, false
+	m.st, m.call, m.sa, m.propV = 0, nil, nil, nil
 }
 
 // bindMem binds o as simulator p's handle on the bg.mem snapshot object
 // through the runner's layout cache: the object's registers are interned
-// once per runner, not on every Reset.
-func bindMem(o *snapshot.MachineObject, regs sim.Registry, p procset.ID, m int) *snapshot.MachineObject {
+// once per runner.
+func bindMem(o *snapshot.MachineObject, regs sim.Registry, p procset.ID, m int) {
 	segs, readOps := snapshot.LayoutRefs(regs, "bg.mem", m)
 	o.InitShared(snapshot.ArenaFor(regs), p, m, segs, readOps)
-	return o
 }
 
 // saFor returns thread i's handle bound to round r: through the shared

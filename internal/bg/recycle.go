@@ -82,36 +82,6 @@ type bgShared struct {
 	// minimum over simulators.
 	roundOf  [][]int
 	minRound []int
-
-	// handles[p-1] is simulator p's snapshot handles, leased to the fused
-	// machine its factory builds (see handlesFor).
-	handles []*fusedHandles
-}
-
-// fusedHandles is one fused simulator's snapshot handles on a recycled
-// runner: the bg.mem handle and one safe agreement handle per thread. Each
-// handle is ~0.4 KiB (its one reusable FusedCall and that call's collect
-// buffers) that every call re-arms, so they outlive Reset: the factory
-// rebinds them and clears their doorway state instead of allocating n+1
-// handles per run.
-type fusedHandles struct {
-	mem snapshot.MachineObject
-	sas []fusedSA // indexed by thread (1-based)
-}
-
-// handlesFor leases simulator p's handles to a freshly built machine, with
-// every safe agreement handle unbound. Factory-only: the previous machine
-// of p was dropped by Runner.Reset, so nothing else holds them.
-func (sh *bgShared) handlesFor(p procset.ID) *fusedHandles {
-	h := sh.handles[p-1]
-	if h == nil {
-		h = &fusedHandles{sas: make([]fusedSA, sh.threads+1)}
-		sh.handles[p-1] = h
-	}
-	for i := range h.sas {
-		h.sas[i].proposed, h.sas[i].bound = false, false
-	}
-	return h
 }
 
 // bgSharedFor returns the runner-scoped shared state, or nil when the
@@ -131,7 +101,6 @@ func bgSharedFor(regs sim.Registry, threads, m int) *bgShared {
 			saRegs:   make([][]saRegs, threads),
 			roundOf:  make([][]int, m),
 			minRound: make([]int, threads),
-			handles:  make([]*fusedHandles, m),
 		}
 		for i := range sh.minRound {
 			sh.minRound[i] = 1
@@ -245,7 +214,7 @@ func (sh *bgShared) newSA(level int, v *viewBox) *saBox {
 }
 
 // ResetRecycler implements sim.Recycler: with all registers cleared and all
-// machines about to be rebuilt, every box returns to its free list in bulk —
+// machines about to be rearmed, every box returns to its free list in bulk —
 // including creator references held by crashed writers. The register cache
 // survives: interned registers do too.
 func (sh *bgShared) ResetRecycler() {

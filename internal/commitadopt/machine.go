@@ -139,17 +139,20 @@ func NewProposeMachine(regs sim.Registry, object string, self procset.ID, n int,
 		return newProposeLayout(regs, object, n)
 	})
 	m := &ProposeMachine{}
-	m.reset(l, self, v)
-	m.done = done
+	m.reset(l, self, v, done)
 	return m
 }
 
-// reset rearms m in place as a fresh proposal of v on the object behind l,
-// with no done callback. The chain machines reuse one inner machine this
-// way for every round.
-func (m *ProposeMachine) reset(l *proposeLayout, self procset.ID, v any) {
-	*m = ProposeMachine{l: l, self: self, v: v, unanimous: true}
+// reset rearms m in place as a fresh proposal of v on the object behind l.
+// The chain machines reuse one inner machine this way for every round,
+// with no done callback.
+func (m *ProposeMachine) reset(l *proposeLayout, self procset.ID, v any, done func(commit bool, val any)) {
+	*m = ProposeMachine{l: l, self: self, v: v, unanimous: true, done: done}
 }
+
+// Rearm implements sim.Rearmer: m becomes the machine NewProposeMachine
+// built, proposing the same value to the same object with the same done.
+func (m *ProposeMachine) Rearm() { m.reset(m.l, m.self, m.v, m.done) }
 
 // Next implements sim.Machine; the runner prefers the pointer form below.
 func (m *ProposeMachine) Next(prev any) (sim.Op, bool) {
@@ -270,6 +273,12 @@ func NewConsensusMachine(regs sim.Registry, instance string, self procset.ID, n 
 	}
 }
 
+// Rearm implements sim.Rearmer: m becomes the machine NewConsensusMachine
+// built, back before round one with the same proposal and done.
+func (m *ConsensusMachine) Rearm() {
+	*m = ConsensusMachine{l: m.l, regs: m.regs, self: m.self, proposal: m.proposal, done: m.done}
+}
+
 // Next implements sim.Machine; the runner prefers the pointer form below.
 func (m *ConsensusMachine) Next(prev any) (sim.Op, bool) {
 	if op := m.NextOp(prev); op != nil {
@@ -297,7 +306,7 @@ func (m *ConsensusMachine) NextOp(prev any) *sim.Op {
 			m.est = m.proposal
 		}
 		m.round++
-		m.inner.reset(m.l.round(m.regs, m.round), m.self, m.est)
+		m.inner.reset(m.l.round(m.regs, m.round), m.self, m.est, nil)
 		m.phase = cpInner
 		return m.inner.NextOp(nil) // a fresh propose machine always has a first op
 	case cpInner:
@@ -374,6 +383,13 @@ func NewInstanceMachine(regs sim.Registry, name string, self procset.ID, n int) 
 	}
 }
 
+// Rearm returns the handle to the state NewInstanceMachine built it in: no
+// round started, no decision cached, no call in flight. The kset agreement
+// machine rearms its handles this way (see sim.Rearmer).
+func (m *InstanceMachine) Rearm() {
+	*m = InstanceMachine{l: m.l, regs: m.regs, self: m.self}
+}
+
 // Round returns the number of rounds this process has completed.
 func (m *InstanceMachine) Round() int { return m.round }
 
@@ -429,7 +445,7 @@ func (m *InstanceMachine) Feed(prev any) (op sim.Op, hasOp bool) {
 			m.est = m.v
 		}
 		m.round++
-		m.inner.reset(m.l.round(m.regs, m.round), m.self, m.est)
+		m.inner.reset(m.l.round(m.regs, m.round), m.self, m.est, nil)
 		m.phase = imInner
 		return *m.inner.NextOp(nil), true // a fresh propose machine always has a first op
 	case imInner:

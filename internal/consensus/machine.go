@@ -115,6 +115,13 @@ func (m *InstanceMachine) init(regs sim.Registry, name string, self procset.ID, 
 	*m = InstanceMachine{l: instanceLayoutFor(regs, name, n), n: n, self: self}
 }
 
+// Rearm returns the handle to the state NewInstanceMachine built it in: no
+// ballot started, no decision cached, no call in flight. The machines that
+// hold handles rearm them this way (see sim.Rearmer).
+func (m *InstanceMachine) Rearm() {
+	*m = InstanceMachine{l: m.l, n: m.n, self: m.self}
+}
+
 // Attempts returns how many ballots this process has started.
 func (m *InstanceMachine) Attempts() int { return m.attempts }
 
@@ -294,6 +301,12 @@ type attemptLoop struct {
 	v        any
 	done     func(any)
 	inFlight bool
+}
+
+// Rearm implements sim.Rearmer: back before the first attempt.
+func (m *attemptLoop) Rearm() {
+	m.in.Rearm()
+	m.inFlight = false
 }
 
 // Next implements sim.Machine.

@@ -247,11 +247,13 @@ func reset(t *testing.T, r *sim.Runner, rig engineRig) {
 // and runs the measured schedule; its RunResult, Stats, fingerprint,
 // verdict and StepInfo stream must equal those of a fresh runner's
 // RunSchedule and of a fresh Step loop with an observer, and the verdict
-// must equal the coroutine reference's. Reset runs on both kinds of runner:
-// observer-free (recycled values; Run, then Reset again and a Step loop
-// whose returned StepInfos are compared up to register names and leased
-// values) and observed
-// (every register and value compared). Warm-ups of any length stop machines mid-collect,
+// must equal the coroutine reference's. The Step loops also compare the
+// verdict after every step, which catches a harness output (a heartbeat
+// leader) that changes at a different step but ends up the same. Reset
+// runs on both kinds of runner: observer-free (recycled values; Run, then
+// Reset again and a Step loop whose returned StepInfos are compared up to
+// register names and leased values) and observed (every register and
+// value compared). Warm-ups of any length stop machines mid-collect,
 // mid-snapshot-scan, mid-round and after halts. Its seed corpus is in
 // testdata/fuzz/FuzzEngines.
 func FuzzEngines(f *testing.F) {
@@ -265,16 +267,18 @@ func FuzzEngines(f *testing.F) {
 		var ref engineOutcome
 		refRig := newEngineRig(t, c.target, c.n, c.stamp)
 		var refInfos []sim.StepInfo
+		var refVerdicts []string
 		rr := c.newRunner(t, refRig, func(si sim.StepInfo) { refInfos = append(refInfos, si) })
 		for _, p := range c.sched {
 			rr.Step(p)
+			refVerdicts = append(refVerdicts, refRig.verdict())
 		}
 		c.finish(rr, refRig, &ref)
 		ref.res = sim.RunResult{Steps: len(c.sched)}
 		project := func(full bool) []string {
 			var out []string
-			for _, si := range refInfos {
-				out = append(out, stepLine(si, full))
+			for i, si := range refInfos {
+				out = append(out, stepLine(si, full)+" | "+refVerdicts[i])
 			}
 			return out
 		}
@@ -306,7 +310,7 @@ func FuzzEngines(f *testing.F) {
 		reset(t, pr, pooledRig)
 		pooled = engineOutcome{res: ref.res}
 		for _, p := range c.sched {
-			pooled.stream = append(pooled.stream, stepLine(pr.Step(p), false))
+			pooled.stream = append(pooled.stream, stepLine(pr.Step(p), false)+" | "+pooledRig.verdict())
 		}
 		c.finish(pr, pooledRig, &pooled)
 		compareEngines(t, "reset Step loop", pooled, ref, pooled.stream, refScalar)
@@ -321,6 +325,7 @@ func FuzzEngines(f *testing.F) {
 		lines = lines[:0]
 		for _, p := range c.sched {
 			or.Step(p)
+			lines[len(lines)-1] += " | " + obsRig.verdict()
 		}
 		c.finish(or, obsRig, &observed)
 		observed.res = ref.res

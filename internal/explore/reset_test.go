@@ -2,25 +2,101 @@ package explore
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/settimeliness/settimeliness/internal/kset"
+	"github.com/settimeliness/settimeliness/internal/msgnet"
 	"github.com/settimeliness/settimeliness/internal/sched"
 	"github.com/settimeliness/settimeliness/internal/sim"
 )
 
 // resetAllocCeiling is the recorded allocation ceiling of one pooled run of
 // each fuzz target — harness hook, Runner.Reset, and the replay of the
-// seed-7 fuzz schedule — on a warm runner. What remains are the machines'
-// mutable fields and the protocols' own written values. A machine factory
-// that goes back to formatting or interning register names on every Reset
-// adds an allocation per name and fails here.
+// seed-7 fuzz schedule — on a warm runner. Reset rearms the machines in
+// place, so what remains are the protocols' own written values. A machine
+// that goes back to being rebuilt, or to formatting or interning register
+// names, on every Reset adds allocations and fails here.
 var resetAllocCeiling = map[string]float64{
-	TargetCommitAdopt: 18,
-	TargetConsensus:   22,
-	TargetCAChain:     18,
-	TargetKSet:        30,
-	TargetBG:          32,
+	TargetCommitAdopt: 10,
+	TargetConsensus:   14,
+	TargetCAChain:     10,
+	TargetKSet:        6,
+	TargetBG:          4,
+}
+
+// resetAllocs returns the number of allocations of runner.Reset alone per
+// call, over runs that each replay first (uncounted). Like
+// testing.AllocsPerRun it runs at GOMAXPROCS 1 and rounds the mean down.
+func resetAllocs(t *testing.T, runner *sim.Runner, replay func()) float64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 50
+	var before, after runtime.MemStats
+	var total uint64
+	for i := 0; i < runs; i++ {
+		replay()
+		runtime.ReadMemStats(&before)
+		if err := runner.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		total += after.Mallocs - before.Mallocs
+	}
+	return float64(total / runs)
+}
+
+// TestPooledResetAllocs pins what rearming buys: after one warm run,
+// Runner.Reset alone allocates nothing on any pooled target, nor on the
+// netconv heartbeat rig (runner, network and heartbeat detector). A machine
+// without Rearm is rebuilt by its factory on every Reset and fails here.
+// bg's recyclers still grow a free list now and then while their pools
+// warm up (19 allocations over the first 50 resets), which the rounded-down
+// mean absorbs.
+func TestPooledResetAllocs(t *testing.T) {
+	s := fuzzSchedule(t, 7)
+	for _, target := range pooledTargets {
+		t.Run(target, func(t *testing.T) {
+			build, err := PooledTargetBuilder(target, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer run.Runner.Close()
+			replay := func() {
+				if run.Reset != nil {
+					run.Reset()
+				}
+				run.Runner.RunSchedule(s)
+			}
+			replay()
+			if allocs := resetAllocs(t, run.Runner, replay); allocs != 0 {
+				t.Errorf("Runner.Reset allocates %.1f times, want 0", allocs)
+			}
+		})
+	}
+	t.Run("netconv", func(t *testing.T) {
+		const n, steps = 4, 2000
+		rig, err := newNetConvRig(msgnet.MatrixSync, NetConvConfig{N: n, Steps: steps, Delta: 2, GST: steps / 4, Probe: 2 + 3*n*(n-1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rig.runner.Close()
+		seed := int64(0)
+		replay := func() {
+			seed++
+			if _, _, _, _, err := rig.one(seed, steps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		replay()
+		if allocs := resetAllocs(t, rig.runner, replay); allocs != 0 {
+			t.Errorf("Runner.Reset allocates %.1f times, want 0", allocs)
+		}
+	})
 }
 
 // TestPooledResetReusesLayouts pins the pooled reset's fixed cost: once a

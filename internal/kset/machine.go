@@ -31,6 +31,7 @@ type instanceMachine interface {
 	StartAttempt(v any) (op sim.Op, hasOp bool)
 	Feed(prev any) (op sim.Op, hasOp bool)
 	Result() (any, bool)
+	Rearm()
 }
 
 // Machine returns the per-process direct-dispatch automata, the machine-mode
@@ -38,35 +39,44 @@ type instanceMachine interface {
 // Proposal values must be non-nil and treated as immutable.
 func (a *Agreement) Machine(proposal func(procset.ID) any) func(procset.ID, sim.Registry) sim.Machine {
 	return func(p procset.ID, regs sim.Registry) sim.Machine {
-		v := proposal(p)
-		if v == nil {
-			panic(fmt.Sprintf("kset: nil proposal for %v", p))
-		}
+		v := proposalOf(proposal, p)
 		if a.cfg.UsesTrivialAlgorithm() {
-			return newTrivialMachine(a, p, v, regs)
+			return newTrivialMachine(a, p, proposal, v, regs)
 		}
-		return newDetectorMachine(a, p, v, regs)
+		return newDetectorMachine(a, p, proposal, v, regs)
 	}
+}
+
+// proposalOf returns p's proposal, which must be non-nil. The machines
+// read it on every build and every Rearm: the harness may change the
+// proposals between runs of a pooled runner.
+func proposalOf(proposal func(procset.ID) any, p procset.ID) any {
+	v := proposal(p)
+	if v == nil {
+		panic(fmt.Sprintf("kset: nil proposal for %v", p))
+	}
+	return v
 }
 
 // trivialMachine is the k ≥ t+1 automaton: a leader writes its value and
 // decides; every other process cycles over the leader registers and adopts
 // the first value it finds.
 type trivialMachine struct {
-	ag      *Agreement
-	self    procset.ID
-	v       any
-	refs    []sim.Ref
-	leaders int
-	wrote   bool
-	l       int // leader register whose read is in flight (0 = none yet)
+	ag       *Agreement
+	self     procset.ID
+	proposal func(procset.ID) any
+	v        any
+	refs     []sim.Ref
+	leaders  int
+	wrote    bool
+	l        int // leader register whose read is in flight (0 = none yet)
 }
 
 // trivialKey keys the trivial algorithm's leader registers in the runner's
 // layout cache.
 type trivialKey struct{ leaders int }
 
-func newTrivialMachine(a *Agreement, p procset.ID, v any, regs sim.Registry) *trivialMachine {
+func newTrivialMachine(a *Agreement, p procset.ID, proposal func(procset.ID) any, v any, regs sim.Registry) *trivialMachine {
 	leaders := a.cfg.T + 1
 	refs := sim.Layout(regs, trivialKey{leaders}, func() []sim.Ref {
 		refs := make([]sim.Ref, leaders+1)
@@ -75,7 +85,13 @@ func newTrivialMachine(a *Agreement, p procset.ID, v any, regs sim.Registry) *tr
 		}
 		return refs
 	})
-	return &trivialMachine{ag: a, self: p, v: v, leaders: leaders, refs: refs}
+	return &trivialMachine{ag: a, self: p, proposal: proposal, v: v, leaders: leaders, refs: refs}
+}
+
+// Rearm implements sim.Rearmer: nothing written, no leader read, and the
+// proposal read again.
+func (m *trivialMachine) Rearm() {
+	*m = trivialMachine{ag: m.ag, self: m.self, proposal: m.proposal, v: proposalOf(m.proposal, m.self), leaders: m.leaders, refs: m.refs}
 }
 
 func (m *trivialMachine) Next(prev any) (sim.Op, bool) {
@@ -111,12 +127,13 @@ const (
 // loop of one Figure 2 iteration, dk decision probes, and attempts on the
 // instances whose winnerset slot this process occupies.
 type detectorMachine struct {
-	ag   *Agreement
-	self procset.ID
-	v    any
-	dk   int
-	fd   *antiomega.MachineInstance
-	cons []instanceMachine
+	ag       *Agreement
+	self     procset.ID
+	proposal func(procset.ID) any
+	v        any
+	dk       int
+	fd       *antiomega.MachineInstance
+	cons     []instanceMachine
 
 	primed bool
 	phase  dmPhase
@@ -129,7 +146,7 @@ type detectorMachine struct {
 // cache.
 type consNamesKey struct{ dk int }
 
-func newDetectorMachine(a *Agreement, p procset.ID, v any, regs sim.Registry) *detectorMachine {
+func newDetectorMachine(a *Agreement, p procset.ID, proposal func(procset.ID) any, v any, regs sim.Registry) *detectorMachine {
 	dk := a.cfg.detectorK()
 	fd, err := antiomega.NewMachineInstance(antiomega.Config{N: a.cfg.N, K: dk, T: a.cfg.T}, p, regs)
 	if err != nil {
@@ -151,7 +168,21 @@ func newDetectorMachine(a *Agreement, p procset.ID, v any, regs sim.Registry) *d
 			cons[r] = consensus.NewInstanceMachine(regs, name, p, a.cfg.N)
 		}
 	}
-	return &detectorMachine{ag: a, self: p, v: v, dk: dk, fd: fd, cons: cons}
+	return &detectorMachine{ag: a, self: p, proposal: proposal, v: v, dk: dk, fd: fd, cons: cons}
+}
+
+// Rearm implements sim.Rearmer: the detector and every consensus handle
+// rearmed in place, the loop back before its first iteration, and the
+// proposal read again.
+func (m *detectorMachine) Rearm() {
+	m.v = proposalOf(m.proposal, m.self)
+	m.fd.Rearm()
+	for _, c := range m.cons {
+		c.Rearm()
+	}
+	m.primed, m.phase, m.r = false, dmFD, 0
+	m.w = procset.EmptySet
+	m.opBuf = sim.Op{}
 }
 
 // Next implements sim.Machine: feed the result of the operation in flight to

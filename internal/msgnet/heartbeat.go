@@ -52,9 +52,9 @@ type HeartbeatConfig struct {
 
 // Heartbeat is the harness-side state of one detector instance: it builds
 // the per-process machines and exposes their leader outputs between steps.
-// Instances are single-run but pool-friendly — the machine factory re-reads
-// all state from the instance, and Runner.Reset rebuilds machines through
-// it, so a pooled runner resets the detector for free.
+// Instances are single-run but pool-friendly — a machine's factory and its
+// Rearm both reset the process's outputs here, so a pooled runner's Reset
+// resets the detector for free.
 type Heartbeat struct {
 	cfg     HeartbeatConfig
 	leaders []procset.ID // leader output per process, indexed by id-1
@@ -89,14 +89,22 @@ func NewHeartbeat(cfg HeartbeatConfig) (*Heartbeat, error) {
 // factory (the regs argument is unused: the detector touches no registers,
 // only the message plane).
 func (h *Heartbeat) Machine(p procset.ID, _ sim.Registry) sim.Machine {
-	m := &hbMachine{h: h, self: p, n: h.cfg.N, deadline: h.cfg.Timeout}
-	m.peers = make([]peerTimer, h.cfg.N+1)
-	for q := 1; q <= h.cfg.N; q++ {
-		m.peers[q].timeout = h.cfg.Timeout
-	}
-	h.leaders[p-1] = 1 // everyone starts trusting the smallest id
-	h.rounds[p-1] = 0
+	m := &hbMachine{h: h, self: p, n: h.cfg.N, peers: make([]peerTimer, h.cfg.N+1)}
+	m.Rearm()
 	return m
+}
+
+// Rearm implements sim.Rearmer, and is the second half of Machine: every
+// timer back to the initial tolerance, nothing suspected, no round begun,
+// and the process's leader and round outputs reset.
+func (m *hbMachine) Rearm() {
+	h := m.h
+	*m = hbMachine{h: h, self: m.self, n: m.n, peers: m.peers, deadline: h.cfg.Timeout}
+	for q := range m.peers {
+		m.peers[q] = peerTimer{timeout: h.cfg.Timeout}
+	}
+	h.leaders[m.self-1] = 1 // everyone starts trusting the smallest id
+	h.rounds[m.self-1] = 0
 }
 
 // Leader returns p's current leader output.

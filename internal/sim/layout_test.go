@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/settimeliness/settimeliness/internal/procset"
@@ -110,3 +111,68 @@ func TestLayoutOutsideRunner(t *testing.T) {
 type fakeRegistry struct{}
 
 func (fakeRegistry) Reg(name string) Ref { return &register{name: name} }
+
+// rearmCounter reads one register forever and logs its rearms.
+type rearmCounter struct {
+	self  procset.ID
+	reg   Ref
+	log   *[]procset.ID
+	reads int
+}
+
+func (m *rearmCounter) Next(any) (Op, bool) {
+	m.reads++
+	return ReadOp(m.reg), true
+}
+
+func (m *rearmCounter) Rearm() {
+	*m.log = append(*m.log, m.self)
+	m.reads = 0
+}
+
+// TestResetRearms pins how Reset consults Rearmer: a machine that
+// implements it is rearmed in place, in process order, and kept (its
+// factory runs once per process for the runner's lifetime, observed or
+// not); a machine that does not is rebuilt by its factory on every Reset.
+func TestResetRearms(t *testing.T) {
+	for _, observed := range []bool{false, true} {
+		builds := 0
+		var log []procset.ID
+		factory := func(p procset.ID, regs Registry) Machine {
+			builds++
+			if p == 2 {
+				return MachineFunc(func(any) (Op, bool) { return Op{}, false })
+			}
+			return &rearmCounter{self: p, reg: regs.Reg("r"), log: &log}
+		}
+		cfg := Config{N: 3, Machine: factory}
+		if observed {
+			cfg.Observer = func(StepInfo) {}
+		}
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := r.procAt(3).machine
+		for i := 0; i < 4; i++ {
+			r.RunSchedule([]procset.ID{1, 3, 1, 2})
+			if err := r.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			m := r.procAt(3).machine.(*rearmCounter)
+			if m != first {
+				t.Fatalf("observed=%v: p3's machine was replaced on Reset", observed)
+			}
+			if m.reads != 0 {
+				t.Fatalf("observed=%v: p3 kept %d reads across Reset", observed, m.reads)
+			}
+		}
+		r.Close()
+		if builds != 3+4 {
+			t.Fatalf("observed=%v: %d factory calls after 4 Resets, want 7", observed, builds)
+		}
+		if want := []procset.ID{1, 3, 1, 3, 1, 3, 1, 3}; !slices.Equal(log, want) {
+			t.Fatalf("observed=%v: rearms %v, want %v", observed, log, want)
+		}
+	}
+}

@@ -144,6 +144,25 @@ type PtrMachine interface {
 	NextOp(prev any) *Op
 }
 
+// Rearmer is an optional extension of Machine for automata that can return
+// to their initial state in place. Runner.Reset consults it the way the
+// kernel consults PtrMachine: when the previous run's machine implements
+// it, Reset calls Rearm and keeps the machine, so Config.Machine runs only
+// on the runner's first build and for machines without Rearm.
+//
+// After Rearm the machine must be indistinguishable from the one the
+// factory would build for the same process on the same runner: every
+// mutable field back to its initial value, its buffers reused rather than
+// reallocated, and whatever the factory reads or does on each build done
+// again — reading a harness value that may have changed since (a proposal
+// function), writing the harness state the factory initialises, rebinding
+// handles on runner-scoped recyclers, which Reset has just reset. Rearm
+// runs where the factory would, in process order after the register plane,
+// the recyclers and the network are reset.
+type Rearmer interface {
+	Rearm()
+}
+
 // MachineFunc adapts a plain function to the Machine interface.
 type MachineFunc func(prev any) (Op, bool)
 

@@ -174,8 +174,9 @@ func (r *register) Name() string { return r.name }
 
 // Recycler is runner-scoped state that vends reusable objects to machines
 // (arenas, lease pools). ResetRecycler is invoked by Runner.Reset after
-// register values are cleared and before the machine factories run again: at
-// that point no machine holds any vended object, so the recycler may reclaim
+// register values are cleared and before the machines are rearmed or
+// rebuilt: at that point no machine may use any vended object again (a
+// rearmed machine drops what it held), so the recycler may reclaim
 // everything it ever handed out in bulk — including objects that were held
 // by crashed processes or by scans a mid-run stop left in flight.
 type Recycler interface {
@@ -499,12 +500,13 @@ type Config struct {
 	// once per process id at construction (and again on Reset).
 	Algorithm func(p procset.ID) Algorithm
 	// Machine returns the direct-dispatch automaton for each process. The
-	// factory is called once per process id at construction and again on
-	// every Reset, sequentially on the constructing goroutine, and is the
-	// only source of a machine's initial state. regs interns the machine's
-	// registers; immutable construction products (refs, op tables, names)
-	// belong in the runner's layout cache (see Layout), so a factory run on
-	// Reset costs a cache lookup plus the machine's mutable fields.
+	// factory is called once per process id at construction, sequentially
+	// on the constructing goroutine. Reset calls it again only for a
+	// machine that does not implement Rearmer; a Rearmer is rearmed in
+	// place instead, so on a pooled runner of such machines the factory
+	// runs once per process for the runner's lifetime. regs interns the
+	// machine's registers; immutable construction products (refs, op
+	// tables, names) belong in the runner's layout cache (see Layout).
 	Machine func(p procset.ID, regs Registry) Machine
 	// Network, if non-nil, attaches a message substrate: machines may then
 	// request OpSend/OpRecv steps (see net.go and SendOp/RecvOp). Machine
@@ -754,12 +756,12 @@ func (r *Runner) observe(info *StepInfo) {
 // another run without paying construction costs again: step counters
 // revert to zero, every register value reverts to nil (the interned
 // register set survives — an unwritten register reads as nil either way),
-// recyclers reclaim what they vended, and every process restarts from its
-// factory. In machine mode the factories run again on every Reset; they
-// take their immutable products — register refs, op tables, names — from
-// the runner's layout cache (see Layout), which survives Reset, so
-// rebuilding a machine costs a lookup plus its mutable fields. In coroutine
-// mode the old process goroutines are killed and fresh ones spawned.
+// recyclers reclaim what they vended, and every process restarts. In
+// machine mode a machine that implements Rearmer is rearmed in place, in
+// process order, after the recyclers reset; any other machine is rebuilt by
+// its factory, which takes its immutable products from the runner's layout
+// cache (see Layout). In coroutine mode the old process goroutines are
+// killed and fresh ones spawned.
 //
 // A reset runner produces bit-identical StepInfo streams to a freshly
 // constructed one with the same Config — the property the campaign engine's
@@ -778,10 +780,11 @@ func (r *Runner) Reset() error {
 	}
 	r.mem.resetValues()
 	// With every register value dropped and every machine about to be
-	// rebuilt, no vended arena object is reachable: recyclers may take back
-	// everything in bulk, so a pooled runner's next job starts with warm
-	// freelists instead of a cold heap — including after mid-run stops that
-	// left scans in flight or crashed processes holding leases.
+	// rearmed or rebuilt, no vended arena object is reachable: recyclers
+	// may take back everything in bulk, so a pooled runner's next job
+	// starts with warm freelists instead of a cold heap — including after
+	// mid-run stops that left scans in flight or crashed processes holding
+	// leases.
 	r.mem.resetRecyclers()
 	// The message substrate rewinds with the run: queues emptied, timing and
 	// sequence state back to step 0, pooled envelope storage retained — the
@@ -799,8 +802,6 @@ func (r *Runner) Reset() error {
 		p.stepCount = 0
 		p.fault = FaultHonest
 		p.pending = nil
-		p.machine = nil
-		p.ptrMachine = nil
 		p.nextKind = 0
 		p.nextRegID = 0
 		p.nextValue = nil
@@ -808,6 +809,12 @@ func (r *Runner) Reset() error {
 		p.started = false
 		p.coll = nil
 		p.collPos = 0
+		if rm, ok := p.machine.(Rearmer); ok {
+			rm.Rearm()
+			continue
+		}
+		p.machine = nil
+		p.ptrMachine = nil
 		if err := r.start(p); err != nil {
 			return err
 		}

@@ -33,8 +33,9 @@
 //     never reused, hence never corrupted — and recycling degrades to
 //     allocation exactly where the model forces it to.
 //   - Runner.Reset invokes ResetRecycler (the sim.Recycler contract): with
-//     all registers cleared and all machines rebuilt, nothing vended is
-//     reachable, so every tracked object returns to its free list in bulk.
+//     all registers cleared and all machines about to be rearmed or
+//     rebuilt, nothing vended is reachable, so every tracked object returns
+//     to its free list in bulk.
 //     Pool-reused runners thus recycle across jobs, and leases held by
 //     crashed writers or mid-run stops are reclaimed wholesale.
 //
