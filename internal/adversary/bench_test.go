@@ -34,9 +34,11 @@ func newBenchRig(b *testing.B, cfg kset.Config) (*kset.Agreement, *sim.Runner, *
 // BenchmarkAdversaryDrive measures the directed fast path (RunDirected →
 // dense register metadata) on the Theorem 24 workload; the bench-smoke CI
 // job runs it. The b.N steps are driven as back-to-back runs of
-// DefaultScheduleLimit steps, the rig reset between runs with the timer
-// stopped: a detector's per-step cost changes as its run grows, so one run
-// of b.N steps would make ns/op depend on b.N.
+// DefaultScheduleLimit steps, the rig reset before each run with the timer
+// stopped, after one untimed run that warms the rig as a pooled matrix rig
+// is warm: a detector's per-step cost changes as its run grows, and a rig's
+// first run pays its one-time growth, so one run of b.N steps would make
+// ns/op depend on b.N.
 func BenchmarkAdversaryDrive(b *testing.B) {
 	for _, bc := range []struct {
 		name string
@@ -49,18 +51,17 @@ func BenchmarkAdversaryDrive(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			ag, runner, adv := newBenchRig(b, bc.cfg)
 			defer runner.Close()
+			adv.DriveDirected(runner, DefaultScheduleLimit, 200, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for left := b.N; left > 0; left -= DefaultScheduleLimit {
-				if left < b.N {
-					b.StopTimer()
-					ag.Reset()
-					if err := runner.Reset(); err != nil {
-						b.Fatal(err)
-					}
-					adv.Reset()
-					b.StartTimer()
+				b.StopTimer()
+				ag.Reset()
+				if err := runner.Reset(); err != nil {
+					b.Fatal(err)
 				}
+				adv.Reset()
+				b.StartTimer()
 				adv.DriveDirected(runner, min(left, DefaultScheduleLimit), 200, nil)
 			}
 		})

@@ -32,6 +32,7 @@ package bg
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sim"
@@ -70,8 +71,10 @@ type bgShared struct {
 	// their groups moved to groupFree.
 	saRegs [][]saRegs
 	// groupFree holds register groups of dead objects, values already
-	// reclaimed, ready to serve as fresh objects for new rounds.
+	// reclaimed, ready to serve as fresh objects for new rounds. groups
+	// counts the groups ever interned, which names the next one.
 	groupFree []saRegs
+	groups    int
 
 	// Round liveness, the death certificate for safe agreement objects: a
 	// (thread, round) object is dead once every simulator's current round on
@@ -128,7 +131,12 @@ func bgSharedFor(regs sim.Registry, threads, m int) *bgShared {
 // saRefsFor returns thread i's round-r safe agreement registers: the cached
 // live group, a recycled dead group, or — only when the pool is dry —
 // freshly interned registers (rounds are reached in increasing order, so
-// the cache grows by appending).
+// the cache grows by appending). A fresh group is named by its number
+// among the runner's groups, not by the (thread, round) it first serves:
+// groups move between objects, and after a Reset round numbering starts
+// again, so the name of (i, r) may already belong to a group that serves
+// another live object, and interning it would hand both objects the same
+// registers.
 func (sh *bgShared) saRefsFor(regs sim.Registry, i, r int) ([]sim.Ref, []sim.Op) {
 	rs := sh.saRegs[i-1]
 	for len(rs) < r {
@@ -137,7 +145,8 @@ func (sh *bgShared) saRefsFor(regs sim.Registry, i, r int) ([]sim.Ref, []sim.Op)
 			g = sh.groupFree[n-1]
 			sh.groupFree = sh.groupFree[:n-1]
 		} else {
-			g.segs, g.readOps = snapshot.SegRefs(regs, "sa."+saName(i, len(rs)+1), sh.m)
+			sh.groups++
+			g.segs, g.readOps = snapshot.SegRefs(regs, "sa.pool["+strconv.Itoa(sh.groups)+"]", sh.m)
 		}
 		rs = append(rs, g)
 	}

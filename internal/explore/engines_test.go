@@ -181,7 +181,6 @@ type engineOutcome struct {
 	stats   sim.Stats
 	fp      string
 	verdict string
-	stream  []string
 }
 
 // runnerFingerprint renders what the harness sees of a run without an
@@ -308,16 +307,15 @@ func FuzzEngines(f *testing.F) {
 		c.finish(pr, pooledRig, &pooled)
 		compareEngines(t, "reset Run", pooled, ref, nil, nil)
 		reset(t, pr, pooledRig)
-		pooled = engineOutcome{res: ref.res}
+		var lines []string
 		for _, p := range c.sched {
-			pooled.stream = append(pooled.stream, stepLine(pr.Step(p), false)+" | "+pooledRig.verdict())
+			lines = append(lines, stepLine(pr.Step(p), false)+" | "+pooledRig.verdict())
 		}
 		c.finish(pr, pooledRig, &pooled)
-		compareEngines(t, "reset Step loop", pooled, ref, pooled.stream, refScalar)
+		compareEngines(t, "reset Step loop", pooled, ref, lines, refScalar)
 
 		// An observed runner: warm-up, Reset, Step loop.
 		var observed engineOutcome
-		var lines []string
 		obsRig := newEngineRig(t, c.target, c.n, c.stamp)
 		or := c.newRunner(t, obsRig, func(si sim.StepInfo) { lines = append(lines, stepLine(si, true)) })
 		or.RunSchedule(c.warm)
