@@ -22,7 +22,9 @@ const fuzzMaxSteps = 512
 // The monitor is fed in uneven blocks; at every block boundary each of its
 // queries must equal sched's answer on the same prefix, and sched.IsTimely
 // must agree with its own full scan. The schedule is then fed a second time
-// after Reset, under the same checks.
+// after Reset, under the same checks. When the top byte of the class mask is
+// nonzero, the first feed stops after that many steps, so that Reset lands
+// after a partial feed.
 func FuzzTimeliness(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nb uint8, bound int8, window uint8, classes uint32, split uint8, data []byte) {
 		n := 2 + int(nb)%5
@@ -38,32 +40,37 @@ func FuzzTimeliness(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		feed := s
+		if cut := int(classes >> 24); cut > 0 {
+			feed = s[:min(cut, len(s))]
+		}
 		for pass := 0; pass < 2; pass++ {
 			if pass == 1 {
 				m.Reset()
+				feed = s
 			}
-			for lo, k := 0, 0; lo < len(s); k++ {
-				hi := min(lo+1+(int(split)+k*k)%61, len(s))
+			for lo, k := 0, 0; lo < len(feed); k++ {
+				hi := min(lo+1+(int(split)+k*k)%61, len(feed))
 				if k%2 == pass {
-					m.ObserveBlock(s[lo:hi])
+					m.ObserveBlock(feed[lo:hi])
 				} else {
-					for _, p := range s[lo:hi] {
+					for _, p := range feed[lo:hi] {
 						m.Observe(p)
 					}
 				}
 				lo = hi
-				checkPrefix(t, m, cfg, s[:hi], int(bound))
+				checkPrefix(t, m, cfg, feed[:hi], int(bound))
 			}
-			if len(s) == 0 {
-				checkPrefix(t, m, cfg, s, int(bound))
+			if len(feed) == 0 {
+				checkPrefix(t, m, cfg, feed, int(bound))
 			}
 		}
 	})
 }
 
 // fuzzSizes picks the tracked classes: bit c of mask selects the c-th class
-// (i, j) of the family in (i, j) order. A mask that selects nothing means
-// the whole family.
+// (i, j) of the family in (i, j) order (c < 21, so the top byte is free). A
+// mask that selects nothing means the whole family.
 func fuzzSizes(n int, mask uint32) [][2]int {
 	var sizes [][2]int
 	c := 0

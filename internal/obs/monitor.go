@@ -9,16 +9,18 @@
 // right now, with what bound?* (Definition 1) — while a run unfolds,
 // instead of by batch relation extraction after it ends. A P-free window
 // counts the steps of R = Q∖P only, so the monitor keeps its state per
-// tracked P rather than per (P, Q) pair: the cumulative step count of every
-// process, the counts as they stood at P's last step, and, for each
-// distinct R of P's tracked pairs, the largest R-count of any closed P-free
-// window. A step by x closes the open window of exactly the P's containing
-// x; a query adds the still-open window (current counts minus the counts at
-// P's last step) to the stored maximum. A closing window holds only steps
-// of processes outside P, so none of its R-counts exceeds its length; when
-// that length is at most P's smallest stored maximum over its nonempty R's,
-// no maximum can rise and the step skips P's R-sums. On a long run the
-// maxima soon outgrow most windows, so most steps only record the counts.
+// tracked P rather than per (P, Q) pair: the member that took P's last
+// step and, for each distinct R of P's tracked pairs, the largest R-count
+// of any closed P-free window. Counts are kept per process: every process's
+// step count, and each process's snapshot of them at its own last step —
+// which, for P's last stepper, are the counts at P's last step. A step by x
+// closes the open window of exactly the P's containing x; a query adds the
+// still-open window (current counts minus that snapshot) to the stored
+// maximum. A closing window holds only steps of processes outside P, so
+// none of its R-counts exceeds its length; when that length is at most P's
+// smallest stored maximum over its nonempty R's, no maximum can rise and
+// the step skips P's R-sums. On a long run the maxima soon outgrow most
+// windows, so most steps fold nothing and only copy the counts, once.
 // This is the incremental extraction of the timeliness graph of
 // Delporte-Gallet et al. (arXiv:1003.1058), and it answers exactly
 // sched.MaxQGap of the observed prefix, which the equivalence and fuzz
@@ -69,10 +71,9 @@ type rSet struct {
 // pState is the online state of one tracked P.
 type pState struct {
 	p procset.Set
-	// last holds every process's step count as it stood at P's last step,
-	// and lastStep that step's index (0 before P's first step).
-	last     []int64
-	lastStep int
+	// lastBy is the member that took P's last step, or 0 before P's first
+	// step; Monitor.snap(lastBy) holds the counts as they stood then.
+	lastBy procset.ID
 	// thresh is the smallest maximum over P's nonempty R sets, or
 	// math.MaxInt64 when P's only R is ∅: a closing window no longer than
 	// thresh cannot raise any maximum (see Observe).
@@ -106,10 +107,14 @@ type Monitor struct {
 
 	// counts[x-1] is the number of observed steps of process x; ps is every
 	// tracked P in ascending order, and byProc[x-1] the indices of the P's
-	// containing x.
-	counts []int64
-	ps     []pState
-	byProc [][]int32
+	// containing x. Row x of snaps (n counts each) holds the counts as they
+	// stood at x's last step, and snapStep[x] that step's index; row 0 is
+	// the all-zero start, the snapshot of a P that has not stepped.
+	counts   []int64
+	ps       []pState
+	byProc   [][]int32
+	snaps    []int64
+	snapStep []int
 
 	window  int
 	ring    []procset.ID
@@ -136,7 +141,8 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.Window < 0 {
 		return nil, fmt.Errorf("obs: negative window %d", cfg.Window)
 	}
-	m := &Monitor{n: cfg.N, window: cfg.Window, counts: make([]int64, cfg.N)}
+	m := &Monitor{n: cfg.N, window: cfg.Window, counts: make([]int64, cfg.N),
+		snaps: make([]int64, (cfg.N+1)*cfg.N), snapStep: make([]int, cfg.N+1)}
 	if cfg.Window > 0 {
 		m.ring = make([]procset.ID, cfg.Window)
 	}
@@ -160,7 +166,6 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	// P-size is |P|, sorted and compacted; all of them go in one flat slice.
 	m.ps = make([]pState, len(pset))
 	m.byProc = make([][]int32, cfg.N)
-	last := make([]int64, cfg.N*len(pset))
 	var rs []rSet
 	var rbuf []procset.Set
 	off := make([]int, len(pset)+1)
@@ -180,7 +185,7 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 			rs = append(rs, indexR(r, rs[off[k]:]))
 		}
 		off[k+1] = len(rs)
-		m.ps[k] = pState{p: p, last: last[k*cfg.N : (k+1)*cfg.N : (k+1)*cfg.N]}
+		m.ps[k] = pState{p: p}
 		for x := 0; x < cfg.N; x++ {
 			if p.Contains(procset.ID(x + 1)) {
 				m.byProc[x] = append(m.byProc[x], int32(k))
@@ -266,24 +271,28 @@ func (m *Monitor) Observe(p procset.ID) {
 	}
 	m.counts[p-1]++
 	// A step by p closes the open window of every P containing p. That
-	// window holds the steps-1-lastStep steps since P's last step, all by
+	// window holds the steps since P's last step (lastBy's), all by
 	// processes outside P, so each of its R-counts is at most its length:
 	// when the length is within thresh, no maximum can rise.
 	for _, k := range m.byProc[p-1] {
 		ps := &m.ps[k]
-		if int64(m.steps-1-ps.lastStep) > ps.thresh {
-			ps.fold(m.counts)
+		if int64(m.steps-1-m.snapStep[ps.lastBy]) > ps.thresh {
+			ps.fold(m.counts, m.snap(ps.lastBy))
 		}
-		copy(ps.last, m.counts)
-		ps.lastStep = m.steps
+		ps.lastBy = p
 	}
+	copy(m.snap(p), m.counts)
+	m.snapStep[p] = m.steps
 }
 
-// fold raises each of P's maxima to the closing window's R-count, and
-// recomputes thresh when one rose.
-func (ps *pState) fold(counts []int64) {
+// snap returns the counts as they stood at x's last step (row 0: none).
+func (m *Monitor) snap(x procset.ID) []int64 { return m.snaps[int(x)*m.n:][:m.n:m.n] }
+
+// fold raises each of P's maxima to the R-counts of the window closing
+// since last, and recomputes thresh when one rose.
+func (ps *pState) fold(counts, last []int64) {
 	rose := false
-	for r, c := range openCounts(ps, counts) {
+	for r, c := range openCounts(ps, counts, last) {
 		if c > ps.maxes[r] {
 			ps.maxes[r] = c
 			rose = true
@@ -308,9 +317,9 @@ func minMax(ps *pState) int64 {
 }
 
 // openCounts returns ps.open filled with, for each R set of ps, the number
-// of R-steps since P's last step.
-func openCounts(ps *pState, counts []int64) []int64 {
-	sums, last := ps.open, ps.last
+// of R-steps since last, the counts at P's last step.
+func openCounts(ps *pState, counts, last []int64) []int64 {
+	sums := ps.open
 	for k, e := range ps.rs {
 		if e.parent >= 0 {
 			sums[k] = sums[e.parent] + counts[e.low] - last[e.low]
@@ -342,11 +351,12 @@ func (m *Monitor) Reset() {
 	m.steps = 0
 	m.ringPos, m.ringLen = 0, 0
 	clear(m.counts)
+	// Every row is the all-zero start again, whichever member lastBy names.
+	clear(m.snaps)
+	clear(m.snapStep)
 	for k := range m.ps {
 		ps := &m.ps[k]
-		clear(ps.last)
 		clear(ps.maxes)
-		ps.lastStep = 0
 		ps.thresh = minMax(ps)
 	}
 }
@@ -378,7 +388,7 @@ func (m *Monitor) MaxQGap(p, q procset.Set) int {
 		panic(fmt.Sprintf("obs: pair (%v,%v) not tracked", p, q))
 	}
 	// The trailing (still open) window counts, as in the batch extractor.
-	return int(max(ps.maxes[r], openCounts(ps, m.counts)[r]))
+	return int(max(ps.maxes[r], openCounts(ps, m.counts, m.snap(ps.lastBy))[r]))
 }
 
 // MinBound returns the smallest Definition 1 bound with which P is timely
@@ -408,7 +418,7 @@ func (m *Monitor) Best(i, j int) sched.TimelyPair {
 // gaps leaves in ps.open, for each R set of ps, the largest R-count of any
 // P-free window so far, the open one included.
 func (m *Monitor) gaps(ps *pState) {
-	for r, c := range openCounts(ps, m.counts) {
+	for r, c := range openCounts(ps, m.counts, m.snap(ps.lastBy)) {
 		ps.open[r] = max(c, ps.maxes[r])
 	}
 }

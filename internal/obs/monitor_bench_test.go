@@ -79,23 +79,33 @@ func BenchmarkMonitorFold(b *testing.B) {
 	}
 }
 
-// Observing a step allocates nothing, with or without a sliding window.
+// Observing a step allocates nothing, with or without a sliding window, at
+// every n of the full family and under a Sizes restriction; neither does
+// Reset.
 func TestMonitorObserveAllocs(t *testing.T) {
-	for _, window := range []int{0, 64} {
-		m, err := obs.NewMonitor(obs.MonitorConfig{N: 6, Window: window})
+	var cfgs []obs.MonitorConfig
+	for n := 2; n <= 6; n++ {
+		cfgs = append(cfgs, obs.MonitorConfig{N: n}, obs.MonitorConfig{N: n, Window: 64})
+	}
+	cfgs = append(cfgs, obs.MonitorConfig{N: 6, Sizes: [][2]int{{1, 6}, {3, 5}, {4, 5}}})
+	for _, cfg := range cfgs {
+		m, err := obs.NewMonitor(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := mixedSchedule(t, 6, 3, 2048)
+		s := mixedSchedule(t, cfg.N, 3, 2048)
 		k := 0
 		if avg := testing.AllocsPerRun(100, func() {
 			m.Observe(s[k%len(s)])
 			k++
 		}); avg != 0 {
-			t.Fatalf("window %d: Observe allocates %.1f times per step", window, avg)
+			t.Fatalf("%+v: Observe allocates %.1f times per step", cfg, avg)
 		}
 		if avg := testing.AllocsPerRun(20, func() { m.ObserveBlock(s[:256]) }); avg != 0 {
-			t.Fatalf("window %d: ObserveBlock allocates %.1f times per block", window, avg)
+			t.Fatalf("%+v: ObserveBlock allocates %.1f times per block", cfg, avg)
+		}
+		if avg := testing.AllocsPerRun(20, m.Reset); avg != 0 {
+			t.Fatalf("%+v: Reset allocates %.1f times", cfg, avg)
 		}
 	}
 }

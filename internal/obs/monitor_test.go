@@ -247,6 +247,72 @@ func TestMonitorReset(t *testing.T) {
 	checkAgainstBatch(t, m, s, n)
 }
 
+// ids reads a schedule written one process ID per digit, blanks ignored.
+func ids(steps string) sched.Schedule {
+	var s sched.Schedule
+	for _, c := range steps {
+		if c != ' ' {
+			s = append(s, procset.ID(c-'0'))
+		}
+	}
+	return s
+}
+
+// The monitor keeps one count snapshot per process: P's open window starts
+// at the snapshot of lastBy, the member that took P's last step. These
+// shapes make lastBy differ from the member whose step closes the window,
+// and every tracked pair's MaxQGap must equal sched.MaxQGap after every
+// single step:
+//   - after a warm-up that sets every threshold above 0, process 1 runs
+//     solo past the thresholds of the P's without it, and then a member of
+//     those P's that did not take their last step closes their windows;
+//   - a Sizes restriction that tracks only large P's, whose windows are
+//     short and mostly skip the fold;
+//   - a Reset after a partial feed, after which no process may read a
+//     snapshot left over from the first feed.
+func TestMonitorSnapshotPaths(t *testing.T) {
+	cases := []struct {
+		name    string
+		cfg     obs.MonitorConfig
+		partial string // fed, then Reset, before steps
+		steps   string
+	}{
+		{"solo-then-other-member", obs.MonitorConfig{N: 4}, "",
+			"1234 4321 1234 11111111111 2 3 4 1 33 2 11111 4 2 1 333333 4 1 2 1"},
+		{"large-ps-only", obs.MonitorConfig{N: 5, Sizes: [][2]int{{3, 5}, {4, 4}, {4, 5}}}, "",
+			"12345 54321 5 1 555 2 3 4 5 1 5555 3 4 2 5 1 2 3 4 44 1 2 3 555 5"},
+		{"reset-after-partial-feed", obs.MonitorConfig{N: 4, Window: 5}, "1234 4 11 3",
+			"333 2 4 1 22 3 4 1 2 44 1 3 2"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := mustMonitor(t, c.cfg)
+			if c.partial != "" {
+				m.ObserveBlock(ids(c.partial))
+				m.Reset()
+			}
+			sizes := c.cfg.Sizes
+			if len(sizes) == 0 {
+				sizes = fuzzSizes(c.cfg.N, ^uint32(0))
+			}
+			s := ids(c.steps)
+			for end := 1; end <= len(s); end++ {
+				m.Observe(s[end-1])
+				for _, ij := range sizes {
+					for _, p := range procset.KSubsets(c.cfg.N, ij[0]) {
+						for _, q := range procset.KSubsets(c.cfg.N, ij[1]) {
+							if got, want := m.MaxQGap(p, q), sched.MaxQGap(s[:end], p, q); got != want {
+								t.Fatalf("after %d steps: MaxQGap(%v,%v) = %d, batch says %d", end, p, q, got, want)
+							}
+						}
+					}
+				}
+			}
+			checkPrefix(t, m, c.cfg, s, 4)
+		})
+	}
+}
+
 // On long mixed schedules, the shape of the benchmark's monitored ones, the
 // stored maxima grow large, so most closing windows are within P's
 // threshold and skip the fold. At several prefixes, fed in 256-step blocks

@@ -87,8 +87,9 @@ func BestPair(s Schedule, n, i, j int) TimelyPair {
 		panic("sched: BestPair requires 1 <= i, j <= n")
 	}
 	best := TimelyPair{MinBound: math.MaxInt}
+	qs := procset.KSubsets(n, j)
 	for _, p := range procset.KSubsets(n, i) {
-		for _, q := range procset.KSubsets(n, j) {
+		for _, q := range qs {
 			b := MinBound(s, p, q)
 			if b < best.MinBound {
 				best = TimelyPair{P: p, Q: q, MinBound: b}
@@ -108,8 +109,9 @@ func InSystem(s Schedule, n, i, j, bound int) bool {
 		// P easier, so i > j systems are not part of the family).
 		return false
 	}
+	qs := procset.KSubsets(n, j)
 	for _, p := range procset.KSubsets(n, i) {
-		for _, q := range procset.KSubsets(n, j) {
+		for _, q := range qs {
 			if IsTimely(s, p, q, bound) {
 				return true
 			}
