@@ -9,6 +9,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -444,17 +445,85 @@ func TestMonitorRejectsBadFlags(t *testing.T) {
 
 // campaignArgs are small invocations of every campaign subcommand; a
 // subcommand added to the table without one fails the TestEveryCampaign
-// tests.
+// tests. Each has at least three jobs, so a coordinator crashed on its
+// third journal append (TestEveryCampaignStreamsBitIdentical) leaves one
+// job journaled and one still to run; adversarial's 130 runs make three
+// jobs of up to 64 runs each, and fuzz's 30 schedules thirty of one.
 var campaignArgs = map[string][]string{
 	"matrix":      {"-t", "1", "-k", "1", "-n", "2", "-posbudget", "20000", "-negbudget", "2000"},
-	"fuzz":        {"-target", "commitadopt", "-n", "3", "-steps", "40", "-schedules", "8"},
+	"fuzz":        {"-target", "consensus", "-n", "3", "-steps", "60", "-schedules", "30"},
 	"exhaustive":  {"-reduce=false", "-n", "2", "-depth", "4"},
-	"converge":    {"-n", "3", "-k", "1", "-t", "1", "-trials", "2"},
+	"converge":    {"-n", "3", "-k", "1", "-t", "1", "-trials", "3"},
 	"relations":   {"-n", "3", "-steps", "100", "-schedules", "4"},
-	"adversarial": {"-n", "3", "-runs", "2", "-steps", "2000"},
+	"adversarial": {"-n", "3", "-runs", "130", "-steps", "2000"},
 	"byzantine":   {"-n", "3", "-runs", "2", "-steps", "500"},
-	"netconv":     {"-n", "3", "-runs", "2", "-steps", "200", "-matrices", "sync"},
+	"netconv":     {"-n", "3", "-runs", "2", "-steps", "200"},
 }
+
+// TestEveryCampaignStreamsBitIdentical pins the determinism contract of
+// every campaign subcommand end to end: the -jsonl stream and the -json
+// stdout (wall-clock time and the worker count masked) of a -workers 1 run
+// must come out byte for byte the same at -workers 4, under -procs 2 child
+// processes, and after a coordinator crashed by -chaos trunc@3 is resumed.
+// The crashed run must report an injected interruption that names its
+// checkpoint.
+func TestEveryCampaignStreamsBitIdentical(t *testing.T) {
+	t.Parallel()
+	for _, cmd := range commands {
+		if cmd.standalone {
+			continue
+		}
+		args, ok := campaignArgs[cmd.name]
+		if !ok {
+			t.Errorf("no campaignArgs entry for subcommand %q", cmd.name)
+			continue
+		}
+		t.Run(cmd.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			run := func(tag string, extra ...string) (stdout, stream []byte, err error) {
+				path := filepath.Join(dir, tag+".jsonl")
+				argv := append(append(extra, "-seed", "7", "-json", "-jsonl", path), args...)
+				var out bytes.Buffer
+				err = execute(context.Background(), cmd.name, argv, &out)
+				stream, _ = os.ReadFile(path)
+				return maskWorkers.ReplaceAll(maskWallClock(out.Bytes()), []byte(`"workers":0`)), stream, err
+			}
+			wantOut, wantStream, err := run("plain", "-workers", "1")
+			if err != nil || len(wantStream) == 0 || !json.Valid(wantOut) {
+				t.Fatalf("-workers 1: %v (stream of %d bytes, stdout %q)", err, len(wantStream), wantOut)
+			}
+			check := func(tag string, extra ...string) {
+				t.Helper()
+				out, stream, err := run(tag, extra...)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				if !bytes.Equal(out, wantOut) {
+					t.Errorf("%s: -json stdout differs from -workers 1:\n%s\nvs\n%s", tag, out, wantOut)
+				}
+				if !bytes.Equal(stream, wantStream) {
+					t.Errorf("%s: -jsonl stream differs from -workers 1 (%d vs %d bytes)", tag, len(stream), len(wantStream))
+				}
+			}
+			check("workers4", "-workers", "4")
+			check("procs2", "-workers", "4", "-procs", "2")
+
+			ck := filepath.Join(dir, "ck.jsonl")
+			_, _, err = run("crashed", "-workers", "4", "-checkpoint", ck, "-chaos", "trunc@3")
+			var ie *campaign.InterruptedError
+			if !errors.As(err, &ie) {
+				t.Fatalf("chaos run returned %v, want InterruptedError", err)
+			}
+			if !ie.Injected || ie.Checkpoint != ck {
+				t.Fatalf("InterruptedError = %+v", ie)
+			}
+			check("resumed", "-workers", "4", "-checkpoint", ck, "-resume")
+		})
+	}
+}
+
+var maskWorkers = regexp.MustCompile(`"workers":[0-9]+`)
 
 // TestEveryCampaignExitsDegraded stalls job 0 past its lease with no
 // retries, so the coordinator quarantines it: every campaign subcommand,
@@ -533,47 +602,6 @@ func fuzzSummary(t *testing.T, extra ...string) string {
 	return string(s)
 }
 
-// TestFuzzCheckpointCrashResume is the tentpole end to end at the CLI layer:
-// a chaos-crashed coordinator leaves a usable checkpoint (surfaced as
-// InterruptedError), and the -resume rerun produces the same summary and the
-// same -jsonl stream, byte for byte, as an uninterrupted run.
-func TestFuzzCheckpointCrashResume(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	plainJSONL := filepath.Join(dir, "plain.jsonl")
-	want := fuzzSummary(t, "-jsonl", plainJSONL)
-
-	ck := filepath.Join(dir, "ck.jsonl")
-	base := []string{"-target", "consensus", "-n", "3", "-steps", "60",
-		"-schedules", "30", "-seed", "7", "-workers", "4", "-json"}
-	var out bytes.Buffer
-	err := execute(context.Background(), "fuzz", append([]string{"-checkpoint", ck, "-chaos", "trunc@9"}, base...), &out)
-	var ie *campaign.InterruptedError
-	if !errors.As(err, &ie) {
-		t.Fatalf("chaos run returned %v, want InterruptedError", err)
-	}
-	if !ie.Injected || ie.Checkpoint != ck {
-		t.Fatalf("InterruptedError = %+v", ie)
-	}
-
-	resumedJSONL := filepath.Join(dir, "resumed.jsonl")
-	got := fuzzSummary(t, "-checkpoint", ck, "-resume", "-jsonl", resumedJSONL)
-	if got != want {
-		t.Errorf("resumed summary diverges:\n%s\nvs\n%s", got, want)
-	}
-	a, err := os.ReadFile(plainJSONL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(resumedJSONL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("resumed -jsonl stream is not byte-identical to the plain run (%d vs %d bytes)", len(a), len(b))
-	}
-}
-
 // TestFuzzSelfHealingBitIdentical: worker kills and stalled jobs are healed
 // by the coordinator (requeue + respawn) without changing the aggregate.
 func TestFuzzSelfHealingBitIdentical(t *testing.T) {
@@ -582,17 +610,6 @@ func TestFuzzSelfHealingBitIdentical(t *testing.T) {
 	got := fuzzSummary(t, "-chaos", "kill@5;stall@3~400ms", "-lease", "120ms", "-retries", "4")
 	if got != want {
 		t.Errorf("chaos-healed summary diverges:\n%s\nvs\n%s", got, want)
-	}
-}
-
-// TestFuzzProcWorkersBitIdentical dispatches to child worker processes (the
-// test binary re-exec'd via TestMain) and must match the in-process run.
-func TestFuzzProcWorkersBitIdentical(t *testing.T) {
-	t.Parallel()
-	want := fuzzSummary(t)
-	got := fuzzSummary(t, "-procs", "2")
-	if got != want {
-		t.Errorf("-procs 2 summary diverges:\n%s\nvs\n%s", got, want)
 	}
 }
 
