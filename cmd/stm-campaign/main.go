@@ -248,7 +248,8 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `T, K, N accept single values ("2") or inclusive ranges ("1:3").
 Common flags: -workers W (0 = GOMAXPROCS), -seed S, -json, -jsonl FILE,
 -progress N (heartbeat to stderr every N jobs), -pprof ADDR (pprof+expvar),
--flight K (flight-recorder depth on campaigns with pooled runners).
+-flight K (flight-recorder depth; every campaign but relations, which runs
+no simulator).
 Resilience flags (campaign subcommands; routes through the fault-tolerant
 coordinator — the aggregate stays bit-identical to a plain run):
   -checkpoint FILE   journal completed jobs; interrupted runs leave a usable checkpoint
@@ -380,7 +381,7 @@ func (c *common) register(fs *flag.FlagSet, standalone bool) {
 	fs.IntVar(&c.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	fs.StringVar(&c.jsonlOut, "jsonl", "", "stream one JSON record per job to this file")
 	fs.IntVar(&c.progress, "progress", 0, "emit a JSONL heartbeat to stderr every N completed jobs (0 = off)")
-	fs.IntVar(&c.flight, "flight", 0, "per-runner flight recorder depth, dumped on violation or panic (0 = off; honored by campaigns with pooled runners)")
+	fs.IntVar(&c.flight, "flight", 0, "per-runner flight recorder depth, dumped on violation or panic (0 = off; relations runs no simulator and ignores it)")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "journal completed jobs to this file; interrupted runs resume from it")
 	fs.BoolVar(&c.resume, "resume", false, "resume from the -checkpoint journal, skipping completed jobs (aggregate stays bit-identical)")
 	fs.IntVar(&c.procs, "procs", 0, "dispatch jobs to this many child worker processes instead of in-process goroutines")

@@ -525,6 +525,40 @@ func TestEveryCampaignStreamsBitIdentical(t *testing.T) {
 
 var maskWorkers = regexp.MustCompile(`"workers":[0-9]+`)
 
+// TestEveryCampaignUnchangedByFlight: a flight recorder observes executed
+// steps and never schedules them, so -flight must leave every campaign's
+// summary as it is. Relations runs no simulator and ignores the flag.
+func TestEveryCampaignUnchangedByFlight(t *testing.T) {
+	t.Parallel()
+	for _, cmd := range commands {
+		if cmd.standalone {
+			continue
+		}
+		t.Run(cmd.name, func(t *testing.T) {
+			t.Parallel()
+			summary := func(extra ...string) string {
+				var out bytes.Buffer
+				args := append(append(extra, "-seed", "7", "-workers", "2", "-json"), campaignArgs[cmd.name]...)
+				if err := execute(context.Background(), cmd.name, args, &out); err != nil {
+					t.Fatalf("%v: %v", args, err)
+				}
+				var rec record
+				if err := json.Unmarshal(out.Bytes(), &rec); err != nil {
+					t.Fatal(err)
+				}
+				s, err := json.Marshal(rec.Summary)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(s)
+			}
+			if plain, recorded := summary(), summary("-flight", "64"); plain != recorded {
+				t.Errorf("-flight 64 changed the summary:\n%s\nvs\n%s", recorded, plain)
+			}
+		})
+	}
+}
+
 // TestEveryCampaignExitsDegraded stalls job 0 past its lease with no
 // retries, so the coordinator quarantines it: every campaign subcommand,
 // in text and -json mode, must complete and exit degraded (3).

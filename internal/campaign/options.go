@@ -1,7 +1,6 @@
 // The knob surface: every context-travelling campaign option — coordinator
-// resilience, progress heartbeats, and the flight-recorder request honored
-// by pooled-runner campaigns — is a field of one Options struct, applied by
-// a single WithOptions call.
+// resilience, progress heartbeats, and the flight-recorder request — is a
+// field of one Options struct, applied by a single WithOptions call.
 
 package campaign
 
@@ -23,8 +22,11 @@ type Options struct {
 	// on the fold goroutine.
 	HeartbeatEvery int
 	Heartbeat      func(Heartbeat)
-	// Flight > 0 requests per-runner flight recording with a ring of Flight
-	// steps; campaigns with pooled runners read it via obs.FlightK.
+	// Flight > 0 requests flight recording with a ring of Flight steps on
+	// every rig's runner. RunSweep honors it for every campaign whose rigs
+	// run a simulator (the relations campaign's rigs run none): the ring is
+	// emptied before each run, a violation can carry its tail, and a
+	// panicking job's PanicDetail does.
 	Flight int
 }
 

@@ -18,15 +18,6 @@ type Pool[E any] struct {
 	mu    sync.Mutex
 	free  []E
 	build func() (E, error)
-	stats PoolStats
-}
-
-// PoolStats counts pool activity: Hits are Gets served from the free list
-// (a recycled entry), Misses are Gets that built a fresh entry. Hits+Misses
-// is the number of jobs served; Misses is the peak concurrency reached.
-type PoolStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
 }
 
 // NewPool returns a pool whose entries are created by build.
@@ -40,22 +31,11 @@ func (p *Pool[E]) Get() (E, error) {
 	if n := len(p.free); n > 0 {
 		e := p.free[n-1]
 		p.free = p.free[:n-1]
-		p.stats.Hits++
 		p.mu.Unlock()
 		return e, nil
 	}
-	p.stats.Misses++
 	p.mu.Unlock()
 	return p.build()
-}
-
-// Stats returns a snapshot of the pool's reuse counters. Note that hit/miss
-// counts depend on scheduling (which worker got which job first), so they
-// are telemetry, not part of any deterministic contract.
-func (p *Pool[E]) Stats() PoolStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
 }
 
 // Put returns an entry to the pool for reuse.
@@ -74,17 +54,7 @@ func (p *Pool[E]) Drain(release func(E)) {
 	free := p.free
 	p.free = nil
 	p.mu.Unlock()
-	if release == nil {
-		return
-	}
 	for _, e := range free {
 		release(e)
 	}
-}
-
-// Size returns the number of entries currently parked in the pool.
-func (p *Pool[E]) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
 }

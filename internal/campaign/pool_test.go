@@ -51,9 +51,7 @@ func TestPoolDrain(t *testing.T) {
 	if len(released) != 1 || released[0] != 7 {
 		t.Fatalf("released = %v, want [7]", released)
 	}
-	if p.Size() != 0 {
-		t.Fatalf("Size = %d after Drain", p.Size())
-	}
+	p.Drain(func(v int) { t.Fatalf("second Drain released %d: the first left it pooled", v) })
 }
 
 // TestPoolBoundedByWorkers runs a pooled campaign and checks the entry

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
 	"github.com/settimeliness/settimeliness/internal/antiomega"
 	"github.com/settimeliness/settimeliness/internal/campaign"
 	"github.com/settimeliness/settimeliness/internal/sched"
+	"github.com/settimeliness/settimeliness/internal/sim"
 )
 
 // Campaign adapters: the detector-convergence sweep and the timeliness-
@@ -42,52 +44,37 @@ func RunConvergenceSweep(ctx context.Context, cfg ConvergenceConfig, seed int64,
 	if err := acfg.Validate(); err != nil {
 		return nil, err
 	}
-	bound := cfg.Bound
-	if bound == 0 {
-		bound = 4
+	bound, maxSteps := cmp.Or(cfg.Bound, 4), cmp.Or(cfg.MaxSteps, 2_000_000)
+	trials := make([]campaign.Cell[struct{}], cfg.Trials)
+	for t := range trials {
+		trials[t] = campaign.Cell[struct{}]{Name: fmt.Sprintf("trial%d", t), Hi: 1}
 	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 2_000_000
-	}
-	pool := campaign.NewPool(func() (*detectorRig, error) { return newDetectorRig(acfg) })
-	defer pool.Drain(func(rig *detectorRig) { rig.close() })
-	jobs := make([]campaign.Job, cfg.Trials)
-	for t := range jobs {
-		jobs[t] = campaign.Job{
-			Name: fmt.Sprintf("trial%d", t),
-			Run: func(ctx context.Context, jobSeed int64) (campaign.Outcome, error) {
-				src, _, err := sched.System(cfg.N, cfg.K, cfg.T+1, bound, jobSeed, nil)
-				if err != nil {
-					return campaign.Outcome{}, err
-				}
-				rig, err := pool.Get()
-				if err != nil {
-					return campaign.Outcome{}, err
-				}
-				defer pool.Put(rig)
-				if err := rig.reset(); err != nil {
-					return campaign.Outcome{}, err
-				}
-				run := rig.drive(src, maxSteps)
-				verdict := "stable"
-				ok := run.Stable && run.Verdict.Holds
-				switch {
-				case !run.Stable:
-					verdict = "no-convergence"
-				case !run.Verdict.Holds:
-					verdict = "property-failed"
-				}
-				return campaign.Outcome{
-					Verdict: verdict,
-					Ok:      ok,
-					Steps:   run.Steps,
-					Tallies: map[string]int{"iterations": run.Iterations},
-				}, nil
-			},
-		}
-	}
-	return campaign.Run(ctx, campaign.Config{Workers: cfg.Workers, Seed: seed, OnResult: onResult}, jobs)
+	rep, _, err := campaign.RunSweep(ctx, campaign.Sweep[struct{}, *detectorRig, struct{}]{
+		Config: campaign.Config{Workers: cfg.Workers, Seed: seed, OnResult: onResult},
+		Cells:  trials,
+		Build:  func(struct{}) (*detectorRig, error) { return newDetectorRig(acfg) },
+		Runner: func(rig *detectorRig) *sim.Runner { return rig.runner },
+		Run: func(rig *detectorRig, out *campaign.Outcome, _ int, jobSeed int64, _ int) (bool, error) {
+			src, _, err := sched.System(cfg.N, cfg.K, cfg.T+1, bound, jobSeed, nil)
+			if err != nil {
+				return true, err
+			}
+			if err := rig.reset(); err != nil {
+				return true, err
+			}
+			run := rig.drive(src, maxSteps)
+			out.Verdict, out.Ok, out.Steps = "stable", run.Stable && run.Verdict.Holds, run.Steps
+			switch {
+			case !run.Stable:
+				out.Verdict = "no-convergence"
+			case !run.Verdict.Holds:
+				out.Verdict = "property-failed"
+			}
+			out.Tallies["iterations"] = run.Iterations
+			return false, nil
+		},
+	})
+	return rep, err
 }
 
 // RelationsConfig parameterizes timeliness-relation extraction: generate a
@@ -128,18 +115,7 @@ func RunRelationsCampaign(ctx context.Context, cfg RelationsConfig, seed int64, 
 	if cfg.Bound < 0 || cfg.Steps < 0 || cfg.Schedules < 0 {
 		return nil, fmt.Errorf("experiments: relations extraction needs a non-negative bound, steps and schedules, got %d, %d and %d", cfg.Bound, cfg.Steps, cfg.Schedules)
 	}
-	bound := cfg.Bound
-	if bound == 0 {
-		bound = 4
-	}
-	steps := cfg.Steps
-	if steps == 0 {
-		steps = 2000
-	}
-	gen := cfg.Generator
-	if gen == "" {
-		gen = "random"
-	}
+	bound, steps, gen := cmp.Or(cfg.Bound, 4), cmp.Or(cfg.Steps, 2000), cmp.Or(cfg.Generator, "random")
 	switch gen {
 	case "random", "starver", "mixed":
 	default:
@@ -152,63 +128,51 @@ func RunRelationsCampaign(ctx context.Context, cfg RelationsConfig, seed int64, 
 		random sched.RandomSource
 		buf    sched.Schedule
 	}
-	scratches := campaign.NewPool(func() (*scratch, error) {
-		random, err := sched.Random(cfg.N, 0, nil) // reseeded per job
-		return &scratch{random, make(sched.Schedule, steps)}, err
-	})
-	jobs := make([]campaign.Job, cfg.Schedules)
-	for idx := range jobs {
-		idx := idx
-		jobs[idx] = campaign.Job{
-			Name: fmt.Sprintf("schedule%d", idx),
-			Run: func(ctx context.Context, jobSeed int64) (campaign.Outcome, error) {
-				sc, err := scratches.Get()
-				if err != nil {
-					return campaign.Outcome{}, err
-				}
-				defer scratches.Put(sc)
-				var src sched.Source
-				kind := gen
-				if gen == "mixed" {
-					if idx%2 == 0 {
-						kind = "random"
-					} else {
-						kind = "starver"
-					}
-				}
-				switch kind {
-				case "random":
-					err = sc.random.Reseed(jobSeed, nil)
-					src = sc.random
-				case "starver":
-					// Vary the starved-set size with the derived seed so the
-					// population spans the family.
-					k := int(uint64(jobSeed)%uint64(cfg.N-1)) + 1
-					src, err = sched.RotatingStarver(cfg.N, k, 1)
-				}
-				if err != nil {
-					return campaign.Outcome{}, err
-				}
-				s := sc.buf
-				sched.FillBlock(src, s)
-				tallies := map[string]int{"schedules": 1}
-				held := 0
-				for i := 1; i <= cfg.N; i++ {
-					for j := i; j <= cfg.N; j++ {
-						if sched.InSystem(s, cfg.N, i, j, bound) {
-							tallies[RelationKey(i, j)]++
-							held++
-						}
-					}
-				}
-				return campaign.Outcome{
-					Verdict: kind,
-					Ok:      true,
-					Steps:   held,
-					Tallies: tallies,
-				}, nil
-			},
-		}
+	population := make([]campaign.Cell[struct{}], cfg.Schedules)
+	for idx := range population {
+		population[idx] = campaign.Cell[struct{}]{Name: fmt.Sprintf("schedule%d", idx), Hi: 1}
 	}
-	return campaign.Run(ctx, campaign.Config{Workers: cfg.Workers, Seed: seed, OnResult: onResult}, jobs)
+	rep, _, err := campaign.RunSweep(ctx, campaign.Sweep[struct{}, *scratch, struct{}]{
+		Config: campaign.Config{Workers: cfg.Workers, Seed: seed, OnResult: onResult},
+		Cells:  population,
+		Build: func(struct{}) (*scratch, error) {
+			random, err := sched.Random(cfg.N, 0, nil) // reseeded per job
+			return &scratch{random, make(sched.Schedule, steps)}, err
+		},
+		Run: func(sc *scratch, out *campaign.Outcome, idx int, jobSeed int64, _ int) (bool, error) {
+			var src sched.Source
+			var err error
+			kind := gen
+			if gen == "mixed" {
+				kind = [2]string{"random", "starver"}[idx%2]
+			}
+			switch kind {
+			case "random":
+				err = sc.random.Reseed(jobSeed, nil)
+				src = sc.random
+			case "starver":
+				// Vary the starved-set size with the derived seed so the
+				// population spans the family.
+				k := int(uint64(jobSeed)%uint64(cfg.N-1)) + 1
+				src, err = sched.RotatingStarver(cfg.N, k, 1)
+			}
+			if err != nil {
+				return true, err
+			}
+			sched.FillBlock(src, sc.buf)
+			out.Tallies["schedules"] = 1
+			held := 0
+			for i := 1; i <= cfg.N; i++ {
+				for j := i; j <= cfg.N; j++ {
+					if sched.InSystem(sc.buf, cfg.N, i, j, bound) {
+						out.Tallies[RelationKey(i, j)]++
+						held++
+					}
+				}
+			}
+			out.Verdict, out.Ok, out.Steps = kind, true, held
+			return false, nil
+		},
+	})
+	return rep, err
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"github.com/settimeliness/settimeliness/internal/adversary"
 	"github.com/settimeliness/settimeliness/internal/campaign"
@@ -11,58 +10,9 @@ import (
 	"github.com/settimeliness/settimeliness/internal/kset"
 	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sched"
+	"github.com/settimeliness/settimeliness/internal/sim"
 	"github.com/settimeliness/settimeliness/internal/trace"
 )
-
-// rigPools recycles agreement rigs across the cells of a matrix campaign,
-// one campaign.Pool per solver configuration (cells of one problem share
-// {N,K,T} but differ in DetectorK, so a sweep holds a handful of pools).
-// Workers build at most one rig per (configuration, concurrent worker)
-// instead of a fresh kset solver + runner per cell.
-type rigPools struct {
-	mu    sync.Mutex
-	pools map[kset.Config]*campaign.Pool[*agreementRig]
-}
-
-func newRigPools() *rigPools {
-	return &rigPools{pools: make(map[kset.Config]*campaign.Pool[*agreementRig])}
-}
-
-// get hands out a reset rig for the configuration, building pool and rig on
-// demand.
-func (rp *rigPools) get(cfg kset.Config) (*agreementRig, error) {
-	rp.mu.Lock()
-	pool, ok := rp.pools[cfg]
-	if !ok {
-		pool = campaign.NewPool(func() (*agreementRig, error) { return newAgreementRig(cfg) })
-		rp.pools[cfg] = pool
-	}
-	rp.mu.Unlock()
-	rig, err := pool.Get()
-	if err != nil {
-		return nil, err
-	}
-	if err := rig.reset(); err != nil {
-		rig.close()
-		return nil, err
-	}
-	return rig, nil
-}
-
-func (rp *rigPools) put(rig *agreementRig) {
-	rp.mu.Lock()
-	pool := rp.pools[rig.cfg]
-	rp.mu.Unlock()
-	pool.Put(rig)
-}
-
-func (rp *rigPools) drain() {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	for _, pool := range rp.pools {
-		pool.Drain(func(rig *agreementRig) { rig.close() })
-	}
-}
 
 // MatrixCell is one (i,j) entry of the Theorem 27 matrix for a fixed
 // problem, pairing the theoretical verdict with the empirical outcome.
@@ -86,93 +36,83 @@ type MatrixCell struct {
 // the caller's seed, so the returned cells, ordered problem-major, then
 // (i,j), are identical at any worker count.
 func MatrixSweep(ctx context.Context, problems []core.Problem, seed int64, posBudget, negBudget, workers int, onResult func(campaign.Outcome)) ([]MatrixCell, *campaign.Report, error) {
-	pools := newRigPools()
-	defer pools.drain()
-	var jobs []campaign.Job
+	// Cells of one problem share {N,K,T} but solvable ones differ in
+	// DetectorK, so rigs are pooled per solver configuration: a sweep holds
+	// a handful of pools and builds at most one rig per (configuration,
+	// concurrent worker).
+	var specs []MatrixCell
+	var jobs []campaign.Cell[kset.Config]
 	for _, p := range problems {
 		if err := p.Validate(); err != nil {
 			return nil, nil, err
 		}
-		p := p
 		for i := 1; i <= p.N; i++ {
 			for j := i; j <= p.N; j++ {
-				i, j := i, j
-				jobs = append(jobs, campaign.Job{
-					Name: fmt.Sprintf("%v S^%d_{%d,%d}", p, i, j, p.N),
-					Run: func(ctx context.Context, _ int64) (campaign.Outcome, error) {
-						cell, err := runCell(pools, p, i, j, seed, posBudget, negBudget)
-						if err != nil {
-							return campaign.Outcome{}, err
-						}
-						return cellOutcome(cell), nil
-					},
-				})
+				sys := core.Sij(i, j, p.N)
+				theory, err := p.SolvableIn(sys)
+				if err != nil {
+					return nil, nil, err
+				}
+				kcfg := kset.Config{N: p.N, K: p.K, T: p.T}
+				if theory {
+					if kcfg, err = p.AgreementConfig(sys); err != nil {
+						return nil, nil, err
+					}
+				}
+				specs = append(specs, MatrixCell{Problem: p, I: i, J: j, Theory: theory})
+				jobs = append(jobs, campaign.Cell[kset.Config]{Name: fmt.Sprintf("%v S^%d_{%d,%d}", p, i, j, p.N), Key: kcfg, Hi: 1})
 			}
 		}
 	}
-	// The engine delivers outcomes in job order from one goroutine, so the
-	// collected cells come out problem-major then (i,j) — the same order the
-	// historical sequential loop produced.
-	cells := make([]MatrixCell, 0, len(jobs))
-	collect := func(o campaign.Outcome) {
-		// DecodeDetail rather than a bare type assertion: on a resumed
-		// (checkpointed) campaign the recovered outcomes carry their cells as
-		// raw JSON.
-		if c, ok := campaign.DecodeDetail[MatrixCell](o.Detail); ok {
-			cells = append(cells, c)
-		}
-		if onResult != nil {
-			onResult(o)
-		}
-	}
-	rep, err := campaign.Run(ctx, campaign.Config{Workers: workers, Seed: seed, OnResult: collect}, jobs)
+	rep, details, err := campaign.RunSweep(ctx, campaign.Sweep[kset.Config, *agreementRig, *MatrixCell]{
+		Config: campaign.Config{Workers: workers, Seed: seed, OnResult: onResult},
+		Cells:  jobs,
+		Build:  newAgreementRig,
+		Runner: func(rig *agreementRig) *sim.Runner { return rig.runner },
+		Run: func(rig *agreementRig, out *campaign.Outcome, j int, _ int64, _ int) (bool, error) {
+			cell := specs[j]
+			sys := core.Sij(cell.I, cell.J, cell.Problem.N)
+			if err := rig.reset(); err != nil {
+				return true, err
+			}
+			var err error
+			if cell.Theory {
+				cell.Empirical, cell.Match, cell.Steps, err = runSolvableCell(rig, cell.Problem, sys, seed, posBudget)
+			} else {
+				cell.Empirical, cell.Match, cell.Steps, err = runUnsolvableCell(rig, cell.Problem, sys, negBudget)
+			}
+			if err != nil {
+				return true, err
+			}
+			out.Verdict = "unsolvable-held"
+			if cell.Theory {
+				out.Verdict = "solvable-decided"
+			}
+			if !cell.Match {
+				out.Verdict = "mismatch"
+			}
+			out.Ok, out.Steps, out.Detail = cell.Match, cell.Steps, &cell
+			return false, nil
+		},
+	})
 	if err != nil {
 		return nil, rep, err
+	}
+	// Details come in job order, problem-major then (i,j) — the order of
+	// the historical sequential loop. A resumed campaign's cells decode
+	// from raw JSON alike; a job that did not complete has none.
+	cells := make([]MatrixCell, 0, len(details))
+	for _, c := range details {
+		if c != nil {
+			cells = append(cells, *c)
+		}
 	}
 	return cells, rep, nil
 }
 
-// runCell evaluates one (i,j) cell of p's matrix on a pooled rig.
-func runCell(pools *rigPools, p core.Problem, i, j int, seed int64, posBudget, negBudget int) (MatrixCell, error) {
-	sys := core.Sij(i, j, p.N)
-	theory, err := p.SolvableIn(sys)
-	if err != nil {
-		return MatrixCell{}, err
-	}
-	cell := MatrixCell{Problem: p, I: i, J: j, Theory: theory}
-	if theory {
-		cell.Empirical, cell.Match, cell.Steps, err = runSolvableCell(pools, p, sys, seed, posBudget)
-	} else {
-		cell.Empirical, cell.Match, cell.Steps, err = runUnsolvableCell(pools, p, sys, seed, negBudget)
-	}
-	if err != nil {
-		return MatrixCell{}, err
-	}
-	return cell, nil
-}
-
-// cellOutcome summarizes a cell for campaign aggregation.
-func cellOutcome(cell MatrixCell) campaign.Outcome {
-	verdict := "unsolvable-held"
-	if cell.Theory {
-		verdict = "solvable-decided"
-	}
-	if !cell.Match {
-		verdict = "mismatch"
-	}
-	return campaign.Outcome{
-		Verdict: verdict,
-		Ok:      cell.Match,
-		Steps:   cell.Steps,
-		Detail:  cell,
-	}
-}
-
-func runSolvableCell(pools *rigPools, p core.Problem, sys core.SystemID, seed int64, budget int) (string, bool, int, error) {
-	kcfg, err := p.AgreementConfig(sys)
-	if err != nil {
-		return "", false, 0, err
-	}
+// runSolvableCell runs the dispatcher-selected solver (the rig's
+// configuration) on a schedule conformant to sys.
+func runSolvableCell(rig *agreementRig, p core.Problem, sys core.SystemID, seed int64, budget int) (string, bool, int, error) {
 	// One crash to keep the run honest without slowing convergence, except
 	// in systems too fragile for any crash (t = n−1 keeps all-but-one).
 	crashes := map[procset.ID]int{procset.ID(p.N): 25}
@@ -180,25 +120,18 @@ func runSolvableCell(pools *rigPools, p core.Problem, sys core.SystemID, seed in
 		crashes = nil
 	}
 	var src sched.Source
-	if kcfg.UsesTrivialAlgorithm() {
+	var err error
+	if rig.cfg.UsesTrivialAlgorithm() {
 		src, err = sched.Random(p.N, seed, crashes)
 	} else {
-		dk := kcfg.DetectorK
-		if dk == 0 {
-			dk = kcfg.K
-		}
 		// The conformant generator must witness S^i_{j,n}; the dispatcher's
-		// detector then relies on the containment S^i_{j,n} ⊆ S^dk_{t+1,n}.
+		// detector (DetectorK, or K when unset) then relies on the
+		// containment S^i_{j,n} ⊆ S^dk_{t+1,n}.
 		src, _, err = sched.System(p.N, sys.I, sys.J, 4, seed, crashes)
 	}
 	if err != nil {
 		return "", false, 0, err
 	}
-	rig, err := pools.get(kcfg)
-	if err != nil {
-		return "", false, 0, err
-	}
-	defer pools.put(rig)
 	run := rig.driveConformant(src, budget)
 	if run.AllDecided && len(run.Violations) == 0 {
 		return fmt.Sprintf("DECIDED@%d (%d values)", run.LastDecide, run.Distinct), true, run.Steps, nil
@@ -223,19 +156,13 @@ func runSolvableCell(pools *rigPools, p core.Problem, sys core.SystemID, seed in
 //
 // Termination must fail (Theorem 27 says no algorithm terminates on all such
 // schedules; the adversary defeats ours on this one) and safety must hold.
-func runUnsolvableCell(pools *rigPools, p core.Problem, sys core.SystemID, seed int64, budget int) (string, bool, int, error) {
-	kcfg := kset.Config{N: p.N, K: p.K, T: p.T}
+func runUnsolvableCell(rig *agreementRig, p core.Problem, sys core.SystemID, budget int) (string, bool, int, error) {
 	var crashed procset.Set
 	if sys.I <= p.K {
 		for q := 0; q < sys.J-sys.I; q++ {
 			crashed = crashed.Add(procset.ID(p.N - q))
 		}
 	}
-	rig, err := pools.get(kcfg)
-	if err != nil {
-		return "", false, 0, err
-	}
-	defer pools.put(rig)
 	run, schedule, err := rig.driveAdversarial(crashed, budget)
 	if err != nil {
 		return "", false, 0, err

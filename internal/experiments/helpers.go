@@ -59,8 +59,6 @@ func (rig *detectorRig) reset() error {
 	return rig.runner.Reset()
 }
 
-func (rig *detectorRig) close() { rig.runner.Close() }
-
 // drive runs the detector until the correct processes publish one common
 // winnerset for a sustained streak of probes, then verifies the k-anti-Ω
 // property on the recorded output history.
@@ -106,7 +104,7 @@ func driveDetector(cfg antiomega.Config, src sched.Source, maxSteps int) (detect
 	if err != nil {
 		return detectorRun{}, err
 	}
-	defer rig.close()
+	defer rig.runner.Close()
 	return rig.drive(src, maxSteps), nil
 }
 
@@ -220,8 +218,6 @@ func (rig *agreementRig) reset() error {
 	return rig.runner.Reset()
 }
 
-func (rig *agreementRig) close() { rig.runner.Close() }
-
 // harvest summarizes the completed run from the harness state.
 func (rig *agreementRig) harvest(run *agreementRun, correct procset.Set) {
 	run.Distinct = rig.ag.DistinctDecisions()
@@ -295,7 +291,7 @@ func driveAgreement(cfg kset.Config, src sched.Source, maxSteps int) (agreementR
 	if err != nil {
 		return agreementRun{}, err
 	}
-	defer rig.close()
+	defer rig.runner.Close()
 	return rig.driveConformant(src, maxSteps), nil
 }
 
@@ -305,7 +301,7 @@ func driveAgreementAdversarial(cfg kset.Config, crashed procset.Set, maxSteps in
 	if err != nil {
 		return agreementRun{}, nil, err
 	}
-	defer rig.close()
+	defer rig.runner.Close()
 	return rig.driveAdversarial(crashed, maxSteps)
 }
 

@@ -13,7 +13,6 @@ package explore
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"github.com/settimeliness/settimeliness/internal/adversary"
 	"github.com/settimeliness/settimeliness/internal/campaign"
@@ -33,10 +32,8 @@ type adversarialRun struct {
 	adv    *adversary.Adversary
 }
 
-// newAdversarialRun builds a rig; flightK > 0 additionally attaches a
-// flight recorder with a ring of that many steps, so a failing run can dump
-// its tail (directed runs have no replayable schedule to report).
-func newAdversarialRun(cfg kset.Config, flightK int) (*adversarialRun, error) {
+// newAdversarialRun builds a rig.
+func newAdversarialRun(cfg kset.Config) (*adversarialRun, error) {
 	ag, err := kset.New(cfg, nil)
 	if err != nil {
 		return nil, err
@@ -47,9 +44,6 @@ func newAdversarialRun(cfg kset.Config, flightK int) (*adversarialRun, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if flightK > 0 {
-		runner.SetFlightRecorder(sim.NewFlightRecorder(flightK))
 	}
 	adv, err := adversary.New(adversary.Config{N: cfg.N})
 	if err != nil {
@@ -118,83 +112,44 @@ func AdversarialPooledCampaign(ctx context.Context, workers, n, steps, runs int,
 	}
 	patterns := adversarialCrashPatterns(n, cfg.K, cfg.T)
 	offset := int(((seed % int64(len(patterns))) + int64(len(patterns))) % int64(len(patterns)))
-	// Flight recording is requested by context (obs.WithFlight) so callers
-	// needing failure tails — the CLI's -flight flag, debugging sessions —
-	// get them without a signature change; campaigns without the knob build
-	// recorder-free rigs and pay nothing.
-	flightK := obs.FlightK(ctx)
-	pool := campaign.NewPool(func() (*adversarialRun, error) { return newAdversarialRun(cfg, flightK) })
-	defer pool.Drain(func(r *adversarialRun) { r.runner.Close() })
-
-	batch := batchSize(runs)
-	var jobs []campaign.Job
-	for lo := 0; lo < runs; lo += batch {
-		lo, hi := lo, lo+batch
-		if hi > runs {
-			hi = runs
-		}
-		jobs = append(jobs, campaign.Job{
-			Name: fmt.Sprintf("adv[%d,%d)", lo, hi),
-			Run: func(ctx context.Context, _ int64) (campaign.Outcome, error) {
-				rig, err := pool.Get()
-				if err != nil {
-					return campaign.Outcome{}, err
-				}
-				defer pool.Put(rig)
-				if flightK > 0 {
-					// A panicking run never reaches the violation path below;
-					// dump the recorded tail to stderr before unwinding so the
-					// crash context is not lost with the rig.
-					defer func() {
-						if rec := recover(); rec != nil {
-							if dump := obs.FlightDump(rig.runner); dump != "" {
-								fmt.Fprintf(os.Stderr, "explore: panic in adversarial run; last %d steps:\n%s", rig.runner.FlightRecorder().Len(), dump)
-							}
-							panic(rec)
-						}
-					}()
-				}
-				tallies := map[string]int{}
-				executed := 0
-				for i := lo; i < hi; i++ {
-					if ctx.Err() != nil {
-						break
-					}
-					executed++
-					verdict, err := rig.one(patterns[(i+offset)%len(patterns)], steps)
-					if verdict == "" {
-						return campaign.Outcome{}, err
-					}
-					tallies[verdict]++
-					if verdict == "violation" {
-						tallies["runs"] = executed
-						return campaign.Outcome{
-							Verdict: "violation",
-							Ok:      false,
-							Steps:   executed,
-							Tallies: tallies,
-							Detail:  &Violation{Err: err, Flight: obs.FlightDump(rig.runner)},
-						}, nil
-					}
-				}
-				tallies["runs"] = executed
-				out := campaign.Outcome{Verdict: "starved", Ok: true, Steps: executed, Tallies: tallies}
-				if tallies["decided"] > 0 {
-					// Not a safety bug, but the adversary's starvation
-					// guarantee failed — surface it as a job failure.
-					out.Verdict, out.Ok = "decided", false
-				}
-				return out, nil
-			},
-		})
-	}
-	rep, err := campaign.Run(ctx, campaign.Config{Workers: workers, Seed: seed, StopOnFail: true, OnResult: onResult}, jobs)
+	rep, details, err := campaign.RunSweep(ctx, campaign.Sweep[struct{}, *adversarialRun, *Violation]{
+		Config: campaign.Config{Workers: workers, Seed: seed, StopOnFail: true, OnResult: onResult},
+		Cells:  batches("adv", runs),
+		Build:  func(struct{}) (*adversarialRun, error) { return newAdversarialRun(cfg) },
+		Runner: func(rig *adversarialRun) *sim.Runner { return rig.runner },
+		Run: func(rig *adversarialRun, out *campaign.Outcome, _ int, _ int64, i int) (bool, error) {
+			verdict, err := rig.one(patterns[(i+offset)%len(patterns)], steps)
+			if verdict == "" {
+				return true, err
+			}
+			out.Tallies[verdict]++
+			if verdict != "violation" {
+				return false, nil
+			}
+			// Directed runs have no replayable schedule: the flight tail
+			// (with -flight) is the failure's context.
+			out.Verdict, out.Detail = verdict, &Violation{Err: err, Flight: obs.FlightDump(rig.runner)}
+			return true, nil
+		},
+		Done: func(out *campaign.Outcome, _, runs int) {
+			out.Steps, out.Tallies["runs"] = runs, runs
+			switch {
+			case out.Verdict != "":
+			case out.Tallies["decided"] > 0:
+				// Not a safety bug, but the adversary's starvation
+				// guarantee failed — surface it as a job failure.
+				out.Verdict = "decided"
+			default:
+				out.Verdict, out.Ok = "starved", true
+			}
+		},
+	})
 	if err != nil {
 		return rep, 0, err
 	}
 	executed := rep.Summary.Tallies["runs"]
 	if len(rep.Failures) > 0 {
-		if v, ok := campaign.DecodeDetail[*Violation](rep.Failures[0].Detail); ok && v != nil {
+		if v := details[rep.Failures[0].Job]; v != nil {
 			return rep, executed, v
 		}
 		return rep, executed, fmt.Errorf("explore: adversary failed to starve the solver in %d job(s)", len(rep.Failures))

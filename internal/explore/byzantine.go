@@ -24,7 +24,6 @@ package explore
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 
 	"github.com/settimeliness/settimeliness/internal/adversary"
@@ -103,7 +102,7 @@ type byzRun struct {
 
 // newByzRun builds the rig for a target. Mutating directors retain and
 // replay register values, so every rig pins NoRecycle (see sim.WriteMutator).
-func newByzRun(target string, n, flightK int) (*byzRun, error) {
+func newByzRun(target string, n int) (*byzRun, error) {
 	r := &byzRun{n: n}
 	cfg := sim.Config{N: n, NoRecycle: true}
 	switch target {
@@ -221,9 +220,6 @@ func newByzRun(target string, n, flightK int) (*byzRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	if flightK > 0 {
-		runner.SetFlightRecorder(sim.NewFlightRecorder(flightK))
-	}
 	dir, err := adversary.NewByzantine(adversary.ByzantineConfig{N: n})
 	if err != nil {
 		runner.Close()
@@ -294,11 +290,6 @@ func (r *byzRun) one(crashed, corrupt procset.Set, strat adversary.Strategy, see
 	if err := r.runner.Reset(); err != nil {
 		return "", err
 	}
-	if fl := r.runner.FlightRecorder(); fl != nil {
-		// Per-run ring reset: the reported tail must belong to THIS run, so
-		// the cell's Detail is independent of pooled rig reuse order.
-		fl.Reset()
-	}
 	if err := r.dir.Reconfigure(adversary.ByzantineConfig{
 		N: r.n, Crashed: crashed, Corrupt: corrupt, Strategy: strat, Seed: seed,
 	}); err != nil {
@@ -320,7 +311,7 @@ func byzCellKey(crash, byz int, strat adversary.Strategy) string {
 	return fmt.Sprintf("c%d,b%d,%s", crash, byz, strat)
 }
 
-// worseVerdict orders safe < degraded < violated.
+// worseVerdict orders safe < degraded < violated; "" ranks as safe.
 func worseVerdict(a, b string) string {
 	rank := map[string]int{"safe": 0, "degraded": 1, "violated": 2}
 	if rank[b] > rank[a] {
@@ -349,29 +340,29 @@ func ByzantineCampaign(ctx context.Context, cfg ByzConfig, onResult func(campaig
 	if len(strategies) == 0 {
 		strategies = []adversary.Strategy{adversary.StrategyFlip, adversary.StrategyStale, adversary.StrategySplit}
 	}
-	// Validate the target before spinning up workers.
-	if probe, err := newByzRun(cfg.Target, cfg.N, 0); err != nil {
-		return nil, nil, err
-	} else {
-		probe.runner.Close()
-	}
-
 	type cellID struct {
 		crash, byz int
 		strat      adversary.Strategy
+		key        string
 	}
-	var cells []cellID
+	var grid []cellID
+	var cells []campaign.Cell[struct{}]
+	add := func(c, b int, s adversary.Strategy) {
+		key := byzCellKey(c, b, s)
+		grid = append(grid, cellID{c, b, s, key})
+		cells = append(cells, campaign.Cell[struct{}]{Name: "byz[" + key + "]", Hi: cfg.Runs})
+	}
 	for c := 0; c <= cfg.CrashMax; c++ {
 		for b := 0; b <= cfg.ByzMax; b++ {
 			if c+b >= cfg.N {
 				continue
 			}
 			if b == 0 {
-				cells = append(cells, cellID{c, 0, adversary.StrategyNone})
+				add(c, 0, adversary.StrategyNone)
 				continue
 			}
 			for _, s := range strategies {
-				cells = append(cells, cellID{c, b, s})
+				add(c, b, s)
 			}
 		}
 	}
@@ -379,98 +370,51 @@ func ByzantineCampaign(ctx context.Context, cfg ByzConfig, onResult func(campaig
 		return nil, nil, fmt.Errorf("explore: empty sweep grid (n %d, crash ≤ %d, byz ≤ %d)", cfg.N, cfg.CrashMax, cfg.ByzMax)
 	}
 
-	flightK := obs.FlightK(ctx)
-	pool := campaign.NewPool(func() (*byzRun, error) { return newByzRun(cfg.Target, cfg.N, flightK) })
-	defer pool.Drain(func(r *byzRun) { r.runner.Close() })
-
-	jobs := make([]campaign.Job, 0, len(cells))
-	for _, cell := range cells {
-		cell := cell
-		key := byzCellKey(cell.crash, cell.byz, cell.strat)
-		jobs = append(jobs, campaign.Job{
-			Name: "byz[" + key + "]",
-			Run: func(ctx context.Context, jobSeed int64) (campaign.Outcome, error) {
-				rig, err := pool.Get()
-				if err != nil {
-					return campaign.Outcome{}, err
-				}
-				defer pool.Put(rig)
-				if flightK > 0 {
-					defer func() {
-						if rec := recover(); rec != nil {
-							if dump := obs.FlightDump(rig.runner); dump != "" {
-								fmt.Fprintf(os.Stderr, "explore: panic in byzantine cell %s; last %d steps:\n%s", key, rig.runner.FlightRecorder().Len(), dump)
-							}
-							panic(rec)
-						}
-					}()
-				}
-				tallies := map[string]int{}
-				worst := "safe"
-				var detail *Violation
-				executed := 0
-				for i := 0; i < cfg.Runs; i++ {
-					if ctx.Err() != nil {
-						break
-					}
-					runSeed := campaign.SeedFor(jobSeed, i)
-					crashed, corrupt, err := adversary.DrawPopulation(cfg.N, cell.crash, cell.byz, runSeed)
-					if err != nil {
-						return campaign.Outcome{}, err
-					}
-					executed++
-					verdict, cerr := rig.one(crashed, corrupt, cell.strat, runSeed, cfg.Steps)
-					if verdict == "" {
-						return campaign.Outcome{}, cerr
-					}
-					tallies["cell["+key+"]:"+verdict]++
-					tallies["mutations"] += rig.dir.Mutations()
-					worst = worseVerdict(worst, verdict)
-					if verdict == "violated" && detail == nil {
-						detail = &Violation{
-							Err:    fmt.Errorf("cell[%s] run %d (crashed %v, byzantine %v): %w", key, i, crashed, corrupt, cerr),
-							Trace:  rig.dir.FormatTrace(rig.runner),
-							Flight: obs.FlightDump(rig.runner),
-						}
-					}
-				}
-				tallies["runs"] = executed
-				// Violated cells are measurements, not campaign failures: Ok
-				// stays true so resilience machinery never retries a cell and
-				// the matrix stays deterministic.
-				return campaign.Outcome{
-					Verdict: worst,
-					Ok:      true,
-					Steps:   executed,
-					Tallies: tallies,
-					Detail:  detail,
-				}, nil
-			},
-		})
-	}
-
-	// Collect per-cell violation details from the outcome stream (they ride
-	// Outcome.Detail, which Report does not retain for green jobs). Keyed by
-	// job name, so the collection is worker-count independent.
-	details := make(map[string]*Violation)
-	collect := func(out campaign.Outcome) {
-		if out.Detail != nil {
-			if v, ok := campaign.DecodeDetail[*Violation](out.Detail); ok && v != nil {
-				details[out.Name] = v
+	// Violated cells are measurements, not campaign failures: Ok stays true
+	// so resilience machinery never retries a cell and the matrix stays
+	// deterministic. Each cell's first violation rides its Detail.
+	rep, details, err := campaign.RunSweep(ctx, campaign.Sweep[struct{}, *byzRun, *Violation]{
+		Config: campaign.Config{Workers: cfg.Workers, Seed: cfg.Seed, OnResult: onResult},
+		Cells:  cells,
+		Build:  func(struct{}) (*byzRun, error) { return newByzRun(cfg.Target, cfg.N) },
+		Runner: func(rig *byzRun) *sim.Runner { return rig.runner },
+		Run: func(rig *byzRun, out *campaign.Outcome, j int, jobSeed int64, i int) (bool, error) {
+			cell := &grid[j]
+			runSeed := campaign.SeedFor(jobSeed, i)
+			crashed, corrupt, err := adversary.DrawPopulation(cfg.N, cell.crash, cell.byz, runSeed)
+			if err != nil {
+				return true, err
 			}
-		}
-		if onResult != nil {
-			onResult(out)
-		}
-	}
-	rep, err := campaign.Run(ctx, campaign.Config{Workers: cfg.Workers, Seed: cfg.Seed, OnResult: collect}, jobs)
+			verdict, cerr := rig.one(crashed, corrupt, cell.strat, runSeed, cfg.Steps)
+			if verdict == "" {
+				return true, cerr
+			}
+			out.Tallies["cell["+cell.key+"]:"+verdict]++
+			out.Tallies["mutations"] += rig.dir.Mutations()
+			out.Verdict = worseVerdict(out.Verdict, verdict)
+			if verdict == "violated" && out.Detail == nil {
+				out.Detail = &Violation{
+					Err:    fmt.Errorf("cell[%s] run %d (crashed %v, byzantine %v): %w", cell.key, i, crashed, corrupt, cerr),
+					Trace:  rig.dir.FormatTrace(rig.runner),
+					Flight: obs.FlightDump(rig.runner),
+				}
+			}
+			return false, nil
+		},
+		Done: func(out *campaign.Outcome, _, runs int) {
+			out.Ok, out.Steps, out.Tallies["runs"] = true, runs, runs
+			if out.Verdict == "" {
+				out.Verdict = "safe"
+			}
+		},
+	})
 	if err != nil {
 		return rep, nil, err
 	}
 
-	matrix := make([]ByzCell, 0, len(cells))
-	for _, cell := range cells {
-		key := byzCellKey(cell.crash, cell.byz, cell.strat)
+	matrix := make([]ByzCell, 0, len(grid))
+	for j, cell := range grid {
+		key := cell.key
 		bc := ByzCell{
 			Crash:    cell.crash,
 			Byz:      cell.byz,
@@ -479,15 +423,13 @@ func ByzantineCampaign(ctx context.Context, cfg ByzConfig, onResult func(campaig
 			Degraded: rep.Summary.Tallies["cell["+key+"]:degraded"],
 			Violated: rep.Summary.Tallies["cell["+key+"]:violated"],
 		}
-		switch {
-		case bc.Violated > 0:
-			bc.Class = "violated"
-		case bc.Degraded > 0:
+		bc.Class, bc.Violation = "safe", details[j]
+		if bc.Degraded > 0 {
 			bc.Class = "degraded"
-		default:
-			bc.Class = "safe"
 		}
-		bc.Violation = details["byz["+key+"]"]
+		if bc.Violated > 0 {
+			bc.Class = "violated"
+		}
 		matrix = append(matrix, bc)
 	}
 	sort.SliceStable(matrix, func(i, j int) bool {

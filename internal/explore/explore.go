@@ -92,16 +92,19 @@ func (v *Violation) scheduleText() string {
 	return v.scheduleStr
 }
 
-// MarshalJSON renders the violation for JSONL emission; the wrapped error
-// must be flattened to its message, since marshaling a bare error interface
-// yields an empty object.
+// violationJSON is a violation's emitted form: the schedule as text and the
+// wrapped error flattened to its message, since marshaling a bare error
+// interface yields an empty object.
+type violationJSON struct {
+	Schedule string `json:"schedule"`
+	Err      string `json:"err"`
+	Flight   string `json:"flight,omitempty"`
+	Trace    string `json:"trace,omitempty"`
+}
+
+// MarshalJSON renders the violation for JSONL emission.
 func (v *Violation) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Schedule string `json:"schedule"`
-		Err      string `json:"err"`
-		Flight   string `json:"flight,omitempty"`
-		Trace    string `json:"trace,omitempty"`
-	}{v.scheduleText(), v.Err.Error(), v.Flight, v.Trace})
+	return json.Marshal(violationJSON{v.scheduleText(), v.Err.Error(), v.Flight, v.Trace})
 }
 
 // UnmarshalJSON rebuilds a violation from its emitted form, so a violation
@@ -109,12 +112,7 @@ func (v *Violation) MarshalJSON() ([]byte, error) {
 // reports as one. The schedule comes back as text only and the error as its
 // message.
 func (v *Violation) UnmarshalJSON(data []byte) error {
-	var w struct {
-		Schedule string `json:"schedule"`
-		Err      string `json:"err"`
-		Flight   string `json:"flight,omitempty"`
-		Trace    string `json:"trace,omitempty"`
-	}
+	var w violationJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
@@ -138,20 +136,11 @@ func runOne(n int, schedule sched.Schedule, build Builder) error {
 	return nil
 }
 
-// runPooled executes one finite schedule on a recycled Run. A panic inside
-// the run is re-raised with the flight recorder's tail attached (when one is
-// enabled), so the campaign engine's panic isolation captures the last
-// executed steps alongside the stack. Like runOne, it copies the schedule
-// into a Violation: the caller's buffer holds the job's next run.
+// runPooled executes one finite schedule on a recycled Run. Like runOne, it
+// copies the schedule into a Violation: the caller's buffer holds the job's
+// next run. The violation carries the run's flight tail when a recorder is
+// attached.
 func runPooled(run *Run, schedule sched.Schedule) error {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if dump := obs.FlightDump(run.Runner); dump != "" {
-				panic(fmt.Sprintf("%v\nflight recorder tail:\n%s", rec, dump))
-			}
-			panic(rec)
-		}
-	}()
 	if run.Reset != nil {
 		run.Reset()
 	}
@@ -160,7 +149,7 @@ func runPooled(run *Run, schedule sched.Schedule) error {
 	}
 	run.Runner.RunSchedule(schedule)
 	if err := run.Check(); err != nil {
-		return &Violation{Schedule: slices.Clone(schedule), Err: err}
+		return &Violation{Schedule: slices.Clone(schedule), Err: err, Flight: obs.FlightDump(run.Runner)}
 	}
 	return nil
 }
@@ -178,103 +167,77 @@ func batchSize(total int) int {
 	}
 }
 
-// executor runs one schedule, returning a *Violation (or an infrastructure
-// error); acquire hands a job an executor plus its release hook.
-type executor func(s sched.Schedule) error
-
-type acquireFunc func() (exec executor, release func(), err error)
+// batches cuts the runs [0,total) into the cells of one pool, named
+// prefix[lo,hi).
+func batches(prefix string, total int) []campaign.Cell[struct{}] {
+	batch := batchSize(total)
+	var cells []campaign.Cell[struct{}]
+	for lo := 0; lo < total; lo += batch {
+		hi := min(lo+batch, total)
+		cells = append(cells, campaign.Cell[struct{}]{Name: fmt.Sprintf("%s[%d,%d)", prefix, lo, hi), Lo: lo, Hi: hi})
+	}
+	return cells
+}
 
 // space enumerates a campaign's schedules by run index, so which schedules
-// run is independent of sharding and of the execution path. Each job calls
-// it once for its own nth, which fills one job-owned buffer: the schedule
+// run is independent of sharding and of the execution path. Each rig calls
+// it once for its own nth, which fills one rig-owned buffer: the schedule
 // nth returns is valid until its next call.
 type space func() (nth func(int) sched.Schedule)
 
-// runCampaign builds one job per batch of [0,total) and runs them on the
-// engine, returning the report and the violation of the smallest run index
-// found, if any. Each job acquires its executor and its enumerator once and
-// runs its whole batch on them, stopping at the first violation.
-func runCampaign(ctx context.Context, workers, total int, schedules space, acquire acquireFunc, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
-	batch := batchSize(total)
-	var jobs []campaign.Job
-	for lo := 0; lo < total; lo += batch {
-		lo, hi := lo, lo+batch
-		if hi > total {
-			hi = total
-		}
-		jobs = append(jobs, campaign.Job{
-			Name: fmt.Sprintf("batch[%d,%d)", lo, hi),
-			Run: func(ctx context.Context, _ int64) (campaign.Outcome, error) {
-				exec, release, err := acquire()
-				if err != nil {
-					return campaign.Outcome{}, err
-				}
-				defer release()
-				nth := schedules()
-				runs := 0
-				for i := lo; i < hi; i++ {
-					if ctx.Err() != nil {
-						break
-					}
-					runs++
-					if err := exec(nth(i)); err != nil {
-						var v *Violation
-						if errors.As(err, &v) {
-							return campaign.Outcome{
-								Verdict: "violation",
-								Ok:      false,
-								Steps:   runs,
-								Tallies: map[string]int{"runs": runs},
-								Detail:  v,
-							}, nil
-						}
-						return campaign.Outcome{}, err
-					}
-				}
-				return campaign.Outcome{
-					Verdict: "ok",
-					Ok:      true,
-					Steps:   runs,
-					Tallies: map[string]int{"runs": runs},
-				}, nil
-			},
-		})
-	}
-	rep, err := campaign.Run(ctx, campaign.Config{Workers: workers, StopOnFail: true, OnResult: onResult}, jobs)
+// schedRig is one rig of a schedule campaign: its schedule enumeration and
+// its run, which the builder path leaves empty (it builds afresh per
+// schedule).
+type schedRig struct {
+	nth func(int) sched.Schedule
+	run *Run
+}
+
+// scheduleCampaign runs the schedules [0,total) in batch jobs, each
+// schedule through exec on a rig's run from build, and returns the report,
+// the runs executed and the violation of the first failed job, if any. A
+// job stops at its first violation.
+func scheduleCampaign(ctx context.Context, workers, total int, schedules space, build PooledBuilder, exec func(*Run, sched.Schedule) error, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
+	rep, details, err := campaign.RunSweep(ctx, campaign.Sweep[struct{}, *schedRig, *Violation]{
+		Config: campaign.Config{Workers: workers, StopOnFail: true, OnResult: onResult},
+		Cells:  batches("batch", total),
+		Build: func(struct{}) (*schedRig, error) {
+			run, err := build()
+			return &schedRig{schedules(), run}, err
+		},
+		Runner: func(rig *schedRig) *sim.Runner { return rig.run.Runner },
+		Run: func(rig *schedRig, out *campaign.Outcome, _ int, _ int64, i int) (bool, error) {
+			err := exec(rig.run, rig.nth(i))
+			if err == nil {
+				return false, nil
+			}
+			var v *Violation
+			if !errors.As(err, &v) {
+				return true, err
+			}
+			out.Verdict, out.Detail = "violation", v
+			return true, nil
+		},
+		Done: func(out *campaign.Outcome, _, runs int) {
+			out.Steps, out.Tallies["runs"] = runs, runs
+			if out.Verdict == "" {
+				out.Verdict, out.Ok = "ok", true
+			}
+		},
+	})
 	if err != nil {
 		return rep, 0, err
 	}
 	runs := rep.Summary.Tallies["runs"]
-	if len(rep.Failures) > 0 {
-		if v, ok := campaign.DecodeDetail[*Violation](rep.Failures[0].Detail); ok && v != nil {
-			return rep, runs, v
-		}
+	if len(rep.Failures) > 0 && details[rep.Failures[0].Job] != nil {
+		return rep, runs, details[rep.Failures[0].Job]
 	}
 	return rep, runs, nil
 }
 
-// freshAcquire wraps the builder path: every schedule gets a fresh build.
-func freshAcquire(n int, build Builder) acquireFunc {
-	return func() (executor, func(), error) {
-		return func(s sched.Schedule) error { return runOne(n, s, build) }, func() {}, nil
-	}
-}
-
-// pooledCampaign wraps runCampaign with a runner pool over build, draining
-// (closing) the pooled runners when the campaign finishes.
-func pooledCampaign(ctx context.Context, workers, total int, schedules space, build PooledBuilder, onResult func(campaign.Outcome)) (*campaign.Report, int, error) {
-	pool := campaign.NewPool(func() (*Run, error) { return build() })
-	defer pool.Drain(func(r *Run) { r.Runner.Close() })
-	acquire := func() (executor, func(), error) {
-		run, err := pool.Get()
-		if err != nil {
-			return nil, nil, err
-		}
-		return func(s sched.Schedule) error { return runPooled(run, s) },
-			func() { pool.Put(run) }, nil
-	}
-	return runCampaign(ctx, workers, total, schedules, acquire, onResult)
-}
+// freshRuns stands in for a PooledBuilder on the builder path: its empty
+// Run has no runner to record, and exec builds each schedule's own.
+func freshRuns() (*Run, error) { return &Run{}, nil }
 
 // exhaustiveSpace validates the (n, depth) bounds and returns the run count
 // and the fixed schedule enumeration: run r's step i is digit i of r in
@@ -313,7 +276,7 @@ func ExhaustivePooledCampaign(ctx context.Context, workers, n, depth int, build 
 	if err != nil {
 		return nil, 0, err
 	}
-	return pooledCampaign(ctx, workers, total, schedules, build, onResult)
+	return scheduleCampaign(ctx, workers, total, schedules, build, runPooled, onResult)
 }
 
 // fuzzSpace validates the generators and returns the run count and the
@@ -359,7 +322,8 @@ func FuzzCampaign(ctx context.Context, workers, n, steps, seeds int, base int64,
 	if err != nil {
 		return nil, 0, err
 	}
-	return runCampaign(ctx, workers, total, schedules, freshAcquire(n, build), onResult)
+	exec := func(_ *Run, s sched.Schedule) error { return runOne(n, s, build) }
+	return scheduleCampaign(ctx, workers, total, schedules, freshRuns, exec, onResult)
 }
 
 // FuzzPooledCampaign is FuzzCampaign on the pooled path: the same schedule
@@ -370,5 +334,5 @@ func FuzzPooledCampaign(ctx context.Context, workers, n, steps, seeds int, base 
 	if err != nil {
 		return nil, 0, err
 	}
-	return pooledCampaign(ctx, workers, total, schedules, build, onResult)
+	return scheduleCampaign(ctx, workers, total, schedules, build, runPooled, onResult)
 }

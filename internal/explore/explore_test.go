@@ -29,7 +29,8 @@ func exhaustiveFresh(workers, n, depth int, build Builder, onResult func(campaig
 	if err != nil {
 		return nil, 0, err
 	}
-	return runCampaign(context.Background(), workers, total, schedules, freshAcquire(n, build), onResult)
+	exec := func(_ *Run, s sched.Schedule) error { return runOne(n, s, build) }
+	return scheduleCampaign(context.Background(), workers, total, schedules, freshRuns, exec, onResult)
 }
 
 func TestCommitAdoptExhaustiveN2(t *testing.T) {
@@ -314,7 +315,7 @@ func TestViolationKeepsItsSchedule(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer run.Runner.Close()
-		execs := map[string]executor{
+		execs := map[string]func(sched.Schedule) error{
 			"pooled": func(s sched.Schedule) error { return runPooled(run, s) },
 			"fresh":  func(s sched.Schedule) error { return runOne(n, s, fresh) },
 		}
@@ -338,6 +339,15 @@ func TestViolationKeepsItsSchedule(t *testing.T) {
 	t.Run("FuzzPooledCampaign", func(t *testing.T) {
 		_, _, err := FuzzPooledCampaign(context.Background(), 1, n, steps, seeds, base, patterns, pooled, nil)
 		holds(t, err)
+	})
+	t.Run("FuzzPooledCampaign/flight", func(t *testing.T) {
+		ctx := campaign.WithOptions(context.Background(), campaign.Options{Flight: 16})
+		_, _, err := FuzzPooledCampaign(ctx, 1, n, steps, seeds, base, patterns, pooled, nil)
+		holds(t, err)
+		var v *Violation
+		if errors.As(err, &v) && !strings.HasPrefix(v.Flight, "flight recorder: last 16 step(s)\n") {
+			t.Errorf("violation lacks the run's flight tail:\n%s", v.Flight)
+		}
 	})
 	t.Run("FuzzCampaign", func(t *testing.T) {
 		builds.Store(0)

@@ -16,6 +16,7 @@
 package explore
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -177,90 +178,47 @@ func NetConvCampaign(ctx context.Context, cfg NetConvConfig, onResult func(campa
 	if cfg.Runs < 1 || cfg.Steps < 1 {
 		return nil, nil, fmt.Errorf("explore: netconv needs runs ≥ 1 and steps ≥ 1, got %d and %d", cfg.Runs, cfg.Steps)
 	}
-	if cfg.Delta == 0 {
-		cfg.Delta = 2
-	}
-	if cfg.GST == 0 {
-		cfg.GST = cfg.Steps / 4
-	}
-	if cfg.Probe == 0 {
-		cfg.Probe = cfg.Delta + 3*cfg.N*(cfg.N-1)
-	}
+	cfg.Delta = cmp.Or(cfg.Delta, 2)
+	cfg.GST = cmp.Or(cfg.GST, cfg.Steps/4)
+	cfg.Probe = cmp.Or(cfg.Probe, cfg.Delta+3*cfg.N*(cfg.N-1))
 	matrices := cfg.Matrices
 	if len(matrices) == 0 {
 		matrices = msgnet.MatrixNames()
 	}
-	// Validate every matrix before spinning up workers.
-	for _, m := range matrices {
-		if probe, err := newNetConvRig(m, cfg); err != nil {
-			return nil, nil, err
-		} else {
-			probe.runner.Close()
-		}
+	jobs := make([]campaign.Cell[string], len(matrices))
+	for j, m := range matrices {
+		jobs[j] = campaign.Cell[string]{Name: "netconv[" + m + "]", Key: m, Hi: cfg.Runs}
 	}
-
-	pools := make(map[string]*campaign.Pool[*netConvRig], len(matrices))
-	for _, m := range matrices {
-		m := m
-		pools[m] = campaign.NewPool(func() (*netConvRig, error) { return newNetConvRig(m, cfg) })
-	}
-	defer func() {
-		for _, p := range pools {
-			p.Drain(func(rig *netConvRig) { rig.runner.Close() })
-		}
-	}()
-
-	jobs := make([]campaign.Job, 0, len(matrices))
-	for _, matrix := range matrices {
-		matrix := matrix
-		jobs = append(jobs, campaign.Job{
-			Name: "netconv[" + matrix + "]",
-			Run: func(ctx context.Context, jobSeed int64) (campaign.Outcome, error) {
-				rig, err := pools[matrix].Get()
-				if err != nil {
-					return campaign.Outcome{}, err
-				}
-				defer pools[matrix].Put(rig)
-				tallies := map[string]int{}
-				converged := 0
-				executed := 0
-				for i := 0; i < cfg.Runs; i++ {
-					if ctx.Err() != nil {
-						break
-					}
-					ok, leader, shape, full, err := rig.one(campaign.SeedFor(jobSeed, i), cfg.Steps)
-					if err != nil {
-						return campaign.Outcome{}, err
-					}
-					executed++
-					if ok {
-						converged++
-						tallies["cell["+matrix+"]:converged"]++
-						tallies[fmt.Sprintf("leader[%s]:p%d", matrix, leader)]++
-					} else {
-						tallies["cell["+matrix+"]:split"]++
-					}
-					tallies["grades["+matrix+"]:"+shape]++
-					if i == 0 {
-						tallies["sample["+matrix+"]:"+full] = 1
-					}
-				}
-				tallies["runs"] = executed
-				verdict := "converged"
-				if converged < executed {
-					verdict = fmt.Sprintf("converged %d/%d", converged, executed)
-				}
-				return campaign.Outcome{
-					Verdict: verdict,
-					Ok:      true,
-					Steps:   executed,
-					Tallies: tallies,
-				}, nil
-			},
-		})
-	}
-
-	rep, err := campaign.Run(ctx, campaign.Config{Workers: cfg.Workers, Seed: cfg.Seed, OnResult: onResult}, jobs)
+	rep, _, err := campaign.RunSweep(ctx, campaign.Sweep[string, *netConvRig, struct{}]{
+		Config: campaign.Config{Workers: cfg.Workers, Seed: cfg.Seed, OnResult: onResult},
+		Cells:  jobs,
+		Build:  func(m string) (*netConvRig, error) { return newNetConvRig(m, cfg) },
+		Runner: func(rig *netConvRig) *sim.Runner { return rig.runner },
+		Run: func(rig *netConvRig, out *campaign.Outcome, j int, jobSeed int64, i int) (bool, error) {
+			matrix := matrices[j]
+			ok, leader, shape, full, err := rig.one(campaign.SeedFor(jobSeed, i), cfg.Steps)
+			if err != nil {
+				return true, err
+			}
+			if ok {
+				out.Tallies["cell["+matrix+"]:converged"]++
+				out.Tallies[fmt.Sprintf("leader[%s]:p%d", matrix, leader)]++
+			} else {
+				out.Tallies["cell["+matrix+"]:split"]++
+			}
+			out.Tallies["grades["+matrix+"]:"+shape]++
+			if i == 0 {
+				out.Tallies["sample["+matrix+"]:"+full] = 1
+			}
+			return false, nil
+		},
+		Done: func(out *campaign.Outcome, j, runs int) {
+			out.Verdict, out.Ok, out.Steps, out.Tallies["runs"] = "converged", true, runs, runs
+			if converged := out.Tallies["cell["+matrices[j]+"]:converged"]; converged < runs {
+				out.Verdict = fmt.Sprintf("converged %d/%d", converged, runs)
+			}
+		},
+	})
 	if err != nil {
 		return rep, nil, err
 	}

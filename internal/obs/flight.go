@@ -9,7 +9,8 @@ import (
 
 // The flight-recorder knob travels by context so campaign adapters need no
 // signature changes: a CLI (or test) enables recording with WithFlight, and
-// any pooled campaign that supports it reads FlightK when building its rigs.
+// the campaign sweep driver (campaign.RunSweep) reads FlightK when it builds
+// the rigs of any campaign whose rigs run a simulator.
 // The recorder itself lives in internal/sim (a fixed ring of the last K
 // steps, one branch per step while attached); this file only carries the
 // enablement signal and formats dumps.
