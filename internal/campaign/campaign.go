@@ -22,10 +22,8 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -114,111 +112,29 @@ func SeedFor(master int64, i int) int64 {
 type indexed struct {
 	idx         int
 	out         Outcome
-	err         error
 	skipped     bool
 	quarantined bool
 }
 
-// Run executes the jobs on a worker pool and returns the folded report. On a
-// job error the campaign is cancelled and the error of the smallest job
-// index is returned alongside the partial report. Context cancellation
-// (including StopOnFail) skips not-yet-started jobs; completed outcomes are
-// still folded.
+// Run executes the jobs on the coordinator (coordinator.go) and returns the
+// folded report. On a job error the campaign is cancelled and the error of
+// the smallest job index is returned alongside the partial report. Context
+// cancellation (including StopOnFail) skips not-yet-started jobs; completed
+// outcomes are still folded in job-index order, so the aggregate is
+// bit-identical at any worker count.
 //
-// Two context knobs reroute execution without changing results: a
-// worker-serve knob (WithWorkerServe) makes Run serve its job list to a
-// parent coordinator over the worker protocol, and a resilience knob
-// (Options.Resilience) runs the jobs under the fault-tolerant coordinator —
-// checkpointed, lease-based, self-healing dispatch. All three paths fold
-// outcomes in job-index order, so their aggregates are bit-identical.
+// Without Options.Resilience the coordinator runs Config.Workers in-process
+// workers with no journal, no lease and no retries: a job may run for any
+// length of time and runs exactly once. Options.Resilience adds
+// checkpointed, lease-based, self-healing dispatch, in process or over
+// child processes, folding to the same aggregate. A worker-serve context
+// (WithWorkerServe) instead makes Run serve its job list to a parent
+// coordinator over the worker protocol.
 func Run(ctx context.Context, cfg Config, jobs []Job) (*Report, error) {
 	if srv := serveFrom(ctx); srv != nil {
 		return serveWorker(ctx, srv, jobs)
 	}
-	if res := resilienceFrom(ctx); res != nil {
-		return runCoordinated(ctx, cfg, res, jobs)
-	}
-	start := time.Now()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make(chan indexed, workers)
-	var next sync.Mutex
-	cursor := 0
-	take := func() int {
-		next.Lock()
-		defer next.Unlock()
-		i := cursor
-		cursor++
-		return i
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := take()
-				if i >= len(jobs) {
-					return
-				}
-				if ctx.Err() != nil {
-					results <- indexed{idx: i, skipped: true}
-					continue
-				}
-				out, err := runJob(ctx, jobs[i], i, SeedFor(cfg.Seed, i))
-				results <- indexed{idx: i, out: out, err: err}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	// Fold in job-index order: buffer out-of-order arrivals and advance a
-	// cursor so OnResult and the aggregate see a deterministic sequence.
-	// Heartbeats fire from this same goroutine at deterministic fold
-	// positions (every hb.every folded jobs), so their counting fields
-	// inherit the fold order's worker-count independence.
-	f := newFolder(ctx, cfg, len(jobs), start)
-	var (
-		firstErr error
-		errIdx   = -1
-	)
-	for r := range results {
-		if r.err != nil {
-			if errIdx < 0 || r.idx < errIdx {
-				firstErr, errIdx = r.err, r.idx
-			}
-			cancel()
-			r.skipped = true
-		}
-		if !r.skipped && cfg.StopOnFail && !r.out.Ok {
-			cancel()
-		}
-		if f.push(r) && cfg.StopOnFail {
-			cancel()
-		}
-	}
-
-	rep := f.report(workers, nil)
-	if firstErr != nil {
-		return rep, fmt.Errorf("campaign: job %d (%s): %w", errIdx, jobs[errIdx].Name, firstErr)
-	}
-	return rep, nil
+	return runCoordinated(ctx, cfg, resilienceFrom(ctx), jobs)
 }
 
 // PanicDetail is the Outcome.Detail payload of a job that panicked: the
@@ -255,9 +171,11 @@ func runJob(ctx context.Context, j Job, idx int, seed int64) (out Outcome, err e
 }
 
 // folder folds results in job-index order, buffering out-of-order arrivals,
-// firing heartbeats at deterministic fold positions, and retaining bounded
-// failures. Both execution paths — the plain pool and the coordinator —
-// fold through it, which is what keeps their aggregates bit-identical.
+// firing heartbeats at deterministic fold positions (every hb.every folded
+// jobs, so their counting fields inherit the fold order's worker-count
+// independence), and retaining bounded failures. Fresh, retried and
+// journal-resumed outcomes all fold through it, in the coordinator's one
+// goroutine.
 type folder struct {
 	agg      *aggregate
 	hb       heartbeatCfg
@@ -277,7 +195,7 @@ func newFolder(ctx context.Context, cfg Config, jobs int, start time.Time) *fold
 		keep = 16
 	}
 	return &folder{
-		agg:      newAggregate(),
+		agg:      newAggregate(jobs),
 		hb:       heartbeatFrom(ctx),
 		pending:  make(map[int]indexed),
 		keep:     keep,
@@ -287,32 +205,27 @@ func newFolder(ctx context.Context, cfg Config, jobs int, start time.Time) *fold
 	}
 }
 
-// push buffers one result and folds every newly contiguous index. It
-// reports whether any newly folded outcome failed (for StopOnFail).
-func (f *folder) push(r indexed) (sawFail bool) {
-	f.pending[r.idx] = r
-	for {
-		nr, ok := f.pending[f.emit]
-		if !ok {
-			return sawFail
-		}
-		delete(f.pending, f.emit)
+// push buffers one result and folds every newly contiguous index.
+func (f *folder) push(r indexed) {
+	if r.idx != f.emit {
+		f.pending[r.idx] = r
+		return
+	}
+	for ok := true; ok; r, ok = f.pending[f.emit] {
+		delete(f.pending, r.idx)
 		f.emit++
 		switch {
-		case nr.quarantined:
+		case r.quarantined:
 			f.agg.quarantine()
-		case nr.skipped:
+		case r.skipped:
 			f.agg.skip()
 		default:
-			f.agg.add(nr.out)
-			if !nr.out.Ok {
-				sawFail = true
-				if len(f.failures) < f.keep {
-					f.failures = append(f.failures, nr.out)
-				}
+			f.agg.add(r.out)
+			if !r.out.Ok && len(f.failures) < f.keep {
+				f.failures = append(f.failures, r.out)
 			}
 			if f.onResult != nil {
-				f.onResult(nr.out)
+				f.onResult(r.out)
 			}
 		}
 		if f.hb.fn != nil && f.emit%f.hb.every == 0 {
@@ -321,9 +234,6 @@ func (f *folder) push(r indexed) (sawFail bool) {
 		}
 	}
 }
-
-// folded reports how many indices have been folded so far.
-func (f *folder) folded() int { return f.emit }
 
 // report assembles the final Report from the folded state.
 func (f *folder) report(workers int, quarantined []QuarantineRecord) *Report {
@@ -353,8 +263,8 @@ type aggregate struct {
 	dispatch *DispatchStats
 }
 
-func newAggregate() *aggregate {
-	return &aggregate{verdicts: make(map[string]int), tallies: make(map[string]int)}
+func newAggregate(jobs int) *aggregate {
+	return &aggregate{verdicts: make(map[string]int), tallies: make(map[string]int), steps: make([]int, 0, jobs)}
 }
 
 func (a *aggregate) skip() { a.skipped++ }
@@ -420,12 +330,11 @@ type StepStats struct {
 	P99  int     `json:"p99"`
 }
 
-func stepStats(sample []int) StepStats {
-	if len(sample) == 0 {
+// stepStats sorts sample in place.
+func stepStats(sorted []int) StepStats {
+	if len(sorted) == 0 {
 		return StepStats{}
 	}
-	sorted := make([]int, len(sample))
-	copy(sorted, sample)
 	sort.Ints(sorted)
 	var sum int64
 	for _, v := range sorted {

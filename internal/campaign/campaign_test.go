@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -125,22 +126,48 @@ func TestOrderedEmission(t *testing.T) {
 	}
 }
 
+// TestJobErrorAbortsCampaign: without Resilience a job error aborts the
+// campaign with no retry (every job's Run is called at most once), and the
+// error names the smallest failing index even when a larger one failed
+// first: job 9 fails at once, job 7 only after job 9 has run.
 func TestJobErrorAbortsCampaign(t *testing.T) {
 	t.Parallel()
 	boom := errors.New("boom")
 	jobs := makeJobs(40)
-	jobs[7] = Job{Name: "bad", Run: func(ctx context.Context, seed int64) (Outcome, error) {
+	var calls [40]atomic.Int32
+	ran9 := make(chan struct{})
+	jobs[9] = Job{Name: "worse", Run: func(ctx context.Context, seed int64) (Outcome, error) {
+		close(ran9)
 		return Outcome{}, boom
 	}}
+	jobs[7] = Job{Name: "bad", Run: func(ctx context.Context, seed int64) (Outcome, error) {
+		<-ran9
+		return Outcome{}, boom
+	}}
+	for i := range jobs {
+		run := jobs[i].Run
+		jobs[i].Run = func(ctx context.Context, seed int64) (Outcome, error) {
+			calls[i].Add(1)
+			return run(ctx, seed)
+		}
+	}
 	rep, err := Run(context.Background(), Config{Workers: 4}, jobs)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	if !strings.Contains(err.Error(), "job 7") || !strings.Contains(err.Error(), "bad") {
-		t.Errorf("error lacks job identity: %v", err)
+		t.Errorf("error lacks the smallest failing job's identity: %v", err)
 	}
 	if rep.Summary.Completed+rep.Summary.Skipped != 40 {
 		t.Errorf("completed %d + skipped %d != 40", rep.Summary.Completed, rep.Summary.Skipped)
+	}
+	for i := range calls {
+		if n := calls[i].Load(); n > 1 || (n == 0 && (i == 7 || i == 9)) {
+			t.Errorf("job %d ran %d times", i, n)
+		}
+	}
+	if rep.Telemetry.Dispatch != nil {
+		t.Errorf("a run without Resilience reports dispatch stats %+v", rep.Telemetry.Dispatch)
 	}
 }
 
@@ -251,4 +278,64 @@ func TestStepStatsPercentiles(t *testing.T) {
 	if st.Sum != 5050 || st.Mean != 50.5 {
 		t.Errorf("sum/mean = %d/%v", st.Sum, st.Mean)
 	}
+}
+
+// BenchmarkRunJobs times the executor's per-job cost on trivial jobs, 64
+// and 1,024 per campaign at 2 workers, without Resilience and with
+// &Resilience{}. ns/job is the wall time per job. max-backlog is the most
+// outcomes the fold held back in one campaign (the peak of the folder's
+// pending buffer, replayed from the order the jobs finished, which is the
+// order their results reach the fold), the median over the b.N campaigns so
+// that one campaign whose worker thread the OS preempted does not set it.
+func BenchmarkRunJobs(b *testing.B) {
+	for _, mode := range []struct {
+		name string
+		res  *Resilience
+	}{{"plain", nil}, {"resilient", &Resilience{}}} {
+		for _, n := range []int{64, 1024} {
+			b.Run(fmt.Sprintf("%s/jobs=%d", mode.name, n), func(b *testing.B) {
+				order := make([]int, n)
+				var finished atomic.Int64
+				jobs := make([]Job, n)
+				for i := range jobs {
+					jobs[i] = Job{Run: func(context.Context, int64) (Outcome, error) {
+						order[finished.Add(1)-1] = i
+						return Outcome{Ok: true, Steps: 1}, nil
+					}}
+				}
+				ctx := WithOptions(context.Background(), Options{Resilience: mode.res})
+				seen, peaks := make([]bool, n), make([]int, n)
+				b.ReportAllocs()
+				for b.Loop() {
+					finished.Store(0)
+					if _, err := Run(ctx, Config{Workers: 2}, jobs); err != nil {
+						b.Fatal(err)
+					}
+					peaks[backlog(order, seen)]++
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/job")
+				median, below := 0, 0
+				for below+peaks[median] <= b.N/2 {
+					below += peaks[median]
+					median++
+				}
+				b.ReportMetric(float64(median), "max-backlog")
+			})
+		}
+	}
+}
+
+// backlog replays a finishing order through an index-order fold and returns
+// the most outcomes it ever held back; seen is a reused buffer of len(order).
+func backlog(order []int, seen []bool) int {
+	clear(seen)
+	peak, emit := 0, 0
+	for k, i := range order {
+		seen[i] = true
+		for emit < len(seen) && seen[emit] {
+			emit++
+		}
+		peak = max(peak, k+1-emit)
+	}
+	return peak
 }

@@ -10,28 +10,37 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"github.com/settimeliness/settimeliness/internal/faultinject"
 )
 
-// The fault-tolerant coordinator: lease-based dispatch over workers that
-// may crash, hang, or be preempted. Each job is granted a lease with a
+// The coordinator is campaign.Run's one executor. Without a Resilience it
+// runs the jobs on in-process workers with no journal, no lease and no
+// retries; a Resilience adds lease-based dispatch over workers that may
+// crash, hang, or be preempted. Each job is granted a lease with a
 // deadline; a lease that expires (hung worker), or whose worker dies, is
 // requeued with capped exponential backoff and deterministic jitter, and a
 // job that exhausts its retry budget is quarantined so the rest of the
 // campaign completes — degraded is reported, never silent. Completed
 // outcomes are journaled to the checkpoint file in arrival order and folded
 // in job-index order, so the aggregate (and any JSONL stream) stays
-// bit-identical to a plain uninterrupted run: retries re-execute
-// deterministic jobs to the same outcome, and resume replays the journal.
+// bit-identical to an uninterrupted run: retries re-execute deterministic
+// jobs to the same outcome, and resume replays the journal.
 //
-// Workers are either in-process goroutines (Config.Workers wide) or child
-// worker processes (Resilience.Procs wide) speaking the JSONL protocol in
+// Workers are either in-process goroutines (Config.Workers wide), which
+// claim attempt-0 jobs off a shared cursor themselves, or child worker
+// processes (Resilience.Procs wide) speaking the JSONL protocol in
 // worker.go. Fault injection enters through the Resilience.Chaos injector:
 // worker-side faults (kill/stall/delay) execute wherever the worker lives,
 // coordinator-side faults (crash/trunc/corrupt) fire on the journal-append
 // hook. All timing goes through the injectable clock.
+
+// claiming is the job of an in-process worker's slot while it claims
+// jobs itself without reporting them (no leases) or before it reports the
+// next claim.
+const claiming = -2
 
 // maxConsecutiveDeaths aborts the campaign when workers keep dying without
 // a single result in between — a broken worker binary or a poisoned
@@ -46,39 +55,29 @@ func (e injectedCrash) Error() string {
 	return fmt.Sprintf("fault injection: coordinator crash (%s tail)", e.fault)
 }
 
-// coordEvent is a worker→coordinator message: a job result or a death
-// notice.
+// coordEvent is a message from the worker on slot worker: a job's result
+// (err is the job's error), an in-process worker's claim of job (-1: none
+// left), or the worker's death (err is the cause, if known).
 type coordEvent struct {
-	worker  int
-	job     int
-	attempt int
-	out     Outcome
-	jobErr  error
-	down    bool
-	downErr error
+	worker int
+	job    int
+	out    Outcome
+	err    error
+	claim  bool
+	down   bool
 }
 
-// workerHandle abstracts the two worker substrates for dispatch and
-// (process) control.
-type workerHandle interface {
-	dispatch(req workReq) error
-	// kill terminates the worker forcefully (SIGKILL for processes); used on
-	// lease expiry and abort.
-	kill()
-	// shutdown asks the worker to exit after its current job (close of its
-	// input); used on clean completion.
-	shutdown()
-}
-
+// workerState is one worker's slot: its lease and its substrate, a child
+// process or the channel an in-process goroutine takes grants from.
 type workerState struct {
-	handle   workerHandle
-	inproc   bool
-	job      int // -1 when idle
+	proc     *procWorker
+	ch       chan workReq
+	job      int // -1 when idle; see claiming
 	attempt  int
 	deadline time.Time
 	// expired marks a lease whose deadline passed: the job has been routed
-	// elsewhere (in-process) or the worker killed (process); the state stays
-	// until the late result or the death notice arrives.
+	// elsewhere (in-process) or the worker killed (process); the slot stays
+	// taken until the late result or the death notice arrives.
 	expired bool
 }
 
@@ -113,20 +112,23 @@ type coordinator struct {
 	res    *Resilience
 	jobs   []Job
 	clock  faultinject.Clock
+	// lease is the per-attempt deadline; 0 (no Resilience) means none.
+	lease time.Duration
 
 	events chan coordEvent
 	stop   chan struct{}
 
-	workers map[int]*workerState
-	nextID  int
+	workers []workerState
 	target  int
 
-	ready readyQueue
-	seq   int
+	// cursor is the next attempt-0 job; see claim.
+	cursor atomic.Int64
+	retry  readyQueue // requeued attempts, by ready time
+	seq    int
 
-	done     map[int]bool
+	done     []bool
 	resolved int
-	lastErr  map[int]string
+	lastErr  map[int]string // made at the first lost attempt
 
 	quarantined []QuarantineRecord
 	stats       DispatchStats
@@ -140,48 +142,52 @@ type coordinator struct {
 	deaths       int // consecutive worker deaths without progress
 }
 
-// runCoordinated is campaign.Run on the fault-tolerant coordinator path.
+// noResilience stands in for a missing Resilience: no journal, no chaos, no
+// log, the wall clock.
+var noResilience Resilience
+
+// runCoordinated runs the campaign; res is nil without Resilience.
 func runCoordinated(parent context.Context, cfg Config, res *Resilience, jobs []Job) (*Report, error) {
 	start := time.Now()
+	resilient := res != nil
+	if !resilient {
+		res = &noResilience
+	}
 	target := cfg.Workers
 	if res.Procs > 0 {
 		if len(res.WorkerArgv) == 0 {
 			return nil, fmt.Errorf("campaign: Resilience.Procs = %d but no WorkerArgv to spawn", res.Procs)
 		}
 		target = res.Procs
-	} else {
-		if target <= 0 {
-			target = runtime.GOMAXPROCS(0)
-		}
+	} else if target <= 0 {
+		target = runtime.GOMAXPROCS(0)
 	}
-	if target > len(jobs) {
-		target = len(jobs)
-	}
-	if target < 1 {
-		target = 1
-	}
+	target = max(1, min(target, len(jobs)))
 
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
 	c := &coordinator{
-		parent:  parent,
-		ctx:     ctx,
-		cancel:  cancel,
-		cfg:     cfg,
-		res:     res,
-		jobs:    jobs,
-		clock:   res.clock(),
-		events:  make(chan coordEvent, 16),
-		stop:    make(chan struct{}),
-		workers: make(map[int]*workerState),
-		target:  target,
-		done:    make(map[int]bool),
-		lastErr: make(map[int]string),
-		errIdx:  -1,
-		f:       newFolder(ctx, cfg, len(jobs), start),
+		parent: parent,
+		ctx:    ctx,
+		cancel: cancel,
+		cfg:    cfg,
+		res:    res,
+		jobs:   jobs,
+		clock:  res.clock(),
+		// Room for a few messages per worker, so that a worker seldom
+		// blocks on a send while the coordinator folds.
+		events: make(chan coordEvent, 4*target),
+		stop:   make(chan struct{}),
+		target: target,
+		done:   make([]bool, len(jobs)),
+		errIdx: -1,
+		f:      newFolder(ctx, cfg, len(jobs), start),
 	}
-	c.f.agg.dispatch = &c.stats
+	if resilient {
+		c.lease = res.lease()
+		c.f.agg.dispatch = &c.stats
+	}
 	defer close(c.stop)
 
 	if res.Checkpoint != "" {
@@ -189,22 +195,16 @@ func runCoordinated(parent context.Context, cfg Config, res *Resilience, jobs []
 			return nil, err
 		}
 	}
+	n := min(target, len(jobs)-c.resolved)
 	if c.cfg.StopOnFail && len(c.f.failures) > 0 {
 		// A resumed journal already contains a failure; honor StopOnFail
-		// exactly as if it had just been folded.
-		c.stopDispatch = true
+		// exactly as if it had just been folded: start no worker.
+		c.stopDispatch, n = true, 0
 	}
-
-	// Everything unresolved is ready immediately, in index order.
-	for i := range jobs {
-		if !c.done[i] {
-			heap.Push(&c.ready, readyItem{job: i, attempt: 0, seq: c.seq})
-			c.seq++
-		}
-	}
-
-	for len(c.workers) < c.target && len(c.workers) < len(jobs)-c.resolved {
-		if err := c.spawn(); err != nil {
+	c.workers = make([]workerState, n)
+	for i := range c.workers {
+		c.workers[i].job = -1
+		if err := c.spawn(i); err != nil {
 			c.abort(-1, err)
 			break
 		}
@@ -273,10 +273,11 @@ func (c *coordinator) loop() (*Report, error) {
 			c.res.logf("campaign: interrupted; waiting for in-flight jobs (leases bound the wait)")
 		}
 	}
-	for {
-		if c.resolved == len(c.jobs) {
-			break
-		}
+	var (
+		timerC  <-chan time.Time
+		timerAt time.Time
+	)
+	for c.resolved < len(c.jobs) {
 		// Observe cancellation before dispatching, not only in the select —
 		// a cancel raised inside handle() (OnResult, StopOnFail) must not let
 		// another dispatch round slip through first.
@@ -287,20 +288,26 @@ func (c *coordinator) loop() (*Report, error) {
 		if c.stopDispatch && c.inflight() == 0 {
 			break
 		}
-		var timerC <-chan time.Time
-		if wake, ok := c.nextWake(); ok {
-			d := wake.Sub(c.clock.Now())
-			if d < 0 {
-				d = 0 // already due; poll the event channel once, then act
-			}
-			timerC = c.clock.After(d)
+		// A pending timer that fires early only costs an idle tick, so
+		// one is replaced only by an earlier wake.
+		if wake := c.nextWake(); !wake.IsZero() && (timerC == nil || wake.Before(timerAt)) {
+			timerC, timerAt = c.clock.After(max(0, wake.Sub(c.clock.Now()))), wake
 		}
 		select {
 		case ev := <-c.events:
-			if rep, err, final := c.handle(ev); final {
-				return rep, err
+			// Take what else has arrived before the next dispatch round.
+			for more := true; more; {
+				if rep, err, final := c.handle(ev); final {
+					return rep, err
+				}
+				select {
+				case ev = <-c.events:
+				default:
+					more = false
+				}
 			}
 		case <-timerC:
+			timerC = nil
 			c.onTick()
 		case <-doneCh:
 			onDone()
@@ -327,8 +334,7 @@ func (c *coordinator) finish() (*Report, error) {
 		}
 	}
 	// Fold everything unresolved as skipped (interrupt without a checkpoint,
-	// StopOnFail, job error) so the summary accounts for every job, exactly
-	// like the plain path.
+	// StopOnFail, job error) so the summary accounts for every job.
 	for i := range c.jobs {
 		if !c.done[i] {
 			c.f.push(indexed{idx: i, skipped: true})
@@ -371,102 +377,133 @@ func (c *coordinator) crash(fault faultinject.TailFault) (*Report, error) {
 
 func (c *coordinator) inflight() int {
 	n := 0
-	for _, ws := range c.workers {
-		if ws.job >= 0 {
+	for i := range c.workers {
+		if c.workers[i].job != -1 {
 			n++
 		}
 	}
 	return n
 }
 
-// dispatchReady grants leases for due ready items to idle workers.
+// claim takes the next attempt-0 job off the cursor, in index order, for
+// the coordinator or an in-process worker. Jobs resumed from the journal
+// are passed over: done[j] of a job nobody claimed is written only before
+// the workers start. -1 means none is left or the campaign is cancelled.
+func (c *coordinator) claim() int {
+	for c.ctx.Err() == nil {
+		j := int(c.cursor.Add(1) - 1)
+		if j >= len(c.jobs) {
+			return -1
+		}
+		if !c.done[j] {
+			return j
+		}
+	}
+	return -1
+}
+
+// dispatchReady grants due attempts to idle workers: attempt-0 jobs off the
+// cursor first, then requeued attempts whose backoff has passed.
 func (c *coordinator) dispatchReady() {
-	if c.stopDispatch {
+	for i := range c.workers {
+		if ws := &c.workers[i]; ws.job == -1 && !c.stopDispatch {
+			req := workReq{Job: c.claim()}
+			if req.Job < 0 {
+				for len(c.retry) > 0 && c.done[c.retry[0].job] {
+					heap.Pop(&c.retry)
+				}
+				if len(c.retry) == 0 || c.retry[0].readyAt.After(c.clock.Now()) {
+					return
+				}
+				it := heap.Pop(&c.retry).(readyItem)
+				req.Job, req.Attempt = it.job, it.attempt
+			}
+			req.Seed = SeedFor(c.cfg.Seed, req.Job)
+			c.grant(ws, req)
+		}
+	}
+}
+
+// grant leases req on ws and hands it to the worker.
+func (c *coordinator) grant(ws *workerState, req workReq) {
+	c.leaseOn(ws, req.Job, req.Attempt)
+	if ws.proc == nil {
+		// An idle in-process worker waits on its empty channel. Without
+		// leases it has none and has exited, but then nothing falls due:
+		// its last claim found the cursor spent or the campaign cancelled,
+		// and only leases requeue.
+		ws.ch <- req
 		return
 	}
-	now := c.clock.Now()
-	for len(c.ready) > 0 && !c.ready[0].readyAt.After(now) {
-		var ws *workerState
-		for _, cand := range c.workers {
-			if cand.job < 0 {
-				ws = cand
-				break
-			}
-		}
-		if ws == nil {
-			return
-		}
-		item := heap.Pop(&c.ready).(readyItem)
-		if c.done[item.job] {
-			continue
-		}
-		ws.job = item.job
-		ws.attempt = item.attempt
-		ws.deadline = now.Add(c.res.lease())
-		ws.expired = false
-		c.stats.Leases++
-		req := workReq{Job: item.job, Seed: SeedFor(c.cfg.Seed, item.job), Attempt: item.attempt}
-		if err := ws.handle.dispatch(req); err != nil {
-			// A failed write means the worker is dying; its death notice will
-			// requeue the lease. Shorten the deadline so a silent failure
-			// cannot stall the job for a full lease.
-			c.res.logf("campaign: dispatch to worker failed (%v); lease will be reclaimed", err)
-			ws.deadline = now
-		}
+	if err := ws.proc.enc.Encode(req); err != nil {
+		// A failed write means the worker is dying; its death notice will
+		// requeue the lease. Shorten the deadline so a silent failure
+		// cannot stall the job for a full lease.
+		c.res.logf("campaign: dispatch to worker failed (%v); lease will be reclaimed", err)
+		ws.deadline = c.clock.Now()
 	}
+}
+
+// leaseOn records that ws holds attempt of job.
+func (c *coordinator) leaseOn(ws *workerState, job, attempt int) {
+	ws.job, ws.attempt, ws.expired = job, attempt, false
+	if c.lease > 0 {
+		ws.deadline = c.clock.Now().Add(c.lease)
+	}
+	c.stats.Leases++
 }
 
 // nextWake returns the earliest instant the coordinator must act without an
-// event: a lease deadline or a backoff expiry (the latter only matters when
-// a worker is idle to take the job).
-func (c *coordinator) nextWake() (time.Time, bool) {
-	var (
-		wake time.Time
-		any  bool
-	)
+// event, a lease deadline or a retry's backoff expiry, or the zero time.
+func (c *coordinator) nextWake() (wake time.Time) {
 	consider := func(t time.Time) {
-		if !any || t.Before(wake) {
-			wake, any = t, true
+		if wake.IsZero() || t.Before(wake) {
+			wake = t
 		}
 	}
-	idle := false
-	for _, ws := range c.workers {
-		if ws.job >= 0 && !ws.expired {
+	for i := range c.workers {
+		if ws := &c.workers[i]; c.lease > 0 && ws.job >= 0 && !ws.expired {
 			consider(ws.deadline)
 		}
-		if ws.job < 0 {
-			idle = true
-		}
 	}
-	if idle && len(c.ready) > 0 {
-		consider(c.ready[0].readyAt)
+	if len(c.retry) > 0 && c.retry[0].readyAt.After(c.clock.Now()) {
+		consider(c.retry[0].readyAt)
 	}
-	return wake, any
+	return wake
 }
 
-// onTick expires overdue leases: the job is requeued (in-process) or the
-// worker killed so its death notice requeues it (process workers, whose
-// serial pipeline is blocked by the hung job).
+// onTick expires overdue leases: the job is requeued at once, and a process
+// worker (whose serial pipeline the hung job blocks) is killed too.
 func (c *coordinator) onTick() {
+	if c.lease == 0 {
+		return
+	}
 	now := c.clock.Now()
-	for _, ws := range c.workers {
+	for i := range c.workers {
+		ws := &c.workers[i]
 		if ws.job < 0 || ws.expired || ws.deadline.After(now) {
 			continue
 		}
 		ws.expired = true
 		c.stats.Expired++
-		c.lastErr[ws.job] = fmt.Sprintf("lease expired after %s (attempt %d)", c.res.lease(), ws.attempt)
 		c.res.logf("campaign: lease on job %d expired (attempt %d)", ws.job, ws.attempt)
-		// Route the job elsewhere right away on both substrates; expired
-		// workers are excluded from the death-notice requeue so this is the
-		// only one. A late result from the old attempt is deduplicated.
-		c.requeue(ws.job, ws.attempt)
-		if !ws.inproc {
-			// The process can actually be killed; its death notice triggers
-			// the respawn.
-			ws.handle.kill()
+		// Expired slots are excluded from the death-notice requeue, so this
+		// is the only one. A late result from the old attempt is
+		// deduplicated.
+		c.lost(ws, fmt.Sprintf("lease expired after %s (attempt %d)", c.lease, ws.attempt))
+		if ws.proc != nil {
+			ws.proc.kill() // its death notice triggers the respawn
 		}
 	}
+}
+
+// lost records why the attempt on ws was lost and requeues its job.
+func (c *coordinator) lost(ws *workerState, why string) {
+	if c.lastErr == nil {
+		c.lastErr = make(map[int]string)
+	}
+	c.lastErr[ws.job] = why
+	c.requeue(ws.job, ws.attempt)
 }
 
 // requeue puts a lost attempt back on the queue with capped exponential
@@ -493,7 +530,7 @@ func (c *coordinator) requeue(job, failedAttempt int) {
 	}
 	c.stats.Requeues++
 	delay := c.res.backoff(next, SeedFor(c.cfg.Seed, job))
-	heap.Push(&c.ready, readyItem{job: job, attempt: next, readyAt: c.clock.Now().Add(delay), seq: c.seq})
+	heap.Push(&c.retry, readyItem{job: job, attempt: next, readyAt: c.clock.Now().Add(delay), seq: c.seq})
 	c.seq++
 }
 
@@ -510,25 +547,32 @@ func (c *coordinator) abort(jobIdx int, err error) {
 // handle processes one worker event. final reports that the campaign must
 // return immediately (injected coordinator crash).
 func (c *coordinator) handle(ev coordEvent) (*Report, error, bool) {
-	if ev.down {
-		c.handleDown(ev)
+	ws := &c.workers[ev.worker]
+	switch {
+	case ev.down:
+		c.handleDown(ws, ev)
 		return nil, nil, false
-	}
-	ws := c.workers[ev.worker]
-	if ws != nil && ws.job == ev.job {
+	case ev.claim && ev.job < 0:
 		ws.job = -1
-		ws.expired = false
+		return nil, nil, false
+	case ev.claim:
+		c.leaseOn(ws, ev.job, 0)
+		return nil, nil, false
+	case ws.job == ev.job && ws.proc == nil:
+		ws.job, ws.expired = claiming, false // it claims its next job itself
+	case ws.job == ev.job:
+		ws.job, ws.expired = -1, false
 	}
 	c.deaths = 0
-	if ev.jobErr != nil {
-		// Parity with the plain path: a job error is an infrastructure
-		// failure that aborts the campaign; the job folds as skipped.
+	if ev.err != nil {
+		// A job error is an infrastructure failure that aborts the
+		// campaign without a retry; the job folds as skipped.
 		if !c.done[ev.job] {
 			c.done[ev.job] = true
 			c.resolved++
 			c.f.push(indexed{idx: ev.job, skipped: true})
 		}
-		c.abort(ev.job, fmt.Errorf("campaign: job %d (%s): %w", ev.job, c.jobs[ev.job].Name, ev.jobErr))
+		c.abort(ev.job, fmt.Errorf("campaign: job %d (%s): %w", ev.job, c.jobs[ev.job].Name, ev.err))
 		return nil, nil, false
 	}
 	if c.done[ev.job] {
@@ -548,36 +592,34 @@ func (c *coordinator) handle(ev coordEvent) (*Report, error, bool) {
 	}
 	c.done[ev.job] = true
 	c.resolved++
-	if c.f.push(indexed{idx: ev.job, out: ev.out}) && c.cfg.StopOnFail {
+	c.f.push(indexed{idx: ev.job, out: ev.out})
+	if c.cfg.StopOnFail && !ev.out.Ok {
 		c.stopDispatch = true
 		c.cancel()
 	}
 	return nil, nil, false
 }
 
-func (c *coordinator) handleDown(ev coordEvent) {
-	ws := c.workers[ev.worker]
-	if ws == nil {
-		return
-	}
-	delete(c.workers, ev.worker)
+// handleDown requeues the job a dead worker held, frees its slot and
+// starts a replacement.
+func (c *coordinator) handleDown(ws *workerState, ev coordEvent) {
 	c.stats.WorkerDeaths++
 	c.deaths++
 	why := "exited"
-	if ev.downErr != nil {
-		why = ev.downErr.Error()
+	if ev.err != nil {
+		why = ev.err.Error()
 	}
 	c.res.logf("campaign: worker %d died (%s)", ev.worker, why)
 	if ws.job >= 0 && !ws.expired && !c.done[ws.job] {
-		c.lastErr[ws.job] = fmt.Sprintf("worker died (%s) holding attempt %d", why, ws.attempt)
-		c.requeue(ws.job, ws.attempt)
+		c.lost(ws, fmt.Sprintf("worker died (%s) holding attempt %d", why, ws.attempt))
 	}
+	ws.job, ws.expired = -1, false
 	if c.deaths > maxConsecutiveDeaths {
 		c.abort(-1, fmt.Errorf("campaign: %d consecutive worker deaths without progress, last: %s", c.deaths, why))
 		return
 	}
-	if !c.stopDispatch && c.resolved < len(c.jobs) && len(c.workers) < c.target {
-		if err := c.spawn(); err != nil {
+	if !c.stopDispatch && c.resolved < len(c.jobs) {
+		if err := c.spawn(ev.worker); err != nil {
 			c.abort(-1, err)
 			return
 		}
@@ -585,35 +627,38 @@ func (c *coordinator) handleDown(ev coordEvent) {
 	}
 }
 
-// spawn starts one worker of the configured substrate.
-func (c *coordinator) spawn() error {
-	id := c.nextID
-	c.nextID++
-	ws := &workerState{job: -1}
-	if c.res.Procs > 0 {
-		pw, err := c.spawnProc(id)
-		if err != nil {
-			return fmt.Errorf("campaign: spawning worker process: %w", err)
+// spawn starts the worker of slot i: a child process, or an in-process
+// goroutine.
+func (c *coordinator) spawn(i int) error {
+	ws := &c.workers[i]
+	if c.res.Procs == 0 {
+		if ws.ch == nil && c.lease > 0 {
+			ws.ch = make(chan workReq, 1) // retries come only under leases
 		}
-		ws.handle = pw
-	} else {
-		gw := &goWorker{id: id, ch: make(chan workReq, 1), c: c}
-		go gw.run()
-		ws.handle = gw
-		ws.inproc = true
+		ws.job = claiming
+		go c.goWork(i, ws.ch)
+		return nil
 	}
-	c.workers[id] = ws
+	pw, err := c.spawnProc(i)
+	if err != nil {
+		return fmt.Errorf("campaign: spawning worker process: %w", err)
+	}
+	ws.proc = pw
 	return nil
 }
 
 // shutdownWorkers releases every worker: gracefully on clean completion
 // (close of input), forcefully on abort/interrupt.
 func (c *coordinator) shutdownWorkers(force bool) {
-	for _, ws := range c.workers {
-		if force && !ws.inproc {
-			ws.handle.kill()
-		} else {
-			ws.handle.shutdown()
+	for i := range c.workers {
+		switch ws := &c.workers[i]; {
+		case ws.ch != nil:
+			close(ws.ch)
+		case ws.proc == nil:
+		case force:
+			ws.proc.kill()
+		default:
+			ws.proc.stdin.Close() // the child exits after its current job
 		}
 	}
 }
@@ -623,48 +668,61 @@ func (c *coordinator) send(ev coordEvent) bool {
 	select {
 	case c.events <- ev:
 		return true
+	default:
+	}
+	select {
+	case c.events <- ev:
+		return true
 	case <-c.stop:
 		return false
 	}
 }
 
-// goWorker is an in-process worker goroutine. Injected worker-side faults
-// execute here: a kill directive makes the goroutine die between jobs
-// exactly like a crashed process (no result, a death notice), and
-// stall/delay directives sleep while holding the lease.
-type goWorker struct {
-	id        int
-	ch        chan workReq
-	c         *coordinator
-	completed int
-}
-
-func (w *goWorker) run() {
-	for req := range w.ch {
-		if ka := w.c.res.Chaos.KillAfter(); ka > 0 && w.completed >= ka {
-			w.c.res.logf("campaign: worker %d chaos-killed after %d jobs", w.id, w.completed)
-			w.c.send(coordEvent{worker: w.id, down: true, downErr: fmt.Errorf("fault injection: killed after %d jobs", w.completed)})
+// goWork is the in-process worker of slot i. It claims attempt-0 jobs
+// itself, so it never waits on the coordinator while such jobs remain, and
+// then runs the retries granted on ch until the coordinator closes it. A
+// claim is reported before its job runs under leases, since the lease
+// starts with it; without, only the final empty claim is. Injected
+// worker-side faults execute here: a kill directive makes the goroutine
+// die holding its job exactly like a crashed process (no result, a death
+// notice), and stall/delay directives sleep while holding the lease.
+func (c *coordinator) goWork(i int, ch <-chan workReq) {
+	for completed := 0; ; completed++ {
+		req := workReq{Job: c.claim()}
+		if req.Job < 0 || c.lease > 0 {
+			if !c.send(coordEvent{worker: i, job: req.Job, claim: true}) {
+				return
+			}
+		}
+		if req.Job < 0 {
+			var ok bool
+			if ch == nil { // no retries come without leases
+				return
+			} else if req, ok = <-ch; !ok {
+				return
+			}
+		}
+		if ka := c.res.Chaos.KillAfter(); ka > 0 && completed >= ka {
+			c.res.logf("campaign: worker %d chaos-killed after %d jobs", i, completed)
+			c.send(coordEvent{worker: i, down: true, err: fmt.Errorf("fault injection: killed after %d jobs", completed)})
 			return
 		}
-		if d := w.c.res.Chaos.StallFor(req.Job, req.Attempt); d > 0 {
-			w.c.clock.Sleep(d)
+		if d := c.res.Chaos.StallFor(req.Job, req.Attempt); d > 0 {
+			c.clock.Sleep(d)
 		}
-		out, err := runJob(w.c.ctx, w.c.jobs[req.Job], req.Job, req.Seed)
-		if d := w.c.res.Chaos.DelayFor(req.Job, req.Attempt); d > 0 {
-			w.c.clock.Sleep(d)
+		ev := coordEvent{worker: i, job: req.Job}
+		ev.out, ev.err = runJob(c.ctx, c.jobs[req.Job], req.Job, SeedFor(c.cfg.Seed, req.Job))
+		if d := c.res.Chaos.DelayFor(req.Job, req.Attempt); d > 0 {
+			c.clock.Sleep(d)
 		}
-		w.completed++
-		if !w.c.send(coordEvent{worker: w.id, job: req.Job, attempt: req.Attempt, out: out, jobErr: err}) {
+		if !c.send(ev) {
 			return
 		}
 	}
 }
 
-func (w *goWorker) dispatch(req workReq) error { w.ch <- req; return nil }
-func (w *goWorker) kill()                      { close(w.ch) }
-func (w *goWorker) shutdown()                  { close(w.ch) }
-
-// procWorker is a child worker process speaking the JSONL protocol.
+// procWorker is a child worker process speaking the JSONL protocol; id is
+// its slot.
 type procWorker struct {
 	id    int
 	cmd   *exec.Cmd
@@ -726,7 +784,7 @@ func (c *coordinator) readProc(w *procWorker, stdout io.Reader) {
 		ev := coordEvent{worker: w.id, job: resp.Job}
 		switch {
 		case resp.Err != "":
-			ev.jobErr = errors.New(resp.Err)
+			ev.err = errors.New(resp.Err)
 		case resp.Outcome != nil:
 			ev.out = resp.Outcome.outcome()
 		default:
@@ -741,15 +799,12 @@ func (c *coordinator) readProc(w *procWorker, stdout io.Reader) {
 		w.cmd.Process.Kill()
 	}
 	waitErr := w.cmd.Wait()
-	downErr := readErr
-	if downErr == nil {
-		downErr = waitErr
+	if readErr == nil {
+		readErr = waitErr
 	}
-	c.send(coordEvent{worker: w.id, down: true, downErr: downErr})
+	c.send(coordEvent{worker: w.id, down: true, err: readErr})
 }
 
-func (w *procWorker) dispatch(req workReq) error { return w.enc.Encode(req) }
-func (w *procWorker) shutdown()                  { w.stdin.Close() }
 func (w *procWorker) kill() {
 	if w.cmd.Process != nil {
 		w.cmd.Process.Kill()

@@ -84,7 +84,9 @@ func (tr *runTrace) finish(t *testing.T, rep *Report) {
 	tr.summary = string(b)
 }
 
-// plainBaseline runs the jobs on the plain pool path and returns its trace.
+// plainBaseline runs the jobs without Resilience (no journal, lease or
+// retry) and returns its trace, the reference every resilient run must
+// reproduce.
 func plainBaseline(t *testing.T, jobs []Job, seed int64) *runTrace {
 	t.Helper()
 	tr := &runTrace{}
@@ -106,6 +108,9 @@ func assertTraceEqual(t *testing.T, want, got *runTrace, label string) {
 	}
 }
 
+// TestCoordinatedMatchesPlain: a &Resilience{} run (leases, retries and
+// dispatch stats on) streams and folds exactly like a run without
+// Resilience, at one worker and at eight.
 func TestCoordinatedMatchesPlain(t *testing.T) {
 	t.Parallel()
 	jobs := workerTestJobs()

@@ -13,9 +13,9 @@ import (
 // Options bundles the context-travelling campaign knobs. The zero value is
 // a no-op: every field leaves the context untouched when unset.
 type Options struct {
-	// Resilience routes Run through the fault-tolerant coordinator
-	// (checkpointed, lease-based dispatch); nil keeps the plain in-process
-	// pool path.
+	// Resilience turns on the coordinator's fault tolerance (checkpointed,
+	// lease-based dispatch, retries, process workers); nil runs in-process
+	// workers with none of it.
 	Resilience *Resilience
 	// Heartbeat, when non-nil and HeartbeatEvery ≥ 1, receives a progress
 	// snapshot after every HeartbeatEvery folded jobs, in job-index order,
@@ -31,9 +31,10 @@ type Options struct {
 }
 
 // WithOptions applies every configured knob of o to ctx in one call. A nil
-// Resilience keeps the plain pool path; a heartbeat needs HeartbeatEvery ≥
-// 1 and a non-nil Heartbeat, which runs on the fold goroutine, so it may
-// write to shared sinks without locking but must return quickly.
+// Resilience leaves the context without one; a heartbeat needs
+// HeartbeatEvery ≥ 1 and a non-nil Heartbeat, which runs on the fold
+// goroutine, so it may write to shared sinks without locking but must
+// return quickly.
 func WithOptions(ctx context.Context, o Options) context.Context {
 	if o.Resilience != nil {
 		ctx = context.WithValue(ctx, resilienceKey{}, o.Resilience)

@@ -8,13 +8,13 @@ import (
 	"github.com/settimeliness/settimeliness/internal/faultinject"
 )
 
-// Resilience configures the fault-tolerant coordinator path of campaign.Run:
+// Resilience makes campaign.Run's coordinator fault tolerant:
 // checkpointed, lease-based dispatch that survives worker crashes, hangs,
 // and coordinator death. Like the heartbeat and flight-recorder knobs, it
 // travels by context (Options.Resilience) so every campaign adapter gains
 // checkpoint/resume, self-healing dispatch, and fault injection without a
-// signature change. A context without the knob takes the original in-process
-// pool path, untouched.
+// signature change. Without it the same coordinator runs in-process workers
+// with no journal, no lease, no retries and no dispatch stats.
 type Resilience struct {
 	// Checkpoint is the journal path; "" disables checkpointing (the
 	// coordinator still leases, retries, and quarantines).

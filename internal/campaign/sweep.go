@@ -57,7 +57,7 @@ type slot[R any] struct {
 // RunSweep runs the sweep's cells as one campaign. Next to the report it
 // returns each job's Detail decoded as D (DecodeDetail, so fresh, resumed
 // and worker-process outcomes decode alike), indexed by job; a job that
-// carried none, or did not complete, keeps the zero D.
+// carried none, panicked or did not complete keeps the zero D.
 func RunSweep[K comparable, R, D any](ctx context.Context, s Sweep[K, R, D]) (*Report, []D, error) {
 	flightK := obs.FlightK(ctx)
 	build := func(k K) (*slot[R], error) {
@@ -109,7 +109,9 @@ func RunSweep[K comparable, R, D any](ctx context.Context, s Sweep[K, R, D]) (*R
 	details := make([]D, len(jobs))
 	cfg := s.Config
 	cfg.OnResult = func(o Outcome) {
-		if d, ok := DecodeDetail[D](o.Detail); ok {
+		// A panicked job's Detail is a PanicDetail, raw JSON once it crossed
+		// the worker wire or the journal: it is no D, whatever D accepts.
+		if d, ok := DecodeDetail[D](o.Detail); ok && o.Verdict != "panic" {
 			details[o.Job] = d
 		}
 		if s.OnResult != nil {

@@ -44,8 +44,8 @@ type Heartbeat struct {
 
 	// Dispatch carries the coordinator's self-healing counters (leases,
 	// requeues, expiries, worker deaths/respawns, checkpoint activity) on
-	// coordinated runs; nil on the plain in-process path. Timing-dependent
-	// telemetry, like the rates above.
+	// runs with a Resilience; nil without one. Timing-dependent telemetry,
+	// like the rates above.
 	Dispatch *DispatchStats `json:"dispatch,omitempty"`
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -32,7 +33,8 @@ func telemetryJobs(n int) []Job {
 }
 
 // Heartbeats fire at deterministic fold positions with deterministic
-// counting fields, at any worker count.
+// counting fields, at any worker count. Without Resilience no heartbeat and
+// no final snapshot carries dispatch stats, and every job runs once.
 func TestHeartbeatDeterministicPositions(t *testing.T) {
 	const jobs, every, seed = 10, 3, 42
 	type counts struct {
@@ -43,11 +45,26 @@ func TestHeartbeatDeterministicPositions(t *testing.T) {
 	collect := func(workers int) ([]counts, *Report) {
 		var beats []counts
 		ctx := WithOptions(context.Background(), Options{HeartbeatEvery: every, Heartbeat: func(hb Heartbeat) {
+			if hb.Dispatch != nil {
+				t.Errorf("heartbeat %d carries dispatch stats %+v", hb.Seq, hb.Dispatch)
+			}
 			beats = append(beats, counts{hb.Seq, hb.Completed, hb.Ok, hb.StepsSum, hb.Verdicts})
 		}})
-		rep, err := Run(ctx, Config{Workers: workers, Seed: seed}, telemetryJobs(jobs))
+		var calls atomic.Int32
+		js := telemetryJobs(jobs)
+		for i := range js {
+			run := js[i].Run
+			js[i].Run = func(ctx context.Context, seed int64) (Outcome, error) {
+				calls.Add(1)
+				return run(ctx, seed)
+			}
+		}
+		rep, err := Run(ctx, Config{Workers: workers, Seed: seed}, js)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if calls.Load() != jobs || rep.Telemetry.Dispatch != nil {
+			t.Fatalf("workers=%d: %d job runs, final dispatch %+v; want %d runs and none", workers, calls.Load(), rep.Telemetry.Dispatch, jobs)
 		}
 		return beats, rep
 	}

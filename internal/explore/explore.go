@@ -110,11 +110,14 @@ func (v *Violation) MarshalJSON() ([]byte, error) {
 // UnmarshalJSON rebuilds a violation from its emitted form, so a violation
 // recovered from a checkpoint journal (or the worker wire protocol) still
 // reports as one. The schedule comes back as text only and the error as its
-// message.
+// message; an object without an error is not a violation.
 func (v *Violation) UnmarshalJSON(data []byte) error {
 	var w violationJSON
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
+	}
+	if w.Err == "" {
+		return errors.New("explore: violation without err")
 	}
 	*v = Violation{Err: errors.New(w.Err), Flight: w.Flight, Trace: w.Trace, scheduleStr: w.Schedule}
 	return nil

@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"github.com/settimeliness/settimeliness/internal/campaign"
+	"github.com/settimeliness/settimeliness/internal/faultinject"
 	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sched"
 	"github.com/settimeliness/settimeliness/internal/sim"
@@ -235,6 +237,62 @@ func TestViolationMarshalJSON(t *testing.T) {
 	}
 	if got.Err != "disagreement: 10 vs 20" || got.Schedule == "" {
 		t.Errorf("marshaled violation = %s", data)
+	}
+}
+
+// TestPanickedJobIsNoViolation: a job that panics on a chosen run reports
+// as a failed job, never as a violation, in process and after its outcome
+// crossed a checkpoint journal (a crash right after its append, then
+// -resume), where its PanicDetail comes back as raw JSON.
+func TestPanickedJobIsNoViolation(t *testing.T) {
+	t.Parallel()
+	const total, chosen = 24, 9 // one run per job at this size
+	schedules := func() func(int) sched.Schedule {
+		return func(r int) sched.Schedule {
+			if r == chosen {
+				return sched.Schedule{1}
+			}
+			return sched.Schedule{1, 2}
+		}
+	}
+	exec := func(_ *Run, s sched.Schedule) error {
+		if len(s) == 1 {
+			panic("boom on the chosen run")
+		}
+		return nil
+	}
+	check := func(label string, ctx context.Context) *campaign.Report {
+		t.Helper()
+		rep, _, err := scheduleCampaign(ctx, 1, total, schedules, freshRuns, exec, nil)
+		if err != nil {
+			t.Fatalf("%s: got %v, want a failed job and no violation", label, err)
+		}
+		if len(rep.Failures) != 1 || rep.Failures[0].Job != chosen || rep.Failures[0].Verdict != "panic" {
+			t.Fatalf("%s: failures = %+v, want job %d with verdict panic", label, rep.Failures, chosen)
+		}
+		return rep
+	}
+	check("in-process", context.Background())
+
+	path := filepath.Join(t.TempDir(), "ck.jsonl")
+	plan, err := faultinject.Parse(fmt.Sprintf("crash@%d", chosen+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &campaign.Resilience{Checkpoint: path, Spec: campaign.Spec{Kind: "panic"}, Chaos: faultinject.New(plan, 1)}
+	_, _, err = scheduleCampaign(campaign.WithOptions(context.Background(), campaign.Options{Resilience: res}), 1, total, schedules, freshRuns, exec, nil)
+	var ie *campaign.InterruptedError
+	if !errors.As(err, &ie) || !ie.Injected {
+		t.Fatalf("chaos run: got %v, want an injected crash", err)
+	}
+	rep := check("resumed", campaign.WithOptions(context.Background(), campaign.Options{Resilience: &campaign.Resilience{Checkpoint: path, Spec: campaign.Spec{Kind: "panic"}, Resume: true}}))
+	// The journal already holds the failure, so StopOnFail runs nothing more.
+	if rep.Summary.Completed != chosen+1 || rep.Summary.Skipped != total-chosen-1 {
+		t.Errorf("resumed summary %+v, want the %d journaled jobs and the rest skipped", rep.Summary, chosen+1)
+	}
+
+	if err := json.Unmarshal([]byte(`{"message":"boom"}`), new(Violation)); err == nil {
+		t.Error("a PanicDetail object decoded as a Violation")
 	}
 }
 
