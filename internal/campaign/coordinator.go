@@ -352,6 +352,9 @@ func (c *coordinator) finish() (*Report, error) {
 
 // crash is the injected-coordinator-death exit: close the journal with
 // everything appended so far, then mangle its tail as the fault dictates.
+// It reports as done the outcomes a resume recovers: every resumed and
+// checkpointed one, plus the record whose append crashed when its tail is
+// clean (a torn or corrupt tail drops it).
 func (c *coordinator) crash(fault faultinject.TailFault) (*Report, error) {
 	if c.journal != nil {
 		_ = c.journal.Close()
@@ -366,10 +369,14 @@ func (c *coordinator) crash(fault faultinject.TailFault) (*Report, error) {
 			}
 		}
 	}
+	done := int(c.stats.Resumed + c.stats.Checkpointed)
+	if fault == faultinject.TailClean {
+		done++
+	}
 	rep := c.f.report(c.target, c.quarantined)
 	return rep, &InterruptedError{
 		Checkpoint: c.res.Checkpoint,
-		Done:       c.resolved,
+		Done:       done,
 		Jobs:       len(c.jobs),
 		Injected:   true,
 	}

@@ -188,8 +188,8 @@ func TestCrashResumeDeterministic(t *testing.T) {
 				}
 				tr.finish(t, rep)
 				assertTraceEqual(t, want, tr, label)
-				if rep.Telemetry.Dispatch.Resumed == 0 {
-					t.Error("resume recovered nothing from the journal")
+				if got := rep.Telemetry.Dispatch.Resumed; got == 0 || got != int64(ie.Done) {
+					t.Errorf("resume recovered %d jobs from the journal, the crash reported %d", got, ie.Done)
 				}
 			})
 		}
@@ -215,10 +215,10 @@ func TestResumeAfterEveryPrefix(t *testing.T) {
 		if !errors.As(err, &ie) {
 			t.Fatalf("crash@%d: err = %v", k, err)
 		}
-		// The crashing append itself is not counted as resolved, so k appends
-		// mean k-1 resolved jobs at the crash.
-		if ie.Done != k-1 {
-			t.Errorf("crash@%d: Done = %d, want %d", k, ie.Done, k-1)
+		// crash@k leaves a clean tail: the journal holds all k appends, the
+		// crashing one included, and a resume recovers them all.
+		if ie.Done != k {
+			t.Errorf("crash@%d: Done = %d, want %d", k, ie.Done, k)
 		}
 		tr := &runTrace{}
 		rep, err := Run(WithOptions(context.Background(), Options{Resilience: &Resilience{Checkpoint: path, Resume: true, Spec: spec}}),
@@ -228,6 +228,9 @@ func TestResumeAfterEveryPrefix(t *testing.T) {
 		}
 		tr.finish(t, rep)
 		assertTraceEqual(t, want, tr, fmt.Sprintf("crash@%d", k))
+		if got := rep.Telemetry.Dispatch.Resumed; got != int64(ie.Done) {
+			t.Errorf("crash@%d: resume recovered %d jobs, the crash reported %d", k, got, ie.Done)
+		}
 	}
 }
 

@@ -134,7 +134,8 @@ func (r *Resilience) clock() faultinject.Clock {
 type InterruptedError struct {
 	// Checkpoint is the journal path holding the completed outcomes.
 	Checkpoint string
-	// Done and Jobs count resolved versus total jobs at the interrupt.
+	// Done and Jobs count resolved versus total jobs at the interrupt; after
+	// an injected crash, Done counts the outcomes a resume recovers.
 	Done, Jobs int
 	// Injected marks a fault-injection crash (chaos testing) rather than a
 	// real signal.

@@ -7,6 +7,7 @@ import (
 
 	"github.com/settimeliness/settimeliness/internal/antiomega"
 	"github.com/settimeliness/settimeliness/internal/campaign"
+	"github.com/settimeliness/settimeliness/internal/obs"
 	"github.com/settimeliness/settimeliness/internal/sched"
 	"github.com/settimeliness/settimeliness/internal/sim"
 )
@@ -84,8 +85,8 @@ func RunConvergenceSweep(ctx context.Context, cfg ConvergenceConfig, seed int64,
 // the empirical timeliness graph of the schedule population, in the spirit
 // of Delporte-Gallet et al.'s timeliness-graph extraction.
 type RelationsConfig struct {
-	// N is the system size (keep small: the membership check enumerates
-	// all (P,Q) pairs with |P| = i, |Q| = j).
+	// N is the system size, 2..6 (the membership check enumerates pairs of
+	// subsets of Πn).
 	N int
 	// Bound is the Definition 1 constant tested; 0 means 4, and a negative
 	// bound is an error.
@@ -105,12 +106,26 @@ type RelationsConfig struct {
 // RelationKey names the tally bucket for membership in S^i_{j,n}.
 func RelationKey(i, j int) string { return fmt.Sprintf("S^%d_%d", i, j) }
 
+// relationsMaxN is the largest system size relations extraction supports.
+const relationsMaxN = 6
+
+// relationKeys tabulates RelationKey(i, j) for 1 ≤ i ≤ j ≤ n.
+func relationKeys(n int) (keys [relationsMaxN + 1][relationsMaxN + 1]string) {
+	for i := 1; i <= n; i++ {
+		for j := i; j <= n; j++ {
+			keys[i][j] = RelationKey(i, j)
+		}
+	}
+	return keys
+}
+
 // RunRelationsCampaign extracts the empirical timeliness relations of a
 // generated schedule population. Summary.Tallies[RelationKey(i,j)] counts
-// the schedules whose prefix witnesses S^i_{j,n} membership.
+// the schedules whose prefix witnesses S^i_{j,n} membership, which
+// obs.HeldClasses decides for the whole family of a schedule at once.
 func RunRelationsCampaign(ctx context.Context, cfg RelationsConfig, seed int64, onResult func(campaign.Outcome)) (*campaign.Report, error) {
-	if cfg.N < 2 || cfg.N > 6 {
-		return nil, fmt.Errorf("experiments: relations extraction supports 2 ≤ n ≤ 6, got %d", cfg.N)
+	if cfg.N < 2 || cfg.N > relationsMaxN {
+		return nil, fmt.Errorf("experiments: relations extraction supports 2 ≤ n ≤ %d, got %d", relationsMaxN, cfg.N)
 	}
 	if cfg.Bound < 0 || cfg.Steps < 0 || cfg.Schedules < 0 {
 		return nil, fmt.Errorf("experiments: relations extraction needs a non-negative bound, steps and schedules, got %d, %d and %d", cfg.Bound, cfg.Steps, cfg.Schedules)
@@ -128,6 +143,7 @@ func RunRelationsCampaign(ctx context.Context, cfg RelationsConfig, seed int64, 
 		random sched.RandomSource
 		buf    sched.Schedule
 	}
+	keys := relationKeys(cfg.N)
 	population := make([]campaign.Cell[struct{}], cfg.Schedules)
 	for idx := range population {
 		population[idx] = campaign.Cell[struct{}]{Name: fmt.Sprintf("schedule%d", idx), Hi: 1}
@@ -161,13 +177,11 @@ func RunRelationsCampaign(ctx context.Context, cfg RelationsConfig, seed int64, 
 			}
 			sched.FillBlock(src, sc.buf)
 			out.Tallies["schedules"] = 1
-			held := 0
+			classes, held := obs.HeldClasses(sc.buf, cfg.N, bound), 0
 			for i := 1; i <= cfg.N; i++ {
-				for j := i; j <= cfg.N; j++ {
-					if sched.InSystem(sc.buf, cfg.N, i, j, bound) {
-						out.Tallies[RelationKey(i, j)]++
-						held++
-					}
+				for j := i; j <= classes[i]; j++ {
+					out.Tallies[keys[i][j]]++
+					held++
 				}
 			}
 			out.Verdict, out.Ok, out.Steps = kind, true, held

@@ -79,7 +79,7 @@ func TestConvergenceSweepDeterministic(t *testing.T) {
 
 func TestRelationsCampaign(t *testing.T) {
 	t.Parallel()
-	cfg := RelationsConfig{N: 3, Bound: 4, Steps: 300, Schedules: 12, Generator: "mixed"}
+	cfg := RelationsConfig{N: 4, Bound: 4, Steps: 300, Schedules: 12, Generator: "mixed"}
 	run := func(workers int) campaign.Summary {
 		cfg := cfg
 		cfg.Workers = workers
@@ -101,12 +101,26 @@ func TestRelationsCampaign(t *testing.T) {
 	if got := s1.Tallies[RelationKey(1, 1)]; got != 12 {
 		t.Errorf("S^1_1 tally = %d, want 12", got)
 	}
-	// Monotonicity (Observation 3): membership in S^i_{j,n} implies
-	// membership in S^i'_{j,n} for i' ≥ i within i' ≤ j, so tallies cannot
-	// increase as j-i shrinks... check the simple containment S^1_3 ⊇ S^1_2.
-	if s1.Tallies[RelationKey(1, 3)] < s1.Tallies[RelationKey(1, 2)] {
-		t.Errorf("containment violated: S^1_3=%d < S^1_2=%d",
-			s1.Tallies[RelationKey(1, 3)], s1.Tallies[RelationKey(1, 2)])
+	// Observation 3: shrinking Q and enlarging P keep timeliness, so
+	// S^i_{j,n} ⊆ S^i_{j−1,n} and S^i_{j,n} ⊆ S^{i+1}_{j,n}, and no tally
+	// rises along either step of the staircase. On this population some
+	// step falls, so the check is not vacuous.
+	tally := func(i, j int) int { return s1.Tallies[RelationKey(i, j)] }
+	strict := false
+	for i := 1; i <= cfg.N; i++ {
+		for j := i + 1; j <= cfg.N; j++ {
+			for _, wider := range [][2]int{{i, j - 1}, {i + 1, j}} {
+				switch w := tally(wider[0], wider[1]); {
+				case tally(i, j) > w:
+					t.Errorf("containment violated: S^%d_%d = %d > S^%d_%d = %d", i, j, tally(i, j), wider[0], wider[1], w)
+				case tally(i, j) < w:
+					strict = true
+				}
+			}
+		}
+	}
+	if !strict {
+		t.Errorf("every step of the staircase is equal, the containment check is vacuous: %v", s1.Tallies)
 	}
 	if s1.Verdicts["random"] != 6 || s1.Verdicts["starver"] != 6 {
 		t.Errorf("generator split = %v", s1.Verdicts)

@@ -285,6 +285,10 @@ func TestPanickedJobIsNoViolation(t *testing.T) {
 	if !errors.As(err, &ie) || !ie.Injected {
 		t.Fatalf("chaos run: got %v, want an injected crash", err)
 	}
+	// crash@N leaves a clean tail, so the crashing record is checkpointed.
+	if ie.Done != chosen+1 {
+		t.Errorf("chaos run reports %d jobs checkpointed, want the %d a resume recovers", ie.Done, chosen+1)
+	}
 	rep := check("resumed", campaign.WithOptions(context.Background(), campaign.Options{Resilience: &campaign.Resilience{Checkpoint: path, Spec: campaign.Spec{Kind: "panic"}, Resume: true}}))
 	// The journal already holds the failure, so StopOnFail runs nothing more.
 	if rep.Summary.Completed != chosen+1 || rep.Summary.Skipped != total-chosen-1 {

@@ -20,8 +20,10 @@ const fuzzMaxSteps = 512
 // bound, an optional sliding window, a subset of the size classes, the
 // block sizes and the schedule itself (one byte per step, mapped onto Πn).
 // The monitor is fed in uneven blocks; at every block boundary each of its
-// queries must equal sched's answer on the same prefix, and sched.IsTimely
-// must agree with its own full scan. The schedule is then fed a second time
+// queries must equal sched's answer on the same prefix, sched.IsTimely
+// must agree with its own full scan, and HeldClasses must equal
+// sched.InSystem on every class i ≤ j of the family, at the probed bound
+// (below 1 included) and at bounds −1 to 6. The schedule is then fed a second time
 // after Reset, under the same checks. When the top byte of the class mask is
 // nonzero, the first feed stops after that many steps, so that Reset lands
 // after a partial feed.

@@ -110,6 +110,19 @@ func TestMonitorObserveAllocs(t *testing.T) {
 	}
 }
 
+// HeldClasses allocates nothing at any n of the relations family, with a
+// bound that holds classes and with one below 1.
+func TestHeldClassesAllocs(t *testing.T) {
+	for n := 2; n <= 6; n++ {
+		s := mixedSchedule(t, n, 3, 2000)
+		for _, bound := range []int{0, 4} {
+			if avg := testing.AllocsPerRun(10, func() { obs.HeldClasses(s, n, bound) }); avg != 0 {
+				t.Fatalf("n=%d bound %d: HeldClasses allocates %.1f times per call", n, bound, avg)
+			}
+		}
+	}
+}
+
 // BenchmarkMonitorGraph is the cost of one timeliness-graph query over the
 // whole family at n = 6, after 10,000 observed steps.
 func BenchmarkMonitorGraph(b *testing.B) {

@@ -34,7 +34,9 @@ func checkAgainstBatch(t *testing.T, m *obs.Monitor, s sched.Schedule, n int) {
 // prefix m has observed so far: MaxQGap, MinBound and IsTimely for every
 // tracked pair, Best and InSystem for every tracked class, Graph with the
 // probed bound, and RecentBest when cfg has a window. It also requires
-// sched.IsTimely to agree with its own full scan, MaxQGap < bound. This is
+// sched.IsTimely to agree with its own full scan, MaxQGap < bound, and
+// obs.HeldClasses to equal sched.InSystem on every class of the family at
+// each bound checked, and at bound −1. This is
 // the plane's core contract: online answers are bit-identical to sched's
 // offline ones on the same prefix.
 func checkPrefix(t *testing.T, m *obs.Monitor, cfg obs.MonitorConfig, s sched.Schedule, bound int) {
@@ -101,6 +103,20 @@ func checkPrefix(t *testing.T, m *obs.Monitor, cfg obs.MonitorConfig, s sched.Sc
 		}
 		if want := sched.InSystem(s, n, row.I, row.J, bound); row.Held != want {
 			t.Fatalf("after %d steps: Graph row S^%d_%d held = %v, sched.InSystem says %v", len(s), row.I, row.J, row.Held, want)
+		}
+	}
+	// HeldClasses decides the whole family, whatever m tracks.
+	for _, b := range append(bounds, -1) {
+		held := obs.HeldClasses(s, n, b)
+		for i := 1; i <= n; i++ {
+			for j := i; j <= n; j++ {
+				if got, want := j <= held[i], sched.InSystem(s, n, i, j, b); got != want {
+					t.Fatalf("after %d steps: HeldClasses(bound %d) has J(%d) = %d, but sched.InSystem(%d,%d) = %v", len(s), b, i, held[i], i, j, want)
+				}
+			}
+		}
+		if held[0] != 0 || slices.ContainsFunc(held[1:], func(j int) bool { return j > n }) || slices.ContainsFunc(held[n+1:], func(j int) bool { return j != 0 }) {
+			t.Fatalf("after %d steps: HeldClasses(bound %d) = %v, want entries outside 1..%d zero and none above it", len(s), b, held[:n+2], n)
 		}
 	}
 }

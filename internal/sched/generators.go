@@ -379,7 +379,10 @@ type rotatingStarver struct {
 	phaseIdx int
 	phaseLen int
 	pos      int
-	others   []procset.ID
+	// others[:nOthers] are the processes outside the phase's victim, in
+	// ascending order; otherPos is the next one scheduled.
+	others   [procset.MaxProcs]procset.ID
+	nOthers  int
 	otherPos int
 	growth   int
 }
@@ -405,9 +408,13 @@ func RotatingStarver(n, k, growth int) (Source, error) {
 func (r *rotatingStarver) startPhase(idx, round int) {
 	r.phaseIdx = idx
 	victim := r.victims[idx%len(r.victims)]
-	r.others = victim.Complement(r.n).Members()
+	r.nOthers = 0
+	for m := uint64(victim.Complement(r.n)); m != 0; m &= m - 1 {
+		r.others[r.nOthers] = procset.ID(bits.TrailingZeros64(m) + 1)
+		r.nOthers++
+	}
 	r.otherPos = 0
-	r.phaseLen = r.growth * round * len(r.others)
+	r.phaseLen = r.growth * round * r.nOthers
 	r.pos = 0
 }
 
@@ -418,7 +425,9 @@ func (r *rotatingStarver) Next() procset.ID {
 	}
 	r.pos++
 	p := r.others[r.otherPos]
-	r.otherPos = (r.otherPos + 1) % len(r.others)
+	if r.otherPos++; r.otherPos == r.nOthers {
+		r.otherPos = 0
+	}
 	return p
 }
 

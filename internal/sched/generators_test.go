@@ -265,6 +265,16 @@ func TestRotatingStarverAllCorrect(t *testing.T) {
 	}
 }
 
+// After construction the starver draws its steps without allocating,
+// across many phases (512 steps a block, phases of 4r steps in round r).
+func TestRotatingStarverNextBlockAllocs(t *testing.T) {
+	src := mustStarver(t, 6, 2).(BlockSource)
+	buf := make(Schedule, 512)
+	if avg := testing.AllocsPerRun(50, func() { src.NextBlock(buf) }); avg != 0 {
+		t.Fatalf("NextBlock allocates %.1f times per block", avg)
+	}
+}
+
 func TestRotatingStarverValidation(t *testing.T) {
 	t.Parallel()
 	if _, err := RotatingStarver(3, 3, 1); err == nil {
