@@ -9,10 +9,10 @@
 //	stm-campaign converge -n 4 -k 2 -t 2 -trials 64
 //	stm-campaign relations -n 4 -schedules 200
 //
-// Every subcommand is one entry of the commands table: its flags, and the
-// plan (params, run, render) it builds from them. One driver, execute, does
-// the rest for all of them and for worker processes: parse, validate,
-// begin the session, stream -jsonl, print findings, emit the summary and
+// Every subcommand is one entry of the commands table: its flags, each
+// numeric one with its domain, and the plan (params, run, render) it builds
+// from them. One driver, execute, does the rest for all of them and for
+// worker processes: parse, validate, begin the session, stream -jsonl, print findings, emit the summary and
 // map the outcome to the exit code.
 //
 // Global-ish flags on every campaign subcommand: -workers (0 = GOMAXPROCS),
@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"slices"
@@ -108,14 +109,49 @@ func runWorker() {
 // errUsage marks a bad command line whose problem was already printed.
 var errUsage = errors.New("usage")
 
-// flagError is a flag value out of its domain, found by a subcommand's
-// validation; unlike errUsage, its message has not been printed yet.
-type flagError struct{ msg string }
+// intRange is an int flag with the closed domain [lo, hi]: fs.Parse rejects
+// a value outside it, so an out-of-range flag is a usage error before any
+// plan is built.
+type intRange struct {
+	v      *int
+	lo, hi int
+}
 
-func (e *flagError) Error() string { return e.msg }
+// intIn defines an int flag whose value must lie in [lo, hi]
+// (hi = math.MaxInt: no upper bound).
+func intIn(fs *flag.FlagSet, name string, value, lo, hi int, usage string) *int {
+	v := new(int)
+	intVarIn(fs, v, name, value, lo, hi, usage)
+	return v
+}
 
-func badFlag(format string, args ...any) error {
-	return &flagError{fmt.Sprintf(format, args...)}
+func intVarIn(fs *flag.FlagSet, v *int, name string, value, lo, hi int, usage string) {
+	*v = value
+	r := &intRange{v: v, lo: lo, hi: hi}
+	fs.Var(r, name, usage+" (`int` "+r.domain()+")") // -h shows "-name int"
+}
+
+func (r *intRange) domain() string {
+	if r.hi == math.MaxInt {
+		return fmt.Sprintf("≥ %d", r.lo)
+	}
+	return fmt.Sprintf("in %d..%d", r.lo, r.hi)
+}
+
+func (r *intRange) String() string {
+	if r.v == nil { // the zero value flag.PrintDefaults probes
+		return "0"
+	}
+	return strconv.Itoa(*r.v)
+}
+
+func (r *intRange) Set(text string) error {
+	v, err := strconv.ParseInt(text, 0, strconv.IntSize)
+	if err != nil || v < int64(r.lo) || v > int64(r.hi) {
+		return fmt.Errorf("want an integer %s", r.domain())
+	}
+	*r.v = int(v)
+	return nil
 }
 
 // exitCode reports err on stderr and maps it to the process exit code.
@@ -127,10 +163,6 @@ func exitCode(prog string, err error) int {
 		return exitUsage
 	}
 	fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
-	var fe *flagError
-	if errors.As(err, &fe) {
-		return exitUsage
-	}
 	var ie *campaign.InterruptedError
 	var de *degradedError
 	switch {
@@ -206,8 +238,9 @@ type subcommand struct {
 	// standalone subcommands run no campaign: of the common flags they
 	// take only -seed, -json and -pprof.
 	standalone bool
-	// flags registers the subcommand's own flags and returns the function
-	// that, once they are parsed, validates them and builds the plan.
+	// flags registers the subcommand's own flags and returns prepare: once
+	// fs.Parse has checked each flag's domain, it checks what no single
+	// domain can and builds the plan; any error it returns is a usage error.
 	flags func(fs *flag.FlagSet, c *common) func() (*plan, error)
 }
 
@@ -246,6 +279,9 @@ func usage() {
 		fmt.Fprintf(os.Stderr, "  stm-campaign %-11s %s\n", cmd.name, cmd.synopsis)
 	}
 	fmt.Fprintln(os.Stderr, `T, K, N accept single values ("2") or inclusive ranges ("1:3").
+Each numeric flag declares its domain where it is registered (-h lists
+them); a value outside it, or any other bad flag, is a usage error (exit 2)
+before anything runs or is written.
 Common flags: -workers W (0 = GOMAXPROCS), -seed S, -json, -jsonl FILE,
 -progress N (heartbeat to stderr every N jobs), -pprof ADDR (pprof+expvar),
 -flight K (flight-recorder depth; every campaign but relations, which runs
@@ -289,11 +325,14 @@ func execute(ctx context.Context, name string, args []string, w io.Writer) error
 	} else if err != nil {
 		return fmt.Errorf("%w: %v", errUsage, err)
 	}
-	// Validate before any side effect, so a bad invocation leaves no
-	// stream file behind and starts no debug server.
+	// fs.Parse has checked every flag against its declared domain; prepare
+	// checks the rest (names, specs, flags that constrain each other). Both
+	// run before any side effect, so a bad invocation is a usage error that
+	// leaves no stream file behind and starts no debug server.
 	p, err := prepare()
 	if err != nil {
-		return err
+		fmt.Fprintf(fs.Output(), "stm-campaign %s: %v\n", name, err)
+		return fmt.Errorf("%w: %v", errUsage, err)
 	}
 	ctx, cleanup, err := c.begin(ctx, name, args, p.params)
 	if err != nil {
@@ -378,13 +417,13 @@ func (c *common) register(fs *flag.FlagSet, standalone bool) {
 	if standalone {
 		return
 	}
-	fs.IntVar(&c.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	intVarIn(fs, &c.workers, "workers", 0, 0, math.MaxInt, "worker pool size (0 = GOMAXPROCS)")
 	fs.StringVar(&c.jsonlOut, "jsonl", "", "stream one JSON record per job to this file")
-	fs.IntVar(&c.progress, "progress", 0, "emit a JSONL heartbeat to stderr every N completed jobs (0 = off)")
-	fs.IntVar(&c.flight, "flight", 0, "per-runner flight recorder depth, dumped on violation or panic (0 = off; relations runs no simulator and ignores it)")
+	intVarIn(fs, &c.progress, "progress", 0, 0, math.MaxInt, "emit a JSONL heartbeat to stderr every N completed jobs (0 = off)")
+	intVarIn(fs, &c.flight, "flight", 0, 0, math.MaxInt, "per-runner flight recorder depth, dumped on violation or panic (0 = off; relations runs no simulator and ignores it)")
 	fs.StringVar(&c.checkpoint, "checkpoint", "", "journal completed jobs to this file; interrupted runs resume from it")
 	fs.BoolVar(&c.resume, "resume", false, "resume from the -checkpoint journal, skipping completed jobs (aggregate stays bit-identical)")
-	fs.IntVar(&c.procs, "procs", 0, "dispatch jobs to this many child worker processes instead of in-process goroutines")
+	intVarIn(fs, &c.procs, "procs", 0, 0, math.MaxInt, "dispatch jobs to this many child worker processes instead of in-process goroutines (0 = none)")
 	fs.StringVar(&c.chaos, "chaos", "", `deterministic fault plan, e.g. "kill@3;stall@p0.05~300ms;trunc@7" (see usage)`)
 	fs.DurationVar(&c.lease, "lease", 0, "per-attempt deadline before a job is requeued as hung (0 = 1m)")
 	fs.IntVar(&c.retries, "retries", 0, "re-leases per job before quarantine (0 = 3, negative = none)")
@@ -583,15 +622,9 @@ func matrixCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	tRange := fs.String("t", "2", "resilience t (value or lo:hi range)")
 	kRange := fs.String("k", "2", "agreement parameter k (value or range)")
 	nRange := fs.String("n", "4", "system size n (value or range)")
-	posBudget := fs.Int("posbudget", 3_000_000, "step budget for solvable cells")
-	negBudget := fs.Int("negbudget", 300_000, "step horizon for unsolvable cells")
+	posBudget := intIn(fs, "posbudget", 3_000_000, 1, math.MaxInt, "step budget for solvable cells")
+	negBudget := intIn(fs, "negbudget", 300_000, 1, math.MaxInt, "step horizon for unsolvable cells")
 	return func() (*plan, error) {
-		switch {
-		case *posBudget < 1:
-			return nil, badFlag("-posbudget must be at least 1 (got %d)", *posBudget)
-		case *negBudget < 1:
-			return nil, badFlag("-negbudget must be at least 1 (got %d)", *negBudget)
-		}
 		var lo, hi [3]int // t, k, n
 		for i, text := range []string{*tRange, *kRange, *nRange} {
 			var err error
@@ -641,17 +674,11 @@ func matrixCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 
 func fuzzCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	target := fs.String("target", explore.TargetCommitAdopt, "protocol to fuzz (commitadopt|consensus|cachain|kset|bg)")
-	n := fs.Int("n", 4, "number of processes")
-	steps := fs.Int("steps", 300, "steps per schedule")
-	schedules := fs.Int("schedules", 1000, "number of schedules")
+	n := intIn(fs, "n", 4, 1, procset.MaxProcs, "number of processes")
+	steps := intIn(fs, "steps", 300, 1, math.MaxInt, "steps per schedule")
+	schedules := intIn(fs, "schedules", 1000, 1, math.MaxInt, "number of schedules")
 	crashSpec := fs.String("crashes", "", "crash patterns, e.g. \"p1@3;p2@0,p4@9\" (empty = failure-free)")
 	return func() (*plan, error) {
-		switch {
-		case *steps < 1:
-			return nil, badFlag("-steps must be at least 1 (got %d)", *steps)
-		case *schedules < 1:
-			return nil, badFlag("-schedules must be at least 1 (got %d)", *schedules)
-		}
 		patterns, err := parseCrashPatterns(*crashSpec)
 		if err != nil {
 			return nil, err
@@ -679,16 +706,10 @@ func fuzzCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 // on the campaign engine instead (the reduction's ground truth).
 func exhaustiveCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	target := fs.String("target", explore.TargetCommitAdopt, "protocol to explore (commitadopt|consensus|cachain|kset|bg)")
-	n := fs.Int("n", 2, "number of processes (1..4)")
-	depth := fs.Int("depth", 10, "schedule length (every schedule of exactly this depth)")
+	n := intIn(fs, "n", 2, 1, 4, "number of processes")
+	depth := intIn(fs, "depth", 10, 1, 24, "schedule length (every schedule of exactly this depth)")
 	reduce := fs.Bool("reduce", true, "prune commutation-equivalent schedules (sleep-set partial-order reduction)")
 	return func() (*plan, error) {
-		switch {
-		case *n < 1 || *n > 4:
-			return nil, badFlag("-n must be in 1..4 (got %d)", *n)
-		case *depth < 1 || *depth > 24:
-			return nil, badFlag("-depth must be in 1..24 (got %d)", *depth)
-		}
 		if *reduce && (c.resilienceRequested() || c.jsonlOut != "") {
 			return nil, fmt.Errorf("the reduced exhaustive sweep is a single sequential explorer; -jsonl and the checkpoint/chaos flags need the campaign engine (-reduce=false)")
 		}
@@ -770,16 +791,10 @@ func parseCrashPatterns(spec string) ([]map[procset.ID]int, error) {
 }
 
 func adversarialCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
-	n := fs.Int("n", 4, "number of processes (solver runs at k = t = n/2)")
-	steps := fs.Int("steps", 100_000, "step horizon per run")
-	runs := fs.Int("runs", 32, "number of runs (cycles through the crash-pattern population)")
+	n := intIn(fs, "n", 4, 2, procset.MaxProcs, "number of processes (solver runs at k = t = n/2)")
+	steps := intIn(fs, "steps", 100_000, 1, math.MaxInt, "step horizon per run")
+	runs := intIn(fs, "runs", 32, 1, math.MaxInt, "number of runs (cycles through the crash-pattern population)")
 	return func() (*plan, error) {
-		switch {
-		case *steps < 1:
-			return nil, badFlag("-steps must be at least 1 (got %d)", *steps)
-		case *runs < 1:
-			return nil, badFlag("-runs must be at least 1 (got %d)", *runs)
-		}
 		return &plan{
 			params: map[string]any{"n": *n, "steps": *steps, "runs": *runs},
 			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, any, error) {
@@ -800,21 +815,13 @@ func adversarialCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 // -workers and -procs.
 func byzantineCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	target := fs.String("target", explore.TargetConsensus, "workload: commitadopt|consensus|cachain|kset|bg|antiomega")
-	n := fs.Int("n", 3, "number of processes")
+	n := intIn(fs, "n", 3, 2, procset.MaxProcs, "number of processes")
 	crashRange := fs.String("crash", "0:1", "crash counts swept (value or lo:hi range)")
 	byzRange := fs.String("byz", "0:1", "Byzantine counts swept (value or lo:hi range)")
 	strategies := fs.String("strategies", "flip,stale,split", "comma-separated corruption strategies for byz ≥ 1 cells")
-	runs := fs.Int("runs", 32, "runs per cell (each draws its own fault population)")
-	steps := fs.Int("steps", 100_000, "step horizon per run")
+	runs := intIn(fs, "runs", 32, 1, math.MaxInt, "runs per cell (each draws its own fault population)")
+	steps := intIn(fs, "steps", 100_000, 1, math.MaxInt, "step horizon per run")
 	return func() (*plan, error) {
-		switch {
-		case *n < 2 || *n > procset.MaxProcs:
-			return nil, badFlag("-n must be in 2..%d (got %d)", procset.MaxProcs, *n)
-		case *runs < 1:
-			return nil, badFlag("-runs must be at least 1 (got %d)", *runs)
-		case *steps < 1:
-			return nil, badFlag("-steps must be at least 1 (got %d)", *steps)
-		}
 		crashLo, crashHi, err := parseRange(*crashRange)
 		if err != nil {
 			return nil, err
@@ -878,44 +885,28 @@ func byzantineCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 // grades an online obs.LinkMonitor extracted from the deliveries. The whole
 // matrix is invariant under -workers and -procs.
 func netconvCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
-	n := fs.Int("n", 4, "number of processes (the mixed matrix needs ≥ 3)")
+	n := intIn(fs, "n", 4, 2, procset.MaxProcs, "number of processes (the mixed matrix needs ≥ 3)")
 	matrices := fs.String("matrices", "", "comma-separated link matrices to sweep: sync,psync,async,mixed (empty = all)")
-	delta := fs.Int("delta", 2, "timely grades' delivery bound Δ")
-	gst := fs.Int("gst", 0, "partial-synchrony stabilization step (0 = steps/4)")
-	probe := fs.Int("probe", 0, "link monitor probe bound (0 = Δ + 3n(n−1), absorbing scheduling dilation)")
-	wild := fs.Int("wild", 0, "unbounded-regime delivery bound (0 = msgnet default)")
-	runs := fs.Int("runs", 32, "samples per matrix")
-	steps := fs.Int("steps", 20_000, "step horizon per run")
+	delta := intIn(fs, "delta", 2, 0, math.MaxInt, "timely grades' delivery bound Δ")
+	gst := intIn(fs, "gst", 0, 0, math.MaxInt, "partial-synchrony stabilization step (0 = steps/4)")
+	probe := intIn(fs, "probe", 0, 0, math.MaxInt, "link monitor probe bound (0 = Δ + 3n(n−1), absorbing scheduling dilation)")
+	wild := intIn(fs, "wild", 0, 0, math.MaxInt, "unbounded-regime delivery bound (0 = msgnet default)")
+	runs := intIn(fs, "runs", 32, 1, math.MaxInt, "samples per matrix")
+	steps := intIn(fs, "steps", 20_000, 1, math.MaxInt, "step horizon per run")
 	return func() (*plan, error) {
-		switch {
-		case *n < 2 || *n > procset.MaxProcs:
-			return nil, badFlag("-n must be in 2..%d (got %d)", procset.MaxProcs, *n)
-		case *runs < 1:
-			return nil, badFlag("-runs must be at least 1 (got %d)", *runs)
-		case *steps < 1:
-			return nil, badFlag("-steps must be at least 1 (got %d)", *steps)
-		case *delta < 0:
-			return nil, badFlag("-delta must not be negative (got %d)", *delta)
-		case *gst < 0:
-			return nil, badFlag("-gst must not be negative (got %d)", *gst)
-		case *probe < 0:
-			return nil, badFlag("-probe must not be negative (got %d)", *probe)
-		case *wild < 0:
-			return nil, badFlag("-wild must not be negative (got %d)", *wild)
-		}
 		var names []string
 		for _, m := range strings.Split(*matrices, ",") {
 			if m = strings.TrimSpace(m); m != "" {
 				// Δ and GST are already checked; this checks the name and
 				// the mixed matrix's n ≥ 3.
 				if _, _, err := msgnet.BuildMatrix(m, *n, 1, 0); err != nil {
-					return nil, badFlag("-matrices: %v", err)
+					return nil, fmt.Errorf("-matrices: %v", err)
 				}
 				names = append(names, m)
 			}
 		}
 		if len(names) == 0 && *n < 3 {
-			return nil, badFlag("-n %d: the %s matrix needs n ≥ 3, so name the others with -matrices", *n, msgnet.MatrixMixed)
+			return nil, fmt.Errorf("-n %d: the %s matrix needs n ≥ 3, so name the others with -matrices", *n, msgnet.MatrixMixed)
 		}
 		var cells []explore.NetCell
 		return &plan{
@@ -957,20 +948,12 @@ func convergeCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	n := fs.Int("n", 4, "system size n")
 	k := fs.Int("k", 2, "detector parameter k")
 	t := fs.Int("t", 2, "resilience t")
-	bound := fs.Int("bound", 4, "Definition 1 bound enforced by the generator")
-	trials := fs.Int("trials", 32, "independent trials")
-	maxSteps := fs.Int("maxsteps", 2_000_000, "step budget per trial")
+	bound := intIn(fs, "bound", 4, 1, math.MaxInt, "Definition 1 bound enforced by the generator")
+	trials := intIn(fs, "trials", 32, 1, math.MaxInt, "independent trials")
+	maxSteps := intIn(fs, "maxsteps", 2_000_000, 1, math.MaxInt, "step budget per trial")
 	return func() (*plan, error) {
-		switch {
-		case *bound < 1:
-			return nil, badFlag("-bound must be at least 1 (got %d)", *bound)
-		case *trials < 1:
-			return nil, badFlag("-trials must be at least 1 (got %d)", *trials)
-		case *maxSteps < 1:
-			return nil, badFlag("-maxsteps must be at least 1 (got %d)", *maxSteps)
-		}
 		if err := (antiomega.Config{N: *n, K: *k, T: *t}).Validate(); err != nil {
-			return nil, badFlag("%v", err)
+			return nil, err
 		}
 		return &plan{
 			params: map[string]any{"n": *n, "k": *k, "t": *t, "bound": *bound, "trials": *trials, "maxsteps": *maxSteps},
@@ -986,20 +969,12 @@ func convergeCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 }
 
 func relationsCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
-	n := fs.Int("n", 4, "system size n (2..6)")
-	bound := fs.Int("bound", 4, "Definition 1 bound tested")
-	steps := fs.Int("steps", 2000, "prefix length analyzed per schedule")
-	schedules := fs.Int("schedules", 100, "population size")
+	n := intIn(fs, "n", 4, 2, 6, "system size n")
+	bound := intIn(fs, "bound", 4, 1, math.MaxInt, "Definition 1 bound tested")
+	steps := intIn(fs, "steps", 2000, 1, math.MaxInt, "prefix length analyzed per schedule")
+	schedules := intIn(fs, "schedules", 100, 1, math.MaxInt, "population size")
 	gen := fs.String("gen", "mixed", "schedule generator: random|starver|mixed")
 	return func() (*plan, error) {
-		switch {
-		case *bound < 1:
-			return nil, badFlag("-bound must be at least 1 (got %d)", *bound)
-		case *steps < 1:
-			return nil, badFlag("-steps must be at least 1 (got %d)", *steps)
-		case *schedules < 1:
-			return nil, badFlag("-schedules must be at least 1 (got %d)", *schedules)
-		}
 		return &plan{
 			params: map[string]any{"n": *n, "bound": *bound, "steps": *steps, "schedules": *schedules, "gen": *gen},
 			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, any, error) {
@@ -1030,31 +1005,6 @@ func relationsCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	}
 }
 
-// segmentSwitcher alternates between two sources in fixed-length segments,
-// exercising the monitor across regime changes (random churn versus
-// adversarial starvation) within a single run. Both regimes recur forever,
-// so the correct set is the union.
-type segmentSwitcher struct {
-	a, b sched.Source
-	seg  int
-	pos  int
-	onB  bool
-}
-
-func (s *segmentSwitcher) Next() procset.ID {
-	if s.pos == s.seg {
-		s.pos, s.onB = 0, !s.onB
-	}
-	s.pos++
-	if s.onB {
-		return s.b.Next()
-	}
-	return s.a.Next()
-}
-
-func (s *segmentSwitcher) N() int               { return s.a.N() }
-func (s *segmentSwitcher) Correct() procset.Set { return s.a.Correct().Union(s.b.Correct()) }
-
 // monitorSource builds the schedule source for the monitor subcommand,
 // mirroring the relations campaign's generator choices.
 func monitorSource(gen string, n int, seed int64) (sched.Source, error) {
@@ -1076,9 +1026,11 @@ func monitorSource(gen string, n int, seed int64) (sched.Source, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &segmentSwitcher{a: a, b: b, seg: 512}, nil
+		// Random churn and adversarial starvation in 512-step segments:
+		// the monitor sees regime changes within one run.
+		return sched.Interleave(a, b, 512, 512)
 	default:
-		return nil, badFlag("unknown -gen %q (want random|starver|mixed)", gen)
+		return nil, fmt.Errorf("unknown -gen %q (want random|starver|mixed)", gen)
 	}
 }
 
@@ -1086,30 +1038,18 @@ func monitorSource(gen string, n int, seed int64) (sched.Source, error) {
 // schedule, printing the graph periodically and cross-checking the final
 // state against the batch extractor on the retained schedule.
 func monitorCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
-	n := fs.Int("n", 4, "system size n (2..6)")
+	n := intIn(fs, "n", 4, 2, 6, "system size n (the monitor tracks the full S^i_{j,n} family)")
 	gen := fs.String("gen", "mixed", "schedule generator: random|starver|mixed")
-	steps := fs.Int("steps", 4096, "steps to observe")
-	every := fs.Int("every", 1024, "print the timeliness graph every E steps (0 = final only)")
-	bound := fs.Int("bound", 4, "Definition 1 bound probed by the graph")
-	window := fs.Int("window", 0, "sliding-window size for the recent view (0 = cumulative only)")
+	steps := intIn(fs, "steps", 4096, 1, math.MaxInt, "steps to observe")
+	every := intIn(fs, "every", 1024, 0, math.MaxInt, "print the timeliness graph every E steps (0 = final only)")
+	bound := intIn(fs, "bound", 4, 1, math.MaxInt, "Definition 1 bound probed by the graph")
+	window := intIn(fs, "window", 0, 0, math.MaxInt, "length of the recent view, the graph of the last steps alone (0 = cumulative only)")
 	return func() (*plan, error) {
-		switch {
-		case *n < 2 || *n > 6:
-			return nil, badFlag("monitor tracks the full S^i_{j,n} family, which needs 2 <= n <= 6 (got %d)", *n)
-		case *steps < 1:
-			return nil, badFlag("-steps must be at least 1 (got %d)", *steps)
-		case *every < 0:
-			return nil, badFlag("-every must be at least 0 (got %d)", *every)
-		case *bound < 1:
-			return nil, badFlag("-bound must be at least 1 (got %d)", *bound)
-		case *window < 0:
-			return nil, badFlag("-window must be at least 0 (got %d)", *window)
-		}
 		src, err := monitorSource(*gen, *n, c.seed)
 		if err != nil {
 			return nil, err
 		}
-		m, err := obs.NewMonitor(obs.MonitorConfig{N: *n, Window: *window})
+		m, err := obs.NewMonitor(obs.MonitorConfig{N: *n})
 		if err != nil {
 			return nil, err
 		}
@@ -1120,17 +1060,16 @@ func monitorCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 					return map[string]any{"steps": m.Steps(), "graph": m.Graph(*bound)}
 				})
 			}
+			full := make(sched.Schedule, 0, *steps)
 			printGraphs := func() {
 				printGraph(w, fmt.Sprintf("timeliness graph after %d steps (bound %d)", m.Steps(), *bound), m.Graph(*bound), *n)
 				if *window > 0 {
-					win := len(m.WindowSchedule())
-					printGraph(w, fmt.Sprintf("recent view: last %d steps (bound %d)", win, *bound), m.RecentGraph(*bound), *n)
+					printGraph(w, fmt.Sprintf("recent view: last %d steps (bound %d)", min(*window, len(full)), *bound), recentGraph(full, *window, *n, *bound), *n)
 				}
 			}
 			// Feed the monitor in blocks (the bulk path the engines use),
 			// retaining the full schedule so the final state can be
 			// cross-checked below.
-			full := make(sched.Schedule, 0, *steps)
 			var block [256]procset.ID
 			nextPrint := *steps
 			if *every > 0 {
@@ -1177,7 +1116,7 @@ func monitorCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 					Recent   []obs.SystemStatus `json:"recent,omitempty"`
 				}{Campaign: "monitor", Params: p.params, Seed: c.seed, Steps: m.Steps(), Graph: m.Graph(*bound)}
 				if *window > 0 {
-					out.Recent = m.RecentGraph(*bound)
+					out.Recent = recentGraph(full, *window, *n, *bound)
 				}
 				return json.NewEncoder(w).Encode(out)
 			}
@@ -1189,6 +1128,21 @@ func monitorCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 		}
 		return p, nil
 	}
+}
+
+// recentGraph is the timeliness graph of the last min(window, len(full))
+// steps alone, by batch analysis of that tail.
+func recentGraph(full sched.Schedule, window, n, bound int) []obs.SystemStatus {
+	tail := full[len(full)-min(window, len(full)):]
+	var graph []obs.SystemStatus
+	for i := 1; i <= n; i++ {
+		for j := i; j <= n; j++ {
+			best := sched.BestPair(tail, n, i, j)
+			graph = append(graph, obs.SystemStatus{I: i, J: j, Held: best.MinBound <= bound, Best: best,
+				BestP: best.P.String(), BestQ: best.Q.String(), MinBound: best.MinBound})
+		}
+	}
+	return graph
 }
 
 func printGraph(w io.Writer, title string, graph []obs.SystemStatus, n int) {

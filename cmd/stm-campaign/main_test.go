@@ -7,9 +7,12 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -157,32 +160,6 @@ func TestRelationsCampaignSmoke(t *testing.T) {
 	}
 }
 
-// A relations bound, prefix length or population below 1 is a usage error
-// (exit 2) caught before the -jsonl stream is opened.
-func TestRelationsRejectsBadFlags(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	for _, flags := range [][]string{
-		{"-bound", "-2"},
-		{"-bound", "0"},
-		{"-steps", "-5"},
-		{"-steps", "0"},
-		{"-schedules", "0"},
-	} {
-		var out bytes.Buffer
-		args := append(flags, "-n", "3", "-jsonl", filepath.Join(dir, "r.jsonl"))
-		if code := exitCode("stm-campaign", execute(context.Background(), "relations", args, &out)); code != exitUsage {
-			t.Errorf("relations %v: exit %d, want %d", flags, code, exitUsage)
-		}
-		if out.Len() != 0 {
-			t.Errorf("relations %v printed a report:\n%s", flags, out.String())
-		}
-	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
-		t.Errorf("rejected relations invocations wrote %d file(s)", len(entries))
-	}
-}
-
 // A relations job that fails (a panicking analysis is one) makes the
 // subcommand exit 1 instead of printing a summary and exiting 0.
 func TestRelationsFailedJobsExitError(t *testing.T) {
@@ -199,94 +176,20 @@ func TestRelationsFailedJobsExitError(t *testing.T) {
 	}
 }
 
-// A fuzz schedule length or population below 1 is a usage error (exit 2)
-// caught before the -jsonl stream is opened.
-func TestFuzzRejectsBadFlags(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	for _, flags := range [][]string{
-		{"-steps", "-4"},
-		{"-steps", "0"},
-		{"-schedules", "-2"},
-		{"-schedules", "0"},
-	} {
+// requireUsageErrors runs each argv (the subcommand first), with a -jsonl
+// file in dir for a campaign subcommand, and requires a usage error (exit
+// 2) that printed nothing on stdout and left no file in dir.
+func requireUsageErrors(t *testing.T, dir string, argvs ...[]string) {
+	t.Helper()
+	for _, argv := range argvs {
+		args := slices.Clone(argv[1:])
+		if i := slices.IndexFunc(commands, func(cmd *subcommand) bool { return cmd.name == argv[0] }); i >= 0 && !commands[i].standalone {
+			args = append(args, "-jsonl", filepath.Join(dir, "out.jsonl"))
+		}
 		var out bytes.Buffer
-		args := append(flags, "-n", "3", "-jsonl", filepath.Join(dir, "f.jsonl"))
-		if code := exitCode("stm-campaign", execute(context.Background(), "fuzz", args, &out)); code != exitUsage {
-			t.Errorf("fuzz %v: exit %d, want %d", flags, code, exitUsage)
-		}
-		if out.Len() != 0 {
-			t.Errorf("fuzz %v printed a report:\n%s", flags, out.String())
-		}
-	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
-		t.Errorf("rejected fuzz invocations wrote %d file(s)", len(entries))
-	}
-}
-
-// TestNetconvRejectsBadFlags: every out-of-range netconv flag is a usage
-// error (exit 2) caught before any side effect — no report, no -jsonl file.
-func TestNetconvRejectsBadFlags(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	for _, flags := range [][]string{
-		{"-runs", "0"},
-		{"-steps", "0"},
-		{"-delta", "-1"},
-		{"-gst", "-5"},
-		{"-probe", "-1"},
-		{"-wild", "-3"},
-		{"-n", "1"},
-		{"-n", "65"},
-		{"-n", "2"},
-		{"-matrices", "bogus"},
-		{"-matrices", "sync,bogus"},
-		{"-n", "2", "-matrices", "mixed"},
-	} {
-		var out bytes.Buffer
-		args := append(flags, "-jsonl", filepath.Join(dir, "n.jsonl"))
-		if code := exitCode("stm-campaign", execute(context.Background(), "netconv", args, &out)); code != exitUsage {
-			t.Errorf("netconv %v: exit %d, want %d", flags, code, exitUsage)
-		}
-		if out.Len() != 0 {
-			t.Errorf("netconv %v printed a report:\n%s", flags, out.String())
-		}
-	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
-		t.Errorf("rejected netconv invocations wrote %d file(s)", len(entries))
-	}
-}
-
-// TestFlagProbesRejected: each out-of-range flag of converge, matrix,
-// adversarial, byzantine and exhaustive is a usage error (exit 2) caught
-// before any side effect — no report, no -jsonl file. Before these checks
-// some panicked, some exited 0 having checked nothing, and matrix reported
-// a bad budget as cells that did not match Theorem 27.
-func TestFlagProbesRejected(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	for _, argv := range [][]string{
-		{"converge", "-trials", "-2"},
-		{"converge", "-trials", "0"},
-		{"converge", "-maxsteps", "0"},
-		{"converge", "-bound", "0"},
-		{"converge", "-n", "3", "-k", "3", "-t", "1"},
-		{"matrix", "-negbudget", "0"},
-		{"matrix", "-posbudget", "-1"},
-		{"adversarial", "-runs", "0"},
-		{"adversarial", "-steps", "0"},
-		{"byzantine", "-runs", "0"},
-		{"byzantine", "-steps", "-1"},
-		{"byzantine", "-n", "1"},
-		{"exhaustive", "-depth", "-1", "-reduce=false"},
-		{"exhaustive", "-depth", "25", "-reduce=false"},
-		{"exhaustive", "-n", "5", "-reduce=false"},
-		{"exhaustive", "-n", "0"},
-	} {
-		var out bytes.Buffer
-		args := append(argv[1:], "-jsonl", filepath.Join(dir, "p.jsonl"))
-		if code := exitCode("stm-campaign", execute(context.Background(), argv[0], args, &out)); code != exitUsage {
-			t.Errorf("%v: exit %d, want %d", argv, code, exitUsage)
+		err := execute(context.Background(), argv[0], args, &out)
+		if code := exitCode("stm-campaign", err); code != exitUsage {
+			t.Errorf("%v: exit %d (%v), want %d", argv, code, err, exitUsage)
 		}
 		if out.Len() != 0 {
 			t.Errorf("%v printed a report:\n%s", argv, out.String())
@@ -295,6 +198,103 @@ func TestFlagProbesRejected(t *testing.T) {
 			t.Fatalf("%v wrote %d file(s)", argv, len(entries))
 		}
 	}
+}
+
+// flagSet registers cmd's flags on a fresh flag set, as execute does.
+func flagSet(cmd *subcommand) *flag.FlagSet {
+	fs := flag.NewFlagSet(cmd.name, flag.ContinueOnError)
+	var c common
+	c.register(fs, cmd.standalone)
+	cmd.flags(fs, &c)
+	return fs
+}
+
+// TestFlagDomains walks every subcommand's flag set and tries each flag
+// with a declared domain just outside it: one below its minimum and, where
+// it has a maximum, one above. fs.Parse must reject each before any side
+// effect. Every -n declares the range its library accepts.
+func TestFlagDomains(t *testing.T) {
+	t.Parallel()
+	wantN := map[string]string{
+		"fuzz": "in 1..64", "exhaustive": "in 1..4", "relations": "in 2..6", "monitor": "in 2..6",
+		"adversarial": "in 2..64", "byzantine": "in 2..64", "netconv": "in 2..64",
+	}
+	dir := t.TempDir()
+	for _, cmd := range commands {
+		base := campaignArgs[cmd.name]
+		if cmd.standalone {
+			base = []string{"-steps", "64"}
+		}
+		var bounded []string
+		flagSet(cmd).VisitAll(func(f *flag.Flag) {
+			r, ok := f.Value.(*intRange)
+			if !ok {
+				return
+			}
+			bounded = append(bounded, f.Name)
+			if f.Name == "n" && r.domain() != wantN[cmd.name] {
+				t.Errorf("%s -n declares %s, want %s", cmd.name, r.domain(), wantN[cmd.name])
+			}
+			bad := []int{r.lo - 1}
+			if r.hi != math.MaxInt {
+				bad = append(bad, r.hi+1)
+			}
+			for _, v := range bad {
+				requireUsageErrors(t, dir, slices.Concat([]string{cmd.name}, base, []string{"-" + f.Name, strconv.Itoa(v)}))
+			}
+		})
+		if _, ok := wantN[cmd.name]; ok && !slices.Contains(bounded, "n") {
+			t.Errorf("%s -n declares no domain", cmd.name)
+		}
+		if !cmd.standalone {
+			for _, name := range []string{"workers", "progress", "flight", "procs"} {
+				if !slices.Contains(bounded, name) {
+					t.Errorf("%s -%s declares no domain", cmd.name, name)
+				}
+			}
+		}
+	}
+}
+
+// TestFlagProbesRejected: a bad flag that no single domain catches (a
+// name, a spec, flags that constrain each other) is a usage error too,
+// caught by the plan's prepare step before any side effect. So is every
+// probe that once panicked, exited 1 after creating the -jsonl file, or
+// was accepted silently.
+func TestFlagProbesRejected(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	requireUsageErrors(t, dir,
+		[]string{"converge", "-n", "3", "-k", "3", "-t", "1"},
+		[]string{"matrix", "-t", "3:1"},
+		[]string{"matrix", "-k", "x"},
+		[]string{"matrix", "-t", "4", "-k", "1", "-n", "3"},
+		[]string{"fuzz", "-target", "bogus"},
+		[]string{"fuzz", "-crashes", "p1=3"},
+		[]string{"exhaustive", "-depth", "3"}, // the reduced sweep writes no -jsonl
+		[]string{"byzantine", "-crash", "5"},
+		[]string{"byzantine", "-byz", "1:2"},
+		[]string{"byzantine", "-strategies", "flip,none"},
+		[]string{"netconv", "-n", "2"}, // the mixed matrix, implied by no -matrices
+		[]string{"netconv", "-n", "2", "-matrices", "mixed"},
+		[]string{"netconv", "-matrices", "bogus"},
+		[]string{"netconv", "-matrices", "sync,bogus"},
+		[]string{"monitor", "-gen", "foo"},
+		// monitor runs no campaign: campaign flags are rejected, not ignored.
+		[]string{"monitor", "-checkpoint", filepath.Join(dir, "ck")},
+		[]string{"monitor", "-jsonl", filepath.Join(dir, "m.jsonl")},
+		[]string{"monitor", "-procs", "2"},
+		[]string{"monitor", "-workers", "2"},
+		// Once a panic, a late exit 1, or silently accepted.
+		[]string{"fuzz", "-procs", "-1"},
+		[]string{"fuzz", "-n", "0"},
+		[]string{"fuzz", "-n", "65"},
+		[]string{"adversarial", "-n", "1"},
+		[]string{"relations", "-n", "7"},
+		[]string{"fuzz", "-workers", "-3"},
+		[]string{"fuzz", "-progress", "-1"},
+		[]string{"fuzz", "-flight", "-1"},
+	)
 }
 
 // A fuzz job that fails (a panicking run is one) makes the subcommand exit
@@ -407,39 +407,6 @@ func TestMonitorJSON(t *testing.T) {
 	}
 	if rec.Campaign != "monitor" || rec.Steps != 600 || len(rec.Graph) != 6 {
 		t.Fatalf("record = %+v", rec)
-	}
-}
-
-// Every monitor flag out of its domain is a usage error (exit 2), and so is
-// any campaign flag: monitor runs no campaign, so those are rejected rather
-// than accepted and ignored.
-func TestMonitorRejectsBadFlags(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	for _, flags := range [][]string{
-		{"-n", "7"}, // full family tracking is bounded at 6
-		{"-n", "1"},
-		{"-steps", "0"},
-		{"-window", "-3"},
-		{"-every", "-5"},
-		{"-gen", "foo"},
-		{"-bound", "0"},
-		{"-checkpoint", filepath.Join(dir, "ck")},
-		{"-procs", "2"},
-		{"-jsonl", filepath.Join(dir, "m.jsonl")},
-		{"-workers", "2"},
-	} {
-		var out bytes.Buffer
-		err := execute(context.Background(), "monitor", append([]string{"-steps", "64"}, flags...), &out)
-		if code := exitCode("stm-campaign", err); code != exitUsage {
-			t.Errorf("monitor %v: exit %d (%v), want %d", flags, code, err, exitUsage)
-		}
-		if out.Len() != 0 {
-			t.Errorf("monitor %v printed a report:\n%s", flags, out.String())
-		}
-	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
-		t.Errorf("rejected monitor invocations wrote %d file(s)", len(entries))
 	}
 }
 

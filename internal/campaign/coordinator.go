@@ -154,12 +154,15 @@ func runCoordinated(parent context.Context, cfg Config, res *Resilience, jobs []
 		res = &noResilience
 	}
 	target := cfg.Workers
-	if res.Procs > 0 {
+	switch {
+	case res.Procs < 0:
+		return nil, fmt.Errorf("campaign: Resilience.Procs = %d is negative", res.Procs)
+	case res.Procs > 0:
 		if len(res.WorkerArgv) == 0 {
 			return nil, fmt.Errorf("campaign: Resilience.Procs = %d but no WorkerArgv to spawn", res.Procs)
 		}
 		target = res.Procs
-	} else if target <= 0 {
+	case target <= 0:
 		target = runtime.GOMAXPROCS(0)
 	}
 	target = max(1, min(target, len(jobs)))
@@ -571,6 +574,11 @@ func (c *coordinator) handle(ev coordEvent) (*Report, error, bool) {
 		ws.job, ws.expired = -1, false
 	}
 	c.deaths = 0
+	if ev.err != nil && c.ctx.Err() != nil && errors.Is(ev.err, c.ctx.Err()) {
+		// The job was cut short by the cancellation: it did not complete,
+		// so it is neither journaled nor folded, and a resume reruns it.
+		return nil, nil, false
+	}
 	if ev.err != nil {
 		// A job error is an infrastructure failure that aborts the
 		// campaign without a retry; the job folds as skipped.

@@ -548,3 +548,13 @@ func TestCoordinatedPanicIsolated(t *testing.T) {
 		t.Fatalf("summary = %+v", rep.Summary)
 	}
 }
+
+// A negative Resilience.Procs is an error before any worker starts, not a
+// panic in the process spawn.
+func TestNegativeProcsRejected(t *testing.T) {
+	t.Parallel()
+	rep, err := Run(WithOptions(context.Background(), Options{Resilience: &Resilience{Procs: -1}}), Config{Seed: 1}, workerTestJobs()[:4])
+	if err == nil || rep != nil {
+		t.Fatalf("Procs = -1: report %v, error %v; want no report and an error", rep, err)
+	}
+}

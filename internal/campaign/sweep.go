@@ -40,7 +40,7 @@ type Sweep[K comparable, R, D any] struct {
 	Run func(rig R, out *Outcome, j int, seed int64, i int) (stop bool, err error)
 	// Done, if set, completes job j's outcome after its last run; runs
 	// counts the runs executed, fewer than the cell's when the job stopped
-	// early or the campaign was cancelled.
+	// early. A job the campaign's cancellation cuts short has no outcome.
 	Done func(out *Outcome, j, runs int)
 }
 
@@ -137,7 +137,12 @@ func (s *Sweep[K, R, D]) job(ctx context.Context, sl *slot[R], j int, seed int64
 	sl.out = Outcome{Tallies: map[string]int{}}
 	c := &s.Cells[j]
 	runs := 0
-	for i := c.Lo; i < c.Hi && ctx.Err() == nil; i++ {
+	for i := c.Lo; i < c.Hi; i++ {
+		if err := ctx.Err(); err != nil {
+			// A partial outcome is no outcome: the coordinator neither
+			// folds nor journals a job cut short by the cancellation.
+			return Outcome{}, err
+		}
 		runs++
 		if sl.flight != nil {
 			// The ring keeps steps across Runner.Reset; a tail must hold

@@ -1,8 +1,11 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -125,5 +128,67 @@ func TestSweepKeyedPoolsAndDetails(t *testing.T) {
 	sweep.Cells = append(sweep.Cells, Cell[string]{Name: "x", Key: "bad", Hi: 1})
 	if rep, _, err := RunSweep(context.Background(), sweep); err == nil || rep != nil {
 		t.Errorf("bad key: report %v, error %v; want no report and the build error", rep, err)
+	}
+}
+
+// A checkpointed sweep cancelled in the middle of a job, then resumed,
+// streams byte for byte what an uninterrupted run streams: the job the
+// cancellation cut short is neither journaled nor folded, so the resume
+// runs it whole.
+func TestSweepCancelledMidJobResumesWhole(t *testing.T) {
+	t.Parallel()
+	sweep := func(cancel func()) Sweep[struct{}, struct{}, struct{}] {
+		cells := make([]Cell[struct{}], 5)
+		for j := range cells {
+			cells[j] = Cell[struct{}]{Name: fmt.Sprint("c", j), Lo: 4 * j, Hi: 4*j + 4}
+		}
+		return Sweep[struct{}, struct{}, struct{}]{
+			Config: Config{Workers: 1, Seed: 3},
+			Cells:  cells,
+			Build:  func(struct{}) (struct{}, error) { return struct{}{}, nil },
+			Run: func(_ struct{}, out *Outcome, j int, seed int64, i int) (bool, error) {
+				out.Tallies["runs"]++
+				out.Steps += i + int(uint64(seed)%7)
+				if cancel != nil && i == 9 { // the second run of job 2
+					cancel()
+				}
+				return false, nil
+			},
+			Done: func(out *Outcome, _, _ int) { out.Ok = true },
+		}
+	}
+	stream := func(ctx context.Context, s Sweep[struct{}, struct{}, struct{}]) ([]byte, error) {
+		var buf bytes.Buffer
+		sink, sinkErr := JSONLSink(&buf)
+		s.OnResult = sink
+		_, _, err := RunSweep(ctx, s)
+		if *sinkErr != nil {
+			t.Fatal(*sinkErr)
+		}
+		return buf.Bytes(), err
+	}
+	want, err := stream(context.Background(), sweep(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	res := &Resilience{Checkpoint: filepath.Join(t.TempDir(), "ck.jsonl"), Spec: Spec{Kind: "cut", Seed: 3}}
+	ctx, cancel := context.WithCancel(WithOptions(context.Background(), Options{Resilience: res}))
+	defer cancel()
+	_, err = stream(ctx, sweep(cancel))
+	var ie *InterruptedError
+	if !errors.As(err, &ie) {
+		t.Fatalf("cancelled run returned %v, want an InterruptedError", err)
+	}
+	if ie.Done != 2 {
+		t.Errorf("cancelled run checkpointed %d jobs, want 2 (job 2 was cut short)", ie.Done)
+	}
+	res.Resume = true
+	got, err := stream(WithOptions(context.Background(), Options{Resilience: res}), sweep(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("resumed stream differs from an uninterrupted run:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -1,7 +1,6 @@
 package live
 
 import (
-	"slices"
 	"testing"
 	"time"
 
@@ -219,7 +218,7 @@ func TestStopUnblocksGovernedProcesses(t *testing.T) {
 func TestLiveMonitorMatchesRecordedSchedule(t *testing.T) {
 	t.Parallel()
 	const n = 3
-	mon, err := obs.NewMonitor(obs.MonitorConfig{N: n, Window: 128})
+	mon, err := obs.NewMonitor(obs.MonitorConfig{N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +272,6 @@ func TestLiveMonitorMatchesRecordedSchedule(t *testing.T) {
 					t.Errorf("Best(%d,%d) = %+v, batch says %+v", i, j, got, want)
 				}
 			}
-		}
-		win := m.WindowSchedule()
-		if len(s) >= 128 && !slices.Equal(win, s[len(s)-128:]) {
-			t.Error("window does not match the schedule tail")
 		}
 	})
 }

@@ -17,8 +17,8 @@ const fuzzMaxSteps = 512
 
 // FuzzTimeliness pins the online monitor to the batch Definition 1
 // extractor on generated schedules. The input picks n in 2..6, the probed
-// bound, an optional sliding window, a subset of the size classes, the
-// block sizes and the schedule itself (one byte per step, mapped onto Πn).
+// bound, a subset of the size classes, the block sizes and the schedule
+// itself (one byte per step, mapped onto Πn).
 // The monitor is fed in uneven blocks; at every block boundary each of its
 // queries must equal sched's answer on the same prefix, sched.IsTimely
 // must agree with its own full scan, and HeldClasses must equal
@@ -26,9 +26,10 @@ const fuzzMaxSteps = 512
 // (below 1 included) and at bounds −1 to 6. The schedule is then fed a second time
 // after Reset, under the same checks. When the top byte of the class mask is
 // nonzero, the first feed stops after that many steps, so that Reset lands
-// after a partial feed.
+// after a partial feed. The third byte picked a sliding window the monitor
+// no longer has; it stays in the signature so the corpus keeps decoding.
 func FuzzTimeliness(f *testing.F) {
-	f.Fuzz(func(t *testing.T, nb uint8, bound int8, window uint8, classes uint32, split uint8, data []byte) {
+	f.Fuzz(func(t *testing.T, nb uint8, bound int8, _ uint8, classes uint32, split uint8, data []byte) {
 		n := 2 + int(nb)%5
 		if limit := fuzzMaxSteps >> max(0, n-4); len(data) > limit {
 			data = data[:limit]
@@ -37,7 +38,7 @@ func FuzzTimeliness(f *testing.F) {
 		for k, b := range data {
 			s[k] = procset.ID(1 + int(b)%n)
 		}
-		cfg := obs.MonitorConfig{N: n, Window: int(window), Sizes: fuzzSizes(n, classes)}
+		cfg := obs.MonitorConfig{N: n, Sizes: fuzzSizes(n, classes)}
 		m, err := obs.NewMonitor(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -48,10 +48,6 @@ type MonitorConfig struct {
 	// is only permitted for N ≤ 6 — the class count is exponential in N, so
 	// larger systems must name the classes they care about.
 	Sizes [][2]int
-	// Window, when positive, additionally retains the last Window observed
-	// steps in a ring, enabling the Recent* queries ("timely over the last
-	// W steps" rather than "timely over the whole run").
-	Window int
 }
 
 // defaultSizesMaxN bounds the system size for which the full class family
@@ -116,11 +112,6 @@ type Monitor struct {
 	byProc   [][]int32
 	snaps    []int64
 	snapStep []int
-
-	window  int
-	ring    []procset.ID
-	ringPos int
-	ringLen int
 }
 
 // NewMonitor builds a monitor. See MonitorConfig for the contract.
@@ -139,14 +130,8 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 			}
 		}
 	}
-	if cfg.Window < 0 {
-		return nil, fmt.Errorf("obs: negative window %d", cfg.Window)
-	}
-	m := &Monitor{n: cfg.N, window: cfg.Window, counts: make([]int64, cfg.N),
+	m := &Monitor{n: cfg.N, counts: make([]int64, cfg.N),
 		snaps: make([]int64, (cfg.N+1)*cfg.N), snapStep: make([]int, cfg.N+1)}
-	if cfg.Window > 0 {
-		m.ring = make([]procset.ID, cfg.Window)
-	}
 	for _, s := range sizes {
 		i, j := s[0], s[1]
 		if i < 1 || j < i || j > cfg.N {
@@ -251,25 +236,12 @@ func (m *Monitor) N() int { return m.n }
 // Steps returns the number of observed steps.
 func (m *Monitor) Steps() int { return m.steps }
 
-// Window returns the configured sliding-window length (0 = none).
-func (m *Monitor) Window() int { return m.window }
-
 // Observe feeds one step.
 func (m *Monitor) Observe(p procset.ID) {
 	if p < 1 || procset.ID(m.n) < p {
 		panic(fmt.Sprintf("obs: step by %v outside Π%d", p, m.n))
 	}
 	m.steps++
-	if m.ring != nil {
-		m.ring[m.ringPos] = p
-		m.ringPos++
-		if m.ringPos == len(m.ring) {
-			m.ringPos = 0
-		}
-		if m.ringLen < len(m.ring) {
-			m.ringLen++
-		}
-	}
 	m.counts[p-1]++
 	// A step by p closes the open window of every P containing p. That
 	// window holds the steps since P's last step (lastBy's), all by
@@ -350,7 +322,6 @@ func (m *Monitor) ObserveBlock(block []procset.ID) {
 // observed), retaining its configuration and allocations.
 func (m *Monitor) Reset() {
 	m.steps = 0
-	m.ringPos, m.ringLen = 0, 0
 	clear(m.counts)
 	// Every row is the all-zero start again, whichever member lastBy names.
 	clear(m.snaps)
@@ -474,57 +445,6 @@ func (m *Monitor) Graph(bound int) []SystemStatus {
 	for ci := range m.classes {
 		cl := &m.classes[ci]
 		best := m.best(cl)
-		out = append(out, SystemStatus{
-			I: cl.i, J: cl.j,
-			Held:     best.MinBound <= bound,
-			Best:     best,
-			BestP:    best.P.String(),
-			BestQ:    best.Q.String(),
-			MinBound: best.MinBound,
-		})
-	}
-	return out
-}
-
-// WindowSchedule materializes the retained sliding window (the last
-// min(Window, Steps) observed steps, oldest first). It returns nil when the
-// monitor was built without a window.
-func (m *Monitor) WindowSchedule() sched.Schedule {
-	if m.ring == nil {
-		return nil
-	}
-	out := make(sched.Schedule, 0, m.ringLen)
-	start := m.ringPos - m.ringLen
-	if start < 0 {
-		start += len(m.ring)
-	}
-	for i := 0; i < m.ringLen; i++ {
-		out = append(out, m.ring[(start+i)%len(m.ring)])
-	}
-	return out
-}
-
-// RecentBest answers Best over the sliding window only — "which (i, j)-pair
-// is timely *right now*" — by batch analysis of the retained ring (the
-// window is bounded, so recomputation is cheap relative to feeding). It
-// panics when the monitor has no window.
-func (m *Monitor) RecentBest(i, j int) sched.TimelyPair {
-	if m.ring == nil {
-		panic("obs: RecentBest on a monitor without a window")
-	}
-	return sched.BestPair(m.WindowSchedule(), m.n, i, j)
-}
-
-// RecentGraph is Graph over the sliding window only.
-func (m *Monitor) RecentGraph(bound int) []SystemStatus {
-	if m.ring == nil {
-		panic("obs: RecentGraph on a monitor without a window")
-	}
-	win := m.WindowSchedule()
-	out := make([]SystemStatus, 0, len(m.classes))
-	for ci := range m.classes {
-		cl := &m.classes[ci]
-		best := sched.BestPair(win, m.n, cl.i, cl.j)
 		out = append(out, SystemStatus{
 			I: cl.i, J: cl.j,
 			Held:     best.MinBound <= bound,

@@ -79,13 +79,12 @@ func BenchmarkMonitorFold(b *testing.B) {
 	}
 }
 
-// Observing a step allocates nothing, with or without a sliding window, at
-// every n of the full family and under a Sizes restriction; neither does
-// Reset.
+// Observing a step allocates nothing at every n of the full family and
+// under a Sizes restriction; neither does Reset.
 func TestMonitorObserveAllocs(t *testing.T) {
 	var cfgs []obs.MonitorConfig
 	for n := 2; n <= 6; n++ {
-		cfgs = append(cfgs, obs.MonitorConfig{N: n}, obs.MonitorConfig{N: n, Window: 64})
+		cfgs = append(cfgs, obs.MonitorConfig{N: n})
 	}
 	cfgs = append(cfgs, obs.MonitorConfig{N: 6, Sizes: [][2]int{{1, 6}, {3, 5}, {4, 5}}})
 	for _, cfg := range cfgs {

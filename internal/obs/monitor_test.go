@@ -32,13 +32,12 @@ func checkAgainstBatch(t *testing.T, m *obs.Monitor, s sched.Schedule, n int) {
 
 // checkPrefix compares every query of m with the batch extractor on s, the
 // prefix m has observed so far: MaxQGap, MinBound and IsTimely for every
-// tracked pair, Best and InSystem for every tracked class, Graph with the
-// probed bound, and RecentBest when cfg has a window. It also requires
-// sched.IsTimely to agree with its own full scan, MaxQGap < bound, and
-// obs.HeldClasses to equal sched.InSystem on every class of the family at
-// each bound checked, and at bound −1. This is
-// the plane's core contract: online answers are bit-identical to sched's
-// offline ones on the same prefix.
+// tracked pair, Best and InSystem for every tracked class, and Graph with
+// the probed bound. It also requires sched.IsTimely to agree with its own
+// full scan, MaxQGap < bound, and obs.HeldClasses to equal sched.InSystem
+// on every class of the family at each bound checked, and at bound −1.
+// This is the plane's core contract: online answers are bit-identical to
+// sched's offline ones on the same prefix.
 func checkPrefix(t *testing.T, m *obs.Monitor, cfg obs.MonitorConfig, s sched.Schedule, bound int) {
 	t.Helper()
 	n := cfg.N
@@ -78,12 +77,6 @@ func checkPrefix(t *testing.T, m *obs.Monitor, cfg obs.MonitorConfig, s sched.Sc
 		for _, b := range bounds {
 			if got, want := m.InSystem(i, j, b), sched.InSystem(s, n, i, j, b); got != want {
 				t.Fatalf("after %d steps: InSystem(%d,%d,%d) = %v, batch says %v", len(s), i, j, b, got, want)
-			}
-		}
-		if cfg.Window > 0 {
-			win := s[max(0, len(s)-cfg.Window):]
-			if got, want := m.RecentBest(i, j), sched.BestPair(win, n, i, j); got != want {
-				t.Fatalf("after %d steps: RecentBest(%d,%d) = %+v, batch over the last %d steps says %+v", len(s), i, j, got, want, len(win))
 			}
 		}
 	}
@@ -211,51 +204,13 @@ func TestMonitorFuzzEquivalence(t *testing.T) {
 	}
 }
 
-// The sliding window retains exactly the last Window steps and Recent*
-// queries analyze only that suffix.
-func TestMonitorWindow(t *testing.T) {
-	const n, steps, window = 4, 300, 64
-	s := sched.Take(mustSource(t, "random", n, 11), steps)
-	m := mustMonitor(t, obs.MonitorConfig{N: n, Window: window})
-	m.ObserveBlock(s)
-
-	win := m.WindowSchedule()
-	if !slices.Equal(win, s[steps-window:]) {
-		t.Fatalf("WindowSchedule = %v, want last %d steps", win, window)
-	}
-	for i := 1; i <= n; i++ {
-		for j := i; j <= n; j++ {
-			if got, want := m.RecentBest(i, j), sched.BestPair(s[steps-window:], n, i, j); got != want {
-				t.Fatalf("RecentBest(%d,%d) = %+v, want %+v", i, j, got, want)
-			}
-		}
-	}
-	rg := m.RecentGraph(4)
-	g := m.Graph(4)
-	if len(rg) != len(g) {
-		t.Fatalf("RecentGraph has %d rows, Graph has %d", len(rg), len(g))
-	}
-
-	// A partially filled window returns only what was observed.
-	m2 := mustMonitor(t, obs.MonitorConfig{N: n, Window: window})
-	m2.ObserveBlock(s[:10])
-	if got := m2.WindowSchedule(); !slices.Equal(got, s[:10]) {
-		t.Fatalf("partial window = %v, want first 10 steps", got)
-	}
-
-	// No window: WindowSchedule degrades to nil, Recent* panics.
-	if m3 := mustMonitor(t, obs.MonitorConfig{N: n}); m3.WindowSchedule() != nil {
-		t.Fatal("windowless monitor returned a window schedule")
-	}
-}
-
 // Reset returns the monitor to a fresh state without reallocation.
 func TestMonitorReset(t *testing.T) {
 	const n = 3
-	m := mustMonitor(t, obs.MonitorConfig{N: n, Window: 16})
+	m := mustMonitor(t, obs.MonitorConfig{N: n})
 	m.ObserveBlock(sched.Take(mustSource(t, "random", n, 5), 200))
 	m.Reset()
-	if m.Steps() != 0 || m.WindowSchedule() != nil && len(m.WindowSchedule()) != 0 {
+	if m.Steps() != 0 {
 		t.Fatal("Reset left observed state behind")
 	}
 	s := sched.Take(mustSource(t, "starver", n, 2), 150)
@@ -297,7 +252,7 @@ func TestMonitorSnapshotPaths(t *testing.T) {
 			"1234 4321 1234 11111111111 2 3 4 1 33 2 11111 4 2 1 333333 4 1 2 1"},
 		{"large-ps-only", obs.MonitorConfig{N: 5, Sizes: [][2]int{{3, 5}, {4, 4}, {4, 5}}}, "",
 			"12345 54321 5 1 555 2 3 4 5 1 5555 3 4 2 5 1 2 3 4 44 1 2 3 555 5"},
-		{"reset-after-partial-feed", obs.MonitorConfig{N: 4, Window: 5}, "1234 4 11 3",
+		{"reset-after-partial-feed", obs.MonitorConfig{N: 4}, "1234 4 11 3",
 			"333 2 4 1 22 3 4 1 2 44 1 3 2"},
 	}
 	for _, c := range cases {
@@ -420,7 +375,6 @@ func TestMonitorConfigValidation(t *testing.T) {
 		{N: 0},
 		{N: procset.MaxProcs + 1},
 		{N: 7}, // full family beyond the implicit limit
-		{N: 4, Window: -1},
 		{N: 4, Sizes: [][2]int{{2, 1}}},
 		{N: 4, Sizes: [][2]int{{0, 2}}},
 		{N: 4, Sizes: [][2]int{{1, 5}}},

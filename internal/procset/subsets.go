@@ -30,20 +30,8 @@ func KSubsets(n, k int) []Set {
 	if k == 0 {
 		return append(out, EmptySet)
 	}
-	// Gosper's hack: iterate bitmasks with exactly k bits in increasing order.
-	v := uint64(1)<<uint(k) - 1
-	limit := uint64(FullSet(n))
-	for v <= limit {
-		out = append(out, Set(v))
-		if v == 0 {
-			break
-		}
-		c := v & -v
-		r := v + c
-		if c == 0 || r == 0 { // overflow guard for n == 64
-			break
-		}
-		v = (((r ^ v) >> 2) / c) | r
+	for s, ok := FullSet(k), true; ok; s, ok = NextKSubset(s, n) {
+		out = append(out, s)
 	}
 	return out
 }
@@ -54,9 +42,13 @@ func NextKSubset(s Set, n int) (Set, bool) {
 	if s == 0 {
 		panic("procset: NextKSubset of empty set")
 	}
+	// Gosper's hack: the next larger bitmask with as many bits set.
 	v := uint64(s)
 	c := v & -v
 	r := v + c
+	if r == 0 { // the lowest run of ones reaches p64: s is the last
+		return 0, false
+	}
 	next := (((r ^ v) >> 2) / c) | r
 	if next > uint64(FullSet(n)) {
 		return 0, false
