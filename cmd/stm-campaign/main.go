@@ -12,8 +12,8 @@
 // Every subcommand is one entry of the commands table: its flags, each
 // numeric one with its domain, and the plan (params, run, render) it builds
 // from them. One driver, execute, does the rest for all of them and for
-// worker processes: parse, validate, begin the session, stream -jsonl, print findings, emit the summary and
-// map the outcome to the exit code.
+// worker processes: parse, validate, begin the session, stream -jsonl,
+// print findings, emit the summary and map the outcome to the exit code.
 //
 // Global-ish flags on every campaign subcommand: -workers (0 = GOMAXPROCS),
 // -seed, -json (machine-readable summary on stdout), -jsonl FILE (stream
