@@ -2,8 +2,11 @@ package explore
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -158,6 +161,52 @@ func TestByzantineConfigErrors(t *testing.T) {
 	for i, cfg := range bad {
 		if _, _, err := ByzantineCampaign(context.Background(), cfg, nil); err == nil {
 			t.Errorf("case %d accepted: %+v", i, cfg)
+		}
+	}
+}
+
+// byzGoldenTargets are the workloads TestByzantineMatchesGolden pins: the
+// five named targets and the byzantine-only detector.
+var byzGoldenTargets = []string{
+	TargetCommitAdopt, TargetConsensus, TargetCAChain, TargetKSet, TargetBG, TargetAntiOmega,
+}
+
+// TestByzantineMatchesGolden pins the degradation matrix of every target at
+// n = 3 and n = 4 against digests in testdata/byz_digests.txt: the SHA-256
+// of renderCells, violation traces and flight tails included. The sweep is
+// the CLI's "-crash 0:1 -byz 0:1" (0:2 at n = 4) with 6 runs of 3,000 steps
+// per cell, flight depth 16 and seed 3; its population holds violated cells
+// on consensus and kset and a degraded cell on kset.
+func TestByzantineMatchesGolden(t *testing.T) {
+	t.Parallel()
+	data, err := os.ReadFile("testdata/byz_digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(f[0], "#") {
+			want[f[0]] = f[1]
+		}
+	}
+	ctx := campaign.WithOptions(context.Background(), campaign.Options{Flight: 16})
+	for _, target := range byzGoldenTargets {
+		for _, n := range []int{3, 4} {
+			name := fmt.Sprintf("%s/n=%d", target, n)
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				_, cells, err := ByzantineCampaign(ctx, ByzConfig{
+					Target: target, N: n, CrashMax: 1, ByzMax: n - 2,
+					Runs: 6, Steps: 3000, Seed: 3, Workers: 2,
+				}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256([]byte(renderCells(t, cells)))
+				if got := hex.EncodeToString(sum[:]); got != want[name] {
+					t.Errorf("matrix digest %s, golden %s; matrix:\n%s", got, want[name], renderCells(t, cells))
+				}
+			})
 		}
 	}
 }
