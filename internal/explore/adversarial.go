@@ -40,7 +40,7 @@ func newAdversarialRun(cfg kset.Config) (*adversarialRun, error) {
 	}
 	runner, err := sim.NewRunner(sim.Config{
 		N:       cfg.N,
-		Machine: ag.Machine(func(p procset.ID) any { return int(p) * 10 }),
+		Machine: ag.Machine(ksetProposal),
 	})
 	if err != nil {
 		return nil, err
@@ -66,7 +66,7 @@ func (r *adversarialRun) one(crashed procset.Set, steps int) (verdict string, er
 	_, decided := r.adv.DriveDirected(r.runner, steps, 500, func() bool {
 		return !r.ag.DecidedSet().IsEmpty()
 	})
-	if cerr := checkKSet(r.cfg, r.ag); cerr != nil {
+	if cerr := checkKSet(r.cfg, r.ag, procset.EmptySet); cerr != nil {
 		return "violation", cerr
 	}
 	if decided {

@@ -29,9 +29,6 @@ import (
 	"github.com/settimeliness/settimeliness/internal/adversary"
 	"github.com/settimeliness/settimeliness/internal/antiomega"
 	"github.com/settimeliness/settimeliness/internal/campaign"
-	"github.com/settimeliness/settimeliness/internal/commitadopt"
-	"github.com/settimeliness/settimeliness/internal/consensus"
-	"github.com/settimeliness/settimeliness/internal/kset"
 	"github.com/settimeliness/settimeliness/internal/obs"
 	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sim"
@@ -83,111 +80,58 @@ type ByzCell struct {
 	Violation *Violation `json:"violation,omitempty"`
 }
 
-// byzRun is one reusable Byzantine rig: a NoRecycle direct-dispatch runner
-// for the workload, a pooled Byzantine director reconfigured per run, and
-// the honest-side check and progress hooks.
+// byzRun is one reusable Byzantine rig: the target's wiring on a NoRecycle
+// direct-dispatch runner, plus a pooled Byzantine director reconfigured per
+// run.
 type byzRun struct {
+	targetRig
 	n      int
 	runner *sim.Runner
 	dir    *adversary.Byzantine
-	// reset restores harness-side result slots before each run.
-	reset func()
-	// check applies the honest-only safety properties (corrupt processes'
-	// own outputs are exempt, except where unattributable).
-	check func(corrupt procset.Set) error
-	// progress reports whether every honest live process got its result —
-	// the run's liveness verdict and its early-stop condition.
-	progress func(honest procset.Set) bool
 }
 
 // newByzRun builds the rig for a target. Mutating directors retain and
 // replay register values, so every rig pins NoRecycle (see sim.WriteMutator).
 func newByzRun(target string, n int) (*byzRun, error) {
-	r := &byzRun{n: n}
-	cfg := sim.Config{N: n, NoRecycle: true}
-	switch target {
-	case TargetCommitAdopt:
-		results := make([]*caResult, n+1)
-		cfg.Machine = func(p procset.ID, regs sim.Registry) sim.Machine {
-			return commitadopt.NewProposeMachine(regs, "x", p, n, int(p), func(commit bool, val any) {
-				results[p] = &caResult{commit: commit, val: val}
-			})
-		}
-		r.reset = func() { clear(results) }
-		r.check = func(corrupt procset.Set) error { return checkCommitAdopt(n, honestOnly(results, corrupt)) }
-		r.progress = allHave(results)
-	case TargetConsensus:
-		decisions := make([]any, n+1)
-		cfg.Machine = func(p procset.ID, regs sim.Registry) sim.Machine {
-			return consensus.AttemptLoopMachine(regs, "c", p, n, int(p)*10, func(d any) {
-				decisions[p] = d
-			})
-		}
-		r.reset = func() { clear(decisions) }
-		r.check = func(corrupt procset.Set) error { return checkDecisions(n, honestOnly(decisions, corrupt)) }
-		r.progress = allHave(decisions)
-	case TargetCAChain:
-		decisions := make([]any, n+1)
-		cfg.Machine = func(p procset.ID, regs sim.Registry) sim.Machine {
-			return commitadopt.NewConsensusMachine(regs, "c", p, n, int(p)*10, func(val any) {
-				decisions[p] = val
-			})
-		}
-		r.reset = func() { clear(decisions) }
-		r.check = func(corrupt procset.Set) error { return checkDecisions(n, honestOnly(decisions, corrupt)) }
-		r.progress = allHave(decisions)
-	case TargetKSet:
-		kcfg := ksetConfig(n)
-		ag, err := kset.New(kcfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Machine = ag.Machine(func(p procset.ID) any { return int(p) * 10 })
-		r.reset = ag.Reset
-		r.check = func(corrupt procset.Set) error { return checkKSetAmong(kcfg, ag, corrupt) }
-		r.progress = func(honest procset.Set) bool {
-			for _, p := range honest.Members() {
-				if _, ok := ag.Decision(p); !ok {
-					return false
-				}
-			}
-			return true
-		}
-	case TargetBG:
-		simn, err := newBGSimulation(n)
-		if err != nil {
-			return nil, err
-		}
-		threads, _, _ := bgShape(n)
-		cfg.Machine = simn.Machine
-		r.reset = simn.Reset
-		// Thread decisions are joint work of all simulators — no honest-only
-		// restriction is possible, the full safety check applies.
-		r.check = func(procset.Set) error { return checkBG(n, simn) }
-		r.progress = func(procset.Set) bool {
-			for i := 1; i <= threads; i++ {
-				if _, ok := simn.ThreadDecision(i); !ok {
-					return false
-				}
-			}
-			return true
-		}
-	case TargetAntiOmega:
-		kt := n / 2
-		if kt < 1 {
-			kt = 1
-		}
-		acfg := antiomega.Config{N: n, K: kt, T: kt}
-		det, err := antiomega.NewDetector(acfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Machine = det.Machine
-		r.reset = det.Reset
-		// Anti-Ω's obligations are liveness-flavored; the checkable safety
-		// residue is structural: an honest process's published output is
-		// either absent or exactly n−k live candidates inside Πn.
-		r.check = func(corrupt procset.Set) error {
+	var rig targetRig
+	var err error
+	if target == TargetAntiOmega {
+		rig, err = antiOmegaRig(n)
+	} else if t, ok := targets[target]; ok {
+		rig, err = t.rig(n)
+	} else {
+		err = unknownTarget(target)
+	}
+	if err != nil {
+		return nil, err
+	}
+	runner, err := sim.NewRunner(sim.Config{N: n, NoRecycle: true, Machine: rig.machine})
+	if err != nil {
+		return nil, err
+	}
+	dir, err := adversary.NewByzantine(adversary.ByzantineConfig{N: n})
+	if err != nil {
+		runner.Close()
+		return nil, err
+	}
+	return &byzRun{targetRig: rig, n: n, runner: runner, dir: dir}, nil
+}
+
+// antiOmegaRig is the anti-Ω detector's wiring at k = t = n/2. Its
+// obligations are liveness-flavored; the checkable safety residue is
+// structural: an honest process's published output is either absent or
+// exactly n−k live candidates inside Πn.
+func antiOmegaRig(n int) (targetRig, error) {
+	kcfg := ksetConfig(n)
+	acfg := antiomega.Config{N: n, K: kcfg.K, T: kcfg.T}
+	det, err := antiomega.NewDetector(acfg, nil)
+	if err != nil {
+		return targetRig{}, err
+	}
+	return targetRig{
+		machine: det.Machine,
+		reset:   det.Reset,
+		check: func(corrupt procset.Set) error {
 			full := procset.FullSet(n)
 			for p := 1; p <= n; p++ {
 				id := procset.ID(p)
@@ -203,84 +147,16 @@ func newByzRun(target string, n int) (*byzRun, error) {
 				}
 			}
 			return nil
-		}
-		r.progress = func(honest procset.Set) bool {
+		},
+		progress: func(honest procset.Set) bool {
 			for _, p := range honest.Members() {
 				if det.Iterations(p) < 2 {
 					return false
 				}
 			}
 			return true
-		}
-	default:
-		return nil, fmt.Errorf("explore: unknown byzantine target %q (want %s, %s, %s, %s, %s, or %s)",
-			target, TargetCommitAdopt, TargetConsensus, TargetCAChain, TargetKSet, TargetBG, TargetAntiOmega)
-	}
-	runner, err := sim.NewRunner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	dir, err := adversary.NewByzantine(adversary.ByzantineConfig{N: n})
-	if err != nil {
-		runner.Close()
-		return nil, err
-	}
-	r.runner, r.dir = runner, dir
-	return r, nil
-}
-
-// honestOnly returns results with the corrupt processes' entries zeroed, so
-// a check written for the honest-only view can run unmodified.
-func honestOnly[T any](results []T, corrupt procset.Set) []T {
-	if corrupt.IsEmpty() {
-		return results
-	}
-	out := make([]T, len(results))
-	copy(out, results)
-	var zero T
-	for _, p := range corrupt.Members() {
-		out[p] = zero
-	}
-	return out
-}
-
-// allHave is the progress predicate for slot-per-process harnesses: every
-// honest live process delivered a result.
-func allHave[T comparable](results []T) func(procset.Set) bool {
-	var zero T
-	return func(honest procset.Set) bool {
-		for _, p := range honest.Members() {
-			if results[p] == zero {
-				return false
-			}
-		}
-		return true
-	}
-}
-
-// checkKSetAmong is checkKSet restricted to the processes outside skip:
-// validity and uniform k-agreement quantified over honest decisions only.
-func checkKSetAmong(cfg kset.Config, ag *kset.Agreement, skip procset.Set) error {
-	distinct := make(map[any]bool)
-	for p := 1; p <= cfg.N; p++ {
-		id := procset.ID(p)
-		if skip.Contains(id) {
-			continue
-		}
-		d, ok := ag.Decision(id)
-		if !ok {
-			continue
-		}
-		v, isInt := d.(int)
-		if !isInt || v%10 != 0 || v < 10 || v > 10*cfg.N {
-			return fmt.Errorf("p%d decided non-proposal %v", p, d)
-		}
-		distinct[d] = true
-	}
-	if len(distinct) > cfg.K {
-		return fmt.Errorf("%d distinct honest decisions, k = %d", len(distinct), cfg.K)
-	}
-	return nil
+		},
+	}, nil
 }
 
 // one executes a single Byzantine run: draw nothing (the caller drew the

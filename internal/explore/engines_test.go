@@ -44,23 +44,27 @@ func engineKSetConfig(target string, n int) kset.Config {
 	return ksetConfig(n)
 }
 
-// newEngineRig builds a fresh rig for target at n processes.
-func newEngineRig(t *testing.T, target string, n int, stamp bool) engineRig {
+// testRig builds target's production rig at n processes: a table target,
+// or one of the kset variants of engineKSetConfig.
+func testRig(t *testing.T, target string, n int) targetRig {
 	t.Helper()
 	var rig targetRig
 	var err error
-	switch target {
-	case TargetCommitAdopt:
-		rig = commitAdoptRig(n)
-	case TargetConsensus:
-		rig = consensusRig(n)
-	case TargetCAChain:
-		rig = caChainRig(n)
-	case TargetKSet, "kset-chain", "kset-trivial":
+	if p, ok := targets[target]; ok {
+		rig, err = p.rig(n)
+	} else {
 		rig, err = ksetRig(engineKSetConfig(target, n))
-	case TargetBG:
-		rig, err = bgRig(n)
-	case "heartbeat":
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rig
+}
+
+// newEngineRig builds a fresh rig for target at n processes.
+func newEngineRig(t *testing.T, target string, n int, stamp bool) engineRig {
+	t.Helper()
+	if target == "heartbeat" {
 		hb, err := msgnet.NewHeartbeat(msgnet.HeartbeatConfig{N: n, Stamp: stamp})
 		if err != nil {
 			t.Fatal(err)
@@ -87,16 +91,12 @@ func newEngineRig(t *testing.T, target string, n int, stamp bool) engineRig {
 				return fmt.Sprintf("leaders %v rounds %v agree (%v, %v) net %+v", leaders, rounds, leader, ok, net.Stats())
 			},
 		}
-	default:
-		t.Fatalf("no rig for %q", target)
 	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	rig := testRig(t, target, n)
 	return engineRig{
 		machine: rig.machine,
 		reset:   rig.reset,
-		verdict: func() string { return fmt.Sprint(rig.check()) },
+		verdict: func() string { return fmt.Sprint(rig.check(procset.EmptySet)) },
 	}
 }
 
@@ -105,15 +105,7 @@ func newEngineRig(t *testing.T, target string, n int, stamp bool) engineRig {
 func engineBuilder(target string, n int) Builder {
 	switch target {
 	case "kset-chain", "kset-trivial":
-		cfg := engineKSetConfig(target, n)
-		return func() (func(procset.ID) sim.Algorithm, func() error) {
-			ag, err := kset.New(cfg, nil)
-			if err != nil {
-				panic(err)
-			}
-			algo := ag.Algorithm(func(p procset.ID) any { return int(p) * 10 })
-			return algo, func() error { return checkKSet(cfg, ag) }
-		}
+		return ksetBuilder(engineKSetConfig(target, n))
 	case "heartbeat":
 		return nil
 	}

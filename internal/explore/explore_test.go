@@ -19,9 +19,17 @@ import (
 	"github.com/settimeliness/settimeliness/internal/sim"
 )
 
-// caBuilder is the exported commit-adopt target; the alias keeps the
-// historical test name.
-func caBuilder(n int) Builder { return CommitAdoptBuilder(n) }
+// caBuilder is the commit-adopt target's coroutine reference.
+func caBuilder(n int) Builder { return targets[TargetCommitAdopt].builder(n) }
+
+// caPooled is the commit-adopt target's pooled builder.
+func caPooled(n int) PooledBuilder {
+	build, err := PooledTargetBuilder(TargetCommitAdopt, n)
+	if err != nil {
+		panic(err)
+	}
+	return build
+}
 
 // exhaustiveFresh runs the full n^depth enumeration on the builder path
 // (a fresh coroutine run per schedule), for the mutants that have no
@@ -184,7 +192,7 @@ func TestExplorerCatchesBrokenCommitAdopt(t *testing.T) {
 // two different decisions or a non-proposal decision.
 func TestConsensusSafetyExhaustiveTiny(t *testing.T) {
 	t.Parallel()
-	_, runs, err := exhaustiveFresh(0, 2, 16, ConsensusBuilder(2), nil)
+	_, runs, err := exhaustiveFresh(0, 2, 16, targets[TargetConsensus].builder(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +223,7 @@ func TestFuzzValidation(t *testing.T) {
 		if _, _, err := FuzzCampaign(context.Background(), 0, 3, steps, 3, 0, nil, caBuilder(3), nil); err == nil {
 			t.Errorf("FuzzCampaign: steps = %d accepted", steps)
 		}
-		if _, _, err := FuzzPooledCampaign(context.Background(), 0, 3, steps, 3, 0, nil, CommitAdoptPooledBuilder(3), nil); err == nil {
+		if _, _, err := FuzzPooledCampaign(context.Background(), 0, 3, steps, 3, 0, nil, caPooled(3), nil); err == nil {
 			t.Errorf("FuzzPooledCampaign: steps = %d accepted", steps)
 		}
 	}
@@ -346,7 +354,7 @@ func TestViolationKeepsItsSchedule(t *testing.T) {
 		}
 	}
 	pooled := func() (*Run, error) {
-		run, err := CommitAdoptPooledBuilder(n)()
+		run, err := caPooled(n)()
 		if err == nil {
 			run.Check = failing(run.Check)
 		}

@@ -5,8 +5,8 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/settimeliness/settimeliness/internal/kset"
 	"github.com/settimeliness/settimeliness/internal/msgnet"
+	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sched"
 	"github.com/settimeliness/settimeliness/internal/sim"
 )
@@ -137,35 +137,13 @@ func TestPooledResetReusesLayouts(t *testing.T) {
 	}
 }
 
-// observedRig is a target's production wiring (see targetRig) on an
+// observedRig is a target's production wiring (see testRig) on an
 // observed runner, recording every step into *log. "kset-chain" is the kset
 // target on the commit-adopt chain engine, whose consensus rounds intern
 // registers as they are reached.
 func observedRig(t *testing.T, target string, n int, log *[]string) (*sim.Runner, targetRig) {
 	t.Helper()
-	var rig targetRig
-	var err error
-	switch target {
-	case TargetCommitAdopt:
-		rig = commitAdoptRig(n)
-	case TargetConsensus:
-		rig = consensusRig(n)
-	case TargetCAChain:
-		rig = caChainRig(n)
-	case TargetKSet:
-		rig, err = ksetRig(ksetConfig(n))
-	case "kset-chain":
-		cfg := ksetConfig(n)
-		cfg.Engine = kset.EngineCommitAdopt
-		rig, err = ksetRig(cfg)
-	case TargetBG:
-		rig, err = bgRig(n)
-	default:
-		t.Fatalf("no rig for %q", target)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	rig := testRig(t, target, n)
 	runner, err := sim.NewRunner(sim.Config{
 		N:       n,
 		Machine: rig.machine,
@@ -218,7 +196,7 @@ func TestResetMatchesFreshObserved(t *testing.T) {
 					t.Fatalf("step %d diverges:\nreset: %s\nfresh: %s", i, reusedLog[i], freshLog[i])
 				}
 			}
-			if a, b := fmt.Sprint(reusedRig.check()), fmt.Sprint(freshRig.check()); a != b {
+			if a, b := fmt.Sprint(reusedRig.check(procset.EmptySet)), fmt.Sprint(freshRig.check(procset.EmptySet)); a != b {
 				t.Fatalf("verdicts differ: reset %s, fresh %s", a, b)
 			}
 			if got, want := reused.Registers(), fresh.Registers(); got != want {

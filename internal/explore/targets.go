@@ -11,14 +11,17 @@ import (
 	"github.com/settimeliness/settimeliness/internal/sim"
 )
 
-// Named fuzz targets: ready-made builders for the protocols whose safety the
-// explorer guards, used by cmd/stm-campaign and reusable from tests. Every
-// target exists in two forms with bit-identical verdicts: a Builder (fresh
-// coroutine run per schedule) and a PooledBuilder (per-worker reusable run
-// on the protocol's direct-dispatch Machine port). Each returned builder is
+// Named targets: the protocols whose safety the explorer guards, each
+// defined once in the targets table and reached by name from
+// cmd/stm-campaign and the tests. Every target exists in two forms with
+// bit-identical verdicts: a Builder (the coroutine reference, a fresh run
+// per schedule) and a targetRig (the direct-dispatch Machine wiring), which
+// the pooled fuzz and exhaustive paths run on a reusable runner and the
+// Byzantine sweep runs under a corrupting director. Builders and rigs are
 // safe for concurrent use by campaign workers.
 
-// Target names accepted by TargetBuilder and PooledTargetBuilder.
+// Target names accepted by TargetBuilder, PooledTargetBuilder and
+// ByzantineCampaign.
 const (
 	TargetCommitAdopt = "commitadopt"
 	TargetConsensus   = "consensus"
@@ -33,59 +36,108 @@ const (
 	TargetBG = "bg"
 )
 
+// protocol is one named target in its two forms.
+type protocol struct {
+	// builder is the coroutine reference for n processes.
+	builder func(n int) Builder
+	// rig builds the direct-dispatch wiring for n processes, validating
+	// the target's parameters.
+	rig func(n int) (targetRig, error)
+}
+
+// targetRig is one target's direct-dispatch wiring: the per-process
+// machine factory plus the harness hooks over its result slots.
+type targetRig struct {
+	machine func(procset.ID, sim.Registry) sim.Machine
+	// reset restores the result slots before each run.
+	reset func()
+	// check applies the safety properties to the processes outside corrupt:
+	// a Byzantine process's own outputs carry no obligations. The pooled
+	// path passes the empty set.
+	check func(corrupt procset.Set) error
+	// progress reports whether every process in honest got its result —
+	// a Byzantine run's liveness verdict and its early-stop condition.
+	progress func(honest procset.Set) bool
+}
+
+// targets is the one definition of every named target.
+var targets = map[string]protocol{
+	TargetCommitAdopt: {commitAdoptBuilder, commitAdoptRig},
+	TargetConsensus:   attemptTarget(consensus.NewInstance, consensus.AttemptLoopMachine),
+	TargetCAChain:     attemptTarget(commitadopt.NewConsensus, commitadopt.NewConsensusMachine),
+	TargetKSet: {
+		builder: func(n int) Builder { return ksetBuilder(ksetConfig(n)) },
+		rig:     func(n int) (targetRig, error) { return ksetRig(ksetConfig(n)) },
+	},
+	TargetBG: {bgBuilder, bgRig},
+}
+
 func unknownTarget(name string) error {
-	return fmt.Errorf("explore: unknown fuzz target %q (want %s, %s, %s, %s, or %s)",
-		name, TargetCommitAdopt, TargetConsensus, TargetCAChain, TargetKSet, TargetBG)
+	return fmt.Errorf("explore: unknown target %q (want %s, %s, %s, %s, or %s; the byzantine sweep also takes %s)",
+		name, TargetCommitAdopt, TargetConsensus, TargetCAChain, TargetKSet, TargetBG, TargetAntiOmega)
+}
+
+// lookup returns the named target after building its rig once for n
+// processes, so a bad name or n surfaces as an error before any campaign
+// worker runs.
+func lookup(name string, n int) (protocol, error) {
+	t, ok := targets[name]
+	if !ok {
+		return protocol{}, unknownTarget(name)
+	}
+	if n < 1 || n > procset.MaxProcs {
+		return protocol{}, fmt.Errorf("explore: n = %d out of range [1,%d]", n, procset.MaxProcs)
+	}
+	_, err := t.rig(n)
+	return t, err
 }
 
 // TargetBuilder returns the named builder (fresh-run path) for n processes.
-// Parameterized targets (kset, bg) are validated here, so a bad n surfaces
-// as an error before any campaign worker runs.
 func TargetBuilder(name string, n int) (Builder, error) {
-	switch name {
-	case TargetCommitAdopt:
-		return CommitAdoptBuilder(n), nil
-	case TargetConsensus:
-		return ConsensusBuilder(n), nil
-	case TargetCAChain:
-		return CAChainBuilder(n), nil
-	case TargetKSet:
-		if _, err := kset.New(ksetConfig(n), nil); err != nil {
-			return nil, err
-		}
-		return KSetBuilder(n), nil
-	case TargetBG:
-		if _, err := newBGSimulation(n); err != nil {
-			return nil, err
-		}
-		return BGBuilder(n), nil
-	default:
-		return nil, unknownTarget(name)
+	t, err := lookup(name, n)
+	if err != nil {
+		return nil, err
 	}
+	return t.builder(n), nil
 }
 
-// PooledTargetBuilder returns the named pooled builder for n processes. All
-// targets now run their direct-dispatch Machine ports.
+// PooledTargetBuilder returns the named pooled builder for n processes: one
+// direct-dispatch runner per Run, machines rebuilt by Runner.Reset.
 func PooledTargetBuilder(name string, n int) (PooledBuilder, error) {
-	switch name {
-	case TargetCommitAdopt:
-		return CommitAdoptPooledBuilder(n), nil
-	case TargetConsensus:
-		return ConsensusPooledBuilder(n), nil
-	case TargetCAChain:
-		return CAChainPooledBuilder(n), nil
-	case TargetKSet:
-		if _, err := kset.New(ksetConfig(n), nil); err != nil {
+	t, err := lookup(name, n)
+	if err != nil {
+		return nil, err
+	}
+	return func() (*Run, error) {
+		rig, err := t.rig(n)
+		if err != nil {
 			return nil, err
 		}
-		return KSetPooledBuilder(n), nil
-	case TargetBG:
-		if _, err := newBGSimulation(n); err != nil {
+		runner, err := sim.NewRunner(sim.Config{N: n, Machine: rig.machine})
+		if err != nil {
 			return nil, err
 		}
-		return BGPooledBuilder(n), nil
-	default:
-		return nil, unknownTarget(name)
+		return &Run{Runner: runner, Reset: rig.reset, Check: func() error { return rig.check(procset.EmptySet) }}, nil
+	}, nil
+}
+
+// slotRig is the rig of a target whose harness keeps one result slot per
+// process: reset clears the slots, and a process has progressed once its
+// slot is set.
+func slotRig[T comparable](slots []T, machine func(procset.ID, sim.Registry) sim.Machine, check func(procset.Set) error) targetRig {
+	var zero T
+	return targetRig{
+		machine: machine,
+		reset:   func() { clear(slots) },
+		check:   check,
+		progress: func(honest procset.Set) bool {
+			for _, p := range honest.Members() {
+				if slots[p] == zero {
+					return false
+				}
+			}
+			return true
+		},
 	}
 }
 
@@ -95,13 +147,13 @@ type caResult struct {
 	val    any
 }
 
-// checkCommitAdopt enforces validity, agreement on commit, and that every
-// finisher adopted the committed value.
-func checkCommitAdopt(n int, results []*caResult) error {
+// checkCommitAdopt enforces, over the processes outside skip, validity,
+// agreement on commit, and that every finisher adopted the committed value.
+func checkCommitAdopt(n int, results []*caResult, skip procset.Set) error {
 	var committed any
 	for p := 1; p <= n; p++ {
 		r := results[p]
-		if r == nil {
+		if r == nil || skip.Contains(procset.ID(p)) {
 			continue // did not finish within this schedule: fine
 		}
 		v, ok := r.val.(int)
@@ -119,17 +171,16 @@ func checkCommitAdopt(n int, results []*caResult) error {
 		return nil
 	}
 	for p := 1; p <= n; p++ {
-		if r := results[p]; r != nil && r.val != committed {
+		if r := results[p]; r != nil && !skip.Contains(procset.ID(p)) && r.val != committed {
 			return fmt.Errorf("p%d carries %v, committed %v", p, r.val, committed)
 		}
 	}
 	return nil
 }
 
-// CommitAdoptBuilder builds a commit-adopt run where each process proposes
-// its id; the check enforces validity, agreement on commit, and that every
-// finisher adopted the committed value.
-func CommitAdoptBuilder(n int) Builder {
+// commitAdoptBuilder builds a commit-adopt run where each process proposes
+// its id.
+func commitAdoptBuilder(n int) Builder {
 	return func() (func(procset.ID) sim.Algorithm, func() error) {
 		results := make([]*caResult, n+1)
 		algo := func(p procset.ID) sim.Algorithm {
@@ -139,61 +190,28 @@ func CommitAdoptBuilder(n int) Builder {
 				results[p] = &caResult{commit: c, val: v}
 			}
 		}
-		return algo, func() error { return checkCommitAdopt(n, results) }
+		return algo, func() error { return checkCommitAdopt(n, results, procset.EmptySet) }
 	}
 }
 
-// targetRig is one pooled target's wiring: the per-process machine factory
-// plus the harness hooks a Run carries. The pooled builders run it on an
-// observer-free runner; the reset tests attach an observer to the same
-// wiring.
-type targetRig struct {
-	machine func(procset.ID, sim.Registry) sim.Machine
-	reset   func()
-	check   func() error
-}
-
-// pooledBuilder returns the PooledBuilder running rig's wiring for n
-// processes, one fresh rig per Run.
-func pooledBuilder(n int, rig func() (targetRig, error)) PooledBuilder {
-	return func() (*Run, error) {
-		r, err := rig()
-		if err != nil {
-			return nil, err
-		}
-		runner, err := sim.NewRunner(sim.Config{N: n, Machine: r.machine})
-		if err != nil {
-			return nil, err
-		}
-		return &Run{Runner: runner, Reset: r.reset, Check: r.check}, nil
-	}
-}
-
-// CommitAdoptPooledBuilder is CommitAdoptBuilder on the pooled path: one
-// direct-dispatch runner per worker, machines rebuilt by Runner.Reset.
-func CommitAdoptPooledBuilder(n int) PooledBuilder {
-	return pooledBuilder(n, func() (targetRig, error) { return commitAdoptRig(n), nil })
-}
-
-func commitAdoptRig(n int) targetRig {
+func commitAdoptRig(n int) (targetRig, error) {
 	results := make([]*caResult, n+1)
-	return targetRig{
-		machine: func(p procset.ID, regs sim.Registry) sim.Machine {
+	return slotRig(results,
+		func(p procset.ID, regs sim.Registry) sim.Machine {
 			return commitadopt.NewProposeMachine(regs, "x", p, n, int(p), func(commit bool, val any) {
 				results[p] = &caResult{commit: commit, val: val}
 			})
 		},
-		reset: func() { clear(results) },
-		check: func() error { return checkCommitAdopt(n, results) },
-	}
+		func(skip procset.Set) error { return checkCommitAdopt(n, results, skip) }), nil
 }
 
-// checkDecisions enforces that decisions are proposals (10·p) and agree.
-func checkDecisions(n int, decisions []any) error {
+// checkDecisions enforces, over the processes outside skip, that decisions
+// are proposals (10·p) and agree.
+func checkDecisions(n int, decisions []any, skip procset.Set) error {
 	var first any
 	for p := 1; p <= n; p++ {
 		d := decisions[p]
-		if d == nil {
+		if d == nil || skip.Contains(procset.ID(p)) {
 			continue
 		}
 		v, ok := d.(int)
@@ -209,90 +227,65 @@ func checkDecisions(n int, decisions []any) error {
 	return nil
 }
 
-// ConsensusBuilder builds contending Disk-Paxos proposers (process p
-// repeatedly attempts value 10p); the check enforces that decisions are
-// proposals and agree.
-func ConsensusBuilder(n int) Builder {
-	return func() (func(procset.ID) sim.Algorithm, func() error) {
-		decisions := make([]any, n+1)
-		algo := consensusAlgo(n, decisions)
-		return algo, func() error { return checkDecisions(n, decisions) }
-	}
-}
-
-// consensusAlgo is the Disk-Paxos workload shared by both consensus paths.
-func consensusAlgo(n int, decisions []any) func(procset.ID) sim.Algorithm {
-	return func(p procset.ID) sim.Algorithm {
-		return func(env sim.Env) {
-			in := consensus.NewInstance(env, "c")
-			for {
-				if d, ok := in.Attempt(int(p) * 10); ok {
-					decisions[p] = d
-					return
-				}
-			}
-		}
-	}
-}
-
-// ConsensusPooledBuilder is ConsensusBuilder on the pooled direct-dispatch
-// path, running the consensus.AttemptLoopMachine port.
-func ConsensusPooledBuilder(n int) PooledBuilder {
-	return pooledBuilder(n, func() (targetRig, error) { return consensusRig(n), nil })
-}
-
-func consensusRig(n int) targetRig {
-	decisions := make([]any, n+1)
-	return targetRig{
-		machine: func(p procset.ID, regs sim.Registry) sim.Machine {
-			return consensus.AttemptLoopMachine(regs, "c", p, n, int(p)*10, func(d any) {
-				decisions[p] = d
-			})
-		},
-		reset: func() { clear(decisions) },
-		check: func() error { return checkDecisions(n, decisions) },
-	}
-}
-
-// CAChainBuilder builds contending commit-adopt-chain proposers (process p
-// repeatedly attempts value 10p); the check is the same as for consensus.
-func CAChainBuilder(n int) Builder {
-	return func() (func(procset.ID) sim.Algorithm, func() error) {
-		decisions := make([]any, n+1)
-		algo := func(p procset.ID) sim.Algorithm {
-			return func(env sim.Env) {
-				in := commitadopt.NewConsensus(env, "c")
-				for {
-					if d, ok := in.Attempt(int(p) * 10); ok {
-						decisions[p] = d
-						return
+// attemptTarget is a target of contending proposers on one consensus
+// engine: process p repeatedly attempts value 10·p on the object "c" until
+// it decides, and the check is checkDecisions. object builds the coroutine
+// form's object, machine the direct-dispatch attempt loop.
+func attemptTarget[O interface{ Attempt(any) (any, bool) }, M sim.Machine](
+	object func(sim.Env, string) O,
+	machine func(sim.Registry, string, procset.ID, int, any, func(any)) M,
+) protocol {
+	builder := func(n int) Builder {
+		return func() (func(procset.ID) sim.Algorithm, func() error) {
+			decisions := make([]any, n+1)
+			algo := func(p procset.ID) sim.Algorithm {
+				return func(env sim.Env) {
+					in := object(env, "c")
+					for {
+						if d, ok := in.Attempt(int(p) * 10); ok {
+							decisions[p] = d
+							return
+						}
 					}
 				}
 			}
+			return algo, func() error { return checkDecisions(n, decisions, procset.EmptySet) }
 		}
-		return algo, func() error { return checkDecisions(n, decisions) }
 	}
+	rig := func(n int) (targetRig, error) {
+		decisions := make([]any, n+1)
+		return slotRig(decisions,
+			func(p procset.ID, regs sim.Registry) sim.Machine {
+				return machine(regs, "c", p, n, int(p)*10, func(d any) { decisions[p] = d })
+			},
+			func(skip procset.Set) error { return checkDecisions(n, decisions, skip) }), nil
+	}
+	return protocol{builder, rig}
 }
 
 // ksetConfig is the fuzzed agreement problem for n processes: k = t = n/2,
 // which keeps the detector ∘ consensus composition (Theorem 24's path) in
 // play for every n ≥ 2.
 func ksetConfig(n int) kset.Config {
-	kt := n / 2
-	if kt < 1 {
-		kt = 1
-	}
+	kt := max(n/2, 1)
 	return kset.Config{N: n, K: kt, T: kt}
 }
 
-// checkKSet enforces the two safety properties that hold on every schedule:
-// validity (decisions are proposals, here 10·p) and uniform k-agreement (at
-// most k distinct decisions). Termination is a liveness property and is not
-// required of arbitrary fuzz schedules.
-func checkKSet(cfg kset.Config, ag *kset.Agreement) error {
+// ksetProposal is the kset target's input: process p proposes 10·p.
+func ksetProposal(p procset.ID) any { return int(p) * 10 }
+
+// checkKSet enforces the two safety properties that hold on every schedule,
+// over the processes outside skip: validity (decisions are proposals, here
+// 10·p) and uniform k-agreement (at most k distinct decisions). Termination
+// is a liveness property and is not required of arbitrary fuzz schedules.
+func checkKSet(cfg kset.Config, ag *kset.Agreement, skip procset.Set) error {
 	distinct := make(map[any]bool)
 	for p := 1; p <= cfg.N; p++ {
-		d, ok := ag.Decision(procset.ID(p))
+		id := procset.ID(p)
+		if skip.Contains(id) {
+			continue
+		}
+		d, ok := ag.Decision(id)
 		if !ok {
 			continue
 		}
@@ -303,29 +296,24 @@ func checkKSet(cfg kset.Config, ag *kset.Agreement) error {
 		distinct[d] = true
 	}
 	if len(distinct) > cfg.K {
-		return fmt.Errorf("%d distinct decisions, k = %d", len(distinct), cfg.K)
+		honest := ""
+		if !skip.IsEmpty() {
+			honest = "honest "
+		}
+		return fmt.Errorf("%d distinct %sdecisions, k = %d", len(distinct), honest, cfg.K)
 	}
 	return nil
 }
 
-// KSetBuilder builds the full Theorem 24 agreement run (process p proposes
-// 10·p); the check enforces validity and uniform k-agreement.
-func KSetBuilder(n int) Builder {
-	cfg := ksetConfig(n)
+// ksetBuilder builds the Theorem 24 agreement run for cfg.
+func ksetBuilder(cfg kset.Config) Builder {
 	return func() (func(procset.ID) sim.Algorithm, func() error) {
 		ag, err := kset.New(cfg, nil)
 		if err != nil {
 			panic(err) // parameters were validated by TargetBuilder
 		}
-		algo := ag.Algorithm(func(p procset.ID) any { return int(p) * 10 })
-		return algo, func() error { return checkKSet(cfg, ag) }
+		return ag.Algorithm(ksetProposal), func() error { return checkKSet(cfg, ag, procset.EmptySet) }
 	}
-}
-
-// KSetPooledBuilder is KSetBuilder on the pooled direct-dispatch path,
-// running the detector-composed agreement machine.
-func KSetPooledBuilder(n int) PooledBuilder {
-	return pooledBuilder(n, func() (targetRig, error) { return ksetRig(ksetConfig(n)) })
 }
 
 func ksetRig(cfg kset.Config) (targetRig, error) {
@@ -334,9 +322,10 @@ func ksetRig(cfg kset.Config) (targetRig, error) {
 		return targetRig{}, err
 	}
 	return targetRig{
-		machine: ag.Machine(func(p procset.ID) any { return int(p) * 10 }),
-		reset:   ag.Reset,
-		check:   func() error { return checkKSet(cfg, ag) },
+		machine:  ag.Machine(ksetProposal),
+		reset:    ag.Reset,
+		check:    func(skip procset.Set) error { return checkKSet(cfg, ag, skip) },
+		progress: func(honest procset.Set) bool { return honest.SubsetOf(ag.DecidedSet()) },
 	}, nil
 }
 
@@ -384,9 +373,8 @@ func newBGSimulation(n int) (*bg.Simulation, error) {
 	return bg.New(n, proto)
 }
 
-// BGBuilder builds a BG simulation run (n simulators, wait-min threads); the
-// check enforces decision validity and the f+1 distinct-decision bound.
-func BGBuilder(n int) Builder {
+// bgBuilder builds a BG simulation run (n simulators, wait-min threads).
+func bgBuilder(n int) Builder {
 	return func() (func(procset.ID) sim.Algorithm, func() error) {
 		simn, err := newBGSimulation(n)
 		if err != nil {
@@ -396,39 +384,25 @@ func BGBuilder(n int) Builder {
 	}
 }
 
-// BGPooledBuilder is BGBuilder on the pooled direct-dispatch path, running
-// the simulator machine port.
-func BGPooledBuilder(n int) PooledBuilder {
-	return pooledBuilder(n, func() (targetRig, error) { return bgRig(n) })
-}
-
 func bgRig(n int) (targetRig, error) {
 	simn, err := newBGSimulation(n)
 	if err != nil {
 		return targetRig{}, err
 	}
+	threads, _, _ := bgShape(n)
 	return targetRig{
 		machine: simn.Machine,
 		reset:   simn.Reset,
-		check:   func() error { return checkBG(n, simn) },
-	}, nil
-}
-
-// CAChainPooledBuilder is CAChainBuilder on the pooled direct-dispatch
-// path, running the ConsensusMachine port.
-func CAChainPooledBuilder(n int) PooledBuilder {
-	return pooledBuilder(n, func() (targetRig, error) { return caChainRig(n), nil })
-}
-
-func caChainRig(n int) targetRig {
-	decisions := make([]any, n+1)
-	return targetRig{
-		machine: func(p procset.ID, regs sim.Registry) sim.Machine {
-			return commitadopt.NewConsensusMachine(regs, "c", p, n, int(p)*10, func(val any) {
-				decisions[p] = val
-			})
+		// Thread decisions are joint work of all simulators, so no process's
+		// can be exempted: the full check applies.
+		check: func(procset.Set) error { return checkBG(n, simn) },
+		progress: func(procset.Set) bool {
+			for i := 1; i <= threads; i++ {
+				if _, ok := simn.ThreadDecision(i); !ok {
+					return false
+				}
+			}
+			return true
 		},
-		reset: func() { clear(decisions) },
-		check: func() error { return checkDecisions(n, decisions) },
-	}
+	}, nil
 }
