@@ -154,6 +154,37 @@ func (r *intRange) Set(text string) error {
 	return nil
 }
 
+// stringChoice is a string flag with a closed set of values: fs.Parse
+// rejects any other, and -h lists them.
+type stringChoice struct {
+	v       *string
+	choices []string
+}
+
+// stringIn defines a string flag whose value must be one of choices.
+func stringIn(fs *flag.FlagSet, name, value, usage string, choices ...string) *string {
+	r := &stringChoice{v: &value, choices: choices}
+	fs.Var(r, name, usage+" (`string` "+r.domain()+")")
+	return r.v
+}
+
+func (r *stringChoice) domain() string { return "in " + strings.Join(r.choices, "|") }
+
+func (r *stringChoice) String() string {
+	if r.v == nil { // the zero value flag.PrintDefaults probes
+		return ""
+	}
+	return *r.v
+}
+
+func (r *stringChoice) Set(text string) error {
+	if !slices.Contains(r.choices, text) {
+		return fmt.Errorf("want a string %s", r.domain())
+	}
+	*r.v = text
+	return nil
+}
+
 // exitCode reports err on stderr and maps it to the process exit code.
 func exitCode(prog string, err error) int {
 	if err == nil {
@@ -795,6 +826,10 @@ func adversarialCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	steps := intIn(fs, "steps", 100_000, 1, math.MaxInt, "step horizon per run")
 	runs := intIn(fs, "runs", 32, 1, math.MaxInt, "number of runs (cycles through the crash-pattern population)")
 	return func() (*plan, error) {
+		// The solver is the kset target's: its lookup checks that Πkn fits.
+		if _, err := explore.PooledTargetBuilder(explore.TargetKSet, *n); err != nil {
+			return nil, err
+		}
 		return &plan{
 			params: map[string]any{"n": *n, "steps": *steps, "runs": *runs},
 			run: func(ctx context.Context, sink func(campaign.Outcome)) (*campaign.Report, any, error) {
@@ -828,6 +863,15 @@ func byzantineCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 		}
 		byzLo, byzHi, err := parseRange(*byzRange)
 		if err != nil {
+			return nil, err
+		}
+		// Build the target's rig now, as fuzz does, so a bad target or n is
+		// a usage error; antiomega runs the kset target's detector.
+		rigTarget := *target
+		if rigTarget == explore.TargetAntiOmega {
+			rigTarget = explore.TargetKSet
+		}
+		if _, err := explore.PooledTargetBuilder(rigTarget, *n); err != nil {
 			return nil, err
 		}
 		if crashLo != 0 || byzLo != 0 {
@@ -973,7 +1017,7 @@ func relationsCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	bound := intIn(fs, "bound", 4, 1, math.MaxInt, "Definition 1 bound tested")
 	steps := intIn(fs, "steps", 2000, 1, math.MaxInt, "prefix length analyzed per schedule")
 	schedules := intIn(fs, "schedules", 100, 1, math.MaxInt, "population size")
-	gen := fs.String("gen", "mixed", "schedule generator: random|starver|mixed")
+	gen := stringIn(fs, "gen", "mixed", "schedule generator", generators...)
 	return func() (*plan, error) {
 		return &plan{
 			params: map[string]any{"n": *n, "bound": *bound, "steps": *steps, "schedules": *schedules, "gen": *gen},
@@ -1004,6 +1048,9 @@ func relationsCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 		}, nil
 	}
 }
+
+// generators are the -gen choices of relations and monitor.
+var generators = []string{"random", "starver", "mixed"}
 
 // monitorSource builds the schedule source for the monitor subcommand,
 // mirroring the relations campaign's generator choices.
@@ -1039,7 +1086,7 @@ func monitorSource(gen string, n int, seed int64) (sched.Source, error) {
 // state against the batch extractor on the retained schedule.
 func monitorCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	n := intIn(fs, "n", 4, 2, 6, "system size n (the monitor tracks the full S^i_{j,n} family)")
-	gen := fs.String("gen", "mixed", "schedule generator: random|starver|mixed")
+	gen := stringIn(fs, "gen", "mixed", "schedule generator", generators...)
 	steps := intIn(fs, "steps", 4096, 1, math.MaxInt, "steps to observe")
 	every := intIn(fs, "every", 1024, 0, math.MaxInt, "print the timeliness graph every E steps (0 = final only)")
 	bound := intIn(fs, "bound", 4, 1, math.MaxInt, "Definition 1 bound probed by the graph")

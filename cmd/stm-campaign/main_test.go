@@ -211,8 +211,9 @@ func flagSet(cmd *subcommand) *flag.FlagSet {
 
 // TestFlagDomains walks every subcommand's flag set and tries each flag
 // with a declared domain just outside it: one below its minimum and, where
-// it has a maximum, one above. fs.Parse must reject each before any side
-// effect. Every -n declares the range its library accepts.
+// it has a maximum, one above; a string flag with declared choices, a value
+// outside them. fs.Parse must reject each before any side effect. Every -n
+// declares the range its library accepts, and every -gen its generators.
 func TestFlagDomains(t *testing.T) {
 	t.Parallel()
 	wantN := map[string]string{
@@ -227,6 +228,10 @@ func TestFlagDomains(t *testing.T) {
 		}
 		var bounded []string
 		flagSet(cmd).VisitAll(func(f *flag.Flag) {
+			if _, ok := f.Value.(*stringChoice); ok {
+				bounded = append(bounded, f.Name)
+				requireUsageErrors(t, dir, slices.Concat([]string{cmd.name}, base, []string{"-" + f.Name, "bogus"}))
+			}
 			r, ok := f.Value.(*intRange)
 			if !ok {
 				return
@@ -245,6 +250,9 @@ func TestFlagDomains(t *testing.T) {
 		})
 		if _, ok := wantN[cmd.name]; ok && !slices.Contains(bounded, "n") {
 			t.Errorf("%s -n declares no domain", cmd.name)
+		}
+		if (cmd.name == "relations" || cmd.name == "monitor") && !slices.Contains(bounded, "gen") {
+			t.Errorf("%s -gen declares no domain", cmd.name)
 		}
 		if !cmd.standalone {
 			for _, name := range []string{"workers", "progress", "flight", "procs"} {
@@ -294,6 +302,16 @@ func TestFlagProbesRejected(t *testing.T) {
 		[]string{"fuzz", "-workers", "-3"},
 		[]string{"fuzz", "-progress", "-1"},
 		[]string{"fuzz", "-flight", "-1"},
+		[]string{"byzantine", "-target", "nope"},
+		[]string{"byzantine", "-target", "bg", "-n", "63"},
+		[]string{"relations", "-n", "3", "-gen", "bogus"},
+		// Πkn over antiomega's cap: once a makeslice panic, or (adversarial)
+		// an enumeration of every crash set of up to 31 processes.
+		[]string{"fuzz", "-target", "kset", "-n", "64"},
+		[]string{"byzantine", "-target", "kset", "-n", "64"},
+		[]string{"byzantine", "-target", "antiomega", "-n", "64"},
+		[]string{"converge", "-n", "64", "-k", "32", "-t", "32"},
+		[]string{"adversarial", "-n", "64"},
 	)
 }
 

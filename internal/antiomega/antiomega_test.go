@@ -11,9 +11,11 @@ import (
 
 func TestConfigValidate(t *testing.T) {
 	t.Parallel()
-	valid := Config{N: 4, K: 2, T: 2}
-	if err := valid.Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	// C(14,7) = 3,432 sets is the largest Πkn at k = n/2 under the cap.
+	for _, valid := range []Config{{N: 4, K: 2, T: 2}, {N: 14, K: 7, T: 7}, {N: 64, K: 1, T: 1}, {N: 64, K: 63, T: 63}} {
+		if err := valid.Validate(); err != nil {
+			t.Errorf("valid config %+v rejected: %v", valid, err)
+		}
 	}
 	bad := []Config{
 		{N: 1, K: 1, T: 1},
@@ -22,6 +24,9 @@ func TestConfigValidate(t *testing.T) {
 		{N: 4, K: 4, T: 2},
 		{N: 4, K: 2, T: 0},
 		{N: 4, K: 2, T: 4},
+		{N: 15, K: 7, T: 7},   // C(15,7) = 6,435 sets: over the cap
+		{N: 64, K: 32, T: 32}, // C(64,32) overflows a naive binomial
+		{N: 64, K: 3, T: 3},   // C(64,3) = 41,664
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -98,6 +98,9 @@ func (c Config) Validate() error {
 				c.DetectorK, min(c.K, c.T))
 		}
 	}
+	if !c.UsesTrivialAlgorithm() {
+		return antiomega.Config{N: c.N, K: c.detectorK(), T: c.T}.Validate()
+	}
 	return nil
 }
 

@@ -17,6 +17,8 @@ func TestConfigValidate(t *testing.T) {
 		{N: 4, K: 3, T: 2},               // trivial path
 		{N: 4, K: 4, T: 3},               // k = n
 		{N: 5, K: 3, T: 3, DetectorK: 2}, // reduction
+		{N: 14, K: 7, T: 7},              // largest detector Πkn at k = n/2
+		{N: 64, K: 32, T: 31},            // trivial path: no detector
 	}
 	for _, cfg := range good {
 		if err := cfg.Validate(); err != nil {
@@ -32,6 +34,8 @@ func TestConfigValidate(t *testing.T) {
 		{N: 4, K: 3, T: 2, DetectorK: 1},  // trivial path forbids override
 		{N: 5, K: 2, T: 3, DetectorK: 3},  // DetectorK > k
 		{N: 5, K: 3, T: 3, DetectorK: -1}, // negative
+		{N: 64, K: 32, T: 32},             // detector Πkn over antiomega's cap
+		{N: 64, K: 40, T: 50, DetectorK: 30},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
