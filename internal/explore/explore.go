@@ -13,6 +13,12 @@
 //     Runner.Reset, avoiding goroutine and allocation churn per schedule.
 //     This is the default path of cmd/stm-campaign.
 //
+// The protocols under test are named targets, each defined once in the
+// targets table (targets.go) as its coroutine Builder plus its
+// direct-dispatch rig. The pooled fuzz and exhaustive paths and the
+// Byzantine degradation sweep (byzantine.go) all run that one rig; the
+// sweep's check exempts the corrupt processes.
+//
 // The package's own tests double as mutation tests: deliberately broken
 // protocol variants must be caught, which validates that the explorer (and
 // the property checkers it applies) can actually see violations.
