@@ -154,7 +154,7 @@ func checkCommitAdopt(n int, results []*caResult, skip procset.Set) error {
 	for p := 1; p <= n; p++ {
 		r := results[p]
 		if r == nil || skip.Contains(procset.ID(p)) {
-			continue // did not finish within this schedule: fine
+			continue // unfinished within this schedule, or exempt: fine
 		}
 		v, ok := r.val.(int)
 		if !ok || v < 1 || v > n {
