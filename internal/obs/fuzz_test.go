@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/settimeliness/settimeliness/internal/obs"
@@ -24,10 +25,15 @@ const fuzzMaxSteps = 512
 // must agree with its own full scan, and HeldClasses must equal
 // sched.InSystem on every class i ≤ j of the family, at the probed bound
 // (below 1 included) and at bounds −1 to 6. The schedule is then fed a second time
-// after Reset, under the same checks. When the top byte of the class mask is
-// nonzero, the first feed stops after that many steps, so that Reset lands
-// after a partial feed. The third byte picked a sliding window the monitor
-// no longer has; it stays in the signature so the corpus keeps decoding.
+// after Reset, under the same checks, and a fresh twin of the same
+// configuration (sharing the monitor's layout when it tracks the whole
+// family) is fed the same blocks in turn, each the other way (one block or
+// one Observe per step); at the end its tables must equal the batch
+// extractor's and its Graph the replayed monitor's. When the top byte of
+// the class mask is nonzero, the first feed stops after that many steps, so
+// that Reset lands after a partial feed. The third byte picked a sliding
+// window the monitor no longer has; it stays in the signature so the corpus
+// keeps decoding.
 func FuzzTimeliness(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nb uint8, bound int8, _ uint8, classes uint32, split uint8, data []byte) {
 		n := 2 + int(nb)%5
@@ -47,19 +53,20 @@ func FuzzTimeliness(f *testing.F) {
 		if cut := int(classes >> 24); cut > 0 {
 			feed = s[:min(cut, len(s))]
 		}
+		var twin *obs.Monitor
 		for pass := 0; pass < 2; pass++ {
 			if pass == 1 {
 				m.Reset()
 				feed = s
+				if twin, err = obs.NewMonitor(cfg); err != nil {
+					t.Fatal(err)
+				}
 			}
 			for lo, k := 0, 0; lo < len(feed); k++ {
 				hi := min(lo+1+(int(split)+k*k)%61, len(feed))
-				if k%2 == pass {
-					m.ObserveBlock(feed[lo:hi])
-				} else {
-					for _, p := range feed[lo:hi] {
-						m.Observe(p)
-					}
+				feedBlock(m, feed[lo:hi], k%2 == pass)
+				if twin != nil {
+					feedBlock(twin, feed[lo:hi], k%2 != pass)
 				}
 				lo = hi
 				checkPrefix(t, m, cfg, feed[:hi], int(bound))
@@ -68,7 +75,22 @@ func FuzzTimeliness(f *testing.F) {
 				checkPrefix(t, m, cfg, feed, int(bound))
 			}
 		}
+		checkPrefix(t, twin, cfg, s, int(bound))
+		if got, want := twin.Graph(int(bound)), m.Graph(int(bound)); !slices.Equal(got, want) {
+			t.Fatalf("twin's Graph %+v, replayed monitor's %+v", got, want)
+		}
 	})
+}
+
+// feedBlock feeds block to m in one ObserveBlock or one Observe per step.
+func feedBlock(m *obs.Monitor, block sched.Schedule, whole bool) {
+	if whole {
+		m.ObserveBlock(block)
+		return
+	}
+	for _, p := range block {
+		m.Observe(p)
+	}
 }
 
 // fuzzSizes picks the tracked classes: bit c of mask selects the c-th class

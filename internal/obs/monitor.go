@@ -10,22 +10,29 @@
 // right now, with what bound?* (Definition 1) — while a run unfolds,
 // instead of by batch relation extraction after it ends. A P-free window
 // counts the steps of R = Q∖P only, so the monitor keeps its state per
-// tracked P rather than per (P, Q) pair: the member that took P's last
-// step and, for each distinct R of P's tracked pairs, the largest R-count
-// of any closed P-free window. Counts are kept per process: every process's
-// step count, and each process's snapshot of them at its own last step —
-// which, for P's last stepper, are the counts at P's last step. A step by x
-// closes the open window of exactly the P's containing x; a query adds the
-// still-open window (current counts minus that snapshot) to the stored
-// maximum. A closing window holds only steps of processes outside P, so
-// none of its R-counts exceeds its length; when that length is at most P's
-// smallest stored maximum over its nonempty R's, no maximum can rise and
-// the step skips P's R-sums. On a long run the maxima soon outgrow most
-// windows, so most steps fold nothing and only copy the counts, once.
-// This is the incremental extraction of the timeliness graph of
-// Delporte-Gallet et al. (arXiv:1003.1058), and it answers exactly
-// sched.MaxQGap of the observed prefix, which the equivalence and fuzz
-// tests pin.
+// tracked P rather than per (P, Q) pair: for each distinct R of P's tracked
+// pairs, the largest R-count of any closed P-free window. Counts are kept
+// per process: every process's step count, and each process's snapshot of
+// them at its own last step, stamped with that step's index. P's last step
+// is its most recently stamped member's, so P's open window starts at that
+// stamp, and that member's snapshot holds the counts as they stood then. A
+// step by x closes the open window of exactly the P's containing x; a query
+// adds the still-open window (current counts minus that snapshot) to the
+// stored maximum. A closing window holds only steps of processes outside P,
+// so none of its R-counts exceeds its length; when that length is at most
+// P's smallest stored maximum over its nonempty R's (thresh), no maximum
+// can rise. No window of a P containing x is longer than the gap since x's
+// own last step, so one test per step, that gap against a lower bound on
+// the thresholds of x's P's, skips them all; on a long run the maxima soon
+// outgrow most gaps, so most steps only bump a count and copy the counts
+// into x's snapshot. The other steps visit x's P's, each window start one
+// max over a smaller P's, and sum R-counts only for a window that outgrew
+// P's threshold. What a configuration tracks (classes, P's, R lists, the
+// names Graph reports) is an immutable layout, built once per full family
+// and shared by every monitor of it. This is the incremental extraction of
+// the timeliness graph of Delporte-Gallet et al. (arXiv:1003.1058), and it
+// answers exactly sched.MaxQGap of the observed prefix, which the
+// equivalence and fuzz tests pin.
 package obs
 
 import (
@@ -34,6 +41,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sched"
@@ -55,6 +63,23 @@ type MonitorConfig struct {
 // (experiments.RunRelationsCampaign supports 2 ≤ n ≤ 6).
 const defaultSizesMaxN = 6
 
+// fullLayouts[n] builds the layout of the full family at n once, on first
+// use, and hands every later caller the same one.
+var fullLayouts = func() (f [defaultSizesMaxN + 1]func() (*layout, error)) {
+	for n := 1; n <= defaultSizesMaxN; n++ {
+		f[n] = sync.OnceValues(func() (*layout, error) {
+			var sizes [][2]int
+			for i := 1; i <= n; i++ {
+				for j := i; j <= n; j++ {
+					sizes = append(sizes, [2]int{i, j})
+				}
+			}
+			return newLayout(n, sizes)
+		})
+	}
+	return f
+}()
+
 // rSet is one distinct R = Q∖P among the tracked pairs of a P. The R-count
 // of P's open window is the parent's count (R minus its lowest member, when
 // that set is tracked for P too) plus the open count of that lowest member,
@@ -65,53 +90,68 @@ type rSet struct {
 	low    uint8 // index in Monitor.counts of r's lowest member
 }
 
-// pState is the online state of one tracked P.
-type pState struct {
-	p procset.Set
-	// lastBy is the member that took P's last step, or 0 before P's first
-	// step; Monitor.snap(lastBy) holds the counts as they stood then.
-	lastBy procset.ID
-	// thresh is the smallest maximum over P's nonempty R sets, or
-	// math.MaxInt64 when P's only R is ∅: a closing window no longer than
-	// thresh cannot raise any maximum (see Observe).
-	thresh int64
-	// rs lists P's distinct R sets in ascending order; maxes[k] is the
-	// largest rs[k]-count of any closed P-free window. open is scratch for
-	// the counts of the open window (see openCounts and gaps).
-	rs    []rSet
-	maxes []int64
-	open  []int64
+// pRef is one P in a process x's list of the P's containing it. P's window
+// start is the larger of its parent's (P minus add, a P containing x too)
+// and add's last step; with no tracked parent it is a scan of P's members.
+type pRef struct {
+	k      int32 // index of P in layout.ps
+	parent int32 // position of P minus add in the same list, or -1
+	add    uint8 // the member P adds to its parent
 }
 
 // classIndex is one tracked size class (i, j): its P's (indices into
-// Monitor.ps) and Q's in the canonical procset.KSubsets order — the order
-// sched.BestPair searches in, so tie-breaking agrees. rs[a*len(qs)+b] is
-// the index of qs[b]∖P among the R sets of the a-th P.
+// layout.ps) and Q's in the canonical procset.KSubsets order — the order
+// sched.BestPair searches in, so tie-breaking agrees — and the Q's names.
+// rs[a*len(qs)+b] is the index of qs[b]∖P among the R sets of the a-th P.
 type classIndex struct {
-	i, j int
-	ps   []int32
-	qs   []procset.Set
-	rs   []int32
+	i, j   int
+	ps     []int32
+	qs     []procset.Set
+	qNames []string
+	rs     []int32
+}
+
+// layout is what one configuration tracks. It is immutable once built, so
+// monitors of one configuration share it across goroutines.
+type layout struct {
+	n       int
+	classes []classIndex
+	// ps is every tracked P in ascending order and names[k] is ps[k]'s
+	// String. P k's distinct R sets, ascending, are rs[rOff[k]:rOff[k+1]],
+	// and thresh0[k] is its threshold while every maximum is 0.
+	ps      []procset.Set
+	names   []string
+	rOff    []int32
+	rs      []rSet
+	thresh0 []int64
+	// byProc[x-1] lists the P's containing x in ps order, each parent
+	// ahead of its children; maxBy is the longest list.
+	byProc [][]pRef
+	maxBy  int
 }
 
 // Monitor incrementally maintains the timeliness graph of an observed
 // schedule prefix. It is not safe for concurrent use; feed and query it
 // from one goroutine (or under one lock, as internal/live does).
 type Monitor struct {
-	n       int
-	steps   int
-	classes []classIndex
-
-	// counts[x-1] is the number of observed steps of process x; ps is every
-	// tracked P in ascending order, and byProc[x-1] the indices of the P's
-	// containing x. Row x of snaps (n counts each) holds the counts as they
-	// stood at x's last step, and snapStep[x] that step's index; row 0 is
-	// the all-zero start, the snapshot of a P that has not stepped.
-	counts   []int64
-	ps       []pState
-	byProc   [][]int32
-	snaps    []int64
-	snapStep []int
+	l     *layout
+	steps int
+	// counts[x-1] is the number of observed steps of process x. Row x of
+	// snaps (n counts each) holds the counts as they stood at x's last
+	// step, and snapStep[x] that step's index; row 0 is the all-zero start,
+	// the snapshot of a P that has not stepped. threshMin[x-1] is at most
+	// the smallest thresh of the P's containing x (see ObserveBlock).
+	counts, snaps, snapStep, threshMin []int64
+	// maxes[rOff[k]+r] is the largest R-count of any closed window of P k
+	// free of P for its r-th R set, and thresh[k] the smallest of P k's
+	// maxima over its nonempty R's (math.MaxInt64 when there is none): a
+	// closing window no longer than thresh cannot raise any maximum.
+	maxes, thresh []int64
+	// open (per R set) and start (per position in a byProc list) are
+	// scratch.
+	open, start []int64
+	// fresh is what Reset zeroes: counts through maxes.
+	fresh []int64
 }
 
 // NewMonitor builds a monitor. See MonitorConfig for the contract.
@@ -119,45 +159,76 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 	if cfg.N < 1 || cfg.N > procset.MaxProcs {
 		return nil, fmt.Errorf("obs: n = %d out of range [1,%d]", cfg.N, procset.MaxProcs)
 	}
-	sizes := cfg.Sizes
-	if len(sizes) == 0 {
-		if cfg.N > defaultSizesMaxN {
-			return nil, fmt.Errorf("obs: tracking all size classes is limited to n ≤ %d (n = %d); set MonitorConfig.Sizes", defaultSizesMaxN, cfg.N)
-		}
-		for i := 1; i <= cfg.N; i++ {
-			for j := i; j <= cfg.N; j++ {
-				sizes = append(sizes, [2]int{i, j})
-			}
-		}
+	var (
+		l   *layout
+		err error
+	)
+	switch {
+	case len(cfg.Sizes) > 0:
+		l, err = newLayout(cfg.N, cfg.Sizes)
+	case cfg.N > defaultSizesMaxN:
+		err = fmt.Errorf("obs: tracking all size classes is limited to n ≤ %d (n = %d); set MonitorConfig.Sizes", defaultSizesMaxN, cfg.N)
+	default:
+		l, err = fullLayouts[cfg.N]()
 	}
-	m := &Monitor{n: cfg.N, counts: make([]int64, cfg.N),
-		snaps: make([]int64, (cfg.N+1)*cfg.N), snapStep: make([]int, cfg.N+1)}
+	if err != nil {
+		return nil, err
+	}
+	// Every count lies in one allocation; Reset zeroes its head, counts
+	// through maxes.
+	n, nr := l.n, len(l.rs)
+	buf := make([]int64, 3*n+1+(n+1)*n+2*nr+len(l.ps)+l.maxBy)
+	fresh := buf[:3*n+1+(n+1)*n+nr]
+	take := func(size int) []int64 {
+		s := buf[:size:size]
+		buf = buf[size:]
+		return s
+	}
+	m := &Monitor{l: l, fresh: fresh,
+		counts: take(n), snaps: take((n + 1) * n), snapStep: take(n + 1), threshMin: take(n), maxes: take(nr),
+		thresh: take(len(l.ps)), open: take(nr), start: take(l.maxBy)}
+	copy(m.thresh, l.thresh0)
+	return m, nil
+}
+
+// newLayout indexes the size classes sizes of Πn.
+func newLayout(n int, sizes [][2]int) (*layout, error) {
+	l := &layout{n: n}
+	names := map[int][]string{} // the names of Πn's j-subsets, per j
 	for _, s := range sizes {
 		i, j := s[0], s[1]
-		if i < 1 || j < i || j > cfg.N {
-			return nil, fmt.Errorf("obs: size class (%d,%d) invalid for n = %d (need 1 ≤ i ≤ j ≤ n)", i, j, cfg.N)
+		if i < 1 || j < i || j > n {
+			return nil, fmt.Errorf("obs: size class (%d,%d) invalid for n = %d (need 1 ≤ i ≤ j ≤ n)", i, j, n)
 		}
-		if !slices.ContainsFunc(m.classes, func(cl classIndex) bool { return cl.i == i && cl.j == j }) {
-			m.classes = append(m.classes, classIndex{i: i, j: j, qs: procset.KSubsets(cfg.N, j)})
+		if slices.ContainsFunc(l.classes, func(cl classIndex) bool { return cl.i == i && cl.j == j }) {
+			continue
 		}
+		qs := procset.KSubsets(n, j)
+		if names[j] == nil {
+			names[j] = make([]string, len(qs))
+			for b, q := range qs {
+				names[j][b] = q.String()
+			}
+		}
+		l.classes = append(l.classes, classIndex{i: i, j: j, qs: qs, qNames: names[j]})
 	}
-	var pset []procset.Set
-	for _, cl := range m.classes {
-		pset = append(pset, procset.KSubsets(cfg.N, cl.i)...)
+	for _, cl := range l.classes {
+		l.ps = append(l.ps, procset.KSubsets(n, cl.i)...)
 	}
-	slices.Sort(pset)
-	pset = slices.Compact(pset)
+	slices.Sort(l.ps)
+	l.ps = slices.Compact(l.ps)
 
 	// P's distinct R sets are Q∖P over the Q's of every tracked class whose
 	// P-size is |P|, sorted and compacted; all of them go in one flat slice.
-	m.ps = make([]pState, len(pset))
-	m.byProc = make([][]int32, cfg.N)
-	var rs []rSet
+	l.names = make([]string, len(l.ps))
+	l.rOff = make([]int32, len(l.ps)+1)
+	l.thresh0 = make([]int64, len(l.ps))
+	l.byProc = make([][]pRef, n)
 	var rbuf []procset.Set
-	off := make([]int, len(pset)+1)
-	for k, p := range pset {
+	for k, p := range l.ps {
+		l.names[k] = p.String()
 		rbuf = rbuf[:0]
-		for _, cl := range m.classes {
+		for _, cl := range l.classes {
 			if cl.i == p.Size() {
 				for _, q := range cl.qs {
 					rbuf = append(rbuf, q&^p)
@@ -166,39 +237,56 @@ func NewMonitor(cfg MonitorConfig) (*Monitor, error) {
 		}
 		slices.Sort(rbuf)
 		rbuf = slices.Compact(rbuf)
-		off[k] = len(rs)
+		off := len(l.rs)
 		for _, r := range rbuf {
-			rs = append(rs, indexR(r, rs[off[k]:]))
+			l.rs = append(l.rs, indexR(r, l.rs[off:]))
 		}
-		off[k+1] = len(rs)
-		m.ps[k] = pState{p: p}
-		for x := 0; x < cfg.N; x++ {
-			if p.Contains(procset.ID(x + 1)) {
-				m.byProc[x] = append(m.byProc[x], int32(k))
+		l.rOff[k+1] = int32(len(l.rs))
+		if rbuf[len(rbuf)-1] == 0 {
+			l.thresh0[k] = math.MaxInt64 // P's only R is ∅
+		}
+		for x := 1; x <= n; x++ {
+			if p.Contains(procset.ID(x)) {
+				l.byProc[x-1] = append(l.byProc[x-1], l.pRef(x, k))
 			}
 		}
 	}
-	maxes, open := make([]int64, len(rs)), make([]int64, len(rs))
-	for k := range m.ps {
-		m.ps[k].rs = rs[off[k]:off[k+1]:off[k+1]]
-		m.ps[k].maxes = maxes[off[k]:off[k+1]:off[k+1]]
-		m.ps[k].open = open[off[k]:off[k+1]:off[k+1]]
-		m.ps[k].thresh = minMax(&m.ps[k])
+	for _, refs := range l.byProc {
+		l.maxBy = max(l.maxBy, len(refs))
 	}
-	for ci := range m.classes {
-		cl := &m.classes[ci]
-		pk := procset.KSubsets(cfg.N, cl.i)
+	for ci := range l.classes {
+		cl := &l.classes[ci]
+		pk := procset.KSubsets(n, cl.i)
 		cl.ps = make([]int32, len(pk))
 		cl.rs = make([]int32, 0, len(pk)*len(cl.qs))
 		for a, p := range pk {
-			cl.ps[a] = int32(m.pIndex(p))
-			ps := &m.ps[cl.ps[a]]
+			k := l.pIndex(p)
+			cl.ps[a] = int32(k)
 			for _, q := range cl.qs {
-				cl.rs = append(cl.rs, int32(findR(ps.rs, q&^p)))
+				cl.rs = append(cl.rs, int32(findR(l.rsOf(k), q&^p)))
 			}
 		}
 	}
-	return m, nil
+	return l, nil
+}
+
+// pRef describes the k-th P, which contains x, for x's list; the P's ahead
+// of it in ps are already listed.
+func (l *layout) pRef(x, k int) pRef {
+	p := l.ps[k]
+	e := pRef{k: int32(k), parent: -1}
+	rest := uint64(p &^ (1 << (x - 1)))
+	if rest == 0 {
+		return e
+	}
+	add := 63 - bits.LeadingZeros64(rest)
+	e.add = uint8(add + 1)
+	if pk := l.pIndex(p &^ (1 << add)); pk >= 0 {
+		refs := l.byProc[x-1]
+		pos, _ := slices.BinarySearchFunc(refs, int32(pk), func(e pRef, t int32) int { return cmp.Compare(e.k, t) })
+		e.parent = int32(pos)
+	}
+	return e
 }
 
 // indexR describes r given the smaller R sets already indexed for its P.
@@ -212,14 +300,17 @@ func indexR(r procset.Set, prev []rSet) rSet {
 	return e
 }
 
-// pIndex returns the index of p in m.ps, or -1 when p is not tracked.
-func (m *Monitor) pIndex(p procset.Set) int {
-	k, ok := slices.BinarySearchFunc(m.ps, p, func(e pState, t procset.Set) int { return cmp.Compare(e.p, t) })
+// pIndex returns the index of p in l.ps, or -1 when p is not tracked.
+func (l *layout) pIndex(p procset.Set) int {
+	k, ok := slices.BinarySearch(l.ps, p)
 	if !ok {
 		return -1
 	}
 	return k
 }
+
+// rsOf returns the R sets of the k-th P.
+func (l *layout) rsOf(k int) []rSet { return l.rs[l.rOff[k]:l.rOff[k+1]] }
 
 // findR returns the index of r in the ascending list rs, or -1.
 func findR(rs []rSet, r procset.Set) int {
@@ -231,69 +322,118 @@ func findR(rs []rSet, r procset.Set) int {
 }
 
 // N returns the system size.
-func (m *Monitor) N() int { return m.n }
+func (m *Monitor) N() int { return m.l.n }
 
 // Steps returns the number of observed steps.
 func (m *Monitor) Steps() int { return m.steps }
 
 // Observe feeds one step.
 func (m *Monitor) Observe(p procset.ID) {
-	if p < 1 || procset.ID(m.n) < p {
-		panic(fmt.Sprintf("obs: step by %v outside Π%d", p, m.n))
-	}
-	m.steps++
-	m.counts[p-1]++
-	// A step by p closes the open window of every P containing p. That
-	// window holds the steps since P's last step (lastBy's), all by
-	// processes outside P, so each of its R-counts is at most its length:
-	// when the length is within thresh, no maximum can rise.
-	for _, k := range m.byProc[p-1] {
-		ps := &m.ps[k]
-		if int64(m.steps-1-m.snapStep[ps.lastBy]) > ps.thresh {
-			ps.fold(m.counts, m.snap(ps.lastBy))
-		}
-		ps.lastBy = p
-	}
-	copy(m.snap(p), m.counts)
-	m.snapStep[p] = m.steps
+	block := [1]procset.ID{p}
+	m.ObserveBlock(block[:])
 }
 
-// snap returns the counts as they stood at x's last step (row 0: none).
-func (m *Monitor) snap(x procset.ID) []int64 { return m.snaps[int(x)*m.n:][:m.n:m.n] }
+// ObserveBlock feeds a block of steps — the shape sched.Tap delivers, so
+// wiring a monitor to a run is one line:
+//
+//	runner.Run(sched.Tap(src, monitor.ObserveBlock), maxSteps, every, stop)
+func (m *Monitor) ObserveBlock(block []procset.ID) {
+	n := m.l.n
+	counts, snapStep, threshMin := m.counts[:n], m.snapStep[:n+1], m.threshMin[:n]
+	for _, p := range block {
+		if p < 1 || procset.ID(n) < p {
+			panic(fmt.Sprintf("obs: step by %v outside Π%d", p, n))
+		}
+		m.steps++
+		counts[p-1]++
+		// A step by p closes the open window of every P containing p, and
+		// none of those is longer than the gap since p's own last step: a
+		// gap within threshMin raises no maximum.
+		if int64(m.steps-1)-snapStep[p] > threshMin[p-1] {
+			m.closeWindows(p)
+		}
+		row := m.snaps[int(p)*n:][:len(counts)]
+		for x, c := range counts {
+			row[x] = c
+		}
+		snapStep[p] = int64(m.steps)
+	}
+}
 
-// fold raises each of P's maxima to the R-counts of the window closing
-// since last, and recomputes thresh when one rose.
-func (ps *pState) fold(counts, last []int64) {
+// closeWindows folds the window that p's step closes for each P containing
+// p and leaves in threshMin[p-1] the smallest of their thresholds. It runs
+// before p's snapshot is retaken, so every window start is still the
+// member's last step before this one.
+func (m *Monitor) closeWindows(p procset.ID) {
+	refs := m.l.byProc[p-1]
+	start, snapStep, thresh := m.start[:len(refs)], m.snapStep, m.thresh
+	now := int64(m.steps - 1)
+	low := int64(math.MaxInt64)
+	for at, e := range refs {
+		var s int64
+		if e.parent >= 0 {
+			s = max(start[e.parent], snapStep[e.add])
+		} else {
+			s, _ = m.last(m.l.ps[e.k])
+		}
+		start[at] = s
+		t := thresh[e.k]
+		if now-s > t {
+			t = m.fold(int(e.k))
+		}
+		low = min(low, t)
+	}
+	m.threshMin[p-1] = low
+}
+
+// last returns P's last step (0 before its first) and the counts as they
+// stood then: its most recently stamped member's snapshot.
+func (m *Monitor) last(p procset.Set) (int64, []int64) {
+	x := 0
+	for b := uint64(p); b != 0; b &= b - 1 {
+		if y := bits.TrailingZeros64(b) + 1; m.snapStep[y] > m.snapStep[x] {
+			x = y
+		}
+	}
+	return m.snapStep[x], m.snaps[x*m.l.n:][:m.l.n]
+}
+
+// fold raises each of P k's maxima to the R-counts of its window closing
+// now, recomputes its threshold when one rose, and returns the threshold.
+func (m *Monitor) fold(k int) int64 {
+	lo, hi := m.l.rOff[k], m.l.rOff[k+1]
+	rs, maxes := m.l.rs[lo:hi], m.maxes[lo:hi]
+	_, last := m.last(m.l.ps[k])
 	rose := false
-	for r, c := range openCounts(ps, counts, last) {
-		if c > ps.maxes[r] {
-			ps.maxes[r] = c
+	for r, c := range openCounts(rs, m.open[lo:hi], m.counts, last) {
+		if c > maxes[r] {
+			maxes[r] = c
 			rose = true
 		}
 	}
 	if rose {
-		ps.thresh = minMax(ps)
+		m.thresh[k] = minMax(rs, maxes)
 	}
+	return m.thresh[k]
 }
 
-// minMax returns the smallest maximum over P's nonempty R sets, or
+// minMax returns the smallest of maxes over the nonempty R sets of rs, or
 // math.MaxInt64 when there is none. R = ∅ is left out: its count is
 // always 0.
-func minMax(ps *pState) int64 {
+func minMax(rs []rSet, maxes []int64) int64 {
 	t := int64(math.MaxInt64)
-	for r, e := range ps.rs {
+	for r, e := range rs {
 		if e.r != 0 {
-			t = min(t, ps.maxes[r])
+			t = min(t, maxes[r])
 		}
 	}
 	return t
 }
 
-// openCounts returns ps.open filled with, for each R set of ps, the number
-// of R-steps since last, the counts at P's last step.
-func openCounts(ps *pState, counts, last []int64) []int64 {
-	sums := ps.open
-	for k, e := range ps.rs {
+// openCounts returns sums filled with, for each R set of rs, the number of
+// R-steps since last, the counts at P's last step.
+func openCounts(rs []rSet, sums, counts, last []int64) []int64 {
+	for k, e := range rs {
 		if e.parent >= 0 {
 			sums[k] = sums[e.parent] + counts[e.low] - last[e.low]
 			continue
@@ -308,37 +448,22 @@ func openCounts(ps *pState, counts, last []int64) []int64 {
 	return sums
 }
 
-// ObserveBlock feeds a block of steps — the shape sched.Tap delivers, so
-// wiring a monitor to a run is one line:
-//
-//	runner.Run(sched.Tap(src, monitor.ObserveBlock), maxSteps, every, stop)
-func (m *Monitor) ObserveBlock(block []procset.ID) {
-	for _, p := range block {
-		m.Observe(p)
-	}
-}
-
 // Reset reverts the monitor to its initial state (all gaps zero, no steps
 // observed), retaining its configuration and allocations.
 func (m *Monitor) Reset() {
 	m.steps = 0
-	clear(m.counts)
-	// Every row is the all-zero start again, whichever member lastBy names.
-	clear(m.snaps)
-	clear(m.snapStep)
-	for k := range m.ps {
-		ps := &m.ps[k]
-		clear(ps.maxes)
-		ps.thresh = minMax(ps)
-	}
+	// Every snapshot row is the all-zero start again, and a zero threshMin
+	// is a lower bound on any threshold.
+	clear(m.fresh)
+	copy(m.thresh, m.l.thresh0)
 }
 
 // mustClass returns the tracked class (i, j) and panics when it is not
 // tracked (a configuration error, not a runtime condition).
 func (m *Monitor) mustClass(i, j int) *classIndex {
-	for ci := range m.classes {
-		if m.classes[ci].i == i && m.classes[ci].j == j {
-			return &m.classes[ci]
+	for ci := range m.l.classes {
+		if m.l.classes[ci].i == i && m.l.classes[ci].j == j {
+			return &m.l.classes[ci]
 		}
 	}
 	panic(fmt.Sprintf("obs: size class (%d,%d) not tracked", i, j))
@@ -350,17 +475,16 @@ func (m *Monitor) mustClass(i, j int) *classIndex {
 // error, not a runtime condition).
 func (m *Monitor) MaxQGap(p, q procset.Set) int {
 	m.mustClass(p.Size(), q.Size())
-	k := m.pIndex(p)
+	k := m.l.pIndex(p)
 	if k < 0 {
 		panic(fmt.Sprintf("obs: pair (%v,%v) not tracked", p, q))
 	}
-	ps := &m.ps[k]
-	r := findR(ps.rs, q&^p)
+	r := findR(m.l.rsOf(k), q&^p)
 	if r < 0 {
 		panic(fmt.Sprintf("obs: pair (%v,%v) not tracked", p, q))
 	}
 	// The trailing (still open) window counts, as in the batch extractor.
-	return int(max(ps.maxes[r], openCounts(ps, m.counts, m.snap(ps.lastBy))[r]))
+	return int(m.gaps(k)[r])
 }
 
 // MinBound returns the smallest Definition 1 bound with which P is timely
@@ -382,31 +506,37 @@ func (m *Monitor) IsTimely(p, q procset.Set, bound int) bool {
 func (m *Monitor) Best(i, j int) sched.TimelyPair {
 	cl := m.mustClass(i, j)
 	for _, k := range cl.ps {
-		m.gaps(&m.ps[k])
+		m.gaps(int(k))
 	}
-	return m.best(cl)
+	a, b, bound := m.best(cl)
+	return sched.TimelyPair{P: m.l.ps[cl.ps[a]], Q: cl.qs[b], MinBound: bound}
 }
 
-// gaps leaves in ps.open, for each R set of ps, the largest R-count of any
-// P-free window so far, the open one included.
-func (m *Monitor) gaps(ps *pState) {
-	for r, c := range openCounts(ps, m.counts, m.snap(ps.lastBy)) {
-		ps.open[r] = max(c, ps.maxes[r])
+// gaps leaves in P k's span of open, and returns, for each of its R sets,
+// the largest R-count of any P-free window so far, the open one included.
+func (m *Monitor) gaps(k int) []int64 {
+	lo, hi := m.l.rOff[k], m.l.rOff[k+1]
+	_, last := m.last(m.l.ps[k])
+	open := openCounts(m.l.rs[lo:hi], m.open[lo:hi], m.counts, last)
+	for r, c := range m.maxes[lo:hi] {
+		open[r] = max(open[r], c)
 	}
+	return open
 }
 
-// best is Best over cl once gaps has run for each of its P's.
-func (m *Monitor) best(cl *classIndex) sched.TimelyPair {
-	best := sched.TimelyPair{MinBound: math.MaxInt}
-	for a, k := range cl.ps {
-		ps := &m.ps[k]
-		for b, r := range cl.rs[a*len(cl.qs) : (a+1)*len(cl.qs)] {
-			if bound := int(ps.open[r]) + 1; bound < best.MinBound {
-				best = sched.TimelyPair{P: ps.p, Q: cl.qs[b], MinBound: bound}
+// best finds the pair of cl with the smallest bound once gaps has run for
+// each of its P's: the positions of its P in cl.ps and Q in cl.qs.
+func (m *Monitor) best(cl *classIndex) (a, b, bound int) {
+	bound = math.MaxInt
+	for pa, k := range cl.ps {
+		open := m.open[m.l.rOff[k]:m.l.rOff[k+1]]
+		for qb, r := range cl.rs[pa*len(cl.qs) : (pa+1)*len(cl.qs)] {
+			if bd := int(open[r]) + 1; bd < bound {
+				a, b, bound = pa, qb, bd
 			}
 		}
 	}
-	return best
+	return a, b, bound
 }
 
 // InSystem reports whether the observed prefix (extended arbitrarily while
@@ -436,23 +566,25 @@ type SystemStatus struct {
 
 // Graph returns the online timeliness graph over every tracked class, in
 // construction order: which systems of the family the observed prefix
-// belongs to with the probed bound, each with its best witness pair.
+// belongs to with the probed bound, each with its best witness pair. Its
+// one allocation is the result; the names come from the layout.
 func (m *Monitor) Graph(bound int) []SystemStatus {
-	for k := range m.ps {
-		m.gaps(&m.ps[k])
+	l := m.l
+	for k := range l.ps {
+		m.gaps(k)
 	}
-	out := make([]SystemStatus, 0, len(m.classes))
-	for ci := range m.classes {
-		cl := &m.classes[ci]
-		best := m.best(cl)
-		out = append(out, SystemStatus{
+	out := make([]SystemStatus, len(l.classes))
+	for ci := range l.classes {
+		cl := &l.classes[ci]
+		a, b, best := m.best(cl)
+		out[ci] = SystemStatus{
 			I: cl.i, J: cl.j,
-			Held:     best.MinBound <= bound,
-			Best:     best,
-			BestP:    best.P.String(),
-			BestQ:    best.Q.String(),
-			MinBound: best.MinBound,
-		})
+			Held:     best <= bound,
+			Best:     sched.TimelyPair{P: l.ps[cl.ps[a]], Q: cl.qs[b], MinBound: best},
+			BestP:    l.names[cl.ps[a]],
+			BestQ:    cl.qNames[b],
+			MinBound: best,
+		}
 	}
 	return out
 }

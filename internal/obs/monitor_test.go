@@ -3,6 +3,7 @@ package obs_test
 import (
 	"context"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/settimeliness/settimeliness/internal/campaign"
@@ -230,10 +231,10 @@ func ids(steps string) sched.Schedule {
 }
 
 // The monitor keeps one count snapshot per process: P's open window starts
-// at the snapshot of lastBy, the member that took P's last step. These
-// shapes make lastBy differ from the member whose step closes the window,
-// and every tracked pair's MaxQGap must equal sched.MaxQGap after every
-// single step:
+// at the snapshot of P's most recently stamped member, the one that took
+// P's last step. These shapes make that member differ from the one whose
+// step closes the window, and every tracked pair's MaxQGap must equal
+// sched.MaxQGap after every single step:
 //   - after a warm-up that sets every threshold above 0, process 1 runs
 //     solo past the thresholds of the P's without it, and then a member of
 //     those P's that did not take their last step closes their windows;
@@ -281,6 +282,97 @@ func TestMonitorSnapshotPaths(t *testing.T) {
 			}
 			checkPrefix(t, m, c.cfg, s, 4)
 		})
+	}
+}
+
+// Four ways of feeding one schedule leave the same tables, each equal to
+// the batch extractor's on every prefix checked (checkPrefix) and to one
+// another's Graph:
+//   - one Observe per step;
+//   - ObserveBlock over uneven splits;
+//   - Reset after a long feed of another schedule, then a replay: the long
+//     feed raised every threshold and the per-process skip bounds, so a
+//     skip bound kept across Reset would skip the replay's early folds;
+//   - two monitors of the same configuration, which share one layout, fed
+//     block by block in turn.
+func TestMonitorFeedEquivalence(t *testing.T) {
+	for _, n := range []int{3, 4, 5, 6} {
+		cfg := obs.MonitorConfig{N: n}
+		s := mixedSchedule(t, n, int64(n)+11, 1200-100*n)
+		perStep, split, reset, a, b := mustMonitor(t, cfg), mustMonitor(t, cfg), mustMonitor(t, cfg), mustMonitor(t, cfg), mustMonitor(t, cfg)
+		reset.ObserveBlock(mixedSchedule(t, n, 99, 20_000))
+		reset.Reset()
+		done := 0
+		for k, end := range []int{1, 37, len(s) / 2, len(s)} {
+			for _, p := range s[done:end] {
+				perStep.Observe(p)
+			}
+			for lo, c := done, 0; lo < end; c++ {
+				hi := min(lo+1+(c*c*7+k)%67, end)
+				split.ObserveBlock(s[lo:hi])
+				reset.ObserveBlock(s[lo:hi])
+				a.ObserveBlock(s[lo:hi])
+				b.ObserveBlock(s[lo:hi])
+				lo = hi
+			}
+			done = end
+			want := perStep.Graph(4)
+			for name, m := range map[string]*obs.Monitor{"per-step": perStep, "split": split, "reset": reset, "shared-a": a, "shared-b": b} {
+				checkPrefix(t, m, cfg, s[:end], 4)
+				if got := m.Graph(4); !slices.Equal(got, want) {
+					t.Fatalf("n=%d %s after %d steps: Graph %+v, one Observe per step gives %+v", n, name, end, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Monitors built on several goroutines at once share each full family's
+// layout, built by whichever comes first (when this test runs first in its
+// process); fed and queried concurrently, each must give the Graph of one
+// monitor on its own. Run it under -race.
+func TestMonitorsShareLayoutAcrossGoroutines(t *testing.T) {
+	const steps, workers = 3000, 8
+	graphs := make([][]obs.SystemStatus, workers)
+	var wg sync.WaitGroup
+	for g := range graphs {
+		n := 2 + g%5
+		s := mixedSchedule(t, n, 13, steps)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := obs.NewMonitor(obs.MonitorConfig{N: n})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for lo := 0; lo < len(s); lo += 100 {
+				m.ObserveBlock(s[lo:min(lo+100, len(s))])
+				m.Graph(4)
+			}
+			graphs[g] = m.Graph(4)
+		}()
+	}
+	wg.Wait()
+	for g, got := range graphs {
+		n := 2 + g%5
+		m := mustMonitor(t, obs.MonitorConfig{N: n})
+		m.ObserveBlock(mixedSchedule(t, n, 13, steps))
+		if want := m.Graph(4); !slices.Equal(got, want) {
+			t.Errorf("n=%d: Graph %+v, one monitor alone gives %+v", n, got, want)
+		}
+	}
+}
+
+// Graph's one allocation is its result: the rows' set names come from the
+// layout, not from formatting each call.
+func TestMonitorGraphAllocs(t *testing.T) {
+	for _, cfg := range []obs.MonitorConfig{{N: 4}, {N: 6}, {N: 9, Sizes: [][2]int{{1, 9}, {2, 3}, {4, 4}}}} {
+		m := mustMonitor(t, cfg)
+		m.ObserveBlock(mixedSchedule(t, cfg.N, 5, 3000))
+		if avg := testing.AllocsPerRun(20, func() { m.Graph(4) }); avg != 1 {
+			t.Fatalf("%+v: Graph allocates %.1f times per call, want 1", cfg, avg)
+		}
 	}
 }
 
