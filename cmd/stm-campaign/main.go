@@ -703,6 +703,11 @@ func matrixCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	}
 }
 
+// fuzzTarget resolves fuzz's -target. The command's tests wrap it with a
+// target of their own, which their -procs children, the same test binary,
+// resolve too.
+var fuzzTarget = explore.PooledTargetBuilder
+
 func fuzzCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 	target := fs.String("target", explore.TargetCommitAdopt, "protocol to fuzz (commitadopt|consensus|cachain|kset|bg)")
 	n := intIn(fs, "n", 4, 1, procset.MaxProcs, "number of processes")
@@ -714,7 +719,7 @@ func fuzzCmd(fs *flag.FlagSet, c *common) func() (*plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		build, err := explore.PooledTargetBuilder(*target, *n)
+		build, err := fuzzTarget(*target, *n)
 		if err != nil {
 			return nil, err
 		}

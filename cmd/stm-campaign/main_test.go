@@ -17,6 +17,9 @@ import (
 	"testing"
 
 	"github.com/settimeliness/settimeliness/internal/campaign"
+	"github.com/settimeliness/settimeliness/internal/explore"
+	"github.com/settimeliness/settimeliness/internal/sched"
+	"github.com/settimeliness/settimeliness/internal/sim"
 )
 
 // TestMain lets the test binary double as a stm-campaign worker process: the
@@ -445,15 +448,87 @@ var campaignArgs = map[string][]string{
 	"netconv":     {"-n", "3", "-runs", "2", "-steps", "200"},
 }
 
+// panicTarget is a fuzz target that only this test binary resolves: the
+// consensus target, with a check that panics on run panicRun of a campaign
+// seeded panicSeed. At the stream table's size (one run per job) that is
+// job panicRun.
+const (
+	panicTarget = "test-panic"
+	panicSeed   = 7
+	panicRun    = 9
+)
+
+func init() {
+	resolve := fuzzTarget
+	fuzzTarget = func(name string, n int) (explore.PooledBuilder, error) {
+		if name != panicTarget {
+			return resolve(name, n)
+		}
+		build, err := resolve(explore.TargetConsensus, n)
+		if err != nil {
+			return nil, err
+		}
+		return func() (*explore.Run, error) {
+			run, err := build()
+			if err != nil {
+				return nil, err
+			}
+			// The ring holds a whole run of the table's size; emptied
+			// before each run, it is the run's schedule.
+			rec := sim.NewFlightRecorder(1 << 10)
+			run.Runner.SetFlightRecorder(rec)
+			reset, check := run.Reset, run.Check
+			run.Reset = func() {
+				rec.Reset()
+				reset()
+			}
+			run.Check = func() error {
+				if isPanicRun(n, rec.Records()) {
+					panic("test-panic: the chosen run")
+				}
+				return check()
+			}
+			return run, nil
+		}, nil
+	}
+}
+
+// isPanicRun reports whether recs, a whole run, is the schedule of run
+// panicRun: the fuzz campaign draws run r from seed base+r.
+func isPanicRun(n int, recs []sim.FlightRec) bool {
+	src, err := sched.Random(n, panicSeed+panicRun, nil)
+	if err != nil {
+		panic(err)
+	}
+	for k, p := range sched.Take(src, len(recs)) {
+		if recs[k].Proc != p {
+			return false
+		}
+	}
+	return true
+}
+
 // TestEveryCampaignStreamsBitIdentical pins the determinism contract of
 // every campaign subcommand end to end: the -jsonl stream and the -json
 // stdout (wall-clock time and the worker count masked) of a -workers 1 run
 // must come out byte for byte the same at -workers 4, under -procs 2 child
 // processes, and after a coordinator crashed by -chaos trunc@3 is resumed.
 // The crashed run must report an injected interruption that names its
-// checkpoint.
+// checkpoint. One more row fuzzes panicTarget, whose job panicRun panics:
+// fuzz stops at its smallest failed job (campaign.Config.StopOnFail), so
+// its reports too must be byte-identical (a panic's stack trace masked),
+// and each of its runs must end with the failed-job error, not a
+// violation, having streamed jobs 0 to panicRun with the last alone
+// failed, a panic.
 func TestEveryCampaignStreamsBitIdentical(t *testing.T) {
 	t.Parallel()
+	type row struct {
+		tag, name string
+		args      []string
+		// failed is the error every run must end with, "" for none.
+		failed string
+	}
+	var rows []row
 	for _, cmd := range commands {
 		if cmd.standalone {
 			continue
@@ -463,27 +538,63 @@ func TestEveryCampaignStreamsBitIdentical(t *testing.T) {
 			t.Errorf("no campaignArgs entry for subcommand %q", cmd.name)
 			continue
 		}
-		t.Run(cmd.name, func(t *testing.T) {
+		rows = append(rows, row{cmd.name, cmd.name, args, ""})
+	}
+	rows = append(rows, row{"fuzz-panic", "fuzz", []string{"-target", panicTarget, "-n", "3", "-steps", "60", "-schedules", "30"}, "1 runs failed to complete"})
+	for _, r := range rows {
+		t.Run(r.tag, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
 			run := func(tag string, extra ...string) (stdout, stream []byte, err error) {
 				path := filepath.Join(dir, tag+".jsonl")
-				argv := append(append(extra, "-seed", "7", "-json", "-jsonl", path), args...)
+				argv := append(append(extra, "-seed", strconv.Itoa(panicSeed), "-json", "-jsonl", path), r.args...)
 				var out bytes.Buffer
-				err = execute(context.Background(), cmd.name, argv, &out)
+				err = execute(context.Background(), r.name, argv, &out)
 				stream, _ = os.ReadFile(path)
-				return maskWorkers.ReplaceAll(maskWallClock(out.Bytes()), []byte(`"workers":0`)), stream, err
+				return maskWorkers.ReplaceAll(maskWallClock(out.Bytes()), []byte(`"workers":0`)), maskStack.ReplaceAll(stream, []byte(`"stack":""`)), err
+			}
+			// ended checks how a run ended and, in the failing row, its
+			// report.
+			ended := func(tag string, err error, stdout, stream []byte) {
+				t.Helper()
+				if r.failed == "" {
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					return
+				}
+				var f *finding
+				if err == nil || err.Error() != r.failed || errors.As(err, &f) {
+					t.Fatalf("%s: got %v, want the failed-job error %q", tag, err, r.failed)
+				}
+				var rec record
+				if err := json.Unmarshal(stdout, &rec); err != nil {
+					t.Fatal(err)
+				}
+				var verdicts []string
+				for line := range bytes.Lines(stream) {
+					var o struct {
+						Verdict string `json:"verdict"`
+					}
+					if err := json.Unmarshal(line, &o); err != nil {
+						t.Fatal(err)
+					}
+					verdicts = append(verdicts, o.Verdict)
+				}
+				want := append(slices.Repeat([]string{"ok"}, panicRun), "panic")
+				if rec.Summary.Failed != 1 || rec.Summary.Verdicts["panic"] != 1 || !slices.Equal(verdicts, want) {
+					t.Fatalf("%s: summary %+v, stream verdicts %v: want jobs 0..%d, the last alone failed with a panic", tag, rec.Summary, verdicts, panicRun)
+				}
 			}
 			wantOut, wantStream, err := run("plain", "-workers", "1")
-			if err != nil || len(wantStream) == 0 || !json.Valid(wantOut) {
-				t.Fatalf("-workers 1: %v (stream of %d bytes, stdout %q)", err, len(wantStream), wantOut)
+			ended("-workers 1", err, wantOut, wantStream)
+			if len(wantStream) == 0 || !json.Valid(wantOut) {
+				t.Fatalf("-workers 1: stream of %d bytes, stdout %q", len(wantStream), wantOut)
 			}
 			check := func(tag string, extra ...string) {
 				t.Helper()
 				out, stream, err := run(tag, extra...)
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
+				ended(tag, err, out, stream)
 				if !bytes.Equal(out, wantOut) {
 					t.Errorf("%s: -json stdout differs from -workers 1:\n%s\nvs\n%s", tag, out, wantOut)
 				}
@@ -507,6 +618,9 @@ func TestEveryCampaignStreamsBitIdentical(t *testing.T) {
 		})
 	}
 }
+
+// maskStack matches a PanicDetail's stack trace, which names goroutines.
+var maskStack = regexp.MustCompile(`"stack":"(?:[^"\\]|\\.)*"`)
 
 var maskWorkers = regexp.MustCompile(`"workers":[0-9]+`)
 

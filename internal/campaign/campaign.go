@@ -72,9 +72,11 @@ type Config struct {
 	// OnResult, if non-nil, receives every completed outcome in job-index
 	// order from a single goroutine (safe for writers).
 	OnResult func(Outcome)
-	// StopOnFail cancels outstanding jobs after the first Ok == false
-	// outcome. The summary then covers only the jobs that completed, so it
-	// is deterministic only in the all-ok case.
+	// StopOnFail ends the campaign at its smallest failed job (an
+	// Ok == false outcome): the jobs below it run to completion, no job
+	// above it starts, and outcomes above it fold as skipped. The summary
+	// and the OnResult stream cover jobs 0 through that one whatever the
+	// workers, processes or resumes.
 	StopOnFail bool
 	// KeepFailures bounds the failing outcomes retained in the report
 	// (smallest job indices first); 0 means 16, negative means none.
@@ -187,6 +189,9 @@ type folder struct {
 	jobs     int
 	start    time.Time
 	failures []Outcome
+	// stopOnFail folds every job after the first failed one as skipped;
+	// stopped is set once that failure has folded.
+	stopOnFail, stopped bool
 }
 
 func newFolder(ctx context.Context, cfg Config, jobs int, start time.Time) *folder {
@@ -195,13 +200,14 @@ func newFolder(ctx context.Context, cfg Config, jobs int, start time.Time) *fold
 		keep = 16
 	}
 	return &folder{
-		agg:      newAggregate(jobs),
-		hb:       heartbeatFrom(ctx),
-		pending:  make(map[int]indexed),
-		keep:     keep,
-		onResult: cfg.OnResult,
-		jobs:     jobs,
-		start:    start,
+		agg:        newAggregate(jobs),
+		hb:         heartbeatFrom(ctx),
+		pending:    make(map[int]indexed),
+		keep:       keep,
+		onResult:   cfg.OnResult,
+		jobs:       jobs,
+		start:      start,
+		stopOnFail: cfg.StopOnFail,
 	}
 }
 
@@ -215,10 +221,10 @@ func (f *folder) push(r indexed) {
 		delete(f.pending, r.idx)
 		f.emit++
 		switch {
+		case r.skipped || f.stopped:
+			f.agg.skip()
 		case r.quarantined:
 			f.agg.quarantine()
-		case r.skipped:
-			f.agg.skip()
 		default:
 			f.agg.add(r.out)
 			if !r.out.Ok && len(f.failures) < f.keep {
@@ -227,6 +233,7 @@ func (f *folder) push(r indexed) {
 			if f.onResult != nil {
 				f.onResult(r.out)
 			}
+			f.stopped = f.stopOnFail && !r.out.Ok
 		}
 		if f.hb.fn != nil && f.emit%f.hb.every == 0 {
 			f.hbSeq++

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // spinJob burns a little CPU so completion order genuinely races under
@@ -211,7 +213,7 @@ func TestPanicBecomesFailedOutcome(t *testing.T) {
 func TestStopOnFail(t *testing.T) {
 	t.Parallel()
 	// Non-failing jobs burn enough CPU that the instant failure at index 3
-	// cancels the campaign while most of the 200 jobs are still queued.
+	// stops the campaign while most of the 200 jobs are still queued.
 	slow := Job{Run: func(ctx context.Context, seed int64) (Outcome, error) {
 		h := uint64(seed)
 		for k := 0; k < 300_000; k++ {
@@ -234,10 +236,46 @@ func TestStopOnFail(t *testing.T) {
 		t.Errorf("failed = %d", rep.Summary.Failed)
 	}
 	if rep.Summary.Skipped == 0 {
-		t.Error("no jobs skipped after StopOnFail cancellation")
+		t.Error("no jobs skipped after StopOnFail stopped the campaign")
 	}
 	if len(rep.Failures) != 1 || rep.Failures[0].Job != 3 || rep.Failures[0].Detail != "schedule-3" {
 		t.Errorf("failures = %+v", rep.Failures)
+	}
+}
+
+// StopOnFail ends a campaign at its smallest failed job, whichever failure
+// arrives first: job 7 fails at once and job 3 only after its neighbours,
+// yet at any worker count, with and without leases, jobs 0 to 3 fold and
+// stream in order, job 3 alone failed, and the rest fold as skipped.
+func TestStopOnFailEndsAtSmallestFailedJob(t *testing.T) {
+	t.Parallel()
+	jobs := make([]Job, 40)
+	for i := range jobs {
+		jobs[i] = Job{Name: fmt.Sprintf("job%d", i), Run: func(ctx context.Context, seed int64) (Outcome, error) {
+			switch i {
+			case 3:
+				time.Sleep(20 * time.Millisecond)
+				return Outcome{Verdict: "violation"}, nil
+			case 7:
+				return Outcome{Verdict: "violation"}, nil
+			}
+			time.Sleep(time.Millisecond)
+			return Outcome{Verdict: "ok", Ok: true, Steps: i}, nil
+		}}
+	}
+	for _, res := range []*Resilience{nil, {}} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			var streamed []int
+			ctx := WithOptions(context.Background(), Options{Resilience: res})
+			rep, err := Run(ctx, Config{Workers: workers, StopOnFail: true, OnResult: func(o Outcome) { streamed = append(streamed, o.Job) }}, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := rep.Summary
+			if s.Completed != 4 || s.Skipped != 36 || s.Failed != 1 || len(rep.Failures) != 1 || rep.Failures[0].Job != 3 || !slices.Equal(streamed, []int{0, 1, 2, 3}) {
+				t.Errorf("workers %d, resilience %v: summary %+v, failures %+v, streamed %v; want jobs 0..3, job 3 failed", workers, res != nil, s, rep.Failures, streamed)
+			}
+		}
 	}
 }
 

@@ -128,7 +128,12 @@ type coordinator struct {
 
 	done     []bool
 	resolved int
-	lastErr  map[int]string // made at the first lost attempt
+	// limit is the last job to run: under StopOnFail the smallest failed
+	// one so far, else the last of all. open counts the jobs up to limit
+	// not yet done; the campaign ends when it reaches 0.
+	limit   atomic.Int64
+	open    int
+	lastErr map[int]string // made at the first lost attempt
 
 	quarantined []QuarantineRecord
 	stats       DispatchStats
@@ -184,9 +189,11 @@ func runCoordinated(parent context.Context, cfg Config, res *Resilience, jobs []
 		stop:   make(chan struct{}),
 		target: target,
 		done:   make([]bool, len(jobs)),
+		open:   len(jobs),
 		errIdx: -1,
 		f:      newFolder(ctx, cfg, len(jobs), start),
 	}
+	c.limit.Store(int64(len(jobs) - 1))
 	if resilient {
 		c.lease = res.lease()
 		c.f.agg.dispatch = &c.stats
@@ -198,12 +205,9 @@ func runCoordinated(parent context.Context, cfg Config, res *Resilience, jobs []
 			return nil, err
 		}
 	}
-	n := min(target, len(jobs)-c.resolved)
-	if c.cfg.StopOnFail && len(c.f.failures) > 0 {
-		// A resumed journal already contains a failure; honor StopOnFail
-		// exactly as if it had just been folded: start no worker.
-		c.stopDispatch, n = true, 0
-	}
+	// A failure in a resumed journal has already set limit, so only the
+	// jobs below it that the journal lacks still run.
+	n := min(target, c.open)
 	c.workers = make([]workerState, n)
 	for i := range c.workers {
 		c.workers[i].job = -1
@@ -233,10 +237,12 @@ func (c *coordinator) openJournal() error {
 				if job < 0 || job >= len(c.jobs) || c.done[job] {
 					continue
 				}
-				c.done[job] = true
-				c.resolved++
+				c.resolve(job)
 				c.stats.Resumed++
 				c.f.push(indexed{idx: job, out: out})
+				if c.cfg.StopOnFail && !out.Ok {
+					c.stopAfter(job)
+				}
 			}
 			c.res.logf("campaign: resumed %d/%d jobs from %s", c.stats.Resumed, len(c.jobs), c.res.Checkpoint)
 		} else if os.IsNotExist(err) {
@@ -280,7 +286,7 @@ func (c *coordinator) loop() (*Report, error) {
 		timerC  <-chan time.Time
 		timerAt time.Time
 	)
-	for c.resolved < len(c.jobs) {
+	for c.open > 0 {
 		// Observe cancellation before dispatching, not only in the select —
 		// a cancel raised inside handle() (OnResult, StopOnFail) must not let
 		// another dispatch round slip through first.
@@ -402,7 +408,7 @@ func (c *coordinator) inflight() int {
 func (c *coordinator) claim() int {
 	for c.ctx.Err() == nil {
 		j := int(c.cursor.Add(1) - 1)
-		if j >= len(c.jobs) {
+		if j >= len(c.jobs) || int64(j) > c.limit.Load() {
 			return -1
 		}
 		if !c.done[j] {
@@ -419,7 +425,7 @@ func (c *coordinator) dispatchReady() {
 		if ws := &c.workers[i]; ws.job == -1 && !c.stopDispatch {
 			req := workReq{Job: c.claim()}
 			if req.Job < 0 {
-				for len(c.retry) > 0 && c.done[c.retry[0].job] {
+				for len(c.retry) > 0 && (c.done[c.retry[0].job] || int64(c.retry[0].job) > c.limit.Load()) {
 					heap.Pop(&c.retry)
 				}
 				if len(c.retry) == 0 || c.retry[0].readyAt.After(c.clock.Now()) {
@@ -532,8 +538,7 @@ func (c *coordinator) requeue(job, failedAttempt int) {
 			LastErr:  c.lastErr[job],
 		})
 		c.stats.Quarantined++
-		c.done[job] = true
-		c.resolved++
+		c.resolve(job)
 		c.f.push(indexed{idx: job, quarantined: true})
 		c.res.logf("campaign: quarantined job %d (%s) after %d attempts: %s", job, c.jobs[job].Name, next, c.lastErr[job])
 		return
@@ -579,12 +584,16 @@ func (c *coordinator) handle(ev coordEvent) (*Report, error, bool) {
 		// so it is neither journaled nor folded, and a resume reruns it.
 		return nil, nil, false
 	}
+	if int64(ev.job) > c.limit.Load() {
+		// Started before a smaller job failed under StopOnFail: it folds
+		// as skipped, like every job past that one.
+		return nil, nil, false
+	}
 	if ev.err != nil {
 		// A job error is an infrastructure failure that aborts the
 		// campaign without a retry; the job folds as skipped.
 		if !c.done[ev.job] {
-			c.done[ev.job] = true
-			c.resolved++
+			c.resolve(ev.job)
 			c.f.push(indexed{idx: ev.job, skipped: true})
 		}
 		c.abort(ev.job, fmt.Errorf("campaign: job %d (%s): %w", ev.job, c.jobs[ev.job].Name, ev.err))
@@ -605,14 +614,38 @@ func (c *coordinator) handle(ev coordEvent) (*Report, error, bool) {
 		}
 		c.stats.Checkpointed++
 	}
-	c.done[ev.job] = true
-	c.resolved++
+	c.resolve(ev.job)
 	c.f.push(indexed{idx: ev.job, out: ev.out})
 	if c.cfg.StopOnFail && !ev.out.Ok {
-		c.stopDispatch = true
-		c.cancel()
+		c.stopAfter(ev.job)
 	}
 	return nil, nil, false
+}
+
+// resolve marks job done.
+func (c *coordinator) resolve(job int) {
+	c.done[job] = true
+	c.resolved++
+	if int64(job) <= c.limit.Load() {
+		c.open--
+	}
+}
+
+// stopAfter makes job, a failed one, the last to run when it is below
+// limit, and recounts the open jobs up to it. The jobs below it still run
+// (a claim never passes one over), so the campaign ends at the same job
+// however the jobs were spread.
+func (c *coordinator) stopAfter(job int) {
+	if int64(job) >= c.limit.Load() {
+		return
+	}
+	c.limit.Store(int64(job))
+	c.open = 0
+	for _, done := range c.done[:job+1] {
+		if !done {
+			c.open++
+		}
+	}
 }
 
 // handleDown requeues the job a dead worker held, frees its slot and
@@ -633,7 +666,7 @@ func (c *coordinator) handleDown(ws *workerState, ev coordEvent) {
 		c.abort(-1, fmt.Errorf("campaign: %d consecutive worker deaths without progress, last: %s", c.deaths, why))
 		return
 	}
-	if !c.stopDispatch && c.resolved < len(c.jobs) {
+	if !c.stopDispatch && c.open > 0 {
 		if err := c.spawn(ev.worker); err != nil {
 			c.abort(-1, err)
 			return
