@@ -39,8 +39,12 @@ const (
 	// fast path, which is what the inert-equivalence tests pin.
 	StrategyNone Strategy = iota
 	// StrategyFlip replaces an int value v with 2v+1 — a type-preserving
-	// bit-style corruption that leaves the proposal domain of every
-	// workload (and so trips validity checks when it propagates).
+	// bit-style corruption. It does not always leave a workload's proposal
+	// domain: commit-adopt processes propose their ids 1..n, so flip maps
+	// each v ≤ (n−1)/2 onto 2v+1 ≤ n, another process's proposal (1 onto
+	// 3 for n ≥ 3), which explore's commit-adopt validity check (a value in
+	// 1..n) cannot tell from an honest one. Only a flipped value above n
+	// trips that check when it propagates.
 	StrategyFlip
 	// StrategyStale replays the register's previous content: the write is
 	// effectively erased while the writer believes it landed — the
