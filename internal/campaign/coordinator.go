@@ -103,8 +103,8 @@ func (q *readyQueue) Pop() any     { old := *q; n := len(old); it := old[n-1]; *
 
 type coordinator struct {
 	// parent is the caller's context; ctx is the internal cancellable child.
-	// Only parent cancellation means "interrupted" — internal cancels are
-	// StopOnFail/abort and must not be mistaken for a SIGINT.
+	// Only parent cancellation means "interrupted" — an internal cancel is
+	// an abort and must not be mistaken for a SIGINT.
 	parent context.Context
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -277,7 +277,7 @@ func (c *coordinator) loop() (*Report, error) {
 		c.stopDispatch = true
 		if c.parent.Err() != nil {
 			// External cancellation (SIGINT relayed by the caller), not our
-			// own StopOnFail/abort cancel.
+			// own abort.
 			c.interrupted = true
 			c.res.logf("campaign: interrupted; waiting for in-flight jobs (leases bound the wait)")
 		}
@@ -288,7 +288,7 @@ func (c *coordinator) loop() (*Report, error) {
 	)
 	for c.open > 0 {
 		// Observe cancellation before dispatching, not only in the select —
-		// a cancel raised inside handle() (OnResult, StopOnFail) must not let
+		// a cancel raised inside handle() (OnResult, an abort) must not let
 		// another dispatch round slip through first.
 		if doneCh != nil && c.ctx.Err() != nil {
 			onDone()
