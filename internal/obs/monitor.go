@@ -1,6 +1,8 @@
 // Package obs is the observability plane over the set-timeliness engine:
 // an online timeliness-graph monitor (this file), the batch relations
-// table of a whole schedule (HeldClasses, held.go), debug HTTP serving
+// table of a whole schedule (HeldClasses, held.go: a walk along the
+// Observation-3 staircase whose every class query is one bit-sliced pass
+// over the schedule, 64 candidate pairs per word), debug HTTP serving
 // (pprof + expvar, http.go), and helpers around the engine's counter
 // blocks and flight recorder. Everything here observes; nothing here may
 // change a run — the engine's fast paths stay bit-identical and

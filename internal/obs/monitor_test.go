@@ -101,17 +101,7 @@ func checkPrefix(t *testing.T, m *obs.Monitor, cfg obs.MonitorConfig, s sched.Sc
 	}
 	// HeldClasses decides the whole family, whatever m tracks.
 	for _, b := range append(bounds, -1) {
-		held := obs.HeldClasses(s, n, b)
-		for i := 1; i <= n; i++ {
-			for j := i; j <= n; j++ {
-				if got, want := j <= held[i], sched.InSystem(s, n, i, j, b); got != want {
-					t.Fatalf("after %d steps: HeldClasses(bound %d) has J(%d) = %d, but sched.InSystem(%d,%d) = %v", len(s), b, i, held[i], i, j, want)
-				}
-			}
-		}
-		if held[0] != 0 || slices.ContainsFunc(held[1:], func(j int) bool { return j > n }) || slices.ContainsFunc(held[n+1:], func(j int) bool { return j != 0 }) {
-			t.Fatalf("after %d steps: HeldClasses(bound %d) = %v, want entries outside 1..%d zero and none above it", len(s), b, held[:n+2], n)
-		}
+		checkHeld(t, s, n, b)
 	}
 }
 
