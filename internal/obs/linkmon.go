@@ -195,13 +195,6 @@ func (m *LinkMonitor) Snapshot() []LinkStatus {
 	return out
 }
 
-// GradeString renders a snapshot as one canonical string, e.g.
-// "1→2:sync 1→3:psync(gst≈41) 2→1:async ..." — the form campaign tallies
-// key on.
-func (m *LinkMonitor) GradeString() string {
-	return FormatLinkGrades(m.Snapshot())
-}
-
 // FormatLinkGrades renders statuses in their given order.
 func FormatLinkGrades(statuses []LinkStatus) string {
 	out := make([]byte, 0, 16*len(statuses))

@@ -77,7 +77,7 @@ func TestLinkMonitorOrderIndependent(t *testing.T) {
 	for _, d := range log {
 		base.Observe(d.From, d.To, d.SentStep, d.Delivered)
 	}
-	want := base.GradeString()
+	want := FormatLinkGrades(base.Snapshot())
 	rng := rand.New(rand.NewPCG(3, 7))
 	for range 20 {
 		rng.Shuffle(len(log), func(i, j int) { log[i], log[j] = log[j], log[i] })
@@ -85,7 +85,7 @@ func TestLinkMonitorOrderIndependent(t *testing.T) {
 		for _, d := range log {
 			m.Observe(d.From, d.To, d.SentStep, d.Delivered)
 		}
-		if got := m.GradeString(); got != want {
+		if got := FormatLinkGrades(m.Snapshot()); got != want {
 			t.Fatalf("shuffled log graded %q, original order %q", got, want)
 		}
 	}
@@ -157,8 +157,8 @@ func TestFormatLinkGrades(t *testing.T) {
 	m.Observe(1, 3, 30, 31) // ...then timely: psync, gst≈11
 	m.Observe(2, 1, 0, 50)  // async
 	want := "1→2:sync 1→3:psync(gst≈11) 2→1:async 2→3:idle 3→1:idle 3→2:idle"
-	if got := m.GradeString(); got != want {
-		t.Fatalf("GradeString = %q, want %q", got, want)
+	if got := FormatLinkGrades(m.Snapshot()); got != want {
+		t.Fatalf("FormatLinkGrades = %q, want %q", got, want)
 	}
 }
 

@@ -2,73 +2,9 @@ package sched
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"github.com/settimeliness/settimeliness/internal/procset"
 )
-
-// weighted schedules live processes with probability proportional to their
-// weight — the tool for "relative process speed" experiments: a process with
-// weight 100 runs two orders of magnitude faster than one with weight 1, yet
-// neither is individually timely on its own.
-type weighted struct {
-	n          int
-	weights    []float64 // cumulative, indexed 0..n-1
-	total      float64
-	crashAfter map[procset.ID]int
-	taken      map[procset.ID]int
-	rng        *rand.Rand
-}
-
-// Weighted returns a seeded random source where process p is scheduled with
-// probability weights[p] / Σ weights (weights is 1-based; entries must be
-// positive). Processes in crashAfter crash after that many steps.
-func Weighted(n int, seed int64, weights map[procset.ID]float64, crashAfter map[procset.ID]int) (Source, error) {
-	if err := validateCrashMap(n, crashAfter); err != nil {
-		return nil, err
-	}
-	w := &weighted{
-		n:          n,
-		weights:    make([]float64, n),
-		crashAfter: crashAfter,
-		taken:      make(map[procset.ID]int, len(crashAfter)),
-		rng:        newRand(seed),
-	}
-	for i := 0; i < n; i++ {
-		wt, ok := weights[procset.ID(i+1)]
-		if !ok {
-			wt = 1
-		}
-		if wt <= 0 {
-			return nil, fmt.Errorf("sched: Weighted weight for p%d is %v, want > 0", i+1, wt)
-		}
-		w.total += wt
-		w.weights[i] = w.total
-	}
-	return w, nil
-}
-
-func (w *weighted) Next() procset.ID {
-	for {
-		x := w.rng.Float64() * w.total
-		idx := 0
-		for idx < w.n-1 && x >= w.weights[idx] {
-			idx++
-		}
-		p := procset.ID(idx + 1)
-		limit, crashes := w.crashAfter[p]
-		if crashes && w.taken[p] >= limit {
-			continue
-		}
-		if crashes {
-			w.taken[p]++
-		}
-		return p
-	}
-}
-
-func (w *weighted) N() int               { return w.n }
-func (w *weighted) Correct() procset.Set { return correctFromCrashMap(w.n, w.crashAfter) }
 
 // interleave alternates blocks from two sources over the same Πn.
 type interleave struct {

@@ -6,62 +6,6 @@ import (
 	"github.com/settimeliness/settimeliness/internal/procset"
 )
 
-func TestWeightedSkew(t *testing.T) {
-	t.Parallel()
-	src, err := Weighted(3, 1, map[procset.ID]float64{1: 100, 2: 1, 3: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Take(src, 20_000)
-	c1 := s.Steps(procset.MakeSet(1))
-	c2 := s.Steps(procset.MakeSet(2))
-	c3 := s.Steps(procset.MakeSet(3))
-	if c1 < 15*c2 || c1 < 15*c3 {
-		t.Errorf("weights not respected: %d / %d / %d", c1, c2, c3)
-	}
-	if c2 == 0 || c3 == 0 {
-		t.Error("light processes never scheduled")
-	}
-	if src.Correct() != procset.FullSet(3) {
-		t.Errorf("Correct = %v", src.Correct())
-	}
-}
-
-func TestWeightedDefaultsAndValidation(t *testing.T) {
-	t.Parallel()
-	// Missing weights default to 1: uniform.
-	src, err := Weighted(2, 3, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Take(src, 10_000)
-	c1 := s.Steps(procset.MakeSet(1))
-	if c1 < 4000 || c1 > 6000 {
-		t.Errorf("uniform default skewed: %d of 10000", c1)
-	}
-	if _, err := Weighted(2, 1, map[procset.ID]float64{1: 0}, nil); err == nil {
-		t.Error("zero weight accepted")
-	}
-	if _, err := Weighted(2, 1, map[procset.ID]float64{1: -3}, nil); err == nil {
-		t.Error("negative weight accepted")
-	}
-	if _, err := Weighted(0, 1, nil, nil); err == nil {
-		t.Error("n = 0 accepted")
-	}
-}
-
-func TestWeightedCrashes(t *testing.T) {
-	t.Parallel()
-	src, err := Weighted(3, 5, map[procset.ID]float64{3: 50}, map[procset.ID]int{3: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Take(src, 5000)
-	if got := s.Steps(procset.MakeSet(3)); got != 4 {
-		t.Errorf("crashed heavy process took %d steps, want 4", got)
-	}
-}
-
 func TestInterleaveBlocks(t *testing.T) {
 	t.Parallel()
 	a, err := RoundRobin(4, map[procset.ID]int{3: 0, 4: 0}) // emits p1 p2
@@ -105,24 +49,5 @@ func TestInterleaveValidation(t *testing.T) {
 	}
 	if _, err := Interleave(a, c, 0, 1); err == nil {
 		t.Error("zero block accepted")
-	}
-}
-
-// TestWeightedSpeedIsNotTimeliness demonstrates the paper's motivating
-// distinction: a process can be 100× faster than everyone else (weight) and
-// still fail to be timely (probabilistic gaps are unbounded), while the
-// union with a peer is timely once governed.
-func TestWeightedSpeedIsNotTimeliness(t *testing.T) {
-	t.Parallel()
-	src, err := Weighted(3, 11, map[procset.ID]float64{1: 100}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Take(src, 50_000)
-	// Even the fast process has some gap (others occasionally run twice in
-	// a row), and the slow ones have large gaps.
-	slowBound := MinBound(s, procset.MakeSet(2), procset.FullSet(3))
-	if slowBound < 10 {
-		t.Errorf("slow process unexpectedly timely: bound %d", slowBound)
 	}
 }

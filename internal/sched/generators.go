@@ -483,18 +483,9 @@ func System(n, i, j int, bound int, seed int64, crashAfter map[procset.ID]int) (
 	return src, TimelyPair{P: p, Q: q, MinBound: bound}, nil
 }
 
-// newRand builds the deterministic generator behind the random sources:
-// math/rand/v2's PCG, which draws in a handful of nanoseconds — the random
-// schedule source sits inside the simulator's batch loop, where the legacy
-// math/rand generator was 10–15% of every BG step. Schedules remain fully
-// determined by the seed; the uniform distribution is unchanged.
-func newRand(seed int64) *rand.Rand {
-	return rand.New(newPCG(seed))
-}
-
-// newPCG is the shared PCG construction, so sources that draw from the
-// generator directly (see random.intN) produce the same streams as those
-// going through rand.Rand.
+// newPCG builds a seeded source's generator: math/rand/v2's PCG, which
+// draws in a handful of nanoseconds, on the stream word random.Reseed uses
+// too, so every stream is fully determined by its seed.
 func newPCG(seed int64) *rand.PCG {
 	return rand.NewPCG(uint64(seed), pcgStream)
 }

@@ -63,17 +63,6 @@ func (s Schedule) Participants() procset.Set {
 	return set
 }
 
-// LastOccurrence returns the index of the last step of p in s, or -1 if p
-// takes no step.
-func (s Schedule) LastOccurrence(p procset.ID) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == p {
-			return i
-		}
-	}
-	return -1
-}
-
 // String renders the schedule as space-separated process names, e.g.
 // "p1 p3 p1".
 func (s Schedule) String() string {

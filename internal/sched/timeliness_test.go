@@ -306,12 +306,6 @@ func TestScheduleAlgebra(t *testing.T) {
 	if got := a.Participants(); got != procset.MakeSet(1, 2) {
 		t.Errorf("Participants = %v", got)
 	}
-	if got := a.Concat(a).LastOccurrence(2); got != 3 {
-		t.Errorf("LastOccurrence = %d", got)
-	}
-	if got := a.LastOccurrence(9); got != -1 {
-		t.Errorf("LastOccurrence missing = %d", got)
-	}
 }
 
 func TestParseErrors(t *testing.T) {
