@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -53,23 +54,25 @@ func withStrays(s sched.Schedule, n int) sched.Schedule {
 func TestHeldClassesMatchesInSystem(t *testing.T) {
 	bounds := []int{-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 1 << 40, math.MaxInt}
 	for n := 2; n <= 6; n++ {
-		mixed := mixedSchedule(t, n, int64(n), 600)
-		// One round of phases of about 64 steps, each starving one
-		// process: the windows of the starved singletons hold 64 to 66
-		// Πn-steps, so J(1) moves between bounds 64 and 67.
-		growth := (64 + n - 2) / (n - 1)
-		starver, err := sched.RotatingStarver(n, 1, growth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		starved := sched.Take(starver, n*growth*(n-1))
-		for _, s := range []sched.Schedule{mixed, starved, withStrays(mixed, n), withStrays(starved, n)} {
-			for _, size := range []int{0, 1, 10, len(s)} {
-				for _, bound := range bounds {
-					checkHeld(t, s[:size], n, bound)
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			mixed := mixedSchedule(t, n, int64(n), 600)
+			// One round of phases of about 64 steps, each starving one
+			// process: the windows of the starved singletons hold 64 to 66
+			// Πn-steps, so J(1) moves between bounds 64 and 67.
+			growth := (64 + n - 2) / (n - 1)
+			starver, err := sched.RotatingStarver(n, 1, growth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			starved := sched.Take(starver, n*growth*(n-1))
+			for _, s := range []sched.Schedule{mixed, starved, withStrays(mixed, n), withStrays(starved, n)} {
+				for _, size := range []int{0, 1, 10, len(s)} {
+					for _, bound := range bounds {
+						checkHeld(t, s[:size], n, bound)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -78,9 +81,10 @@ func TestHeldClassesMatchesInSystem(t *testing.T) {
 // where only candidates of the second word are witnesses: 5 and 6 take
 // turns with 1..4, each of which steps twice in a row between them, 5
 // sitting out the first half of each round and 6 the second. With bound 2
-// only P = {5,6}, in lanes 84..89, is timely with respect to a 4-set. The lanes are numbered as HeldClasses fills them: P in the
-// canonical order of 2-sets, then Q∖P in the canonical order of 2-sets of
-// the positions of Πn∖P's members.
+// only P = {5,6}, in lanes 84..89, is timely with respect to a 4-set. The
+// lanes are numbered as HeldClasses fills them: P in the canonical order
+// of 2-sets, then Q∖P in the canonical order of 2-sets of the positions of
+// Πn∖P's members.
 func TestHeldClassesSecondWord(t *testing.T) {
 	const n, i, j, bound = 6, 2, 4, 2
 	var s sched.Schedule
