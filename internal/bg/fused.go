@@ -52,8 +52,11 @@ type fusedSim struct {
 	self procset.ID
 	regs sim.Registry
 	n    int // simulated threads
-	// mem is the handle on the bg.mem snapshot object.
-	mem snapshot.MachineObject
+	// mem is the handle on the bg.mem snapshot object. memSegs and memOps
+	// are its layout, kept for Rearm where the runner caches layouts.
+	mem     snapshot.MachineObject
+	memSegs []sim.Ref
+	memOps  []sim.Op
 	// shared is the runner-scoped recycling state (payload pools + the
 	// (thread, round) register cache); nil on allocate-per-write runners,
 	// where the machine publishes plain View copies exactly like Algorithm.
@@ -97,6 +100,9 @@ func (s *Simulation) Machine(p procset.ID, regs sim.Registry) sim.Machine {
 		round:   make([]int, n+1),
 		phase:   make([]threadPhase, n+1),
 	}
+	if sim.LayoutCached(regs) {
+		m.memSegs, m.memOps = snapshot.LayoutRefs(regs, "bg.mem", s.m)
+	}
 	m.Rearm()
 	return m
 }
@@ -104,10 +110,14 @@ func (s *Simulation) Machine(p procset.ID, regs sim.Registry) sim.Machine {
 // Rearm implements sim.Rearmer, and is the second half of Machine: it binds
 // the bg.mem handle again (Runner.Reset has just reset the arena it
 // leases from), unbinds every safe agreement handle, and sets the thread
-// pass back to its start. The handles, their calls and every slice are
-// reused.
+// pass back to its start. The handles, their calls, the bg.mem layout and
+// every slice are reused.
 func (m *fusedSim) Rearm() {
-	bindMem(&m.mem, m.regs, m.self, m.s.m)
+	segs, readOps := m.memSegs, m.memOps
+	if segs == nil {
+		segs, readOps = snapshot.LayoutRefs(m.regs, "bg.mem", m.s.m)
+	}
+	m.mem.InitShared(snapshot.ArenaFor(m.regs), m.self, m.s.m, segs, readOps)
 	for i := range m.sas {
 		m.sas[i].proposed, m.sas[i].bound = false, false
 	}
@@ -120,14 +130,6 @@ func (m *fusedSim) Rearm() {
 	}
 	m.i, m.allDone, m.started = 1, true, false
 	m.st, m.call, m.sa, m.propV = 0, nil, nil, nil
-}
-
-// bindMem binds o as simulator p's handle on the bg.mem snapshot object
-// through the runner's layout cache: the object's registers are interned
-// once per runner.
-func bindMem(o *snapshot.MachineObject, regs sim.Registry, p procset.ID, m int) {
-	segs, readOps := snapshot.LayoutRefs(regs, "bg.mem", m)
-	o.InitShared(snapshot.ArenaFor(regs), p, m, segs, readOps)
 }
 
 // saFor returns thread i's handle bound to round r: through the shared

@@ -64,12 +64,11 @@ type Table struct {
 	name      func(sim.RegID) string
 	meta      []TableEntry
 	instances map[string]int
-	names     []string
 }
 
 // NewTable builds an empty table over the given slot-name resolver
-// (typically Runner.RegName). The resolver may be nil for consumers that
-// only use the instance-interning half (InstanceID) until a Rebind.
+// (typically Runner.RegName). The resolver may be nil until a Rebind, as
+// long as no slot is looked up before it.
 func NewTable(name func(sim.RegID) string) *Table {
 	return &Table{name: name, instances: make(map[string]int)}
 }
@@ -102,9 +101,8 @@ func (t *Table) extend(id sim.RegID) TableEntry {
 		if kind != RegisterUnknown {
 			idx, ok := t.instances[instance]
 			if !ok {
-				idx = len(t.names)
+				idx = len(t.instances)
 				t.instances[instance] = idx
-				t.names = append(t.names, instance)
 			}
 			e.Instance = idx
 		}
@@ -112,26 +110,6 @@ func (t *Table) extend(id sim.RegID) TableEntry {
 	}
 	return t.meta[id]
 }
-
-// InstanceID returns the dense id of the named instance, interning it if
-// needed. Legacy per-step observers share the table's numbering this way, so
-// dense consumers and string-parsing consumers agree on instance ids.
-func (t *Table) InstanceID(instance string) int {
-	idx, ok := t.instances[instance]
-	if !ok {
-		idx = len(t.names)
-		t.instances[instance] = idx
-		t.names = append(t.names, instance)
-	}
-	return idx
-}
-
-// NumInstances returns how many distinct consensus instances the table has
-// seen.
-func (t *Table) NumInstances() int { return len(t.names) }
-
-// InstanceName returns the name of the instance with the given dense id.
-func (t *Table) InstanceName(id int) string { return t.names[id] }
 
 // BlockInfo extracts the ballot numbers from a value written to an X
 // register. phase2 reports whether the write opens phase 2 of its ballot

@@ -46,24 +46,23 @@ func TestTable(t *testing.T) {
 		resolved++
 		return names[id]
 	})
-	// Out-of-order first lookup extends through every earlier slot.
-	if e := tb.Entry(2); e.Kind != RegisterBallot || e.Instance != tb.InstanceID("kset[1]") {
+	// Out-of-order first lookup extends through every earlier slot, so
+	// instances are numbered in slot order: kset[0] is 0, kset[1] is 1.
+	const kset0, kset1 = 0, 1
+	if e := tb.Entry(2); e.Kind != RegisterBallot || e.Instance != kset1 {
 		t.Errorf("slot 2 = %+v", e)
 	}
-	if e := tb.Entry(0); e.Kind != RegisterBallot || e.Instance != tb.InstanceID("kset[0]") {
+	if e := tb.Entry(0); e.Kind != RegisterBallot || e.Instance != kset0 {
 		t.Errorf("slot 0 = %+v", e)
 	}
-	if e := tb.Entry(3); e.Kind != RegisterDecision || e.Instance != tb.InstanceID("kset[0]") {
+	if e := tb.Entry(3); e.Kind != RegisterDecision || e.Instance != kset0 {
 		t.Errorf("slot 3 = %+v", e)
 	}
 	if e := tb.Entry(4); e.Kind != RegisterUnknown || e.Instance != -1 {
 		t.Errorf("slot 4 = %+v", e)
 	}
-	if tb.NumInstances() != 2 {
-		t.Errorf("NumInstances = %d, want 2", tb.NumInstances())
-	}
-	if tb.InstanceName(tb.InstanceID("kset[1]")) != "kset[1]" {
-		t.Error("instance name round trip failed")
+	if len(tb.instances) != 2 {
+		t.Errorf("%d instances, want 2", len(tb.instances))
 	}
 	// Each slot's name is parsed exactly once.
 	before := resolved
@@ -77,7 +76,6 @@ func TestTable(t *testing.T) {
 		t.Errorf("resolved %d names, want %d", resolved, len(names))
 	}
 	// Rebind discards the slot cache but keeps the instance numbering.
-	kset1 := tb.InstanceID("kset[1]")
 	tb.Rebind(func(id sim.RegID) string { return "consensus[kset[1]].X[1]" })
 	if e := tb.Entry(0); e.Instance != kset1 {
 		t.Errorf("instance id changed across Rebind: %d vs %d", e.Instance, kset1)

@@ -47,10 +47,6 @@ func (s SystemID) Validate() error {
 // String renders the identifier as "S^i_{j,n}".
 func (s SystemID) String() string { return fmt.Sprintf("S^%d_{%d,%d}", s.I, s.J, s.N) }
 
-// IsAsynchronous reports whether the system equals the asynchronous system
-// Sn, which by Observation 5 happens exactly when i = j.
-func (s SystemID) IsAsynchronous() bool { return s.I == s.J }
-
 // Contains reports whether every schedule of other is a schedule of s, by
 // the sufficient condition of Observation 4: S^{i'}_{j',n} ⊆ S^i_{j,n}
 // whenever i' ≤ i and j ≤ j'. Systems over different n are incomparable.

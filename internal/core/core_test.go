@@ -205,12 +205,6 @@ func TestSystemIDBasics(t *testing.T) {
 	if s.String() != "S^2_{3,5}" {
 		t.Errorf("String = %q", s.String())
 	}
-	if s.IsAsynchronous() {
-		t.Error("S^2_{3,5} reported asynchronous")
-	}
-	if !Sij(3, 3, 5).IsAsynchronous() {
-		t.Error("S^3_{3,5} not reported asynchronous (Observation 5)")
-	}
 	if !s.Contains(Sij(1, 4, 5)) {
 		t.Error("S^2_{3,5} should contain S^1_{4,5} (Observation 4)")
 	}

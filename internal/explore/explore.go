@@ -290,9 +290,10 @@ func ExhaustivePooledCampaign(ctx context.Context, workers, n, depth int, build 
 
 // fuzzSpace validates the generators and returns the run count and the
 // schedule enumeration: run index r covers schedule seed base+r/len(patterns)
-// with crash pattern r%len(patterns). A job reseeds one source per run and
-// fills one steps-long buffer, bit-identical to a fresh
-// Take(Random(n, seed, pattern), steps).
+// with crash pattern r%len(patterns). Each pattern is compiled to budgets
+// once, and each rig fills its one steps-long buffer from a sched.SeedStream,
+// so the runs of one seed filter one shared draw stream; every schedule is
+// bit-identical to a fresh Take(Random(n, seed, pattern), steps).
 func fuzzSpace(n, steps, seeds int, base int64, crashPatterns []map[procset.ID]int) (int, space, error) {
 	if steps < 1 {
 		return 0, nil, fmt.Errorf("explore: fuzzing needs at least 1 step per schedule, got %d", steps)
@@ -300,23 +301,20 @@ func fuzzSpace(n, steps, seeds int, base int64, crashPatterns []map[procset.ID]i
 	if len(crashPatterns) == 0 {
 		crashPatterns = []map[procset.ID]int{nil}
 	}
-	// Validate n and every pattern once up front, so no rig's generator
-	// can fail.
-	for _, crashes := range crashPatterns {
-		if _, err := sched.Random(n, base, crashes); err != nil {
+	// Compiling validates n and every pattern, so no rig's stream can fail.
+	budgets := make([]sched.Budgets, len(crashPatterns))
+	for i, crashes := range crashPatterns {
+		b, err := sched.CompileBudgets(n, crashes)
+		if err != nil {
 			return 0, nil, err
 		}
+		budgets[i] = b
 	}
-	return seeds * len(crashPatterns), func() func(int) sched.Schedule {
-		// n and every crash pattern were validated above, so neither the
-		// generator nor its reseed can fail here.
-		src, _ := sched.Random(n, base, nil)
+	return seeds * len(budgets), func() func(int) sched.Schedule {
+		stream, _ := sched.NewSeedStream(n)
 		schedule := make(sched.Schedule, steps)
 		return func(r int) sched.Schedule {
-			if err := src.Reseed(base+int64(r/len(crashPatterns)), crashPatterns[r%len(crashPatterns)]); err != nil {
-				panic(err)
-			}
-			src.NextBlock(schedule)
+			stream.Fill(schedule, base+int64(r/len(budgets)), budgets[r%len(budgets)])
 			return schedule
 		}
 	}, nil

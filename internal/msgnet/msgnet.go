@@ -321,23 +321,6 @@ func (net *Net) linkIndex(from, to procset.ID) int {
 	return (int(from)-1)*net.n + int(to) - 1
 }
 
-// SpecAt returns the timing spec governing the link from→to at the given
-// global step, without disturbing the phase cursor (diagnostics and tests).
-func (net *Net) SpecAt(from, to procset.ID, step int) LinkSpec {
-	ls := &net.links[net.linkIndex(from, to)]
-	if len(ls.phases) == 0 {
-		return ls.spec
-	}
-	spec := ls.phases[0].Spec
-	for _, ph := range ls.phases {
-		if ph.From > step {
-			break
-		}
-		spec = ph.Spec
-	}
-	return spec
-}
-
 // specNow resolves the link's spec at step, advancing the phase cursor.
 func (ls *linkState) specNow(step int) LinkSpec {
 	if len(ls.phases) == 0 {

@@ -193,7 +193,7 @@ func TestVaryingLinkPhases(t *testing.T) {
 			deliveries = append(deliveries, delivery{from, to, sent, dlv})
 		},
 	}
-	r, net, _ := pingPongRig(t, cfg)
+	r, _, _ := pingPongRig(t, cfg)
 	// Schedule the receiver 3× per sender step so the async-era backlog
 	// drains once the link turns synchronous.
 	s := make(sched.Schedule, 800)
@@ -205,12 +205,6 @@ func TestVaryingLinkPhases(t *testing.T) {
 		}
 	}
 	r.RunSchedule(s)
-	if got := net.SpecAt(1, 2, 0).Grade; got != Async {
-		t.Fatalf("SpecAt step 0: %v, want async", got)
-	}
-	if got := net.SpecAt(1, 2, 300); got.Grade != Sync || got.Delta != 2 {
-		t.Fatalf("SpecAt step 300: %v, want sync(Δ=2)", got)
-	}
 	sawLate := false
 	for _, d := range deliveries {
 		// Just past the switch the recipient still drains the async-era

@@ -15,7 +15,6 @@ package procset
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -188,9 +187,4 @@ func Parse(text string) (Set, error) {
 		s = s.Add(ID(v))
 	}
 	return s, nil
-}
-
-// SortSets sorts a slice of sets in the canonical total order.
-func SortSets(sets []Set) {
-	sort.Slice(sets, func(i, j int) bool { return sets[i].Less(sets[j]) })
 }

@@ -264,23 +264,6 @@ func TestUnrankErrors(t *testing.T) {
 	}
 }
 
-func TestSubsetsContaining(t *testing.T) {
-	t.Parallel()
-	n, k := 6, 3
-	for id := ID(1); id <= ID(n); id++ {
-		subs := SubsetsContaining(id, n, k)
-		if len(subs) != Binomial(n-1, k-1) {
-			t.Fatalf("SubsetsContaining(%v,%d,%d) has %d, want %d",
-				id, n, k, len(subs), Binomial(n-1, k-1))
-		}
-		for _, s := range subs {
-			if !s.Contains(id) {
-				t.Fatalf("subset %v does not contain %v", s, id)
-			}
-		}
-	}
-}
-
 func TestQuickRankUnrank(t *testing.T) {
 	t.Parallel()
 	f := func(seed int64) bool {
@@ -319,17 +302,6 @@ func TestQuickSetAlgebraLaws(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSortSets(t *testing.T) {
-	t.Parallel()
-	sets := []Set{MakeSet(2, 3), MakeSet(1), MakeSet(1, 2), EmptySet}
-	SortSets(sets)
-	for i := 1; i < len(sets); i++ {
-		if !sets[i-1].Less(sets[i]) {
-			t.Fatalf("not sorted at %d: %v", i, sets)
-		}
 	}
 }
 

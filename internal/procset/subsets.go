@@ -86,15 +86,3 @@ func UnrankKSubset(rank, k, n int) (Set, error) {
 	}
 	return s, nil
 }
-
-// SubsetsContaining returns all k-subsets of {1..n} that contain process id.
-func SubsetsContaining(id ID, n, k int) []Set {
-	all := KSubsets(n, k)
-	out := make([]Set, 0, Binomial(n-1, k-1))
-	for _, s := range all {
-		if s.Contains(id) {
-			out = append(out, s)
-		}
-	}
-	return out
-}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/settimeliness/settimeliness/internal/procset"
@@ -69,8 +70,8 @@ func FuzzRandomFill(f *testing.F) {
 	})
 }
 
-// BenchmarkRandomFill times the schedule fill a pooled fuzz job does per
-// run: reseed one source, fill one 300-step buffer. ns/op is per run.
+// BenchmarkRandomFill times the schedule fill of one 300-step run: reseed
+// one source and fill one buffer, per crash pattern. ns/op is per run.
 func BenchmarkRandomFill(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
@@ -96,6 +97,38 @@ func BenchmarkRandomFill(b *testing.B) {
 				src.NextBlock(buf)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buf)), "ns/step")
+		})
+	}
+	// seed8: the fuzz campaign's shape, each seed failure-free and under
+	// seven one-crash patterns, 300 steps. ns/op is per run: "reseed"
+	// reseeds one source per run, "stream" fills every pattern of a seed
+	// from one SeedStream.
+	for _, n := range []int{4, 5} {
+		patterns := []map[procset.ID]int{nil}
+		for j := 0; j < 7; j++ {
+			patterns = append(patterns, map[procset.ID]int{procset.ID(1 + j%n): 20 * j})
+		}
+		budgets := make([]Budgets, len(patterns))
+		for j, p := range patterns {
+			budgets[j], _ = CompileBudgets(n, p)
+		}
+		buf := make(Schedule, 300)
+		b.Run(fmt.Sprintf("seed8/reseed/n%d", n), func(b *testing.B) {
+			src, _ := Random(n, 1, nil)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := src.Reseed(int64(i/len(patterns)), patterns[i%len(patterns)]); err != nil {
+					b.Fatal(err)
+				}
+				src.NextBlock(buf)
+			}
+		})
+		b.Run(fmt.Sprintf("seed8/stream/n%d", n), func(b *testing.B) {
+			stream, _ := NewSeedStream(n)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				stream.Fill(buf, int64(i/len(budgets)), budgets[i%len(budgets)])
+			}
 		})
 	}
 }

@@ -146,11 +146,17 @@ func (r *random) Reseed(seed int64, crashAfter map[procset.ID]int) error {
 func (r *random) reset(seed int64, crashAfter map[procset.ID]int) {
 	r.pcg.Seed(uint64(seed), pcgStream)
 	r.crashAfter = crashAfter
-	for p := range r.rem {
-		r.rem[p] = math.MaxInt
+	fillBudgets(r.rem, crashAfter)
+}
+
+// fillBudgets writes crashAfter into rem as dense budgets: rem[p] is how
+// many steps p may take, math.MaxInt for a process that never crashes.
+func fillBudgets(rem []int, crashAfter map[procset.ID]int) {
+	for p := range rem {
+		rem[p] = math.MaxInt
 	}
 	for p, c := range crashAfter {
-		r.rem[p] = c
+		rem[p] = c
 	}
 }
 
@@ -194,40 +200,63 @@ func (r *random) Next() procset.ID {
 	}
 }
 
-// NextBlock fills dst exactly as len(dst) Next calls would, at about one
-// PCG draw per step. A crash-free power-of-two n is a masked draw. Otherwise
-// every draw is written at the write index, which advances only when the
-// drawn process had budget left, so a crashed process's draw is consumed
-// and then overwritten without a data-dependent branch.
+// NextBlock fills dst exactly as len(dst) Next calls would. A crash-free
+// source is one draw per step. Otherwise the free tail of dst is filled
+// with as many crash-free draws as it has room for, and filter compacts
+// the draws the crash pattern keeps to its front, until dst is full: every
+// draw is consumed once, as Next consumes it.
 func (r *random) NextBlock(dst []procset.ID) {
+	if len(r.crashAfter) == 0 {
+		r.draw(dst)
+		return
+	}
+	for i := 0; i < len(dst); {
+		r.draw(dst[i:])
+		kept, _ := filter(dst[i:], dst[i:], r.rem)
+		i += kept
+	}
+}
+
+// draw fills dst with the next len(dst) crash-free draws: the processes
+// Next would draw, before its crash budgets reject any. A power-of-two n
+// is a masked draw.
+func (r *random) draw(dst []procset.ID) {
 	n := uint64(r.n)
-	pow2 := n&(n-1) == 0
-	if pow2 && len(r.crashAfter) == 0 {
+	if n&(n-1) == 0 {
 		for i := range dst {
 			dst[i] = procset.ID(r.pcg.Uint64()&(n-1)) + 1
 		}
 		return
 	}
-	rem := r.rem
-	for i := 0; i < len(dst); {
-		var p uint64
-		if pow2 {
-			p = r.pcg.Uint64() & (n - 1)
-		} else {
-			var lo uint64
-			p, lo = bits.Mul64(r.pcg.Uint64(), n)
-			if lo < n {
-				p = r.retry(p, lo, n)
-			}
+	for i := range dst {
+		p, lo := bits.Mul64(r.pcg.Uint64(), n)
+		if lo < n {
+			p = r.retry(p, lo, n)
 		}
 		dst[i] = procset.ID(p) + 1
+	}
+}
+
+// filter is the crash rule over a crash-free draw stream, the one place
+// outside Next that applies it: it walks draws, keeps a draw p while
+// rem[p] > 0 (taking one step of p's budget) and rejects it otherwise,
+// until dst is full or draws run out. It returns how many draws it kept
+// into dst and how many it consumed. dst may be draws itself: a kept draw
+// is written at or before the draw being read. Every draw is written at
+// the write index, which advances only for a kept one, so a rejection is
+// overwritten without a data-dependent branch.
+func filter(dst, draws []procset.ID, rem []int) (kept, used int) {
+	for ; used < len(draws) && kept < len(dst); used++ {
+		p := draws[used]
+		dst[kept] = p
 		live := 0
-		if rem[p+1] > 0 {
+		if rem[p] > 0 {
 			live = 1
 		}
-		rem[p+1] -= live
-		i += live
+		rem[p] -= live
+		kept += live
 	}
+	return kept, used
 }
 
 func (r *random) N() int               { return r.n }
@@ -431,10 +460,29 @@ func (r *rotatingStarver) Next() procset.ID {
 	return p
 }
 
-// NextBlock implements BlockSource with direct calls to the concrete Next.
+// NextBlock fills dst exactly as len(dst) Next calls would, one phase at a
+// time: the phase's steps are a round robin over others, so it lays down
+// one period from otherPos and doubles it with copy up to the phase end.
 func (r *rotatingStarver) NextBlock(dst []procset.ID) {
-	for i := range dst {
-		dst[i] = r.Next()
+	for i := 0; i < len(dst); {
+		if r.pos >= r.phaseLen {
+			next := r.phaseIdx + 1
+			r.startPhase(next, next/len(r.victims)+1)
+		}
+		seg := dst[i:min(len(dst), i+r.phaseLen-r.pos)]
+		period := min(len(seg), r.nOthers)
+		for j, q := 0, r.otherPos; j < period; j++ {
+			seg[j] = r.others[q]
+			if q++; q == r.nOthers {
+				q = 0
+			}
+		}
+		for filled := period; filled < len(seg); {
+			filled += copy(seg[filled:], seg[:filled])
+		}
+		r.pos += len(seg)
+		r.otherPos = (r.otherPos + len(seg)) % r.nOthers
+		i += len(seg)
 	}
 }
 

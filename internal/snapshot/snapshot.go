@@ -27,16 +27,6 @@ type View struct {
 // Get returns q's component value (nil if q never updated).
 func (v View) Get(q procset.ID) any { return v.Vals[q] }
 
-// Dominates reports whether v is componentwise at least as recent as w.
-func (v View) Dominates(w View) bool {
-	for q := 1; q < len(v.Seqs); q++ {
-		if v.Seqs[q] < w.Seqs[q] {
-			return false
-		}
-	}
-	return true
-}
-
 // segment is the per-process single-writer record. Registers hold segments
 // by pointer (*segment): a segment is immutable once written, and the
 // pointer form spares every collect read the copy of this three-field,
