@@ -53,7 +53,7 @@ type fusedSim struct {
 	regs sim.Registry
 	n    int // simulated threads
 	// mem is the handle on the bg.mem snapshot object. memSegs and memOps
-	// are its layout, kept for Rearm where the runner caches layouts.
+	// are its layout, looked up once in Machine and kept for Rearm.
 	mem     snapshot.MachineObject
 	memSegs []sim.Ref
 	memOps  []sim.Op
@@ -100,9 +100,7 @@ func (s *Simulation) Machine(p procset.ID, regs sim.Registry) sim.Machine {
 		round:   make([]int, n+1),
 		phase:   make([]threadPhase, n+1),
 	}
-	if sim.LayoutCached(regs) {
-		m.memSegs, m.memOps = snapshot.LayoutRefs(regs, "bg.mem", s.m)
-	}
+	m.memSegs, m.memOps = snapshot.LayoutRefs(regs, "bg.mem", s.m)
 	m.Rearm()
 	return m
 }
@@ -113,11 +111,7 @@ func (s *Simulation) Machine(p procset.ID, regs sim.Registry) sim.Machine {
 // pass back to its start. The handles, their calls, the bg.mem layout and
 // every slice are reused.
 func (m *fusedSim) Rearm() {
-	segs, readOps := m.memSegs, m.memOps
-	if segs == nil {
-		segs, readOps = snapshot.LayoutRefs(m.regs, "bg.mem", m.s.m)
-	}
-	m.mem.InitShared(snapshot.ArenaFor(m.regs), m.self, m.s.m, segs, readOps)
+	m.mem.InitShared(snapshot.ArenaFor(m.regs), m.self, m.s.m, m.memSegs, m.memOps)
 	for i := range m.sas {
 		m.sas[i].proposed, m.sas[i].bound = false, false
 	}

@@ -99,36 +99,47 @@ func BenchmarkRandomFill(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buf)), "ns/step")
 		})
 	}
-	// seed8: the fuzz campaign's shape, each seed failure-free and under
-	// seven one-crash patterns, 300 steps. ns/op is per run: "reseed"
-	// reseeds one source per run, "stream" fills every pattern of a seed
-	// from one SeedStream.
+	// Per-seed cases, one 300-step run per op: "reseed" reseeds one source
+	// per run, "stream" fills every pattern of a seed from one SeedStream.
+	// seed8 is the nightly fuzz shape, each seed failure-free and under
+	// seven one-crash patterns; seed1 and seed1-crash have one pattern per
+	// seed (the CLI default, and -crashes p1@3), so no seed is reused.
 	for _, n := range []int{4, 5} {
-		patterns := []map[procset.ID]int{nil}
+		seed8 := []map[procset.ID]int{nil}
 		for j := 0; j < 7; j++ {
-			patterns = append(patterns, map[procset.ID]int{procset.ID(1 + j%n): 20 * j})
+			seed8 = append(seed8, map[procset.ID]int{procset.ID(1 + j%n): 20 * j})
 		}
-		budgets := make([]Budgets, len(patterns))
-		for j, p := range patterns {
-			budgets[j], _ = CompileBudgets(n, p)
-		}
-		buf := make(Schedule, 300)
-		b.Run(fmt.Sprintf("seed8/reseed/n%d", n), func(b *testing.B) {
-			src, _ := Random(n, 1, nil)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := src.Reseed(int64(i/len(patterns)), patterns[i%len(patterns)]); err != nil {
-					b.Fatal(err)
+		for _, shape := range []struct {
+			name     string
+			patterns []map[procset.ID]int
+		}{
+			{"seed8", seed8},
+			{"seed1", []map[procset.ID]int{nil}},
+			{"seed1-crash", []map[procset.ID]int{{1: 3}}},
+		} {
+			patterns := shape.patterns
+			budgets := make([]Budgets, len(patterns))
+			for j, p := range patterns {
+				budgets[j], _ = CompileBudgets(n, p)
+			}
+			buf := make(Schedule, 300)
+			b.Run(fmt.Sprintf("%s/reseed/n%d", shape.name, n), func(b *testing.B) {
+				src, _ := Random(n, 1, nil)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := src.Reseed(int64(i/len(patterns)), patterns[i%len(patterns)]); err != nil {
+						b.Fatal(err)
+					}
+					src.NextBlock(buf)
 				}
-				src.NextBlock(buf)
-			}
-		})
-		b.Run(fmt.Sprintf("seed8/stream/n%d", n), func(b *testing.B) {
-			stream, _ := NewSeedStream(n)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				stream.Fill(buf, int64(i/len(budgets)), budgets[i%len(budgets)])
-			}
-		})
+			})
+			b.Run(fmt.Sprintf("%s/stream/n%d", shape.name, n), func(b *testing.B) {
+				stream, _ := NewSeedStream(n)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					stream.Fill(buf, int64(i/len(budgets)), budgets[i%len(budgets)])
+				}
+			})
+		}
 	}
 }

@@ -460,29 +460,10 @@ func (r *rotatingStarver) Next() procset.ID {
 	return p
 }
 
-// NextBlock fills dst exactly as len(dst) Next calls would, one phase at a
-// time: the phase's steps are a round robin over others, so it lays down
-// one period from otherPos and doubles it with copy up to the phase end.
+// NextBlock implements BlockSource with direct calls to the concrete Next.
 func (r *rotatingStarver) NextBlock(dst []procset.ID) {
-	for i := 0; i < len(dst); {
-		if r.pos >= r.phaseLen {
-			next := r.phaseIdx + 1
-			r.startPhase(next, next/len(r.victims)+1)
-		}
-		seg := dst[i:min(len(dst), i+r.phaseLen-r.pos)]
-		period := min(len(seg), r.nOthers)
-		for j, q := 0, r.otherPos; j < period; j++ {
-			seg[j] = r.others[q]
-			if q++; q == r.nOthers {
-				q = 0
-			}
-		}
-		for filled := period; filled < len(seg); {
-			filled += copy(seg[filled:], seg[:filled])
-		}
-		r.pos += len(seg)
-		r.otherPos = (r.otherPos + len(seg)) % r.nOthers
-		i += len(seg)
+	for i := range dst {
+		dst[i] = r.Next()
 	}
 }
 

@@ -41,11 +41,3 @@ func Layout[K comparable, T any](regs Registry, key K, build func() T) T {
 	m.store(key, v)
 	return v
 }
-
-// LayoutCached reports whether Layout keeps what it builds for regs, that
-// is, whether regs is a runner's registry. Only then may a machine keep a
-// layout across Rearm instead of asking Layout for it again.
-func LayoutCached(regs Registry) bool {
-	_, ok := regs.(*memory)
-	return ok
-}
