@@ -37,14 +37,16 @@ func mainRun() int {
 		seed       = flag.Int64("seed", 1, "base seed")
 		markdown   = flag.Bool("markdown", false, "emit tables as markdown")
 		jsonOut    = flag.Bool("json", false, "emit one JSON record per experiment (for perf tracking)")
-		gogc       = flag.Int("gogc", 400, "GC target percentage for this batch run (0 leaves the runtime default); the BG experiments allocate an immutable value per write step, and a short-lived batch tool prefers fewer collections over a small heap")
 		pprofAddr  = flag.String("pprof", "", "serve pprof and expvar debug endpoints on this address while the suite runs (e.g. localhost:6060)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the suite to this file (the PGO recipe: run -quick -cpuprofile and commit the output as cmd/stm-bench/default.pgo)")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the suite to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file when the suite finishes")
 	)
 	flag.Parse()
-	if *gogc > 0 && os.Getenv("GOGC") == "" {
-		debug.SetGCPercent(*gogc)
+	// The BG experiments allocate an immutable value per write step, and a
+	// short-lived batch tool prefers fewer collections over a small heap.
+	// An explicit GOGC still wins.
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(400)
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -22,6 +22,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"os"
 	"runtime/debug"
 	"sort"
 	"time"
@@ -140,26 +141,28 @@ func Run(ctx context.Context, cfg Config, jobs []Job) (*Report, error) {
 }
 
 // PanicDetail is the Outcome.Detail payload of a job that panicked: the
-// panic value plus the goroutine stack, so a failed-job verdict in a JSONL
-// stream carries its own crash context.
+// panic value, so a failed-job verdict in a JSONL stream carries its own
+// crash context. The goroutine stack names goroutines that differ from run
+// to run, so it goes to stderr instead and the stream stays byte-identical.
 type PanicDetail struct {
 	Message string `json:"message"`
-	Stack   string `json:"stack,omitempty"`
 }
 
 // runJob executes one job with panic isolation: a panicking job records a
-// failed outcome with verdict "panic" (message and stack in Detail) instead
-// of killing the whole campaign. Infrastructure errors returned by the job
-// still abort the run.
+// failed outcome with verdict "panic" (its message in Detail, its stack on
+// the stderr of the process that ran it, which worker children share with
+// the coordinator) instead of killing the whole campaign. Infrastructure
+// errors returned by the job still abort the run.
 func runJob(ctx context.Context, j Job, idx int, seed int64) (out Outcome, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
+			fmt.Fprintf(os.Stderr, "campaign: job %d (%s) panicked: %v\n%s", idx, j.Name, rec, debug.Stack())
 			out = Outcome{
 				Job:     idx,
 				Name:    j.Name,
 				Verdict: "panic",
 				Ok:      false,
-				Detail:  PanicDetail{Message: fmt.Sprint(rec), Stack: string(debug.Stack())},
+				Detail:  PanicDetail{Message: fmt.Sprint(rec)},
 			}
 			err = nil
 		}

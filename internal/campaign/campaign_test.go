@@ -176,7 +176,7 @@ func TestJobErrorAbortsCampaign(t *testing.T) {
 func TestPanicBecomesFailedOutcome(t *testing.T) {
 	t.Parallel()
 	// A panicking job is isolated: the campaign completes, the job folds as a
-	// failed outcome carrying the panic message and stack.
+	// failed outcome carrying the panic message (its stack goes to stderr).
 	jobs := makeJobs(10)
 	jobs[4] = Job{Name: "p", Run: func(ctx context.Context, seed int64) (Outcome, error) {
 		panic("kaboom")
@@ -204,9 +204,6 @@ func TestPanicBecomesFailedOutcome(t *testing.T) {
 	}
 	if !strings.Contains(pd.Message, "kaboom") {
 		t.Errorf("panic message %q lacks the panic value", pd.Message)
-	}
-	if !strings.Contains(pd.Stack, "campaign") {
-		t.Errorf("stack trace looks empty: %q", pd.Stack)
 	}
 }
 

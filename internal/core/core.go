@@ -143,50 +143,3 @@ func (p Problem) AgreementConfig(s SystemID) (kset.Config, error) {
 	}
 	return cfg, nil
 }
-
-// Separation describes the Theorem 26/abstract separation exhibited by a
-// matching system: it solves the problem but neither of the two
-// incrementally stronger problems.
-type Separation struct {
-	System             SystemID
-	Solves             Problem
-	StrongerResilience Problem // (t+1, k, n)
-	StrongerAgreement  Problem // (t, k−1, n)
-	SolvesBase         bool
-	SolvesResilience   bool
-	SolvesAgreement    bool
-}
-
-// SeparationAt evaluates the separation claims for (t,k,n) with k ≤ t and
-// t+1 ≤ n−1 (so that the stronger problems are well-formed).
-func SeparationAt(t, k, n int) (Separation, error) {
-	base := Problem{T: t, K: k, N: n}
-	if err := base.Validate(); err != nil {
-		return Separation{}, err
-	}
-	if k > t {
-		return Separation{}, fmt.Errorf("core: separation requires k ≤ t, got k=%d t=%d", k, t)
-	}
-	sys := base.MatchingSystem()
-	sep := Separation{
-		System:             sys,
-		Solves:             base,
-		StrongerResilience: Problem{T: t + 1, K: k, N: n},
-		StrongerAgreement:  Problem{T: t, K: k - 1, N: n},
-	}
-	var err error
-	if sep.SolvesBase, err = base.SolvableIn(sys); err != nil {
-		return Separation{}, err
-	}
-	if t+1 <= n-1 {
-		if sep.SolvesResilience, err = sep.StrongerResilience.SolvableIn(sys); err != nil {
-			return Separation{}, err
-		}
-	}
-	if k-1 >= 1 {
-		if sep.SolvesAgreement, err = sep.StrongerAgreement.SolvableIn(sys); err != nil {
-			return Separation{}, err
-		}
-	}
-	return sep, nil
-}

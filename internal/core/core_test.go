@@ -110,27 +110,23 @@ func TestMatchingSystemIsTight(t *testing.T) {
 
 func TestSeparationAt(t *testing.T) {
 	t.Parallel()
+	// The abstract's separation: S^k_{t+1,n} solves (t,k,n)-agreement but
+	// neither the more resilient (t+1,k,n) nor the stronger (t,k−1,n).
 	for n := 4; n <= 9; n++ {
 		for to := 2; to <= n-2; to++ {
 			for k := 2; k <= to; k++ {
-				sep, err := SeparationAt(to, k, n)
-				if err != nil {
-					t.Fatalf("SeparationAt(%d,%d,%d): %v", to, k, n, err)
+				base := Problem{T: to, K: k, N: n}
+				sys := base.MatchingSystem()
+				if !mustSolvable(t, base, sys) {
+					t.Errorf("%v should solve %v", sys, base)
 				}
-				if !sep.SolvesBase {
-					t.Errorf("S^%d_{%d,%d} should solve base %v", k, to+1, n, sep.Solves)
-				}
-				if sep.SolvesResilience {
-					t.Errorf("%v should NOT solve %v", sep.System, sep.StrongerResilience)
-				}
-				if sep.SolvesAgreement {
-					t.Errorf("%v should NOT solve %v", sep.System, sep.StrongerAgreement)
+				for _, stronger := range []Problem{{T: to + 1, K: k, N: n}, {T: to, K: k - 1, N: n}} {
+					if mustSolvable(t, stronger, sys) {
+						t.Errorf("%v should NOT solve %v", sys, stronger)
+					}
 				}
 			}
 		}
-	}
-	if _, err := SeparationAt(2, 3, 5); err == nil {
-		t.Error("k > t accepted")
 	}
 }
 

@@ -39,7 +39,7 @@ func FuzzDecodeDetail(f *testing.F) {
 			// A violation always carries its check's error message.
 			&explore.Violation{Schedule: s, Err: errors.New(cmp.Or(text, "violated")), Flight: more, Trace: text},
 			&MatrixCell{Problem: core.Problem{T: x, K: y, N: x + y}, I: x, J: y, Theory: flag, Empirical: text, Match: !flag, Steps: len(steps)},
-			campaign.PanicDetail{Message: text, Stack: more},
+			campaign.PanicDetail{Message: text},
 		}
 		decoders := []func(json.RawMessage) (any, bool){
 			decodeAs[*explore.Violation], decodeAs[*MatrixCell], decodeAs[campaign.PanicDetail],

@@ -120,14 +120,6 @@ func InSystem(s Schedule, n, i, j, bound int) bool {
 	return false
 }
 
-// Observation2 checks the paper's Observation 2 on a finite schedule: if P is
-// timely w.r.t. Q with bound b1 and P' timely w.r.t. Q' with bound b2, then
-// P ∪ P' is timely w.r.t. Q ∪ Q' (the returned bound witnesses it).
-// It returns the minimal bound for the union relation.
-func Observation2(s Schedule, p, q, p2, q2 procset.Set) int {
-	return MinBound(s, p.Union(p2), q.Union(q2))
-}
-
 // GapProfile returns, for every P-free maximal window of s, the number of
 // Q-steps it contains, in schedule order, including the trailing partial
 // window. It is the raw data behind Figure 1 style analyses.

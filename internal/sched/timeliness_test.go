@@ -195,7 +195,7 @@ func TestObservation2Union(t *testing.T) {
 		q2 := randomNonemptySet(rng, 6)
 		b1 := MinBound(s, p, q)
 		b2 := MinBound(s, p2, q2)
-		got := Observation2(s, p, q, p2, q2)
+		got := MinBound(s, p.Union(p2), q.Union(q2))
 		if got > b1+b2 {
 			t.Fatalf("union bound %d exceeds %d+%d for s=%v p=%v q=%v p'=%v q'=%v",
 				got, b1, b2, s, p, q, p2, q2)
