@@ -13,10 +13,8 @@ import (
 
 	stm "github.com/settimeliness/settimeliness"
 	"github.com/settimeliness/settimeliness/internal/experiments"
-	"github.com/settimeliness/settimeliness/internal/kset"
 	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sched"
-	"github.com/settimeliness/settimeliness/internal/sim"
 )
 
 func benchExperiment(b *testing.B, id string) {
@@ -104,53 +102,6 @@ func BenchmarkAgreementLatency(b *testing.B) {
 					stm.WithSeed(int64(i)))
 				if err != nil {
 					b.Fatal(err)
-				}
-				totalSteps += res.Steps
-			}
-			b.ReportMetric(float64(totalSteps)/float64(b.N), "steps/run")
-		})
-	}
-}
-
-// BenchmarkEngineComparison is the engine ablation: the Theorem 24
-// construction with the Disk-Paxos engine vs the commit-adopt chain engine,
-// same problem, same schedules.
-func BenchmarkEngineComparison(b *testing.B) {
-	engines := []struct {
-		name   string
-		engine kset.Engine
-	}{
-		{"paxos", kset.EnginePaxos},
-		{"commitadopt", kset.EngineCommitAdopt},
-	}
-	for _, eng := range engines {
-		eng := eng
-		b.Run(eng.name, func(b *testing.B) {
-			totalSteps := 0
-			for i := 0; i < b.N; i++ {
-				cfg := kset.Config{N: 4, K: 2, T: 2, Engine: eng.engine}
-				ag, err := kset.New(cfg, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				src, _, err := sched.System(4, 2, 3, 4, int64(i), nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				runner, err := sim.NewRunner(sim.Config{
-					N:         4,
-					Algorithm: ag.Algorithm(func(p procset.ID) any { return int(p) }),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				correct := src.Correct()
-				res := runner.Run(src, 2_000_000, 200, func() bool {
-					return correct.SubsetOf(ag.DecidedSet())
-				})
-				runner.Close()
-				if !res.Stopped {
-					b.Fatal("engine did not decide")
 				}
 				totalSteps += res.Steps
 			}

@@ -71,9 +71,15 @@ func BenchmarkAdversaryDrive(b *testing.B) {
 // readOnlyMachine reads one register forever: the workload that isolates the
 // directed loop itself (no writes, so no value boxing) for the steady-state
 // allocation assertion.
-type readOnlyMachine struct{ reg sim.Ref }
+type readOnlyMachine struct {
+	reg sim.Ref
+	op  sim.Op
+}
 
-func (m *readOnlyMachine) Next(prev any) (sim.Op, bool) { return sim.ReadOp(m.reg), true }
+func (m *readOnlyMachine) NextOp(prev any) *sim.Op {
+	m.op = sim.ReadOp(m.reg)
+	return &m.op
+}
 
 // smallWriteMachine alternates a read with a write of a small int (boxed to
 // the runtime's static cells, so the workload itself does not allocate),
@@ -81,14 +87,17 @@ func (m *readOnlyMachine) Next(prev any) (sim.Op, bool) { return sim.ReadOp(m.re
 type smallWriteMachine struct {
 	reg  sim.Ref
 	flip bool
+	op   sim.Op
 }
 
-func (m *smallWriteMachine) Next(prev any) (sim.Op, bool) {
+func (m *smallWriteMachine) NextOp(prev any) *sim.Op {
 	m.flip = !m.flip
 	if m.flip {
-		return sim.WriteOp(m.reg, 7), true
+		m.op = sim.WriteOp(m.reg, 7)
+		return &m.op
 	}
-	return sim.ReadOp(m.reg), true
+	m.op = sim.ReadOp(m.reg)
+	return &m.op
 }
 
 // TestDirectedSteadyStateAllocs is the satellite's ≈0-alloc assertion: once

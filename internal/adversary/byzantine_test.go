@@ -269,11 +269,13 @@ func TestByzantineDeterministicReplay(t *testing.T) {
 type loopWriter struct {
 	ref sim.Ref
 	i   int
+	op  sim.Op
 }
 
-func (m *loopWriter) Next(prev any) (sim.Op, bool) {
+func (m *loopWriter) NextOp(prev any) *sim.Op {
 	m.i++
-	return sim.WriteOp(m.ref, m.i), true
+	m.op = sim.WriteOp(m.ref, m.i)
+	return &m.op
 }
 
 func newLoopRig(t *testing.T, n int) *sim.Runner {

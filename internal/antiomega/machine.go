@@ -46,7 +46,7 @@ type MachineInstance struct {
 	ai, q  int // cursors for the heartbeat and expiry phases
 
 	// onIterate, if non-nil, runs after each completed iteration — inside
-	// the Next call that consumes the iteration's final operation, i.e. at
+	// the NextOp call that consumes the iteration's final operation, i.e. at
 	// the exact point the coroutine Detector publishes. The Detector wires
 	// its publication here, and keeps in published the last fdOutput it
 	// reported (its change filter), which Rearm clears with the rest.
@@ -168,12 +168,7 @@ func (m *MachineInstance) Rearm() {
 	m.opBuf = sim.Op{}
 }
 
-// Next implements sim.Machine; the runner prefers the pointer form below.
-func (m *MachineInstance) Next(prev any) (sim.Op, bool) {
-	return *m.NextOp(prev), true // the detector never halts
-}
-
-// NextOp implements sim.PtrMachine, the detector's native form: the counter
+// NextOp implements sim.Machine; the detector never halts. The counter
 // phase — the dominant one of every iteration — is a single collect
 // request, so the machine runs once per iteration there instead of once per
 // read; the remaining transitions come from the heartbeat table or land in
@@ -195,7 +190,7 @@ func (m *MachineInstance) NextOp(prev any) *sim.Op {
 
 // BeginIterationOp starts one Figure 2 iteration as a composable
 // sub-automaton and returns its first operation (the counter collect; see
-// sim.PtrMachine for the aliasing contract). Together with FeedIterationOp
+// sim.Machine for the aliasing contract). Together with FeedIterationOp
 // it is the machine-form counterpart of Instance.Iterate: composite automata
 // (the kset agreement machine) interleave iterations with their own
 // operations exactly as coroutine code interleaves Iterate calls with other

@@ -209,21 +209,10 @@ func (m *fusedSim) knowCopy() any {
 	return cp
 }
 
-// Next implements sim.Machine.
-func (m *fusedSim) Next(prev any) (sim.Op, bool) {
-	if op := m.next(prev); op != nil {
-		return *op, true
-	}
-	return sim.Op{}, false
-}
-
-// NextOp implements sim.PtrMachine, the runner's preferred entry point.
-func (m *fusedSim) NextOp(prev any) *sim.Op { return m.next(prev) }
-
-// next is the whole simulator as one flat automaton: feed the call in
-// flight, and when it completes run the local computation that separates it
-// from the next call.
-func (m *fusedSim) next(prev any) *sim.Op {
+// NextOp implements sim.Machine: the whole simulator as one flat
+// automaton. Feed the call in flight, and when it completes run the local
+// computation that separates it from the next call.
+func (m *fusedSim) NextOp(prev any) *sim.Op {
 	if !m.started {
 		m.started = true
 		return m.pump()

@@ -79,19 +79,22 @@ type Config struct {
 	// and the OnResult stream cover jobs 0 through that one whatever the
 	// workers, processes or resumes.
 	StopOnFail bool
-	// KeepFailures bounds the failing outcomes retained in the report
-	// (smallest job indices first); 0 means 16, negative means none.
-	KeepFailures int
 }
+
+// keepFailures bounds the failing outcomes a Report retains, smallest job
+// indices first.
+const keepFailures = 16
 
 // Report is the result of a campaign: the deterministic Summary plus
 // execution metadata that may vary run to run (Elapsed, Telemetry's
 // wall-clock fields).
 type Report struct {
-	Summary  Summary       `json:"summary"`
-	Workers  int           `json:"workers"`
-	Elapsed  time.Duration `json:"elapsed_ns"`
-	Failures []Outcome     `json:"failures,omitempty"`
+	Summary Summary       `json:"summary"`
+	Workers int           `json:"workers"`
+	Elapsed time.Duration `json:"elapsed_ns"`
+	// Failures holds the failing outcomes with the keepFailures smallest
+	// job indices, in index order.
+	Failures []Outcome `json:"failures,omitempty"`
 	// Quarantined lists the poison jobs the coordinator isolated after
 	// exhausting their retry budget (coordinated runs only). A non-empty
 	// list means the campaign completed degraded, never silently short.
@@ -187,7 +190,6 @@ type folder struct {
 	hbSeq    int
 	pending  map[int]indexed
 	emit     int
-	keep     int
 	onResult func(Outcome)
 	jobs     int
 	start    time.Time
@@ -198,15 +200,10 @@ type folder struct {
 }
 
 func newFolder(ctx context.Context, cfg Config, jobs int, start time.Time) *folder {
-	keep := cfg.KeepFailures
-	if keep == 0 {
-		keep = 16
-	}
 	return &folder{
 		agg:        newAggregate(jobs),
 		hb:         heartbeatFrom(ctx),
 		pending:    make(map[int]indexed),
-		keep:       keep,
 		onResult:   cfg.OnResult,
 		jobs:       jobs,
 		start:      start,
@@ -230,7 +227,7 @@ func (f *folder) push(r indexed) {
 			f.agg.quarantine()
 		default:
 			f.agg.add(r.out)
-			if !r.out.Ok && len(f.failures) < f.keep {
+			if !r.out.Ok && len(f.failures) < keepFailures {
 				f.failures = append(f.failures, r.out)
 			}
 			if f.onResult != nil {

@@ -181,7 +181,7 @@ func TestPanicBecomesFailedOutcome(t *testing.T) {
 	jobs[4] = Job{Name: "p", Run: func(ctx context.Context, seed int64) (Outcome, error) {
 		panic("kaboom")
 	}}
-	rep, err := Run(context.Background(), Config{Workers: 4, KeepFailures: 4}, jobs)
+	rep, err := Run(context.Background(), Config{Workers: 4}, jobs)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -204,6 +204,39 @@ func TestPanicBecomesFailedOutcome(t *testing.T) {
 	}
 	if !strings.Contains(pd.Message, "kaboom") {
 		t.Errorf("panic message %q lacks the panic value", pd.Message)
+	}
+}
+
+// TestFailuresKeepSmallestSixteen: a report retains the failing outcomes
+// with the sixteen smallest job indices, in index order, however the
+// workers finish them, while the summary counts every failure.
+func TestFailuresKeepSmallestSixteen(t *testing.T) {
+	t.Parallel()
+	jobs := make([]Job, 20)
+	for i := range jobs {
+		jobs[i] = Job{Name: fmt.Sprintf("fail%d", i), Run: func(ctx context.Context, seed int64) (Outcome, error) {
+			// Higher indices spin less, so they tend to finish first.
+			h := uint64(seed)
+			for k := 0; k < 2000*(len(jobs)-i); k++ {
+				h = h*6364136223846793005 + 1442695040888963407
+			}
+			return Outcome{Verdict: "violation", Steps: int(h%7) + 1}, nil
+		}}
+	}
+	rep, err := Run(context.Background(), Config{Workers: 4}, jobs)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Summary.Completed != 20 || rep.Summary.Failed != 20 || rep.Summary.Ok != 0 {
+		t.Fatalf("summary = %+v, want 20 completed / 20 failed", rep.Summary)
+	}
+	if len(rep.Failures) != 16 {
+		t.Fatalf("failures = %d, want 16", len(rep.Failures))
+	}
+	for i, f := range rep.Failures {
+		if f.Job != i || f.Ok {
+			t.Errorf("failure %d = job %d (ok %v), want job %d", i, f.Job, f.Ok, i)
+		}
 	}
 }
 

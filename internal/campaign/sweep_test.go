@@ -17,14 +17,17 @@ import (
 type pingMachine struct {
 	reg   sim.Ref
 	reads bool
+	op    sim.Op
 }
 
-func (m *pingMachine) Next(any) (sim.Op, bool) {
+func (m *pingMachine) NextOp(any) *sim.Op {
 	m.reads = !m.reads
 	if m.reads {
-		return sim.ReadOp(m.reg), true
+		m.op = sim.ReadOp(m.reg)
+		return &m.op
 	}
-	return sim.WriteOp(m.reg, 7), true
+	m.op = sim.WriteOp(m.reg, 7)
+	return &m.op
 }
 
 func newPingRunner(string) (*sim.Runner, error) {

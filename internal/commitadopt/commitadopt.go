@@ -12,9 +12,10 @@
 //     (committed or adopted).
 //
 // Chained over rounds and fed by an eventual leader, commit-adopt yields
-// consensus whose safety never depends on the oracle: the engine is the
-// alternative to the Disk-Paxos-style engine in internal/consensus, and the
-// repository's engine ablation compares the two.
+// consensus whose safety never depends on the oracle: the chain is the
+// alternative to the Disk-Paxos-style engine in internal/consensus, run by
+// the explorer's cachain target (the kset agreement layer uses the Paxos
+// engine).
 package commitadopt
 
 import (

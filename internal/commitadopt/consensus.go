@@ -8,12 +8,10 @@ import (
 // objects, one per round. Safety never depends on who attempts: if any
 // process commits u in round r, the object forces every round-r participant
 // to carry u into round r+1, so all commits — in any rounds — agree.
-// Liveness holds once a single correct process attempts unobstructed (the
-// kset layer arranges that through the detector's winnerset, exactly as for
-// the Disk-Paxos engine in internal/consensus).
-//
-// The API mirrors consensus.Instance so the two engines are
-// interchangeable.
+// Liveness holds once a single correct process attempts unobstructed, as
+// for the Disk-Paxos engine in internal/consensus, whose API
+// (CheckDecision, Attempt) this mirrors. ConsensusMachine is its
+// direct-dispatch form.
 type Consensus struct {
 	env  sim.Env
 	name string

@@ -128,7 +128,7 @@ type ProposeMachine struct {
 }
 
 // NewProposeMachine builds the machine for one process's proposal to the
-// named object. done runs inside the Next call that consumes the final
+// named object. done runs inside the NextOp call that consumes the final
 // collect read — the same serial window in which Propose would return —
 // and then the machine halts. It performs no steps.
 func NewProposeMachine(regs sim.Registry, object string, self procset.ID, n int, v any, done func(commit bool, val any)) *ProposeMachine {
@@ -154,15 +154,7 @@ func (m *ProposeMachine) reset(l *proposeLayout, self procset.ID, v any, done fu
 // built, proposing the same value to the same object with the same done.
 func (m *ProposeMachine) Rearm() { m.reset(m.l, m.self, m.v, m.done) }
 
-// Next implements sim.Machine; the runner prefers the pointer form below.
-func (m *ProposeMachine) Next(prev any) (sim.Op, bool) {
-	if op := m.NextOp(prev); op != nil {
-		return *op, true
-	}
-	return sim.Op{}, false
-}
-
-// NextOp implements sim.PtrMachine, mirroring Object.Propose operation for
+// NextOp implements sim.Machine, mirroring Object.Propose operation for
 // operation: collect reads come straight from the layout's op tables, the
 // two publishes land in opBuf. nil halts the machine.
 func (m *ProposeMachine) NextOp(prev any) *sim.Op {
@@ -279,15 +271,7 @@ func (m *ConsensusMachine) Rearm() {
 	*m = ConsensusMachine{l: m.l, regs: m.regs, self: m.self, proposal: m.proposal, done: m.done}
 }
 
-// Next implements sim.Machine; the runner prefers the pointer form below.
-func (m *ConsensusMachine) Next(prev any) (sim.Op, bool) {
-	if op := m.NextOp(prev); op != nil {
-		return *op, true
-	}
-	return sim.Op{}, false
-}
-
-// NextOp implements sim.PtrMachine, mirroring the Attempt loop operation for
+// NextOp implements sim.Machine, mirroring the Attempt loop operation for
 // operation: read the decision register; if undecided, run one commit-adopt
 // round on the current estimate; on commit, publish the decision and halt.
 func (m *ConsensusMachine) NextOp(prev any) *sim.Op {
@@ -334,134 +318,3 @@ func (m *ConsensusMachine) NextOp(prev any) *sim.Op {
 
 // Round returns the number of commit-adopt rounds this process has started.
 func (m *ConsensusMachine) Round() int { return m.round }
-
-// imPhase locates an InstanceMachine call's next pending operation.
-type imPhase int
-
-const (
-	imIdle      imPhase = iota
-	imCheckRead         // the decision-register read is in flight
-	imInner             // the current round's commit-adopt object is running
-	imDecWrite          // the decision write is in flight
-)
-
-// InstanceMachine is the direct-dispatch counterpart of Consensus for
-// composition: CheckDecision and single-round Attempt exposed as explicit
-// sub-automata with the same Start/Feed/Result protocol as
-// consensus.InstanceMachine, so the kset agreement machine can drive either
-// engine. (ConsensusMachine above is the standalone run-to-decision loop;
-// this type mirrors the per-call granularity of the coroutine Consensus.)
-type InstanceMachine struct {
-	l    *chainLayout
-	regs sim.Registry
-	self procset.ID
-
-	round   int
-	est     any
-	decided any
-	hasDec  bool
-
-	attempting bool
-	v          any
-	phase      imPhase
-	// inner is the current round's commit-adopt proposal, rearmed in place
-	// every round.
-	inner  ProposeMachine
-	resVal any
-	resOk  bool
-}
-
-// NewInstanceMachine creates the machine-form handle for the named chain
-// instance. It performs no steps; round objects intern their registers
-// lazily as rounds are first reached on the runner, exactly like the
-// coroutine form.
-func NewInstanceMachine(regs sim.Registry, name string, self procset.ID, n int) *InstanceMachine {
-	return &InstanceMachine{
-		l:    chainLayoutFor(regs, name, n),
-		regs: regs,
-		self: self,
-	}
-}
-
-// Rearm returns the handle to the state NewInstanceMachine built it in: no
-// round started, no decision cached, no call in flight. The kset agreement
-// machine rearms its handles this way (see sim.Rearmer).
-func (m *InstanceMachine) Rearm() {
-	*m = InstanceMachine{l: m.l, regs: m.regs, self: m.self}
-}
-
-// Round returns the number of rounds this process has completed.
-func (m *InstanceMachine) Round() int { return m.round }
-
-// Result returns the completed call's return value: for CheckDecision the
-// (decision, known) pair, for Attempt the (decision, success) pair.
-func (m *InstanceMachine) Result() (any, bool) { return m.resVal, m.resOk }
-
-func (m *InstanceMachine) finish(val any, ok bool) (sim.Op, bool) {
-	m.phase = imIdle
-	m.resVal, m.resOk = val, ok
-	return sim.Op{}, false
-}
-
-// StartCheck begins a CheckDecision call. When hasOp is false the call
-// completed without steps (the decision was already cached).
-func (m *InstanceMachine) StartCheck() (op sim.Op, hasOp bool) {
-	if m.hasDec {
-		return m.finish(m.decided, true)
-	}
-	m.attempting = false
-	m.phase = imCheckRead
-	return m.l.readDec, true
-}
-
-// StartAttempt begins an Attempt(v) call: one chain round, preceded (as in
-// Consensus.Attempt) by a decision-register check. When hasOp is false the
-// call completed without steps (the decision was already cached).
-func (m *InstanceMachine) StartAttempt(v any) (op sim.Op, hasOp bool) {
-	if v == nil {
-		panic("commitadopt: nil proposals are not supported")
-	}
-	if m.hasDec {
-		return m.finish(m.decided, true)
-	}
-	m.attempting, m.v = true, v
-	m.phase = imCheckRead
-	return m.l.readDec, true
-}
-
-// Feed consumes the result of the operation in flight and issues the call's
-// next operation; hasOp == false completes the call (see Result).
-func (m *InstanceMachine) Feed(prev any) (op sim.Op, hasOp bool) {
-	switch m.phase {
-	case imCheckRead:
-		if prev != nil {
-			m.decided, m.hasDec = prev, true
-			return m.finish(m.decided, true)
-		}
-		if !m.attempting {
-			return m.finish(m.decided, m.hasDec)
-		}
-		if m.est == nil {
-			m.est = m.v
-		}
-		m.round++
-		m.inner.reset(m.l.round(m.regs, m.round), m.self, m.est, nil)
-		m.phase = imInner
-		return *m.inner.NextOp(nil), true // a fresh propose machine always has a first op
-	case imInner:
-		if op := m.inner.NextOp(prev); op != nil {
-			return *op, true
-		}
-		m.est = m.inner.val
-		if !m.inner.commit {
-			return m.finish(nil, false)
-		}
-		m.phase = imDecWrite
-		return sim.WriteOp(m.l.dec, m.inner.val), true
-	case imDecWrite:
-		m.decided, m.hasDec = m.inner.val, true
-		return m.finish(m.decided, true)
-	default:
-		panic(fmt.Sprintf("commitadopt: Feed with no call in flight (phase %d)", m.phase))
-	}
-}

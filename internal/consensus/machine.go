@@ -301,16 +301,18 @@ type attemptLoop struct {
 	v        any
 	done     func(any)
 	inFlight bool
+	opBuf    sim.Op // stable storage behind the instance's ops
 }
 
 // Rearm implements sim.Rearmer: back before the first attempt.
 func (m *attemptLoop) Rearm() {
 	m.in.Rearm()
 	m.inFlight = false
+	m.opBuf = sim.Op{}
 }
 
-// Next implements sim.Machine.
-func (m *attemptLoop) Next(prev any) (sim.Op, bool) {
+// NextOp implements sim.Machine.
+func (m *attemptLoop) NextOp(prev any) *sim.Op {
 	for {
 		var op sim.Op
 		var hasOp bool
@@ -321,11 +323,12 @@ func (m *attemptLoop) Next(prev any) (sim.Op, bool) {
 			m.inFlight = true
 		}
 		if hasOp {
-			return op, true
+			m.opBuf = op
+			return &m.opBuf
 		}
 		if d, ok := m.in.Result(); ok {
 			m.done(d)
-			return sim.Op{}, false
+			return nil
 		}
 		m.inFlight, prev = false, nil
 	}

@@ -95,7 +95,8 @@ func TestInstanceMachineCheckWithoutSteps(t *testing.T) {
 	r, err := sim.NewRunner(sim.Config{N: 1, Machine: func(p procset.ID, regs sim.Registry) sim.Machine {
 		m := NewInstanceMachine(regs, "solo", p, 1)
 		inFlight := false
-		return sim.MachineFunc(func(prev any) (sim.Op, bool) {
+		var opBuf sim.Op
+		return sim.MachineFunc(func(prev any) *sim.Op {
 			var op sim.Op
 			var hasOp bool
 			if inFlight {
@@ -105,7 +106,8 @@ func TestInstanceMachineCheckWithoutSteps(t *testing.T) {
 				inFlight = true
 			}
 			if hasOp {
-				return op, true
+				opBuf = op
+				return &opBuf
 			}
 			if d, ok := m.Result(); !ok || d != 99 {
 				t.Errorf("solo attempt resolved (%v,%v), want (99,true)", d, ok)
@@ -119,7 +121,7 @@ func TestInstanceMachineCheckWithoutSteps(t *testing.T) {
 			if _, hasOp := m.StartAttempt(5); hasOp {
 				t.Error("StartAttempt issued an operation after a cached decision")
 			}
-			return sim.Op{}, false
+			return nil
 		})
 	}})
 	if err != nil {

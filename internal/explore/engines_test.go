@@ -13,12 +13,14 @@ import (
 )
 
 // engineTargets are the workloads FuzzEngines drives: the five pooled fuzz
-// targets, the kset construction on its second consensus engine and on its
-// trivial (k ≥ t+1) path, and the msgnet heartbeat detector on the sync
-// matrix.
+// targets, the kset construction with its detector lowered (the Theorem 27
+// override) and on its trivial (k ≥ t+1) path, and the msgnet heartbeat
+// detector on the sync matrix. Inputs name a slot by index, so the order is
+// fixed; slot 5 once held kset on a second consensus engine, which is why
+// its corpus input is named kset-chain.
 var engineTargets = []string{
 	TargetCommitAdopt, TargetConsensus, TargetCAChain, TargetKSet, TargetBG,
-	"kset-chain", "kset-trivial", "heartbeat",
+	"kset-detectork", "kset-trivial", "heartbeat",
 }
 
 // engineRig is one target's wiring on one runner: the machine factory, the
@@ -34,10 +36,8 @@ type engineRig struct {
 // engineKSetConfig is the agreement problem of the kset variants.
 func engineKSetConfig(target string, n int) kset.Config {
 	switch target {
-	case "kset-chain":
-		cfg := ksetConfig(n)
-		cfg.Engine = kset.EngineCommitAdopt
-		return cfg
+	case "kset-detectork":
+		return kset.Config{N: n, K: min(2, n-1), T: n - 1, DetectorK: 1}
 	case "kset-trivial":
 		return kset.Config{N: n, K: 2, T: 1}
 	}
@@ -104,7 +104,7 @@ func newEngineRig(t *testing.T, target string, n int, stamp bool) engineRig {
 // none).
 func engineBuilder(target string, n int) Builder {
 	switch target {
-	case "kset-chain", "kset-trivial":
+	case "kset-detectork", "kset-trivial":
 		return ksetBuilder(engineKSetConfig(target, n))
 	case "heartbeat":
 		return nil
@@ -213,16 +213,49 @@ func (c engineCase) finish(r *sim.Runner, rig engineRig, o *engineOutcome) {
 	o.verdict = rig.verdict()
 }
 
-// newRunner builds a runner on rig, with observer if non-nil.
-func (c engineCase) newRunner(t *testing.T, rig engineRig, observer func(sim.StepInfo)) *sim.Runner {
+// newRunner builds a runner on rig with cfg's remaining fields (an
+// observer, NoRecycle).
+func (c engineCase) newRunner(t *testing.T, rig engineRig, cfg sim.Config) *sim.Runner {
 	t.Helper()
-	r, err := sim.NewRunner(sim.Config{N: c.n, Machine: rig.machine, Network: rig.net, Observer: observer})
+	cfg.N, cfg.Machine, cfg.Network = c.n, rig.machine, rig.net
+	r, err := sim.NewRunner(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Close)
 	return r
 }
+
+// replayDirector replays a schedule on RunDirected and records every write
+// callback as a StepInfo line: full names the register and prints the
+// value, otherwise as stepLine projects it.
+type replayDirector struct {
+	r      *sim.Runner
+	s      sched.Schedule
+	pos    int
+	full   bool
+	writes []string
+}
+
+func (d *replayDirector) Next() procset.ID {
+	p := d.s[d.pos]
+	d.pos++
+	return p
+}
+
+func (d *replayDirector) OnWrite(slot sim.RegID, p procset.ID, v any) {
+	si := sim.StepInfo{Index: d.pos - 1, Proc: p, Kind: sim.OpWrite, Value: v}
+	if d.full {
+		si.Reg = d.r.RegName(slot)
+	}
+	d.writes = append(d.writes, stepLine(si, d.full))
+}
+
+// inertMutator is a replayDirector that intercepts every write and lands
+// the value the automaton asked for.
+type inertMutator struct{ *replayDirector }
+
+func (m *inertMutator) MutateWrite(_ sim.RegID, _ procset.ID, _, v any) any { return v }
 
 // reset rewinds rig and its runner for the next run.
 func reset(t *testing.T, r *sim.Runner, rig engineRig) {
@@ -245,8 +278,11 @@ func reset(t *testing.T, r *sim.Runner, rig engineRig) {
 // Reset again and a Step loop whose returned StepInfos are compared up to
 // register names and leased values) and observed (every register and
 // value compared). Warm-ups of any length stop machines mid-collect,
-// mid-snapshot-scan, mid-round and after halts. Its seed corpus is in
-// testdata/fuzz/FuzzEngines.
+// mid-snapshot-scan, mid-round and after halts. Directed runners replay the
+// measured schedule through RunDirected after the same warm-up and Reset,
+// one observer-free and one on a NoRecycle runner with an inert
+// WriteMutator installed: their results and write callbacks must match the
+// reference's. Its seed corpus is in testdata/fuzz/FuzzEngines.
 func FuzzEngines(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape, warm, steps []byte) {
 		c := decodeEngineCase(shape, warm, steps)
@@ -259,7 +295,7 @@ func FuzzEngines(f *testing.F) {
 		refRig := newEngineRig(t, c.target, c.n, c.stamp)
 		var refInfos []sim.StepInfo
 		var refVerdicts []string
-		rr := c.newRunner(t, refRig, func(si sim.StepInfo) { refInfos = append(refInfos, si) })
+		rr := c.newRunner(t, refRig, sim.Config{Observer: func(si sim.StepInfo) { refInfos = append(refInfos, si) }})
 		for _, p := range c.sched {
 			rr.Step(p)
 			refVerdicts = append(refVerdicts, refRig.verdict())
@@ -278,7 +314,7 @@ func FuzzEngines(f *testing.F) {
 		// A fresh observer-free runner's RunSchedule.
 		var fresh engineOutcome
 		freshRig := newEngineRig(t, c.target, c.n, c.stamp)
-		fr := c.newRunner(t, freshRig, nil)
+		fr := c.newRunner(t, freshRig, sim.Config{})
 		fr.RunSchedule(c.sched)
 		c.finish(fr, freshRig, &fresh)
 		fresh.res = ref.res
@@ -288,7 +324,7 @@ func FuzzEngines(f *testing.F) {
 		// a Step loop.
 		var pooled engineOutcome
 		pooledRig := newEngineRig(t, c.target, c.n, c.stamp)
-		pr := c.newRunner(t, pooledRig, nil)
+		pr := c.newRunner(t, pooledRig, sim.Config{})
 		pr.RunSchedule(c.warm)
 		reset(t, pr, pooledRig)
 		src, err := sched.Replay(c.n, c.sched, c.sched)
@@ -309,7 +345,7 @@ func FuzzEngines(f *testing.F) {
 		// An observed runner: warm-up, Reset, Step loop.
 		var observed engineOutcome
 		obsRig := newEngineRig(t, c.target, c.n, c.stamp)
-		or := c.newRunner(t, obsRig, func(si sim.StepInfo) { lines = append(lines, stepLine(si, true)) })
+		or := c.newRunner(t, obsRig, sim.Config{Observer: func(si sim.StepInfo) { lines = append(lines, stepLine(si, true)) }})
 		or.RunSchedule(c.warm)
 		reset(t, or, obsRig)
 		lines = lines[:0]
@@ -320,6 +356,36 @@ func FuzzEngines(f *testing.F) {
 		c.finish(or, obsRig, &observed)
 		observed.res = ref.res
 		compareEngines(t, "observed reset Step loop", observed, ref, lines, refFull)
+
+		// Directed runners: warm-up, Reset, RunDirected replaying the
+		// measured schedule. One is observer-free (recycled values); the
+		// other, on a NoRecycle runner, installs an inert WriteMutator. Their
+		// write callbacks must match the reference's write steps.
+		refWrites := func(full bool) []string {
+			var out []string
+			for _, si := range refInfos {
+				if si.Kind == sim.OpWrite {
+					out = append(out, stepLine(si, full))
+				}
+			}
+			return out
+		}
+		for _, mutate := range []bool{false, true} {
+			var directed engineOutcome
+			dirRig := newEngineRig(t, c.target, c.n, c.stamp)
+			dr := c.newRunner(t, dirRig, sim.Config{NoRecycle: mutate})
+			dr.RunSchedule(c.warm)
+			reset(t, dr, dirRig)
+			replay := &replayDirector{r: dr, s: c.sched, full: mutate}
+			var d sim.Director = replay
+			label := "reset RunDirected"
+			if mutate {
+				d, label = &inertMutator{replay}, "reset RunDirected with an inert mutator"
+			}
+			directed.res = dr.RunDirected(d, len(c.sched), 0, nil)
+			c.finish(dr, dirRig, &directed)
+			compareEngines(t, label, directed, ref, replay.writes, refWrites(mutate))
+		}
 
 		// The coroutine reference's verdict.
 		if build := engineBuilder(c.target, c.n); build != nil {

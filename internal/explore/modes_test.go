@@ -96,11 +96,13 @@ func brokenPooledBuilder(n int) PooledBuilder {
 				q := 0
 				unanimous := true
 				adopt := int(p)
-				return sim.MachineFunc(func(prev any) (sim.Op, bool) {
+				var opBuf sim.Op
+				return sim.MachineFunc(func(prev any) *sim.Op {
 					switch {
 					case q == 0:
 						q = 1
-						return sim.WriteOp(a[p], int(p)), true
+						opBuf = sim.WriteOp(a[p], int(p))
+						return &opBuf
 					case q <= n:
 						if q > 1 {
 							if v, ok := prev.(int); ok && v != int(p) {
@@ -110,9 +112,9 @@ func brokenPooledBuilder(n int) PooledBuilder {
 								}
 							}
 						}
-						op := sim.ReadOp(a[q])
+						opBuf = sim.ReadOp(a[q])
 						q++
-						return op, true
+						return &opBuf
 					default:
 						if v, ok := prev.(int); ok && v != int(p) {
 							unanimous = false
@@ -121,7 +123,7 @@ func brokenPooledBuilder(n int) PooledBuilder {
 							}
 						}
 						results[p] = &caResult{commit: unanimous, val: adopt}
-						return sim.Op{}, false
+						return nil
 					}
 				})
 			},

@@ -21,28 +21,32 @@ type brokenMinMachine struct {
 	decided []any
 	i       int // next read index; 0 = own write not yet issued
 	min     int
+	op      sim.Op
 }
 
-func (m *brokenMinMachine) Next(prev any) (sim.Op, bool) {
+func (m *brokenMinMachine) NextOp(prev any) *sim.Op {
 	switch {
 	case m.i == 0:
 		m.i = 1
 		m.min = int(m.p)
-		return sim.WriteOp(m.regs[m.p], int(m.p)), true
+		m.op = sim.WriteOp(m.regs[m.p], int(m.p))
+		return &m.op
 	case m.i == 1:
 		// The write completed; issue the first read.
 		m.i = 2
-		return sim.ReadOp(m.regs[1]), true
+		m.op = sim.ReadOp(m.regs[1])
+		return &m.op
 	default:
 		if v, ok := prev.(int); ok && v < m.min {
 			m.min = v
 		}
 		if m.i <= m.n {
 			m.i++
-			return sim.ReadOp(m.regs[m.i-1]), true
+			m.op = sim.ReadOp(m.regs[m.i-1])
+			return &m.op
 		}
 		m.decided[m.p] = m.min
-		return sim.Op{}, false
+		return nil
 	}
 }
 

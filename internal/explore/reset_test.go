@@ -138,9 +138,7 @@ func TestPooledResetReusesLayouts(t *testing.T) {
 }
 
 // observedRig is a target's production wiring (see testRig) on an
-// observed runner, recording every step into *log. "kset-chain" is the kset
-// target on the commit-adopt chain engine, whose consensus rounds intern
-// registers as they are reached.
+// observed runner, recording every step into *log.
 func observedRig(t *testing.T, target string, n int, log *[]string) (*sim.Runner, targetRig) {
 	t.Helper()
 	rig := testRig(t, target, n)
@@ -172,7 +170,7 @@ func TestResetMatchesFreshObserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	long := sched.Take(src, 4000)
-	for _, target := range append(pooledTargets, "kset-chain") {
+	for _, target := range append(pooledTargets, "kset-detectork") {
 		t.Run(target, func(t *testing.T) {
 			var reusedLog, freshLog []string
 			reused, reusedRig := observedRig(t, target, n, &reusedLog)
@@ -203,7 +201,7 @@ func TestResetMatchesFreshObserved(t *testing.T) {
 				t.Fatalf("reset runner holds %d registers, fresh %d", got, want)
 			}
 			switch target {
-			case TargetCAChain, "kset-chain":
+			case TargetCAChain:
 				if reused.Registers() <= warmRegs {
 					t.Fatalf("long run interned no round beyond the warm-up's (%d registers)", warmRegs)
 				}

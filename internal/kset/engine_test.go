@@ -8,17 +8,11 @@ import (
 	"github.com/settimeliness/settimeliness/internal/sched"
 )
 
-// TestBothEnginesSolveTheorem24 runs the detector path with each consensus
-// engine on the same configurations: results must verify identically.
-func TestBothEnginesSolveTheorem24(t *testing.T) {
+// TestDetectorPathSolvesTheorem24 runs the detector path on conformant
+// schedules with a crash: every correct process decides and the run
+// verifies.
+func TestDetectorPathSolvesTheorem24(t *testing.T) {
 	t.Parallel()
-	engines := []struct {
-		name   string
-		engine Engine
-	}{
-		{"paxos", EnginePaxos},
-		{"commitadopt", EngineCommitAdopt},
-	}
 	cases := []struct {
 		cfg     Config
 		crashes map[procset.ID]int
@@ -26,46 +20,36 @@ func TestBothEnginesSolveTheorem24(t *testing.T) {
 		{Config{N: 3, K: 1, T: 1}, map[procset.ID]int{3: 25}},
 		{Config{N: 4, K: 2, T: 2}, map[procset.ID]int{4: 60}},
 	}
-	for _, eng := range engines {
-		for _, tc := range cases {
-			eng, tc := eng, tc
-			t.Run(fmt.Sprintf("%s_n%dk%dt%d", eng.name, tc.cfg.N, tc.cfg.K, tc.cfg.T), func(t *testing.T) {
-				t.Parallel()
-				cfg := tc.cfg
-				cfg.Engine = eng.engine
-				src, _, err := sched.System(cfg.N, cfg.K, cfg.T+1, 4, 17, tc.crashes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ag, done := runAgreement(t, cfg, src, 2_000_000)
-				if !done {
-					t.Fatalf("engine %s did not decide (decided %v)", eng.name, ag.DecidedSet())
-				}
-				verifyRun(t, ag, src.Correct())
-			})
-		}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(fmt.Sprintf("n%dk%dt%d", tc.cfg.N, tc.cfg.K, tc.cfg.T), func(t *testing.T) {
+			t.Parallel()
+			src, _, err := sched.System(tc.cfg.N, tc.cfg.K, tc.cfg.T+1, 4, 17, tc.crashes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ag, done := runAgreement(t, tc.cfg, src, 2_000_000)
+			if !done {
+				t.Fatalf("did not decide (decided %v)", ag.DecidedSet())
+			}
+			verifyRun(t, ag, src.Correct())
+		})
 	}
 }
 
-// TestEngineSafetyUnderAdversarialContention fuzzes both engines with
+// TestSafetyUnderAdversarialContention fuzzes the detector path with
 // everyone racing: distinct decisions must never exceed k.
-func TestEngineSafetyUnderAdversarialContention(t *testing.T) {
+func TestSafetyUnderAdversarialContention(t *testing.T) {
 	t.Parallel()
-	for _, engine := range []Engine{EnginePaxos, EngineCommitAdopt} {
-		engine := engine
-		t.Run(fmt.Sprintf("engine%d", engine), func(t *testing.T) {
-			t.Parallel()
-			for seed := int64(0); seed < 10; seed++ {
-				cfg := Config{N: 4, K: 2, T: 2, Engine: engine}
-				src, err := sched.Random(4, seed, map[procset.ID]int{procset.ID(seed%4 + 1): int(seed * 13 % 70)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ag, _ := runAgreement(t, cfg, src, 150_000)
-				if got := ag.DistinctDecisions(); got > 2 {
-					t.Errorf("seed %d: %d distinct decisions", seed, got)
-				}
-			}
-		})
+	for seed := int64(0); seed < 10; seed++ {
+		cfg := Config{N: 4, K: 2, T: 2}
+		src, err := sched.Random(4, seed, map[procset.ID]int{procset.ID(seed%4 + 1): int(seed * 13 % 70)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ag, _ := runAgreement(t, cfg, src, 150_000)
+		if got := ag.DistinctDecisions(); got > 2 {
+			t.Errorf("seed %d: %d distinct decisions", seed, got)
+		}
 	}
 }

@@ -15,7 +15,8 @@
 //
 //  2. k ≤ t (Theorem 24): each process interleaves the Figure 2
 //     implementation of t-resilient k-anti-Ω (internal/antiomega) with k
-//     parallel leader-based consensus instances (internal/consensus).
+//     parallel leader-based Disk-Paxos consensus instances
+//     (internal/consensus).
 //     Instance r is led by whichever process is the r-th smallest member of
 //     the local winnerset; a process decides the first instance decision it
 //     observes. Figure 2 guarantees (Lemma 22) that all correct processes
@@ -36,30 +37,10 @@ import (
 	"sync"
 
 	"github.com/settimeliness/settimeliness/internal/antiomega"
-	"github.com/settimeliness/settimeliness/internal/commitadopt"
 	"github.com/settimeliness/settimeliness/internal/consensus"
 	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sim"
 )
-
-// Engine selects the single-shot consensus substrate used by the detector
-// path. Both are safe in every schedule and live under the stable winnerset;
-// they trade step complexity differently (see BenchmarkEngineComparison).
-type Engine int
-
-// Engines.
-const (
-	// EnginePaxos is the Disk-Paxos-style ballot engine (default).
-	EnginePaxos Engine = iota
-	// EngineCommitAdopt is the commit-adopt chain engine.
-	EngineCommitAdopt
-)
-
-// instance is the per-process consensus handle shared by both engines.
-type instance interface {
-	CheckDecision() (any, bool)
-	Attempt(v any) (any, bool)
-}
 
 // Config parameterizes an agreement instance.
 type Config struct {
@@ -74,8 +55,6 @@ type Config struct {
 	// k-anti-Ω detector (must satisfy 1 ≤ DetectorK ≤ min(K, T)). It is
 	// used by the Theorem 27 reduction; leave zero for the default.
 	DetectorK int
-	// Engine selects the consensus substrate (EnginePaxos by default).
-	Engine Engine
 }
 
 // Validate checks the parameter ranges of §3 and the detector override.
@@ -249,15 +228,9 @@ func (a *Agreement) detectorAlgorithm(p procset.ID, v any) sim.Algorithm {
 		if err != nil {
 			panic(err) // Config.Validate guarantees detector parameters
 		}
-		cons := make([]instance, dk)
+		cons := make([]*consensus.Instance, dk)
 		for r := range cons {
-			name := fmt.Sprintf("kset[%d]", r)
-			switch a.cfg.Engine {
-			case EngineCommitAdopt:
-				cons[r] = commitadopt.NewConsensus(env, name)
-			default:
-				cons[r] = consensus.NewInstance(env, name)
-			}
+			cons[r] = consensus.NewInstance(env, fmt.Sprintf("kset[%d]", r))
 		}
 		for {
 			// One detector iteration keeps the winnerset converging; its

@@ -2,12 +2,12 @@
 // as trivialAlgorithm and detectorAlgorithm with their program counters made
 // explicit, for sim.Runner's machine mode. The detector-composed machine is
 // the package's showcase of sub-automaton composition: it drives one
-// antiomega.MachineInstance iteration (BeginIterationOp/FeedIterationOp) and the
-// engine-selected consensus sub-automata (consensus.InstanceMachine or
-// commitadopt.InstanceMachine) through the exact operation interleaving of
-// the coroutine loop, so both execution modes replay bit-identical StepInfo
-// streams (pinned by machine_test.go). This is the hot path of the Theorem
-// 24/27 experiments and of every agreement campaign.
+// antiomega.MachineInstance iteration (BeginIterationOp/FeedIterationOp) and
+// the consensus sub-automata (consensus.InstanceMachine) through the exact
+// operation interleaving of the coroutine loop, so both execution modes
+// replay bit-identical StepInfo streams (pinned by machine_test.go). This is
+// the hot path of the Theorem 24/27 experiments and of every agreement
+// campaign.
 
 package kset
 
@@ -15,24 +15,10 @@ import (
 	"fmt"
 
 	"github.com/settimeliness/settimeliness/internal/antiomega"
-	"github.com/settimeliness/settimeliness/internal/commitadopt"
 	"github.com/settimeliness/settimeliness/internal/consensus"
 	"github.com/settimeliness/settimeliness/internal/procset"
 	"github.com/settimeliness/settimeliness/internal/sim"
 )
-
-// instanceMachine is the machine-form analogue of the instance interface:
-// the consensus sub-automaton protocol shared by both engines. Start* issues
-// a call's first operation (hasOp == false: the call completed with no
-// steps), Feed consumes operation results and issues the rest, and Result
-// delivers the completed call's (decision, ok) pair.
-type instanceMachine interface {
-	StartCheck() (op sim.Op, hasOp bool)
-	StartAttempt(v any) (op sim.Op, hasOp bool)
-	Feed(prev any) (op sim.Op, hasOp bool)
-	Result() (any, bool)
-	Rearm()
-}
 
 // Machine returns the per-process direct-dispatch automata, the machine-mode
 // analogue of Algorithm: the returned factory suits sim.Config.Machine.
@@ -66,52 +52,64 @@ type trivialMachine struct {
 	self     procset.ID
 	proposal func(procset.ID) any
 	v        any
-	refs     []sim.Ref
+	lay      *trivialLayout
 	leaders  int
 	wrote    bool
-	l        int // leader register whose read is in flight (0 = none yet)
+	l        int    // leader register whose read is in flight (0 = none yet)
+	write    sim.Op // stable storage behind a leader's write
 }
 
-// trivialKey keys the trivial algorithm's leader registers in the runner's
-// layout cache.
+// trivialLayout is the trivial algorithm's leader registers and their
+// prebuilt read ops, 1-based on the leader index and shared by every
+// machine of the runner.
+type trivialLayout struct {
+	refs  []sim.Ref
+	reads []sim.Op
+}
+
+// trivialKey keys the trivial algorithm's layout in the runner's layout
+// cache.
 type trivialKey struct{ leaders int }
 
 func newTrivialMachine(a *Agreement, p procset.ID, proposal func(procset.ID) any, v any, regs sim.Registry) *trivialMachine {
 	leaders := a.cfg.T + 1
-	refs := sim.Layout(regs, trivialKey{leaders}, func() []sim.Ref {
-		refs := make([]sim.Ref, leaders+1)
+	lay := sim.Layout(regs, trivialKey{leaders}, func() *trivialLayout {
+		lay := &trivialLayout{refs: make([]sim.Ref, leaders+1), reads: make([]sim.Op, leaders+1)}
 		for l := 1; l <= leaders; l++ {
-			refs[l] = regs.Reg(fmt.Sprintf("ksettrivial.V[%d]", l))
+			lay.refs[l] = regs.Reg(fmt.Sprintf("ksettrivial.V[%d]", l))
+			lay.reads[l] = sim.ReadOp(lay.refs[l])
 		}
-		return refs
+		return lay
 	})
-	return &trivialMachine{ag: a, self: p, proposal: proposal, v: v, leaders: leaders, refs: refs}
+	return &trivialMachine{ag: a, self: p, proposal: proposal, v: v, leaders: leaders, lay: lay}
 }
 
 // Rearm implements sim.Rearmer: nothing written, no leader read, and the
 // proposal read again.
 func (m *trivialMachine) Rearm() {
-	*m = trivialMachine{ag: m.ag, self: m.self, proposal: m.proposal, v: proposalOf(m.proposal, m.self), leaders: m.leaders, refs: m.refs}
+	*m = trivialMachine{ag: m.ag, self: m.self, proposal: m.proposal, v: proposalOf(m.proposal, m.self), leaders: m.leaders, lay: m.lay}
 }
 
-func (m *trivialMachine) Next(prev any) (sim.Op, bool) {
+// NextOp implements sim.Machine.
+func (m *trivialMachine) NextOp(prev any) *sim.Op {
 	if int(m.self) <= m.leaders {
 		if !m.wrote {
 			m.wrote = true
-			return sim.WriteOp(m.refs[m.self], m.v), true
+			m.write = sim.WriteOp(m.lay.refs[m.self], m.v)
+			return &m.write
 		}
 		m.ag.decide(m.self, m.v)
-		return sim.Op{}, false
+		return nil
 	}
 	if m.l > 0 && prev != nil {
 		m.ag.decide(m.self, prev)
-		return sim.Op{}, false
+		return nil
 	}
 	if m.l >= m.leaders {
 		m.l = 0
 	}
 	m.l++
-	return sim.ReadOp(m.refs[m.l]), true
+	return &m.lay.reads[m.l]
 }
 
 // dmPhase says which sub-automaton the operation in flight belongs to.
@@ -133,7 +131,7 @@ type detectorMachine struct {
 	v        any
 	dk       int
 	fd       *antiomega.MachineInstance
-	cons     []instanceMachine
+	cons     []*consensus.InstanceMachine
 
 	primed bool
 	phase  dmPhase
@@ -159,14 +157,9 @@ func newDetectorMachine(a *Agreement, p procset.ID, proposal func(procset.ID) an
 		}
 		return names
 	})
-	cons := make([]instanceMachine, dk)
+	cons := make([]*consensus.InstanceMachine, dk)
 	for r, name := range names {
-		switch a.cfg.Engine {
-		case EngineCommitAdopt:
-			cons[r] = commitadopt.NewInstanceMachine(regs, name, p, a.cfg.N)
-		default:
-			cons[r] = consensus.NewInstanceMachine(regs, name, p, a.cfg.N)
-		}
+		cons[r] = consensus.NewInstanceMachine(regs, name, p, a.cfg.N)
 	}
 	return &detectorMachine{ag: a, self: p, proposal: proposal, v: v, dk: dk, fd: fd, cons: cons}
 }
@@ -185,21 +178,12 @@ func (m *detectorMachine) Rearm() {
 	m.opBuf = sim.Op{}
 }
 
-// Next implements sim.Machine: feed the result of the operation in flight to
-// the sub-automaton that issued it, then run local transitions until the
-// next operation — or a decision, which halts the automaton exactly where
-// the coroutine form returns.
-func (m *detectorMachine) Next(prev any) (sim.Op, bool) {
-	if op := m.NextOp(prev); op != nil {
-		return *op, true
-	}
-	return sim.Op{}, false
-}
-
-// NextOp implements sim.PtrMachine, the composition's native form: detector
-// iterations run on the antiomega op tables end to end, and only the
-// consensus sub-automaton ops (the minority of steps) land in opBuf. nil
-// halts on decision, exactly where the coroutine form returns.
+// NextOp implements sim.Machine: feed the result of the operation in flight
+// to the sub-automaton that issued it, then run local transitions until the
+// next operation — or a decision, which halts the automaton (nil) exactly
+// where the coroutine form returns. Detector iterations run on the
+// antiomega op tables end to end, and only the consensus sub-automaton ops
+// (the minority of steps) land in opBuf.
 func (m *detectorMachine) NextOp(prev any) *sim.Op {
 	if !m.primed {
 		m.primed = true

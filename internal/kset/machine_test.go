@@ -86,8 +86,8 @@ func sameAgreementSnapshot(t *testing.T, label string, a, b agreementSnapshot) {
 	}
 }
 
-// agreementCases cover both algorithms and both engines, including the
-// Theorem 27 detector override.
+// agreementCases cover both algorithms, including the Theorem 27 detector
+// override.
 var agreementCases = []struct {
 	name string
 	cfg  Config
@@ -95,7 +95,6 @@ var agreementCases = []struct {
 	{"trivial-n4k3t2", Config{N: 4, K: 3, T: 2}},
 	{"paxos-n4k2t2", Config{N: 4, K: 2, T: 2}},
 	{"paxos-n3k1t1", Config{N: 3, K: 1, T: 1}},
-	{"commitadopt-n4k2t2", Config{N: 4, K: 2, T: 2, Engine: EngineCommitAdopt}},
 	{"detectorK-n5k2t3", Config{N: 5, K: 2, T: 3, DetectorK: 1}},
 }
 

@@ -47,9 +47,10 @@ type refHBMachine struct {
 	timeout   []int
 	suspected uint64
 	started   bool
+	op        sim.Op
 }
 
-func (m *refHBMachine) Next(prev any) (sim.Op, bool) {
+func (m *refHBMachine) NextOp(prev any) *sim.Op {
 	if m.started {
 		changed := false
 		for q := 1; q <= m.n; q++ {
@@ -88,11 +89,13 @@ func (m *refHBMachine) Next(prev any) (sim.Op, bool) {
 		if m.h.cfg.Stamp {
 			payload = m.round
 		}
-		return sim.SendOp(to, payload), true
+		m.op = sim.SendOp(to, payload)
+		return &m.op
 	}
 	if m.recvsLeft > 0 {
 		m.recvsLeft--
-		return sim.RecvOp(), true
+		m.op = sim.RecvOp()
+		return &m.op
 	}
 	m.round++
 	m.h.rounds[m.self-1] = m.round
@@ -105,7 +108,8 @@ func (m *refHBMachine) Next(prev any) (sim.Op, bool) {
 	if m.h.cfg.Stamp {
 		payload = m.round
 	}
-	return sim.SendOp(to, payload), true
+	m.op = sim.SendOp(to, payload)
+	return &m.op
 }
 
 func (m *refHBMachine) nextPeer(after procset.ID) procset.ID {

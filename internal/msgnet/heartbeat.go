@@ -166,16 +166,7 @@ type peerTimer struct {
 	timeout int // current silence tolerance
 }
 
-// Next implements sim.Machine via NextOp.
-func (m *hbMachine) Next(prev any) (sim.Op, bool) {
-	op := m.NextOp(prev)
-	if op == nil {
-		return sim.Op{}, false
-	}
-	return *op, true
-}
-
-// NextOp implements sim.PtrMachine: digest the result of the step that just
+// NextOp implements sim.Machine: digest the result of the step that just
 // executed, advance the timers and the suspicion set, and emit the next
 // operation from stable storage. The detector never halts.
 func (m *hbMachine) NextOp(prev any) *sim.Op {

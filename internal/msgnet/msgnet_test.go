@@ -21,7 +21,6 @@ type pingMachine struct {
 	opBuf sim.Op
 }
 
-func (m *pingMachine) Next(prev any) (sim.Op, bool) { return *m.NextOp(prev), true }
 func (m *pingMachine) NextOp(prev any) *sim.Op {
 	m.opBuf = sim.SendOp(m.to, m.n)
 	m.n++
@@ -35,7 +34,6 @@ type pongMachine struct {
 	opBuf sim.Op
 }
 
-func (m *pongMachine) Next(prev any) (sim.Op, bool) { return *m.NextOp(prev), true }
 func (m *pongMachine) NextOp(prev any) *sim.Op {
 	if msg, ok := prev.(*sim.Message); ok {
 		m.got = append(m.got, msg.Payload.(int))
@@ -616,7 +614,6 @@ func regHeartbeatPeers(p procset.ID, n int) []procset.ID {
 	return out
 }
 
-func (m *regHeartbeat) Next(prev any) (sim.Op, bool) { return *m.NextOp(prev), true }
 func (m *regHeartbeat) NextOp(prev any) *sim.Op {
 	if m.idx == len(m.peers) {
 		m.idx = 0

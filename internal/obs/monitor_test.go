@@ -572,13 +572,16 @@ func TestMonitorTapFeedThroughRunner(t *testing.T) {
 type pingMachine struct {
 	reg   sim.Ref
 	reads bool
+	op    sim.Op
 }
 
-func (pm *pingMachine) Next(prev any) (sim.Op, bool) {
+func (pm *pingMachine) NextOp(prev any) *sim.Op {
 	if pm.reads {
 		pm.reads = false
-		return sim.ReadOp(pm.reg), true
+		pm.op = sim.ReadOp(pm.reg)
+		return &pm.op
 	}
 	pm.reads = true
-	return sim.WriteOp(pm.reg, 7), true
+	pm.op = sim.WriteOp(pm.reg, 7)
+	return &pm.op
 }

@@ -81,20 +81,24 @@ func ringMachine(n int) func(procset.ID, Registry) Machine {
 		own := regs.Reg(fmt.Sprintf("got[%d]", p))
 		to := p%procset.ID(n) + 1
 		phase, sent := 0, 0
-		return MachineFunc(func(prev any) (Op, bool) {
+		var opBuf Op
+		return MachineFunc(func(prev any) *Op {
 			phase = (phase + 1) % 3
 			switch phase {
 			case 1:
 				sent++
-				return SendOp(to, sent), true
+				opBuf = SendOp(to, sent)
+				return &opBuf
 			case 2:
-				return RecvOp(), true
+				opBuf = RecvOp()
+				return &opBuf
 			}
 			v := 0
 			if m, ok := prev.(*Message); ok {
 				v = m.Payload.(int)
 			}
-			return WriteOp(own, v), true
+			opBuf = WriteOp(own, v)
+			return &opBuf
 		})
 	}
 }
@@ -103,12 +107,12 @@ func ringMachine(n int) func(procset.ID, Registry) Machine {
 func haltingCounter(writes int) func(procset.ID, Registry) Machine {
 	return func(p procset.ID, regs Registry) Machine {
 		counter, steps := counterMachine(p, regs), 0
-		return MachineFunc(func(prev any) (Op, bool) {
+		return MachineFunc(func(prev any) *Op {
 			if steps == 2*writes {
-				return Op{}, false
+				return nil
 			}
 			steps++
-			return counter.Next(prev)
+			return counter.NextOp(prev)
 		})
 	}
 }

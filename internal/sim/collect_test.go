@@ -20,13 +20,16 @@ type progOp struct {
 // progMachine runs its program in a loop, folding every value it reads into
 // acc and writing acc, so a read value that landed wrong, or at the wrong
 // step, changes the later writes. With expand set it issues each collect as
-// its per-read expansion; otherwise as one CollectOp. passes > 0 halts the
-// machine after that many passes over the program.
+// its per-read expansion; otherwise as one CollectOp. With literal set its
+// reads and writes are plain Op values with no resolved register, which the
+// runner stores through settle rather than the kernel's inline path.
+// passes > 0 halts the machine after that many passes over the program.
 type progMachine struct {
-	prog   []progOp
-	refs   []Ref
-	expand bool
-	passes int
+	prog    []progOp
+	refs    []Ref
+	expand  bool
+	literal bool
+	passes  int
 
 	collects []Op    // CollectOp per collect instruction (nil elsewhere)
 	dsts     [][]any // their buffers
@@ -47,6 +50,22 @@ func (m *progMachine) fold(v any) {
 	m.acc = (m.acc*31 + x + 1) % 1_000_003
 }
 
+// read and write build the machine's read and write requests, resolved or
+// literal.
+func (m *progMachine) read(r Ref) Op {
+	if m.literal {
+		return Op{Kind: OpRead, Reg: r}
+	}
+	return ReadOp(r)
+}
+
+func (m *progMachine) write(r Ref, v any) Op {
+	if m.literal {
+		return Op{Kind: OpWrite, Reg: r, Value: v}
+	}
+	return WriteOp(r, v)
+}
+
 func (m *progMachine) NextOp(prev any) *Op {
 	if m.started {
 		switch in := m.prog[m.pc]; {
@@ -55,7 +74,7 @@ func (m *progMachine) NextOp(prev any) *Op {
 		case in.kind == 0 && m.expand:
 			m.fold(prev)
 			if m.sub++; m.sub < len(in.regs) {
-				m.buf = ReadOp(m.refs[in.regs[m.sub]])
+				m.buf = m.read(m.refs[in.regs[m.sub]])
 				return &m.buf
 			}
 		case in.kind == 0:
@@ -73,37 +92,24 @@ func (m *progMachine) NextOp(prev any) *Op {
 	m.started = true
 	switch in := m.prog[m.pc]; {
 	case in.kind == OpRead:
-		m.buf = ReadOp(m.refs[in.regs[0]])
+		m.buf = m.read(m.refs[in.regs[0]])
 	case in.kind == OpWrite:
-		m.buf = WriteOp(m.refs[in.regs[0]], m.acc)
+		m.buf = m.write(m.refs[in.regs[0]], m.acc)
 	case m.expand:
 		m.sub = 0
-		m.buf = ReadOp(m.refs[in.regs[0]])
+		m.buf = m.read(m.refs[in.regs[0]])
 	default:
 		return &m.collects[m.pc]
 	}
 	return &m.buf
 }
 
-func (m *progMachine) Next(prev any) (Op, bool) {
-	if op := m.NextOp(prev); op != nil {
-		return *op, true
-	}
-	return Op{}, false
-}
-
-// plainMachine hides NextOp, so the runner advances the machine through
-// settle instead of the kernel's inline path.
-type plainMachine struct{ m *progMachine }
-
-func (p plainMachine) Next(prev any) (Op, bool) { return p.m.Next(prev) }
-
 // collectCase is one decoded FuzzCollect input.
 type collectCase struct {
 	n, regs int
 	progs   [][]progOp
 	passes  []int
-	ptr     bool
+	literal bool
 	sched   sched.Schedule
 }
 
@@ -127,7 +133,7 @@ func decodeCollectCase(prog, steps []byte) collectCase {
 	r := byteReader(prog)
 	c := collectCase{n: 1 + r.next()%4, regs: 1 + r.next()%6}
 	k := 1 + r.next()%4
-	c.ptr = r.next()%2 == 0
+	c.literal = r.next()%2 != 0
 	for p := 0; p < c.n; p++ {
 		ops := make([]progOp, 1+r.next()%5)
 		for i := range ops {
@@ -165,7 +171,7 @@ func decodeCollectCase(prog, steps []byte) collectCase {
 // factory builds the case's machines, as collects or expanded.
 func (c collectCase) factory(expand bool) func(procset.ID, Registry) Machine {
 	return func(p procset.ID, regs Registry) Machine {
-		m := &progMachine{prog: c.progs[p-1], expand: expand, passes: c.passes[p-1]}
+		m := &progMachine{prog: c.progs[p-1], expand: expand, literal: c.literal, passes: c.passes[p-1]}
 		for i := 0; i < c.regs; i++ {
 			m.refs = append(m.refs, regs.Reg(fmt.Sprintf("r%d", i)))
 		}
@@ -180,9 +186,6 @@ func (c collectCase) factory(expand bool) func(procset.ID, Registry) Machine {
 				m.dsts[i] = make([]any, len(refs))
 				m.collects[i] = CollectOp(refs, m.dsts[i])
 			}
-		}
-		if !c.ptr {
-			return plainMachine{m}
 		}
 		return m
 	}
@@ -283,8 +286,9 @@ func (c collectCase) drive(t *testing.T, expand bool, entry string, resetMid boo
 // write counts and last writers, and the runner fingerprint — on Step, Run
 // (per-step stop checks and batched), RunSchedule and RunDirected, on fresh
 // runners and on runners Reset with collects in flight. The schedule
-// crashes one process after a chosen step, often mid-collect. Machines are
-// served through NextOp or through Next alone. Its seed corpus is in
+// crashes one process after a chosen step, often mid-collect. A mode byte
+// makes the machines' reads and writes resolved ops (the kernel's inline
+// path) or literal ones (settle's path). Its seed corpus is in
 // testdata/fuzz/FuzzCollect.
 func FuzzCollect(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog, steps []byte) {
@@ -348,12 +352,13 @@ func TestCollectOpContract(t *testing.T) {
 	r, err := NewRunner(Config{N: 2, Machine: func(p procset.ID, regs Registry) Machine {
 		a, b := regs.Reg("a"), regs.Reg("b")
 		if p == 2 {
-			return MachineFunc(func(any) (Op, bool) { return WriteOp(b, 7), true })
+			write := WriteOp(b, 7)
+			return MachineFunc(func(any) *Op { return &write })
 		}
 		coll := CollectOp([]Ref{a, b, b}, dst[:])
-		return MachineFunc(func(prev any) (Op, bool) {
+		return MachineFunc(func(prev any) *Op {
 			calls++
-			return coll, true
+			return &coll
 		})
 	}})
 	if err != nil {

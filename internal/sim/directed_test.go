@@ -14,15 +14,18 @@ type dirPingMachine struct {
 	own, shared Ref
 	n           int
 	flip        bool
+	op          Op
 }
 
-func (m *dirPingMachine) Next(prev any) (Op, bool) {
+func (m *dirPingMachine) NextOp(prev any) *Op {
 	m.flip = !m.flip
 	if m.flip {
 		m.n++
-		return WriteOp(m.own, m.n), true
+		m.op = WriteOp(m.own, m.n)
+		return &m.op
 	}
-	return ReadOp(m.shared), true
+	m.op = ReadOp(m.shared)
+	return &m.op
 }
 
 func dirPingConfig(n int) func(p procset.ID, regs Registry) Machine {

@@ -96,12 +96,14 @@ func TestMutatorSeesOldValue(t *testing.T) {
 	r, err := NewRunner(Config{N: 1, NoRecycle: true, Machine: func(p procset.ID, regs Registry) Machine {
 		x := regs.Reg("x")
 		i := 0
-		return MachineFunc(func(prev any) (Op, bool) {
+		var opBuf Op
+		return MachineFunc(func(prev any) *Op {
 			i++
 			if i > 2 {
-				return Op{}, false
+				return nil
 			}
-			return WriteOp(x, i), true
+			opBuf = WriteOp(x, i)
+			return &opBuf
 		})
 	}})
 	if err != nil {

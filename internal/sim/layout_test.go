@@ -28,9 +28,11 @@ func TestLayoutPerRunner(t *testing.T) {
 		})
 		seen[regs] = refs
 		i := 0
-		return MachineFunc(func(any) (Op, bool) {
+		var opBuf Op
+		return MachineFunc(func(any) *Op {
 			i++
-			return ReadOp(refs[i%len(refs)]), true
+			opBuf = ReadOp(refs[i%len(refs)])
+			return &opBuf
 		})
 	}
 	plain, err := NewRunner(Config{N: 3, Machine: factory})
@@ -77,7 +79,7 @@ func TestLayoutPerRunner(t *testing.T) {
 // without allocating, even under a key holding a string.
 func TestLayoutLookupAllocs(t *testing.T) {
 	r, err := NewRunner(Config{N: 1, Machine: func(p procset.ID, regs Registry) Machine {
-		return MachineFunc(func(any) (Op, bool) { return Op{}, false })
+		return MachineFunc(func(any) *Op { return nil })
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -118,11 +120,13 @@ type rearmCounter struct {
 	reg   Ref
 	log   *[]procset.ID
 	reads int
+	op    Op
 }
 
-func (m *rearmCounter) Next(any) (Op, bool) {
+func (m *rearmCounter) NextOp(any) *Op {
 	m.reads++
-	return ReadOp(m.reg), true
+	m.op = ReadOp(m.reg)
+	return &m.op
 }
 
 func (m *rearmCounter) Rearm() {
@@ -141,7 +145,7 @@ func TestResetRearms(t *testing.T) {
 		factory := func(p procset.ID, regs Registry) Machine {
 			builds++
 			if p == 2 {
-				return MachineFunc(func(any) (Op, bool) { return Op{}, false })
+				return MachineFunc(func(any) *Op { return nil })
 			}
 			return &rearmCounter{self: p, reg: regs.Reg("r"), log: &log}
 		}

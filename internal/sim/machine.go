@@ -74,7 +74,7 @@ func RecvOp() Op { return Op{Kind: OpRecv} }
 // StepInfo, PendingOp (which reports the register in flight), the stats
 // block and the flight recorder see exactly the steps the per-read
 // expansion would produce — but the machine is not called between them: its
-// next Next (or NextOp) runs once, after the last read, with that read's
+// next NextOp runs once, after the last read, with that read's
 // value as prev and every value in dst. A process crashed mid-collect (the
 // schedule stops granting it steps) leaves dst partly filled; Runner.Reset
 // drops an unfinished collect.
@@ -105,18 +105,27 @@ func asRegister(r Ref) *register {
 }
 
 // Machine is an explicit process automaton, the direct-dispatch alternative
-// to Algorithm. The runner calls Next with the result of the machine's
+// to Algorithm. The runner calls NextOp with the result of the machine's
 // previous operation — the value read for OpRead, nil for OpWrite, and nil
 // on the very first call (no operation precedes it) — and the machine
-// returns its next request. Returning ok == false halts the automaton
-// (the analogue of an Algorithm function returning); subsequent steps
-// granted to the process are no-ops.
+// returns its next request. Returning nil halts the automaton (the
+// analogue of an Algorithm function returning); subsequent steps granted
+// to the process are no-ops.
 //
-// Next runs on the stepping goroutine with no other process active, exactly
-// like the local-computation window of a coroutine process between steps:
-// it may freely update state shared with the harness.
+// The request is a pointer into storage the machine keeps stable (a
+// prebuilt op table, a write-op buffer), so no Op is copied across the
+// dispatch boundary; the pointed-to Op need only stay valid until the
+// machine's next call. The runner only reads the Op, so it may live in a
+// layout shared by every machine of the runner (see Layout). Ops built by
+// ReadOp and WriteOp carry their resolved register and are stored by the
+// kernel inline; literal Ops, collects and message ops go through the
+// runner's checking path.
+//
+// NextOp runs on the stepping goroutine with no other process active,
+// exactly like the local-computation window of a coroutine process between
+// steps: it may freely update state shared with the harness.
 type Machine interface {
-	Next(prev any) (op Op, ok bool)
+	NextOp(prev any) *Op
 }
 
 // Registry provides register interning to Machine factories. It is the
@@ -128,27 +137,11 @@ type Registry interface {
 	Reg(name string) Ref
 }
 
-// PtrMachine is an optional extension of Machine for automata that can
-// return their next request as a pointer into stable per-machine storage
-// (a precomputed op table, a write-op buffer). The runner prefers NextOp
-// whenever a machine implements it, skipping the five-word Op copy across
-// the dispatch boundary on every step — measurable at the hot campaigns'
-// throughput. NextOp returning nil halts the automaton, exactly like Next
-// returning ok == false; the pointed-to Op need only stay valid until the
-// machine's next call, and both entry points must drive the same automaton
-// (the runner uses NextOp exclusively when present). The runner only reads
-// the Op, so it may live in a layout shared by every machine of the runner
-// (see Layout).
-type PtrMachine interface {
-	Machine
-	NextOp(prev any) *Op
-}
-
 // Rearmer is an optional extension of Machine for automata that can return
-// to their initial state in place. Runner.Reset consults it the way the
-// kernel consults PtrMachine: when the previous run's machine implements
-// it, Reset calls Rearm and keeps the machine, so Config.Machine runs only
-// on the runner's first build and for machines without Rearm.
+// to their initial state in place. When the previous run's machine
+// implements it, Runner.Reset calls Rearm and keeps the machine, so
+// Config.Machine runs only on the runner's first build and for machines
+// without Rearm.
 //
 // After Rearm the machine must be indistinguishable from the one the
 // factory would build for the same process on the same runner: every
@@ -164,10 +157,10 @@ type Rearmer interface {
 }
 
 // MachineFunc adapts a plain function to the Machine interface.
-type MachineFunc func(prev any) (Op, bool)
+type MachineFunc func(prev any) *Op
 
-// Next calls f.
-func (f MachineFunc) Next(prev any) (Op, bool) { return f(prev) }
+// NextOp calls f.
+func (f MachineFunc) NextOp(prev any) *Op { return f(prev) }
 
 // PendingOp reports the operation process p will execute when next granted a
 // step, without executing it: the op kind and the target register's dense id.
@@ -242,7 +235,7 @@ func (r *Runner) exec(n int, ps []procset.ID, d Director, res *stepResult) {
 		var peer procset.ID
 		held := false // a collect read with more to come: the machine waits
 		// mem is a stable pointer, but its dense slices are re-read per
-		// step: a machine's Next may intern a register (mid-run Rebind),
+		// step: a machine's NextOp may intern a register (mid-run Rebind),
 		// growing them.
 		mem := r.mem
 		switch kind {
@@ -291,12 +284,10 @@ func (r *Runner) exec(n int, ps []procset.ID, d Director, res *stepResult) {
 		if held {
 			continue
 		}
-		// Advance the machine in place. The common requests of a pointer-op
-		// machine are stored right here: a resolved read or write, a recv
-		// on a networked runner, a halt. The rest goes through settle.
-		if pm := pr.ptrMachine; pm == nil {
-			r.advanceMachine(pr, prev)
-		} else if op := pm.NextOp(prev); op == nil {
+		// Advance the machine in place. The common requests are stored
+		// right here: a resolved read or write, a recv on a networked
+		// runner, a halt. The rest goes through settle.
+		if op := pr.machine.NextOp(prev); op == nil {
 			pr.isHalted = true
 		} else if rr := op.reg; rr != nil && op.Kind == OpRead {
 			// Reads leave the stale value in place (the read path never
@@ -326,18 +317,10 @@ type stepResult struct {
 }
 
 // advanceMachine asks pr's machine for its next request and stores it
-// through settle: first activation, PendingOp's peek and machines without
-// NextOp. The kernel inlines the same call with its common cases.
+// through settle: first activation and PendingOp's peek. The kernel
+// inlines the same call with its common cases.
 func (r *Runner) advanceMachine(pr *proc, prev any) {
-	var op *Op
-	if pm := pr.ptrMachine; pm != nil {
-		// Pointer-op machines hand back a pointer into their own stable
-		// storage: no five-word Op copy across the dispatch boundary.
-		op = pm.NextOp(prev)
-	} else if next, ok := pr.machine.Next(prev); ok {
-		op = &next
-	}
-	r.settle(pr, op)
+	r.settle(pr, pr.machine.NextOp(prev))
 }
 
 // settle stores op as pr's pending request, halting the process when op is

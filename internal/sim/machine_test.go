@@ -51,14 +51,14 @@ func TestMachineMatchesCoroutine(t *testing.T) {
 
 // haltingMachine writes its id once and halts.
 func haltingMachine(p procset.ID, regs Registry) Machine {
-	x := regs.Reg("x")
+	write := WriteOp(regs.Reg("x"), int(p))
 	done := false
-	return MachineFunc(func(prev any) (Op, bool) {
+	return MachineFunc(func(prev any) *Op {
 		if done {
-			return Op{}, false
+			return nil
 		}
 		done = true
-		return WriteOp(x, int(p)), true
+		return &write
 	})
 }
 
@@ -87,11 +87,11 @@ func TestMachineNilRegPanicsOnEveryEntryPoint(t *testing.T) {
 	}
 	for _, e := range entries {
 		r, err := NewRunner(Config{N: 1, Machine: func(_ procset.ID, regs Registry) Machine {
-			first := ReadOp(regs.Reg("x"))
-			return MachineFunc(func(prev any) (Op, bool) {
-				op := first
-				first = Op{Kind: OpRead}
-				return op, true
+			ops := []Op{ReadOp(regs.Reg("x")), {Kind: OpRead}}
+			return MachineFunc(func(prev any) *Op {
+				op := &ops[0]
+				ops = ops[1:]
+				return op
 			})
 		}})
 		if err != nil {
@@ -109,41 +109,29 @@ func TestMachineNilRegPanicsOnEveryEntryPoint(t *testing.T) {
 	}
 }
 
-// ptrMachine adapts a function returning *Op to PtrMachine, so a test
-// reaches the kernel's inline advance: a MachineFunc always goes through
-// settle.
-type ptrMachine func(prev any) *Op
-
-func (f ptrMachine) Next(prev any) (Op, bool) {
-	if op := f(prev); op != nil {
-		return *op, true
-	}
-	return Op{}, false
-}
-
-func (f ptrMachine) NextOp(prev any) *Op { return f(prev) }
-
-// asPtr serves the machines mk builds through NextOp, from one Op buffer
-// per machine.
-func asPtr(mk func(procset.ID, Registry) Machine) func(procset.ID, Registry) Machine {
+// literalOps serves the machines mk builds with every request copied into
+// a literal Op, which carries no resolved register: reads and writes then
+// reach settle instead of the kernel's inline stores.
+func literalOps(mk func(procset.ID, Registry) Machine) func(procset.ID, Registry) Machine {
 	return func(p procset.ID, regs Registry) Machine {
 		m := mk(p, regs)
 		var buf Op
-		return ptrMachine(func(prev any) *Op {
-			op, ok := m.Next(prev)
-			if !ok {
+		return MachineFunc(func(prev any) *Op {
+			op := m.NextOp(prev)
+			if op == nil {
 				return nil
 			}
-			buf = op
+			buf = Op{Kind: op.Kind, Reg: op.Reg, Value: op.Value, Dest: op.Dest}
 			return &buf
 		})
 	}
 }
 
-// TestPtrMachineMatchesMachine: the kernel's inline advance of a pointer-op
-// machine (resolved reads and writes, recvs, halts) and settle's path for a
-// plain Machine produce the same StepInfo stream.
-func TestPtrMachineMatchesMachine(t *testing.T) {
+// TestMachineResolvedMatchesLiteral: the kernel's inline advance of
+// resolved ops (ReadOp and WriteOp requests, recvs, halts) and settle's
+// path for the same requests as literal Ops produce the same StepInfo
+// stream.
+func TestMachineResolvedMatchesLiteral(t *testing.T) {
 	t.Parallel()
 	const n = 4
 	src, err := sched.Random(n, 11, nil)
@@ -162,14 +150,15 @@ func TestPtrMachineMatchesMachine(t *testing.T) {
 			return Config{N: n, Machine: mk, Network: newRingNet(n)}
 		}, ringMachine(n)},
 	} {
-		sameTrace(t, c.name, traceOf(t, c.cfg(c.mk), s), traceOf(t, c.cfg(asPtr(c.mk)), s))
+		sameTrace(t, c.name, traceOf(t, c.cfg(c.mk), s), traceOf(t, c.cfg(literalOps(c.mk)), s))
 	}
 }
 
-// TestSettleChecksEveryRequest: a bad request from a pointer-op machine
-// panics with settle's message whether it is the first request (fetched at
-// first activation) or a later one (fetched by the kernel's inline
-// advance, which hands it to settle).
+// TestSettleChecksEveryRequest: a bad request panics with settle's message
+// whether it is the first request (fetched at first activation) or a later
+// one (fetched by the kernel's advance, which hands it to settle), and for
+// a later one whether the request before it was resolved (stored inline)
+// or literal (stored by settle).
 func TestSettleChecksEveryRequest(t *testing.T) {
 	t.Parallel()
 	for _, c := range []struct {
@@ -185,13 +174,16 @@ func TestSettleChecksEveryRequest(t *testing.T) {
 		{"recv without network", RecvOp(), false, "sim: recv op on a runner without Config.Network"},
 		{"unknown kind", Op{Kind: OpNoop}, true, badOpKind(OpNoop)},
 	} {
-		for _, later := range []bool{false, true} {
+		for _, first := range []string{"", "resolved", "literal"} {
 			cfg := Config{N: 2, Machine: func(_ procset.ID, regs Registry) Machine {
 				ops := []Op{c.op}
-				if later {
+				switch first {
+				case "resolved":
 					ops = []Op{ReadOp(regs.Reg("x")), c.op}
+				case "literal":
+					ops = []Op{{Kind: OpRead, Reg: regs.Reg("x")}, c.op}
 				}
-				return ptrMachine(func(any) *Op {
+				return MachineFunc(func(any) *Op {
 					op := &ops[0]
 					ops = ops[1:]
 					return op
@@ -211,7 +203,7 @@ func TestSettleChecksEveryRequest(t *testing.T) {
 			}()
 			r.Close()
 			if got != c.want {
-				t.Errorf("%s (later %v) panicked with %v, want %q", c.name, later, got, c.want)
+				t.Errorf("%s (after %q) panicked with %v, want %q", c.name, first, got, c.want)
 			}
 		}
 	}
@@ -243,7 +235,7 @@ func TestMachineHaltsToNoop(t *testing.T) {
 func TestMachineImmediateHaltIsNoop(t *testing.T) {
 	t.Parallel()
 	r, err := NewRunner(Config{N: 1, Machine: func(procset.ID, Registry) Machine {
-		return MachineFunc(func(any) (Op, bool) { return Op{}, false })
+		return MachineFunc(func(any) *Op { return nil })
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +249,7 @@ func TestMachineImmediateHaltIsNoop(t *testing.T) {
 	}
 }
 
-// TestMachineFirstNextReceivesNil pins the Next contract: nil before any
+// TestMachineFirstNextReceivesNil pins the NextOp contract: nil before any
 // operation, the read value after reads, nil after writes.
 func TestMachineFirstNextReceivesNil(t *testing.T) {
 	t.Parallel()
@@ -265,17 +257,20 @@ func TestMachineFirstNextReceivesNil(t *testing.T) {
 	r, err := NewRunner(Config{N: 1, Machine: func(_ procset.ID, regs Registry) Machine {
 		x := regs.Reg("x")
 		pc := 0
-		return MachineFunc(func(prev any) (Op, bool) {
+		var opBuf Op
+		return MachineFunc(func(prev any) *Op {
 			got = append(got, prev)
 			switch pc {
 			case 0:
 				pc++
-				return WriteOp(x, "v"), true
+				opBuf = WriteOp(x, "v")
+				return &opBuf
 			case 1:
 				pc++
-				return ReadOp(x), true
+				opBuf = ReadOp(x)
+				return &opBuf
 			default:
-				return Op{}, false
+				return nil
 			}
 		})
 	}})
@@ -286,11 +281,11 @@ func TestMachineFirstNextReceivesNil(t *testing.T) {
 	r.RunSchedule(sched.Schedule{1, 1})
 	want := []any{nil, nil, "v"}
 	if len(got) != len(want) {
-		t.Fatalf("Next called %d times, want %d", len(got), len(want))
+		t.Fatalf("NextOp called %d times, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("Next call %d received %v, want %v", i, got[i], want[i])
+			t.Errorf("NextOp call %d received %v, want %v", i, got[i], want[i])
 		}
 	}
 }

@@ -402,16 +402,13 @@ type proc struct {
 	// Machine (direct-dispatch) mode. The pending request is held in
 	// resolved form — kind, register id, write value — so the hot
 	// loops neither copy an Op struct per step nor repeat the Ref type
-	// assertion (valid when started && !isHalted). ptrMachine is machine's
-	// PtrMachine form when it implements one, resolved once at start; the
-	// stepping loops prefer it.
-	machine    Machine
-	ptrMachine PtrMachine
-	nextKind   OpKind
-	nextRegID  RegID // the register's dense id, resolved once so the hot loops index the dense plane without a pointer chase
-	nextValue  any
-	nextDest   procset.ID // destination of a pending OpSend
-	started    bool       // whether the machine's first request has been fetched
+	// assertion (valid when started && !isHalted).
+	machine   Machine
+	nextKind  OpKind
+	nextRegID RegID // the register's dense id, resolved once so the hot loops index the dense plane without a pointer chase
+	nextValue any
+	nextDest  procset.ID // destination of a pending OpSend
+	started   bool       // whether the machine's first request has been fetched
 	// coll is the collect in flight (nil when none) and collPos the index
 	// of its pending read; nextRegID names that read's register.
 	coll    *collect
@@ -578,7 +575,6 @@ func (r *Runner) start(p *proc) error {
 			return fmt.Errorf("sim: Config.Machine returned nil for %v", p.id)
 		}
 		p.machine = m
-		p.ptrMachine, _ = m.(PtrMachine)
 		return nil
 	}
 	algo := r.algorithm(p.id)
@@ -669,7 +665,7 @@ func (r *Runner) outside(p procset.ID) {
 // Step executes one step of process p: the process's pending memory
 // operation is performed, and the process then computes locally until it
 // produces its next operation or halts (for coroutines the runner waits for
-// the posting; for machines this is one Next call). When the process has
+// the posting; for machines this is one NextOp call). When the process has
 // already halted, the step is a no-op. Step must not be called after Close.
 func (r *Runner) Step(p procset.ID) StepInfo {
 	if r.closed {
@@ -814,7 +810,6 @@ func (r *Runner) Reset() error {
 			continue
 		}
 		p.machine = nil
-		p.ptrMachine = nil
 		if err := r.start(p); err != nil {
 			return err
 		}

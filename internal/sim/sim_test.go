@@ -22,15 +22,18 @@ func counterAlgo(env Env) {
 // with its program counter made explicit.
 func counterMachine(_ procset.ID, regs Registry) Machine {
 	c := regs.Reg("counter")
+	read := ReadOp(c)
+	var write Op
 	reading := true
-	return MachineFunc(func(prev any) (Op, bool) {
+	return MachineFunc(func(prev any) *Op {
 		if reading {
 			reading = false
-			return ReadOp(c), true
+			return &read
 		}
 		reading = true
 		v, _ := prev.(int)
-		return WriteOp(c, v+1), true
+		write = WriteOp(c, v+1)
+		return &write
 	})
 }
 

@@ -12,14 +12,14 @@ import (
 // tests can provoke no-op steps.
 func haltAfterMachine(reads int) func(procset.ID, Registry) Machine {
 	return func(_ procset.ID, regs Registry) Machine {
-		c := regs.Reg("counter")
+		read := ReadOp(regs.Reg("counter"))
 		left := reads
-		return MachineFunc(func(any) (Op, bool) {
+		return MachineFunc(func(any) *Op {
 			if left == 0 {
-				return Op{}, false
+				return nil
 			}
 			left--
-			return ReadOp(c), true
+			return &read
 		})
 	}
 }
@@ -173,13 +173,14 @@ func TestBatchMetricsDisabledAllocs(t *testing.T) {
 	// test isolates — allocations introduced by the metrics plumbing.
 	ping := func(_ procset.ID, regs Registry) Machine {
 		c := regs.Reg("counter")
+		read, write := ReadOp(c), WriteOp(c, 7) // constant: boxing never allocates
 		reading := true
-		return MachineFunc(func(any) (Op, bool) {
+		return MachineFunc(func(any) *Op {
 			reading = !reading
 			if !reading {
-				return ReadOp(c), true
+				return &read
 			}
-			return WriteOp(c, 7), true // constant: boxing never allocates
+			return &write
 		})
 	}
 	r, err := NewRunner(Config{N: 4, Machine: ping})

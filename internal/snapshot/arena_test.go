@@ -39,15 +39,15 @@ type recUpdScanMachine struct {
 	started bool
 }
 
-func (m *recUpdScanMachine) Next(prev any) (sim.Op, bool) {
+func (m *recUpdScanMachine) NextOp(prev any) *sim.Op {
 	if !m.started {
 		m.started = true
 		m.seq++
 		m.call = m.o.NewFusedUpdate(m.seq * 100)
-		return *m.call.Start(), true
+		return m.call.Start()
 	}
 	if op := m.call.Feed(prev); op != nil {
-		return *op, true
+		return op
 	}
 	if m.inScan {
 		*m.log = append(*m.log, cloneRecord(m.self, m.call.Result()))
@@ -56,7 +56,7 @@ func (m *recUpdScanMachine) Next(prev any) (sim.Op, bool) {
 	} else {
 		m.call, m.inScan = m.o.NewFusedScan(), true
 	}
-	return *m.call.Start(), true
+	return m.call.Start()
 }
 
 // recAlgorithm is the coroutine reference of the same workload, running on
@@ -263,19 +263,19 @@ type haltingUpdaterMachine struct {
 	started bool
 }
 
-func (m *haltingUpdaterMachine) Next(prev any) (sim.Op, bool) {
+func (m *haltingUpdaterMachine) NextOp(prev any) *sim.Op {
 	if m.started {
 		if op := m.call.Feed(prev); op != nil {
-			return *op, true
+			return op
 		}
 		if m.left == 0 {
-			return sim.Op{}, false
+			return nil
 		}
 	}
 	m.started = true
 	m.left--
 	m.call = m.o.NewFusedUpdate(m.left)
-	return *m.call.Start(), true
+	return m.call.Start()
 }
 
 // scanOnlyMachine scans forever, recording every completed (non-owned)
@@ -289,16 +289,16 @@ type scanOnlyMachine struct {
 	started bool
 }
 
-func (m *scanOnlyMachine) Next(prev any) (sim.Op, bool) {
+func (m *scanOnlyMachine) NextOp(prev any) *sim.Op {
 	if m.started {
 		if op := m.call.Feed(prev); op != nil {
-			return *op, true
+			return op
 		}
 		*m.log = append(*m.log, cloneRecord(m.self, m.call.Result()))
 	}
 	m.started = true
 	m.call = m.o.NewFusedScan()
-	return *m.call.Start(), true
+	return m.call.Start()
 }
 
 // TestRecycledNonOwnedResultSurvivesEndScan is the regression test for the

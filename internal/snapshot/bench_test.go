@@ -50,19 +50,19 @@ type updScanMachine struct {
 	started bool
 }
 
-func (m *updScanMachine) Next(prev any) (sim.Op, bool) {
+func (m *updScanMachine) NextOp(prev any) *sim.Op {
 	if m.started {
 		if op := m.call.Feed(prev); op != nil {
-			return *op, true
+			return op
 		}
 		if !m.inScan {
 			m.call, m.inScan = m.o.NewFusedScan(), true
-			return *m.call.Start(), true
+			return m.call.Start()
 		}
 	}
 	m.started = true
 	m.call, m.inScan = m.o.NewFusedUpdate(m.val), false
-	return *m.call.Start(), true
+	return m.call.Start()
 }
 
 func newBGWriteRunner(tb testing.TB, n int) (*sim.Runner, sched.Source) {
