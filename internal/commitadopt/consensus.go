@@ -68,6 +68,3 @@ func (c *Consensus) Attempt(v any) (any, bool) {
 	c.decided, c.hasDec = u, true
 	return u, true
 }
-
-// Round returns the number of rounds this process has completed.
-func (c *Consensus) Round() int { return c.round }

@@ -315,6 +315,3 @@ func (m *ConsensusMachine) NextOp(prev any) *sim.Op {
 		panic(fmt.Sprintf("commitadopt: invalid consensus phase %d", m.phase))
 	}
 }
-
-// Round returns the number of commit-adopt rounds this process has started.
-func (m *ConsensusMachine) Round() int { return m.round }

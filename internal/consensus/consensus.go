@@ -44,8 +44,6 @@ type Instance struct {
 	block   xblock // the local copy of our own block
 	decided any
 	hasDec  bool
-
-	attempts int
 }
 
 // NewInstance creates the per-process handle for the consensus object with
@@ -67,9 +65,6 @@ func NewInstance(env sim.Env, name string) *Instance {
 
 // Decided returns the locally known decision, if any. It performs no steps.
 func (in *Instance) Decided() (any, bool) { return in.decided, in.hasDec }
-
-// Attempts returns how many ballots this process has started.
-func (in *Instance) Attempts() int { return in.attempts }
 
 // CheckDecision reads the decision register (one step) and returns the
 // decision if one has been written.
@@ -125,7 +120,6 @@ func (in *Instance) Attempt(v any) (any, bool) {
 	if d, ok := in.CheckDecision(); ok {
 		return d, true
 	}
-	in.attempts++
 
 	// Phase 1.
 	ballot := in.nextBallot(0)

@@ -50,10 +50,9 @@ type InstanceMachine struct {
 	n    int
 	self procset.ID
 
-	block    xblock
-	decided  any
-	hasDec   bool
-	attempts int
+	block   xblock
+	decided any
+	hasDec  bool
 
 	attempting bool // current call is an Attempt (vs a bare CheckDecision)
 	v          any
@@ -121,9 +120,6 @@ func (m *InstanceMachine) init(regs sim.Registry, name string, self procset.ID, 
 func (m *InstanceMachine) Rearm() {
 	*m = InstanceMachine{l: m.l, n: m.n, self: m.self}
 }
-
-// Attempts returns how many ballots this process has started.
-func (m *InstanceMachine) Attempts() int { return m.attempts }
 
 // Result returns the completed call's return value: for CheckDecision the
 // (decision, known) pair, for Attempt the (decision, success) pair.
@@ -208,7 +204,6 @@ func (m *InstanceMachine) Feed(prev any) (op sim.Op, hasOp bool) {
 			return m.finish(m.decided, m.hasDec)
 		}
 		// Phase 1: claim a ballot and publish the block.
-		m.attempts++
 		m.ballot = m.nextBallot(0)
 		m.block.MBal = m.ballot
 		if m.block.Inp == nil {

@@ -8,9 +8,11 @@ import (
 	"github.com/settimeliness/settimeliness/internal/core"
 )
 
-// BenchmarkMatrixCampaignWorkers is the campaign speedup benchmark: the full
-// empirical Theorem 27 matrix for (2,2,4)-agreement at 1 and 8 workers. On a
-// multi-core machine the 8-worker run should be ≥3× faster; the serialized
+// BenchmarkMatrixCampaignWorkers times the full empirical Theorem 27 matrix
+// for (2,2,4)-agreement at 1 and 8 workers. Its five unsolvable cells share
+// one adversarial execution, which one job drives while the others of the
+// group wait, so the work left to spread over workers is that run plus the
+// five solvable cells, and 8 workers cannot be 8× faster; the serialized
 // results are identical by construction (see the determinism tests).
 //
 //	go test ./internal/experiments -bench MatrixCampaignWorkers -benchtime 3x

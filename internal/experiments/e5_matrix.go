@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"github.com/settimeliness/settimeliness/internal/adversary"
 	"github.com/settimeliness/settimeliness/internal/campaign"
@@ -32,37 +33,15 @@ type MatrixCell struct {
 // order. Solvable cells run the dispatcher-selected algorithm on a
 // conformant schedule and must decide and verify; unsolvable cells run the
 // best available algorithm against the matching adversary and must neither
-// violate safety nor reach a decision within the horizon. Every cell uses
-// the caller's seed, so the returned cells, ordered problem-major, then
+// violate safety nor reach a decision within the horizon; unsolvable cells
+// with one solver configuration and crash set share one adversarial
+// execution, which only their seedless adversary makes possible. Every cell
+// uses the caller's seed, so the returned cells, ordered problem-major, then
 // (i,j), are identical at any worker count.
 func MatrixSweep(ctx context.Context, problems []core.Problem, seed int64, posBudget, negBudget, workers int, onResult func(campaign.Outcome)) ([]MatrixCell, *campaign.Report, error) {
-	// Cells of one problem share {N,K,T} but solvable ones differ in
-	// DetectorK, so rigs are pooled per solver configuration: a sweep holds
-	// a handful of pools and builds at most one rig per (configuration,
-	// concurrent worker).
-	var specs []MatrixCell
-	var jobs []campaign.Cell[kset.Config]
-	for _, p := range problems {
-		if err := p.Validate(); err != nil {
-			return nil, nil, err
-		}
-		for i := 1; i <= p.N; i++ {
-			for j := i; j <= p.N; j++ {
-				sys := core.Sij(i, j, p.N)
-				theory, err := p.SolvableIn(sys)
-				if err != nil {
-					return nil, nil, err
-				}
-				kcfg := kset.Config{N: p.N, K: p.K, T: p.T}
-				if theory {
-					if kcfg, err = p.AgreementConfig(sys); err != nil {
-						return nil, nil, err
-					}
-				}
-				specs = append(specs, MatrixCell{Problem: p, I: i, J: j, Theory: theory})
-				jobs = append(jobs, campaign.Cell[kset.Config]{Name: fmt.Sprintf("%v S^%d_{%d,%d}", p, i, j, p.N), Key: kcfg, Hi: 1})
-			}
-		}
+	specs, jobs, groups, err := planMatrix(problems)
+	if err != nil {
+		return nil, nil, err
 	}
 	rep, details, err := campaign.RunSweep(ctx, campaign.Sweep[kset.Config, *agreementRig, *MatrixCell]{
 		Config: campaign.Config{Workers: workers, Seed: seed, OnResult: onResult},
@@ -79,7 +58,7 @@ func MatrixSweep(ctx context.Context, problems []core.Problem, seed int64, posBu
 			if cell.Theory {
 				cell.Empirical, cell.Match, cell.Steps, err = runSolvableCell(rig, cell.Problem, sys, seed, posBudget)
 			} else {
-				cell.Empirical, cell.Match, cell.Steps, err = runUnsolvableCell(rig, cell.Problem, sys, negBudget)
+				cell.Empirical, cell.Match, cell.Steps, err = runUnsolvableCell(rig, groups[j], cell.Problem, sys, negBudget)
 			}
 			if err != nil {
 				return true, err
@@ -108,6 +87,48 @@ func MatrixSweep(ctx context.Context, problems []core.Problem, seed int64, posBu
 		}
 	}
 	return cells, rep, nil
+}
+
+// planMatrix lays out a sweep's jobs, problem-major then (i,j): each
+// cell's spec, its campaign cell and, for an unsolvable cell, the shared
+// adversarial execution it classifies itself from (nil for a solvable one).
+// Cells of one problem share {N,K,T} but solvable ones differ in DetectorK,
+// so rigs are pooled per solver configuration: a sweep holds a handful of
+// pools and builds at most one rig per (configuration, concurrent worker).
+// The groups are complete before the campaign starts, so jobs read them
+// without a lock.
+func planMatrix(problems []core.Problem) ([]MatrixCell, []campaign.Cell[kset.Config], []*advGroup, error) {
+	var specs []MatrixCell
+	var jobs []campaign.Cell[kset.Config]
+	var groups []*advGroup
+	byKey := map[advKey]*advGroup{}
+	for _, p := range problems {
+		if err := p.Validate(); err != nil {
+			return nil, nil, nil, err
+		}
+		for i := 1; i <= p.N; i++ {
+			for j := i; j <= p.N; j++ {
+				sys := core.Sij(i, j, p.N)
+				theory, err := p.SolvableIn(sys)
+				if err != nil {
+					return nil, nil, nil, err
+				}
+				kcfg := kset.Config{N: p.N, K: p.K, T: p.T}
+				var g *advGroup
+				if theory {
+					if kcfg, err = p.AgreementConfig(sys); err != nil {
+						return nil, nil, nil, err
+					}
+				} else {
+					g = planAdversarial(byKey, kcfg, p, sys)
+				}
+				specs = append(specs, MatrixCell{Problem: p, I: i, J: j, Theory: theory})
+				jobs = append(jobs, campaign.Cell[kset.Config]{Name: fmt.Sprintf("%v S^%d_{%d,%d}", p, i, j, p.N), Key: kcfg, Hi: 1})
+				groups = append(groups, g)
+			}
+		}
+	}
+	return specs, jobs, groups, nil
 }
 
 // runSolvableCell runs the dispatcher-selected solver (the rig's
@@ -142,6 +163,117 @@ func runSolvableCell(rig *agreementRig, p core.Problem, sys core.SystemID, seed 
 	return fmt.Sprintf("NO-DECISION@%d", run.Steps), false, run.Steps, nil
 }
 
+// fictitiousCrashes returns the processes an unsolvable cell crashes at
+// time zero: in case 2b (i ≤ k) the proof's j−i fictitious processes, the
+// highest ids; in case 2a (i > k) nobody.
+func fictitiousCrashes(p core.Problem, sys core.SystemID) procset.Set {
+	var crashed procset.Set
+	if sys.I <= p.K {
+		for q := 0; q < sys.J-sys.I; q++ {
+			crashed = crashed.Add(procset.ID(p.N - q))
+		}
+	}
+	return crashed
+}
+
+// witness is a case-2b cell's conformance witness: its i lowest live
+// processes P, timely with respect to Q, P plus the crashed ones.
+type witness struct{ p, q procset.Set }
+
+// witnessFor returns sys's witness given the crashed processes, and false
+// in case 2a, which checks none.
+func witnessFor(p core.Problem, sys core.SystemID, crashed procset.Set) (witness, bool) {
+	if sys.I > p.K {
+		return witness{}, false
+	}
+	var w witness
+	for _, q := range procset.FullSet(p.N).Minus(crashed).Members() {
+		if w.p.Size() >= sys.I {
+			break
+		}
+		w.p = w.p.Add(q)
+	}
+	w.q = w.p.Union(crashed)
+	return w, true
+}
+
+// advKey identifies one adversarial execution. The parking adversary takes
+// no seed and the proposals are fixed, so within a sweep (one budget) the
+// solver configuration and the crash set determine the run.
+type advKey struct {
+	cfg     kset.Config
+	crashed procset.Set
+}
+
+// advGroup is one adversarial execution shared by every unsolvable cell it
+// witnesses. The first cell to need it drives the run on its own rig while
+// the others wait on mu. The group keeps the run's summary and the
+// conformance gap of each witness its cells registered at planning (the
+// keys of gaps), never the schedule. Only a run that returned is shared: if
+// it panics or fails, each cell of the group drives its own, so panics,
+// flight tails and errors stay per cell.
+type advGroup struct {
+	crashed procset.Set
+	gaps    map[witness]int
+
+	mu     sync.Mutex
+	driven bool // a cell has driven the run; ok reports that it returned
+	ok     bool
+	run    agreementRun
+}
+
+// planAdversarial returns the group of cell sys of problem p, an unsolvable
+// cell solved by cfg, and registers the cell's witness with it.
+func planAdversarial(byKey map[advKey]*advGroup, cfg kset.Config, p core.Problem, sys core.SystemID) *advGroup {
+	crashed := fictitiousCrashes(p, sys)
+	key := advKey{cfg, crashed}
+	g := byKey[key]
+	if g == nil {
+		g = &advGroup{crashed: crashed, gaps: map[witness]int{}}
+		byKey[key] = g
+	}
+	if w, ok := witnessFor(p, sys, crashed); ok {
+		g.gaps[w] = 0
+	}
+	return g
+}
+
+// shared returns the group's run, driving it on rig if no cell has yet, and
+// false if the shared run failed. Once it returned true, g.gaps is final.
+func (g *advGroup) shared(rig *agreementRig, budget int) (agreementRun, bool, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.driven {
+		g.driven = true // a panic unwinds past ok
+		run, err := rig.driveWitnessed(g.crashed, budget, g.gaps)
+		if err != nil {
+			return run, false, err
+		}
+		g.run, g.ok = run, true
+	}
+	return g.run, g.ok, nil
+}
+
+// driveWitnessed runs the adversary with the crashed processes down from the
+// start and, while its recording is live, sets each witness that keys gaps
+// to its gap on the recorded prefix.
+func (rig *agreementRig) driveWitnessed(crashed procset.Set, budget int, gaps map[witness]int) (agreementRun, error) {
+	run, schedule, err := rig.driveAdversarial(crashed, budget)
+	if err != nil {
+		return run, err
+	}
+	// The adversary's recording is already bounded to this prefix;
+	// re-slice defensively in case a caller configured full recording.
+	prefix := schedule
+	if len(prefix) > adversary.DefaultScheduleLimit {
+		prefix = prefix[:adversary.DefaultScheduleLimit]
+	}
+	for w := range gaps {
+		gaps[w] = sched.MaxQGap(prefix, w.p, w.q)
+	}
+	return run, nil
+}
+
 // runUnsolvableCell runs the strongest configuration we have for (t,k,n)
 // against the adaptive parking adversary (internal/adversary), staged per
 // the two cases of Theorem 27 part 2:
@@ -156,14 +288,20 @@ func runSolvableCell(rig *agreementRig, p core.Problem, sys core.SystemID, seed 
 //
 // Termination must fail (Theorem 27 says no algorithm terminates on all such
 // schedules; the adversary defeats ours on this one) and safety must hold.
-func runUnsolvableCell(rig *agreementRig, p core.Problem, sys core.SystemID, budget int) (string, bool, int, error) {
-	var crashed procset.Set
-	if sys.I <= p.K {
-		for q := 0; q < sys.J-sys.I; q++ {
-			crashed = crashed.Add(procset.ID(p.N - q))
+// The execution is g's, shared by every cell with the same configuration and
+// crash set; the cell drives its own only if the shared one failed.
+func runUnsolvableCell(rig *agreementRig, g *advGroup, p core.Problem, sys core.SystemID, budget int) (string, bool, int, error) {
+	crashed := fictitiousCrashes(p, sys)
+	w, check := witnessFor(p, sys, crashed)
+	run, ok, err := g.shared(rig, budget)
+	gaps := g.gaps
+	if err == nil && !ok {
+		gaps = map[witness]int{}
+		if check {
+			gaps[w] = 0
 		}
+		run, err = rig.driveWitnessed(crashed, budget, gaps)
 	}
-	run, schedule, err := rig.driveAdversarial(crashed, budget)
 	if err != nil {
 		return "", false, 0, err
 	}
@@ -179,25 +317,8 @@ func runUnsolvableCell(rig *agreementRig, p core.Problem, sys core.SystemID, bud
 	// Conformance spot check: the schedule must witness S^i_{j,n}. For case
 	// 2b this is structural (an i-set of live processes plus the silent
 	// crashed ones); verify the witness on the generated prefix.
-	if sys.I <= p.K {
-		var witnessP procset.Set
-		live := procset.FullSet(p.N).Minus(crashed)
-		for _, q := range live.Members() {
-			if witnessP.Size() >= sys.I {
-				break
-			}
-			witnessP = witnessP.Add(q)
-		}
-		witnessQ := witnessP.Union(crashed)
-		// The adversary's recording is already bounded to this prefix;
-		// re-slice defensively in case a caller configured full recording.
-		prefix := schedule
-		if len(prefix) > adversary.DefaultScheduleLimit {
-			prefix = prefix[:adversary.DefaultScheduleLimit]
-		}
-		if sched.MaxQGap(prefix, witnessP, witnessQ) != 0 {
-			return "CONFORMANCE FAILURE", false, run.Steps, nil
-		}
+	if check && gaps[w] != 0 {
+		return "CONFORMANCE FAILURE", false, run.Steps, nil
 	}
 	return fmt.Sprintf("NO-DECISION@%d, safe", run.Steps), true, run.Steps, nil
 }
